@@ -72,12 +72,12 @@
 //! `--merge-into` folds `routed_serve_rps`, `routed_p99_ms`, and
 //! `peak_rss_mb` into the stats JSON for the bench gate.
 
+use mqo_bench::cli::{Args, CliError, Spec};
 use mqo_obs::httpd::HttpClient;
 use mqo_obs::{http_get, http_post};
 use mqo_shard::ShardMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::process::ExitCode;
@@ -99,29 +99,31 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            if name == "drain" || name == "malformed" || name == "overload" || name == "router"
-            {
-                flags.insert(name.to_string(), "true".to_string());
-                i += 1;
-            } else if i + 1 < args.len() {
-                flags.insert(name.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                flags.insert(name.to_string(), String::new());
-                i += 1;
-            }
-        } else {
-            eprintln!("error: unexpected positional argument {:?}", args[i]);
-            i += 1;
-        }
-    }
-    flags
-}
+const FLAGS: Spec = Spec {
+    positional: &[],
+    switches: &["drain", "malformed", "overload", "router"],
+    values: &[
+        "addr",
+        "addr-file",
+        "requests",
+        "concurrency",
+        "batch",
+        "node-max",
+        "seed",
+        "tenant",
+        "mode",
+        "rate",
+        "warmup",
+        "trace-id",
+        "deadline-ms",
+        "out",
+        "merge-into",
+        "overload-factor",
+        "cal-requests",
+        "slo-p99-ms",
+        "shard-map",
+    ],
+};
 
 /// One request's outcome, tagged with when it (nominally) departed.
 struct Sample {
@@ -502,16 +504,12 @@ fn run_malformed(addr: SocketAddr, out: Option<&str>) -> Result<(), String> {
 /// * every `429` must carry a well-formed `Retry-After` in `[1, 30]`;
 /// * with `--slo-p99-ms N`, admitted p99 must stay under N — admitted
 ///   work must still meet its SLO *while* the excess is refused.
-fn run_overload(flags: &HashMap<String, String>, plan: Plan) -> Result<(), String> {
-    let factor: f64 = flags
-        .get("overload-factor")
-        .map_or(Ok(5.0), |s| s.parse().map_err(|_| "bad --overload-factor"))?;
+fn run_overload(args: &Args, plan: Plan) -> Result<(), CliError> {
+    let factor: f64 = args.num_or("overload-factor", 5.0)?;
     if factor <= 1.0 {
         return Err("--overload-factor must be > 1".into());
     }
-    let cal_requests: usize = flags
-        .get("cal-requests")
-        .map_or(Ok(32), |s| s.parse().map_err(|_| "bad --cal-requests"))?;
+    let cal_requests: usize = args.num_or("cal-requests", 32)?;
 
     // Phase 1: closed-loop calibration of sustainable throughput.
     let mut cal = plan.clone();
@@ -535,10 +533,7 @@ fn run_overload(flags: &HashMap<String, String>, plan: Plan) -> Result<(), Strin
     let mut burst = plan;
     burst.open_loop = true;
     burst.rate = rate;
-    let slo_p99_ms: Option<f64> = flags
-        .get("slo-p99-ms")
-        .map(|s| s.parse().map_err(|_| "bad --slo-p99-ms"))
-        .transpose()?;
+    let slo_p99_ms: Option<f64> = args.num("slo-p99-ms")?;
     let addr = burst.addr;
     let (samples, wall) = drive(Arc::new(burst));
 
@@ -611,14 +606,14 @@ fn run_overload(flags: &HashMap<String, String>, plan: Plan) -> Result<(), Strin
     let mut text = serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?;
     text.push('\n');
     print!("{text}");
-    if let Some(path) = flags.get("out") {
+    if let Some(path) = args.get("out") {
         std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
-    if flags.contains_key("drain") {
+    if args.has("drain") {
         let (status, _) = http_post(addr, "/v1/drain", "{}")
             .map_err(|e| format!("drain request failed: {e}"))?;
         if !status.contains("202") {
-            return Err(format!("drain request refused: {status}"));
+            return Err(format!("drain request refused: {status}").into());
         }
     }
 
@@ -628,21 +623,23 @@ fn run_overload(flags: &HashMap<String, String>, plan: Plan) -> Result<(), Strin
     if bad_shed > 0 {
         return Err(format!(
             "{bad_shed} shed response(s) lacked a well-formed Retry-After in [1, 30]"
-        ));
+        )
+        .into());
     }
     if let Some(slo) = slo_p99_ms {
         if p99 > slo {
             return Err(format!(
                 "admitted p99 {p99:.1} ms breaches --slo-p99-ms {slo:.1} under overload"
-            ));
+            )
+            .into());
         }
     }
     Ok(())
 }
 
-fn run(flags: &HashMap<String, String>) -> Result<(), String> {
-    let addr_text = match (flags.get("addr"), flags.get("addr-file")) {
-        (Some(a), _) => a.clone(),
+fn run(args: &Args) -> Result<(), CliError> {
+    let addr_text = match (args.get("addr"), args.get("addr-file")) {
+        (Some(a), _) => a.to_string(),
         (None, Some(f)) => std::fs::read_to_string(f)
             .map_err(|e| format!("cannot read {f}: {e}"))?
             .trim()
@@ -651,44 +648,37 @@ fn run(flags: &HashMap<String, String>) -> Result<(), String> {
     };
     let addr: SocketAddr =
         addr_text.parse().map_err(|_| format!("bad address {addr_text:?}"))?;
-    if flags.contains_key("malformed") {
-        return run_malformed(addr, flags.get("out").map(String::as_str));
+    if args.has("malformed") {
+        return run_malformed(addr, args.get("out")).map_err(CliError::from);
     }
-    let requests =
-        flags.get("requests").map_or(Ok(100), |s| s.parse().map_err(|_| "bad --requests"))?;
-    let warmup: usize =
-        flags.get("warmup").map_or(Ok(0), |s| s.parse().map_err(|_| "bad --warmup"))?;
-    let concurrency: usize = flags
-        .get("concurrency")
-        .map_or(Ok(4), |s| s.parse().map_err(|_| "bad --concurrency"))?;
-    let batch: usize =
-        flags.get("batch").map_or(Ok(1), |s| s.parse().map_err(|_| "bad --batch"))?;
-    let seed = flags.get("seed").map_or(Ok(42), |s| s.parse().map_err(|_| "bad --seed"))?;
-    let open_loop = match flags.get("mode").map(String::as_str) {
+    let requests = args.num_or("requests", 100)?;
+    let warmup: usize = args.num_or("warmup", 0)?;
+    let concurrency: usize = args.num_or("concurrency", 4)?;
+    let batch: usize = args.num_or("batch", 1)?;
+    let seed = args.num_or("seed", 42)?;
+    let open_loop = match args.get("mode") {
         None | Some("closed") => false,
         Some("open") => true,
-        Some(other) => return Err(format!("bad --mode {other:?} (want closed|open)")),
+        Some(other) => {
+            return Err(CliError::Usage(format!("bad --mode {other:?} (want closed|open)")))
+        }
     };
-    let rate: f64 =
-        flags.get("rate").map_or(Ok(50.0), |s| s.parse().map_err(|_| "bad --rate"))?;
+    let rate: f64 = args.num_or("rate", 50.0)?;
     if open_loop && rate <= 0.0 {
         return Err("--rate must be positive in open-loop mode".into());
     }
     // Router mode: picks must range over the whole global id space so
     // batches straddle shard boundaries. The loaded map is the source of
     // truth for both the range and per-shard attribution.
-    let shard_map = if flags.contains_key("router") {
-        let path = flags
+    let shard_map = if args.has("router") {
+        let path = args
             .get("shard-map")
             .ok_or("--router needs --shard-map FILE for per-shard attribution")?;
         Some(ShardMap::load(path).map_err(|e| format!("cannot load shard map: {e}"))?)
     } else {
         None
     };
-    let node_max = match flags
-        .get("node-max")
-        .map_or(Ok(0), |s| s.parse().map_err(|_| "bad --node-max"))?
-    {
+    let node_max = match args.num_or("node-max", 0)? {
         0 => match &shard_map {
             Some(map) => map.num_nodes() as usize,
             None => discover_node_max(addr)?,
@@ -700,10 +690,10 @@ fn run(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     if let Some(map) = &shard_map {
         if node_max > map.num_nodes() as usize {
-            return Err(format!(
+            return Err(CliError::Usage(format!(
                 "--node-max {node_max} exceeds the shard map's {} nodes",
                 map.num_nodes()
-            ));
+            )));
         }
     }
 
@@ -715,17 +705,14 @@ fn run(flags: &HashMap<String, String>) -> Result<(), String> {
         batch: batch.max(1),
         node_max,
         seed,
-        tenant: flags.get("tenant").cloned().unwrap_or_else(|| "default".into()),
+        tenant: args.get("tenant").map(String::from).unwrap_or_else(|| "default".into()),
         open_loop,
         rate,
-        trace_id: flags.get("trace-id").cloned(),
-        deadline_ms: flags
-            .get("deadline-ms")
-            .map(|s| s.parse().map_err(|_| "bad --deadline-ms"))
-            .transpose()?,
+        trace_id: args.get("trace-id").map(String::from),
+        deadline_ms: args.num("deadline-ms")?,
     };
-    if flags.contains_key("overload") {
-        return run_overload(flags, plan);
+    if args.has("overload") {
+        return run_overload(args, plan);
     }
     let plan = Arc::new(plan);
     let (samples, wall) = drive(Arc::clone(&plan));
@@ -838,10 +825,10 @@ fn run(flags: &HashMap<String, String>) -> Result<(), String> {
     let mut text = serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?;
     text.push('\n');
     print!("{text}");
-    if let Some(path) = flags.get("out") {
+    if let Some(path) = args.get("out") {
         std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
-    if let Some(path) = flags.get("merge-into") {
+    if let Some(path) = args.get("merge-into") {
         match &router_extra {
             Some((_, _, peak_rss)) => merge_into(
                 path,
@@ -857,13 +844,13 @@ fn run(flags: &HashMap<String, String>) -> Result<(), String> {
             )?,
         }
     }
-    if flags.contains_key("drain") {
+    if args.has("drain") {
         // Worker connections are already closed (drive joined them), so
         // the server's handlers can join promptly once draining starts.
         let (status, _) = http_post(addr, "/v1/drain", "{}")
             .map_err(|e| format!("drain request failed: {e}"))?;
         if !status.contains("202") {
-            return Err(format!("drain request refused: {status}"));
+            return Err(format!("drain request refused: {status}").into());
         }
     }
     if ok == 0 {
@@ -877,19 +864,45 @@ fn main() -> ExitCode {
     if args.iter().any(|a| a == "--help" || a == "-h") || args.is_empty() {
         return usage();
     }
-    let flags = parse_flags(&args);
-    match run(&flags) {
+    match Args::parse(&args, &FLAGS).and_then(|parsed| run(&parsed)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => e.exit_code(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every invocation shape the smoke scripts and the README pass must
+    /// still parse; anything else is refused.
+    #[test]
+    fn flags_parse_strictly() {
+        let parse = |line: &str| {
+            let words: Vec<String> = line.split_whitespace().map(String::from).collect();
+            Args::parse(&words, &FLAGS)
+        };
+        for line in [
+            "--addr-file a --requests 6000 --warmup 500 --concurrency 8 --batch 4 --seed 42 \
+             --merge-into m.json --drain",
+            "--addr-file a --overload --requests 1200 --concurrency 48 --batch 2 --seed 42 \
+             --slo-p99-ms 10000 --out o.json --drain --overload-factor 5 --cal-requests 32",
+            "--addr-file a --requests 1 --batch 24 --trace-id 00f067aa0ba902b7 --out t.json",
+            "--addr-file a --malformed --out m.json",
+            "--addr-file a --requests 20 --tenant throttled --deadline-ms 50 --mode open \
+             --rate 100 --node-max 50",
+            "--addr 127.0.0.1:9090 --router --shard-map m.bin --requests 300 --warmup 40",
+        ] {
+            if let Err(e) = parse(line) {
+                panic!("{line:?} must parse: {e}");
+            }
+        }
+        for line in ["--addr a --parallel 2", "--addr", "--addr a stray", "--drain yes"] {
+            assert!(matches!(parse(line), Err(CliError::Usage(_))), "{line:?} must be refused");
+        }
+        let args = parse("--addr a --requests many").unwrap();
+        assert!(matches!(args.num::<usize>("requests"), Err(CliError::Usage(_))));
+    }
 
     #[test]
     fn percentile_picks_nearest_rank() {

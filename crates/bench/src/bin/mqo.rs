@@ -34,9 +34,11 @@
 //! boosting); `mqo route` fronts the workers with ownership routing,
 //! batch fan-out, health ejection, and the label exchange relay.
 //!
-//! Argument parsing is hand-rolled (std only) — the tool has seven verbs
-//! and a few dozen flags, not enough to justify a parser dependency.
+//! Arguments go through the strict parser in [`mqo_bench::cli`]: each
+//! verb declares its flags, and an unknown flag, a missing value, a
+//! stray positional, or an unparsable number exits 2 with a message.
 
+use mqo_bench::cli::{Args, CliError, Spec};
 use mqo_bench::harness::Trace;
 use mqo_core::boosting::{BoostConfig, DegradePolicy};
 use mqo_core::journal::{RunHeader, RunJournal};
@@ -54,7 +56,7 @@ use mqo_llm::{
     RetryingLlm, SimLlm, ValidatingLlm,
 };
 use mqo_obs::{
-    ChromeTraceSink, CostLedger, Fanout, MetricsServer, MetricsSink, MonotonicClock, SpanId,
+    serve_metrics, ChromeTraceSink, CostLedger, Fanout, MetricsSink, MonotonicClock, SpanId,
     Tracer, WaitClock,
 };
 use mqo_serve::{ServeConfig, ServerOptions};
@@ -101,35 +103,90 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
-    let mut positional = Vec::new();
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            // Boolean flags take no value; value flags consume the next arg.
-            match name {
-                "boost" | "no-cache" | "resume" | "deterministic" => {
-                    flags.insert(name.to_string(), "true".to_string());
-                    i += 1;
-                }
-                _ => {
-                    if i + 1 < args.len() {
-                        flags.insert(name.to_string(), args[i + 1].clone());
-                        i += 2;
-                    } else {
-                        flags.insert(name.to_string(), String::new());
-                        i += 1;
-                    }
-                }
-            }
-        } else {
-            positional.push(args[i].clone());
-            i += 1;
-        }
-    }
-    (positional, flags)
-}
+const GENERATE: Spec =
+    Spec { positional: &["dataset name"], switches: &[], values: &["scale", "seed", "out"] };
+const INSPECT: Spec = Spec { positional: &["file or dataset"], switches: &[], values: &[] };
+const CLASSIFY: Spec = Spec {
+    positional: &["dataset or file"],
+    switches: &["boost", "no-cache", "resume", "deterministic"],
+    values: &[
+        "seed",
+        "scale",
+        "method",
+        "queries",
+        "prune",
+        "model",
+        "threads",
+        "budget",
+        "retries",
+        "trace",
+        "trace-chrome",
+        "serve-metrics",
+        "cost-json",
+        "cache-cap",
+        "repeat",
+        "batch",
+        "stats-json",
+        "faults",
+        "fault-kill-after",
+        "journal",
+        "dump-records",
+    ],
+};
+const SERVE: Spec = Spec {
+    positional: &["dataset or file"],
+    switches: &["boost", "no-cache", "resume"],
+    values: &[
+        "seed",
+        "scale",
+        "addr",
+        "addr-file",
+        "method",
+        "queries",
+        "workers",
+        "queue-cap",
+        "budget",
+        "tenants",
+        "tenant-budget",
+        "cache-cap",
+        "retries",
+        "faults",
+        "journal",
+        "trace-chrome",
+        "cost-json",
+        "stats-json",
+        "slo-p99-ms",
+        "slo-availability",
+        "flight-slow",
+        "flight-errors",
+        "flight-dump",
+        "sojourn-target-ms",
+        "shed-interval-ms",
+        "tenant-share-permille",
+        "brownout-enter",
+        "brownout-exit",
+        "chaos",
+        "chaos-seed",
+        "chaos-addr-file",
+        "shard-id",
+        "shard-map",
+        "router",
+        "exchange-interval-ms",
+    ],
+};
+const PARTITION: Spec = Spec {
+    positional: &["dataset or file"],
+    switches: &[],
+    values: &["seed", "scale", "shards", "out-dir", "strategy", "stats-json"],
+};
+const ROUTE: Spec = Spec {
+    positional: &["shard-map file"],
+    switches: &[],
+    values: &["workers", "addr", "addr-file", "eject-after", "probe-interval-ms"],
+};
+const PLAN: Spec =
+    Spec { positional: &["dataset"], switches: &[], values: &["dollars", "queries", "method"] };
+const TABLES: Spec = Spec { positional: &[], switches: &[], values: &[] };
 
 fn dataset_by_name(name: &str) -> Option<DatasetId> {
     DatasetId::ALL.into_iter().find(|id| id.name() == name)
@@ -183,12 +240,12 @@ fn split_for(
         .map_err(|e| format!("cannot split: {e}"))
 }
 
-fn cmd_generate(pos: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
-    let name = pos.first().ok_or("missing dataset name")?;
+fn cmd_generate(args: &Args) -> Result<(), CliError> {
+    let name = args.pos(0);
     let id = dataset_by_name(name).ok_or_else(|| format!("unknown dataset '{name}'"))?;
-    let scale = flags.get("scale").map(|s| s.parse().map_err(|_| "bad --scale")).transpose()?;
-    let seed = flags.get("seed").map_or(Ok(42), |s| s.parse().map_err(|_| "bad --seed"))?;
-    let out = flags.get("out").ok_or("missing --out FILE")?;
+    let scale = args.num("scale")?;
+    let seed = args.num_or("seed", 42)?;
+    let out = args.get("out").ok_or("missing --out FILE")?;
     let bundle = dataset(id, scale, seed);
     persist::save(&bundle, out).map_err(|e| format!("cannot save: {e}"))?;
     println!(
@@ -200,8 +257,8 @@ fn cmd_generate(pos: &[String], flags: &HashMap<String, String>) -> Result<(), S
     Ok(())
 }
 
-fn cmd_inspect(pos: &[String]) -> Result<(), String> {
-    let arg = pos.first().ok_or("missing file or dataset")?;
+fn cmd_inspect(args: &Args) -> Result<(), CliError> {
+    let arg = args.pos(0);
     let bundle = resolve_bundle(arg, None, 42)?;
     let s = mqo_graph::stats::summarize(&bundle.tag);
     println!("dataset     : {}", s.name);
@@ -215,30 +272,26 @@ fn cmd_inspect(pos: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_classify(pos: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
-    let arg = pos.first().ok_or("missing dataset or file")?;
-    let seed = flags.get("seed").map_or(Ok(42u64), |s| s.parse().map_err(|_| "bad --seed"))?;
-    let bundle = resolve_bundle(arg, flags.get("scale").and_then(|s| s.parse().ok()), seed)?;
-    let queries: usize =
-        flags.get("queries").map_or(Ok(200), |s| s.parse().map_err(|_| "bad --queries"))?;
-    let method = flags.get("method").map(String::as_str).unwrap_or("1hop");
-    let threads: usize =
-        flags.get("threads").map_or(Ok(1), |s| s.parse().map_err(|_| "bad --threads"))?;
-    let profile = match flags.get("model").map(String::as_str) {
+fn cmd_classify(args: &Args) -> Result<(), CliError> {
+    let arg = args.pos(0);
+    let seed = args.num_or("seed", 42u64)?;
+    let bundle = resolve_bundle(arg, args.num("scale")?, seed)?;
+    let queries: usize = args.num_or("queries", 200)?;
+    let method = args.get("method").unwrap_or("1hop");
+    let threads: usize = args.num_or("threads", 1)?;
+    let profile = match args.get("model") {
         None | Some("gpt35") => ModelProfile::gpt35(),
         Some("gpt4o-mini") => ModelProfile::gpt4o_mini(),
-        Some(other) => return Err(format!("unknown model '{other}'")),
+        Some(other) => return Err(CliError::Usage(format!("unknown model '{other}'"))),
     };
 
     // `--repeat K` replays the query list K times — the serving-style
     // workload (overlapping traffic) where a response cache pays off.
-    let repeat: usize =
-        flags.get("repeat").map_or(Ok(1), |s| s.parse().map_err(|_| "bad --repeat"))?;
+    let repeat: usize = args.num_or("repeat", 1)?;
     if repeat == 0 {
         return Err("--repeat must be at least 1".into());
     }
-    let budget: Option<u64> =
-        flags.get("budget").map(|b| b.parse().map_err(|_| "bad --budget")).transpose()?;
+    let budget: Option<u64> = args.num("budget")?;
 
     let split = split_for(&bundle, queries, seed)?;
     // The client stack a production deployment runs: simulated model →
@@ -251,21 +304,20 @@ fn cmd_classify(pos: &[String], flags: &HashMap<String, String>) -> Result<(), S
     // failures only, never format rejections.
     // With a hard budget the retry layer re-checks each retried prompt
     // against Eq. 2, so retries stay on by default either way.
-    let retries: u32 =
-        flags.get("retries").map_or(Ok(3), |s| s.parse().map_err(|_| "bad --retries"))?;
-    let trace = flags
+    let retries: u32 = args.num_or("retries", 3)?;
+    let trace = args
         .get("trace")
         .map(Trace::create)
         .transpose()
         .map_err(|e| format!("cannot create trace file: {e}"))?;
-    let chrome = flags
+    let chrome = args
         .get("trace-chrome")
         .map(ChromeTraceSink::create)
         .transpose()
         .map_err(|e| format!("cannot create chrome trace file: {e}"))?
         .map(Arc::new);
-    let metrics = flags.get("serve-metrics").map(|_| Arc::new(MetricsSink::new()));
-    let ledger = flags.get("cost-json").map(|_| Arc::new(CostLedger::new()));
+    let metrics = args.get("serve-metrics").map(|_| Arc::new(MetricsSink::new()));
+    let ledger = args.get("cost-json").map(|_| Arc::new(CostLedger::new()));
     // Spans are stamped from the process monotonic clock only when a
     // Chrome trace asked for them; the disabled tracer otherwise makes
     // every span a free no-op (no ids, no clock reads, no events).
@@ -293,7 +345,7 @@ fn cmd_classify(pos: &[String], flags: &HashMap<String, String>) -> Result<(), S
 
     let wait_clock: Arc<dyn WaitClock> = Arc::new(MonotonicClock);
     let sim = SimLlm::new(bundle.lexicon.clone(), bundle.tag.class_names().to_vec(), profile);
-    let schedule = match flags.get("faults") {
+    let schedule = match args.get("faults") {
         Some(spec) => {
             let cfg = FaultConfig::parse(spec).map_err(|e| format!("bad --faults: {e}"))?;
             FaultSchedule::seeded(seed, cfg)
@@ -301,8 +353,8 @@ fn cmd_classify(pos: &[String], flags: &HashMap<String, String>) -> Result<(), S
         None => FaultSchedule::clean(),
     };
     let mut faulty = FaultyLlm::new(sim, schedule, wait_clock.clone());
-    if let Some(n) = flags.get("fault-kill-after") {
-        faulty = faulty.with_kill_after(n.parse().map_err(|_| "bad --fault-kill-after")?);
+    if let Some(n) = args.num("fault-kill-after")? {
+        faulty = faulty.with_kill_after(n);
     }
     if observed {
         faulty = faulty.with_sink(fanout.clone());
@@ -334,11 +386,8 @@ fn cmd_classify(pos: &[String], flags: &HashMap<String, String>) -> Result<(), S
     // The response cache wraps the *whole* stack so hits skip validation
     // and retries entirely; `--no-cache` keeps the wrapper (capacity 0 is
     // a transparent pass-through) so both arms run identical code.
-    let cache_cap: usize = if flags.contains_key("no-cache") {
-        0
-    } else {
-        flags.get("cache-cap").map_or(Ok(4096), |s| s.parse().map_err(|_| "bad --cache-cap"))?
-    };
+    let cache_cap: usize =
+        if args.has("no-cache") { 0 } else { args.num_or("cache-cap", 4096)? };
     let llm = CachedLlm::new(LenientLlm::new(retrying), cache_cap);
     let m = if bundle.tag.name() == "ogbn-products" { 10 } else { 4 };
     // Round-based invalidation rides the telemetry stream: the invalidator
@@ -349,17 +398,17 @@ fn cmd_classify(pos: &[String], flags: &HashMap<String, String>) -> Result<(), S
     // The run journal is created (or resumed) before the executor borrows
     // it; the header fingerprints the run shape so `--resume` refuses a
     // journal written by a different campaign.
-    let journal: Option<RunJournal> = match flags.get("journal") {
+    let journal: Option<RunJournal> = match args.get("journal") {
         Some(path) => {
             let header = RunHeader {
                 dataset: bundle.tag.name().to_string(),
                 method: method.to_string(),
                 seed,
                 queries: (split.queries().len() * repeat) as u64,
-                boost: flags.contains_key("boost"),
+                boost: args.has("boost"),
                 budget,
             };
-            Some(if flags.contains_key("resume") {
+            Some(if args.has("resume") {
                 RunJournal::resume(path, &header)
                     .map_err(|e| format!("cannot resume journal {path}: {e}"))?
             } else {
@@ -367,9 +416,7 @@ fn cmd_classify(pos: &[String], flags: &HashMap<String, String>) -> Result<(), S
                     .map_err(|e| format!("cannot create journal {path}: {e}"))?
             })
         }
-        None if flags.contains_key("resume") => {
-            return Err("--resume requires --journal FILE".into())
-        }
+        None if args.has("resume") => return Err("--resume requires --journal FILE".into()),
         None => None,
     };
     // Degraded mode is always on in the CLI: a failed query becomes a
@@ -391,9 +438,8 @@ fn cmd_classify(pos: &[String], flags: &HashMap<String, String>) -> Result<(), S
 
     let run_queries: Vec<NodeId> = split.queries().repeat(repeat);
 
-    let plan = match flags.get("prune") {
-        Some(tau_s) => {
-            let tau: f64 = tau_s.parse().map_err(|_| "bad --prune")?;
+    let plan = match args.num::<f64>("prune")? {
+        Some(tau) => {
             let scorer =
                 InadequacyScorer::build(&exec, &split, &SurrogateConfig::small(seed), 10, seed)
                     .map_err(|e| format!("scorer: {e}"))?;
@@ -405,9 +451,9 @@ fn cmd_classify(pos: &[String], flags: &HashMap<String, String>) -> Result<(), S
     // The metrics endpoint comes up before the run so `/metrics` and
     // `/progress` can be polled while queries are in flight; it stays up
     // until the process exits.
-    let _server = match (&metrics, flags.get("serve-metrics")) {
+    let _server = match (&metrics, args.get("serve-metrics")) {
         (Some(m), Some(addr)) => {
-            let srv = MetricsServer::start(addr, m.clone())
+            let srv = serve_metrics(addr, m.clone())
                 .map_err(|e| format!("cannot serve metrics on {addr}: {e}"))?;
             println!("metrics         : http://{}/metrics (and /progress)", srv.addr());
             Some(srv)
@@ -428,8 +474,8 @@ fn cmd_classify(pos: &[String], flags: &HashMap<String, String>) -> Result<(), S
     let run_started = std::time::Instant::now();
     // One execution core for every shape of run: the scheduler policy is
     // the only thing the flags choose.
-    let deterministic = flags.contains_key("deterministic");
-    let outcome = if flags.contains_key("boost") {
+    let deterministic = args.has("deterministic");
+    let outcome = if args.has("boost") {
         let mut labels = LabelStore::from_split(&bundle.tag, &split);
         let report = Scheduler::new(
             &exec,
@@ -450,8 +496,7 @@ fn cmd_classify(pos: &[String], flags: &HashMap<String, String>) -> Result<(), S
         report.outcome
     } else {
         let labels = LabelStore::from_split(&bundle.tag, &split);
-        let policy = if let Some(b) = flags.get("batch") {
-            let batch: usize = b.parse().map_err(|_| "bad --batch")?;
+        let policy = if let Some(batch) = args.num::<usize>("batch")? {
             SchedulePolicy::Batched { threads: threads.max(1), batch_size: batch.max(1) }
         } else if threads > 1 {
             SchedulePolicy::Parallel { threads }
@@ -522,7 +567,7 @@ fn cmd_classify(pos: &[String], flags: &HashMap<String, String>) -> Result<(), S
     if let Some(t) = &trace {
         mqo_obs::EventSink::flush(t);
         print!("{}", t.summary());
-        println!("trace written   : {}", flags["trace"]);
+        println!("trace written   : {}", args.get("trace").unwrap_or_default());
         let dropped = t.dropped();
         if dropped > 0 {
             if let Some(m) = &metrics {
@@ -536,18 +581,22 @@ fn cmd_classify(pos: &[String], flags: &HashMap<String, String>) -> Result<(), S
     }
     if let Some(c) = &chrome {
         mqo_obs::EventSink::flush(&**c);
-        println!("chrome trace    : {} ({} spans)", flags["trace-chrome"], c.span_count());
+        println!(
+            "chrome trace    : {} ({} spans)",
+            args.get("trace-chrome").unwrap_or_default(),
+            c.span_count()
+        );
     }
     if let Some(l) = &ledger {
         let report = l.report();
         print!("{report}");
         let reconciles = report.reconciles_with(totals.prompt_tokens);
-        let path = &flags["cost-json"];
+        let path = args.get("cost-json").unwrap_or_default();
         std::fs::write(path, report.to_json(totals.prompt_tokens))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("cost ledger     : {path} (reconciles with meter: {reconciles})");
     }
-    if let Some(path) = flags.get("stats-json") {
+    if let Some(path) = args.get("stats-json") {
         let stats = serde_json::json!({
             "dataset": bundle.tag.name(),
             "method": predictor.name(),
@@ -572,7 +621,7 @@ fn cmd_classify(pos: &[String], flags: &HashMap<String, String>) -> Result<(), S
         std::fs::write(path, body + "\n").map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("stats written   : {path}");
     }
-    if let Some(path) = flags.get("dump-records") {
+    if let Some(path) = args.get("dump-records") {
         // Records sorted by node, one journal-format line each: resumed
         // and from-scratch runs of the same campaign must dump identical
         // bytes, which is exactly what the chaos gate diffs.
@@ -608,72 +657,51 @@ fn load_shard_bundle(path: &str) -> Result<mqo_shard::ShardBundle, String> {
         .map_err(|e| format!("cannot load shard bundle {path}: {e}"))
 }
 
-fn cmd_serve(pos: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
-    let arg = pos.first().ok_or("missing dataset or file")?;
-    let seed = flags.get("seed").map_or(Ok(42u64), |s| s.parse().map_err(|_| "bad --seed"))?;
-    let shard_id: Option<u32> =
-        flags.get("shard-id").map(|s| s.parse().map_err(|_| "bad --shard-id")).transpose()?;
+fn cmd_serve(args: &Args) -> Result<(), CliError> {
+    let arg = args.pos(0);
+    let seed = args.num_or("seed", 42u64)?;
+    let shard_id: Option<u32> = args.num("shard-id")?;
 
     let mut tenant_budgets = HashMap::new();
-    if let Some(spec) = flags.get("tenants") {
+    if let Some(spec) = args.get("tenants") {
         for part in spec.split(',').filter(|p| !p.is_empty()) {
             let (name, tokens) =
                 part.split_once('=').ok_or("bad --tenants (want name=tokens,...)")?;
             tenant_budgets.insert(
                 name.to_string(),
-                tokens.parse().map_err(|_| "bad --tenants token budget")?,
+                tokens.parse().map_err(|_| {
+                    CliError::Usage(format!("bad --tenants token budget '{tokens}'"))
+                })?,
             );
         }
     }
-    let cache_cap: usize = if flags.contains_key("no-cache") {
-        0
-    } else {
-        flags.get("cache-cap").map_or(Ok(4096), |s| s.parse().map_err(|_| "bad --cache-cap"))?
-    };
+    let cache_cap: usize =
+        if args.has("no-cache") { 0 } else { args.num_or("cache-cap", 4096)? };
     let cfg = ServeConfig {
-        method: flags.get("method").cloned().unwrap_or_else(|| "1hop".into()),
+        method: args.get("method").map(String::from).unwrap_or_else(|| "1hop".into()),
         seed,
-        split_queries: flags
-            .get("queries")
-            .map_or(Ok(200), |s| s.parse().map_err(|_| "bad --queries"))?,
+        split_queries: args.num_or("queries", 200)?,
         max_neighbors: 0,
-        budget: flags
-            .get("budget")
-            .map(|b| b.parse().map_err(|_| "bad --budget"))
-            .transpose()?,
-        retries: flags
-            .get("retries")
-            .map_or(Ok(3), |s| s.parse().map_err(|_| "bad --retries"))?,
+        budget: args.num("budget")?,
+        retries: args.num_or("retries", 3)?,
         cache_cap,
-        boost: flags.contains_key("boost"),
-        faults: flags.get("faults").cloned(),
-        journal: flags.get("journal").map(PathBuf::from),
-        resume: flags.contains_key("resume"),
-        trace_chrome: flags.get("trace-chrome").map(PathBuf::from),
+        boost: args.has("boost"),
+        faults: args.get("faults").map(String::from),
+        journal: args.get("journal").map(PathBuf::from),
+        resume: args.has("resume"),
+        trace_chrome: args.get("trace-chrome").map(PathBuf::from),
         tenant_budgets,
-        default_tenant_budget: flags
-            .get("tenant-budget")
-            .map(|b| b.parse().map_err(|_| "bad --tenant-budget"))
-            .transpose()?,
-        slo_p99_ms: flags
-            .get("slo-p99-ms")
-            .map(|b| b.parse().map_err(|_| "bad --slo-p99-ms"))
-            .transpose()?,
-        slo_availability: flags
-            .get("slo-availability")
-            .map_or(Ok(0.999), |s| s.parse().map_err(|_| "bad --slo-availability"))?,
-        flight_slow: flags
-            .get("flight-slow")
-            .map_or(Ok(32), |s| s.parse().map_err(|_| "bad --flight-slow"))?,
-        flight_errors: flags
-            .get("flight-errors")
-            .map_or(Ok(64), |s| s.parse().map_err(|_| "bad --flight-errors"))?,
+        default_tenant_budget: args.num("tenant-budget")?,
+        slo_p99_ms: args.num("slo-p99-ms")?,
+        slo_availability: args.num_or("slo-availability", 0.999)?,
+        flight_slow: args.num_or("flight-slow", 32)?,
+        flight_errors: args.num_or("flight-errors", 64)?,
     };
     let engine = Arc::new(match shard_id {
         Some(id) => {
             // Sharded worker: the positional argument is a per-shard
             // bundle file cut by `mqo partition`.
-            let map_path = flags.get("shard-map").ok_or("--shard-id needs --shard-map FILE")?;
+            let map_path = args.get("shard-map").ok_or("--shard-id needs --shard-map FILE")?;
             let map = mqo_shard::ShardMap::load(map_path)
                 .map_err(|e| format!("cannot load shard map {map_path}: {e}"))?;
             let sb = load_shard_bundle(arg)?;
@@ -681,51 +709,45 @@ fn cmd_serve(pos: &[String], flags: &HashMap<String, String>) -> Result<(), Stri
                 return Err(format!(
                     "{arg} holds shard {} but --shard-id asked for {id}",
                     sb.identity.shard_id
-                ));
+                )
+                .into());
             }
             mqo_serve::Engine::new_sharded(sb, map, cfg)?
         }
         None => {
-            let bundle =
-                resolve_bundle(arg, flags.get("scale").and_then(|s| s.parse().ok()), seed)?;
+            let bundle = resolve_bundle(arg, args.num("scale")?, seed)?;
             mqo_serve::Engine::new(bundle, cfg)?
         }
     });
     let mut overload = mqo_serve::OverloadConfig::default();
-    if let Some(ms) = flags.get("sojourn-target-ms") {
-        overload.sojourn_target_micros =
-            ms.parse::<u64>().map_err(|_| "bad --sojourn-target-ms")?.saturating_mul(1_000);
+    if let Some(ms) = args.num::<u64>("sojourn-target-ms")? {
+        overload.sojourn_target_micros = ms.saturating_mul(1_000);
     }
-    if let Some(ms) = flags.get("shed-interval-ms") {
-        overload.shed_interval_micros =
-            ms.parse::<u64>().map_err(|_| "bad --shed-interval-ms")?.saturating_mul(1_000);
+    if let Some(ms) = args.num::<u64>("shed-interval-ms")? {
+        overload.shed_interval_micros = ms.saturating_mul(1_000);
     }
-    if let Some(p) = flags.get("tenant-share-permille") {
-        overload.tenant_share_permille =
-            p.parse().map_err(|_| "bad --tenant-share-permille")?;
+    if let Some(p) = args.num("tenant-share-permille")? {
+        overload.tenant_share_permille = p;
     }
-    if let Some(m) = flags.get("brownout-enter") {
-        overload.brownout_enter_milli = m.parse().map_err(|_| "bad --brownout-enter")?;
+    if let Some(m) = args.num("brownout-enter")? {
+        overload.brownout_enter_milli = m;
     }
-    if let Some(m) = flags.get("brownout-exit") {
-        overload.brownout_exit_milli = m.parse().map_err(|_| "bad --brownout-exit")?;
+    if let Some(m) = args.num("brownout-exit")? {
+        overload.brownout_exit_milli = m;
     }
-    let public_addr = flags.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:8080".into());
-    let chaos = flags
+    let public_addr =
+        args.get("addr").map(String::from).unwrap_or_else(|| "127.0.0.1:8080".into());
+    let chaos = args
         .get("chaos")
-        .map(|spec| mqo_fault::NetFaultConfig::parse(spec))
+        .map(mqo_fault::NetFaultConfig::parse)
         .transpose()
         .map_err(|e| format!("bad --chaos: {e}"))?;
     let options = ServerOptions {
         // Under network chaos the proxy owns the public address and the
         // server hides behind it on a free port.
         addr: if chaos.is_some() { "127.0.0.1:0".into() } else { public_addr.clone() },
-        workers: flags
-            .get("workers")
-            .map_or(Ok(4), |s| s.parse().map_err(|_| "bad --workers"))?,
-        queue_capacity: flags
-            .get("queue-cap")
-            .map_or(Ok(64), |s| s.parse().map_err(|_| "bad --queue-cap"))?,
+        workers: args.num_or("workers", 4)?,
+        queue_capacity: args.num_or("queue-cap", 64)?,
         overload,
     };
     let workers = options.workers;
@@ -743,9 +765,7 @@ fn cmd_serve(pos: &[String], flags: &HashMap<String, String>) -> Result<(), Stri
     let proxy = match chaos {
         None => None,
         Some(net_cfg) => {
-            let chaos_seed = flags
-                .get("chaos-seed")
-                .map_or(Ok(seed), |s| s.parse().map_err(|_| "bad --chaos-seed"))?;
+            let chaos_seed = args.num_or("chaos-seed", seed)?;
             let schedule = mqo_fault::NetFaultSchedule::seeded(chaos_seed, net_cfg);
             let sink: Arc<dyn mqo_obs::EventSink> = Arc::new(EngineSink(Arc::clone(&engine)));
             Some(
@@ -763,11 +783,11 @@ fn cmd_serve(pos: &[String], flags: &HashMap<String, String>) -> Result<(), Stri
     if proxy.is_some() {
         println!("chaos proxy     : fronting http://{} (direct, fault-free)", server.addr());
     }
-    if let Some(path) = flags.get("addr-file") {
+    if let Some(path) = args.get("addr-file") {
         std::fs::write(path, format!("{public}\n"))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
-    if let Some(path) = flags.get("chaos-addr-file") {
+    if let Some(path) = args.get("chaos-addr-file") {
         std::fs::write(path, format!("{}\n", server.addr()))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
@@ -783,14 +803,12 @@ fn cmd_serve(pos: &[String], flags: &HashMap<String, String>) -> Result<(), Stri
             ctx.identity.num_locals() - ctx.identity.num_owned(),
         );
     }
-    let exchanger = match (engine.shard(), flags.get("router")) {
+    let exchanger = match (engine.shard(), args.get("router")) {
         (Some(_), Some(router)) => {
             let addr: std::net::SocketAddr = router
                 .parse()
                 .map_err(|_| format!("bad --router '{router}' (want IP:PORT)"))?;
-            let interval_ms: u64 = flags
-                .get("exchange-interval-ms")
-                .map_or(Ok(200), |s| s.parse().map_err(|_| "bad --exchange-interval-ms"))?;
+            let interval_ms: u64 = args.num_or("exchange-interval-ms", 200)?;
             println!(
                 "label exchange  : pushing to http://{addr}/v1/labels every {interval_ms}ms"
             );
@@ -842,7 +860,7 @@ fn cmd_serve(pos: &[String], flags: &HashMap<String, String>) -> Result<(), Stri
     println!(
         "flight recorder : {flight_slow} slow + {flight_errors} error request(s) retained"
     );
-    if let Some(path) = flags.get("flight-dump") {
+    if let Some(path) = args.get("flight-dump") {
         std::fs::write(path, engine.flight().to_json())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("flight dump     : {path}");
@@ -859,7 +877,7 @@ fn cmd_serve(pos: &[String], flags: &HashMap<String, String>) -> Result<(), Stri
             t.long.bad,
         );
     }
-    if let Some(path) = flags.get("cost-json") {
+    if let Some(path) = args.get("cost-json") {
         let ledger_report = engine.ledger().report();
         std::fs::write(path, ledger_report.to_json(totals.prompt_tokens))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -869,9 +887,12 @@ fn cmd_serve(pos: &[String], flags: &HashMap<String, String>) -> Result<(), Stri
         );
     }
     if let Some(spans) = engine.chrome_span_count() {
-        println!("chrome trace    : {} ({spans} spans)", flags["trace-chrome"]);
+        println!(
+            "chrome trace    : {} ({spans} spans)",
+            args.get("trace-chrome").unwrap_or_default()
+        );
     }
-    if let Some(path) = flags.get("stats-json") {
+    if let Some(path) = args.get("stats-json") {
         std::fs::write(path, engine.stats_json(None, workers))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("stats written   : {path}");
@@ -880,24 +901,25 @@ fn cmd_serve(pos: &[String], flags: &HashMap<String, String>) -> Result<(), Stri
 }
 
 /// Cut a dataset into per-shard bundles plus the shard map.
-fn cmd_partition(pos: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
-    let arg = pos.first().ok_or("missing dataset or file")?;
-    let seed = flags.get("seed").map_or(Ok(42u64), |s| s.parse().map_err(|_| "bad --seed"))?;
-    let bundle = resolve_bundle(arg, flags.get("scale").and_then(|s| s.parse().ok()), seed)?;
-    let shards: u32 =
-        flags.get("shards").ok_or("missing --shards K")?.parse().map_err(|_| "bad --shards")?;
+fn cmd_partition(args: &Args) -> Result<(), CliError> {
+    let arg = args.pos(0);
+    let seed = args.num_or("seed", 42u64)?;
+    let bundle = resolve_bundle(arg, args.num("scale")?, seed)?;
+    let shards: u32 = args.num("shards")?.ok_or("missing --shards K")?;
     if shards == 0 || shards as usize > bundle.tag.num_nodes() {
-        return Err(format!(
+        return Err(CliError::Usage(format!(
             "--shards must be in 1..={} for this graph",
             bundle.tag.num_nodes()
-        ));
+        )));
     }
-    let strategy = match flags.get("strategy").map(String::as_str) {
+    let strategy = match args.get("strategy") {
         None | Some("edge-cut") => mqo_shard::PartitionStrategy::EdgeCut,
         Some("ring") => mqo_shard::PartitionStrategy::Ring,
-        Some(other) => return Err(format!("unknown strategy '{other}' (edge-cut|ring)")),
+        Some(other) => {
+            return Err(CliError::Usage(format!("unknown strategy '{other}' (edge-cut|ring)")))
+        }
     };
-    let out_dir = flags.get("out-dir").ok_or("missing --out-dir DIR")?;
+    let out_dir = args.get("out-dir").ok_or("missing --out-dir DIR")?;
     std::fs::create_dir_all(out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
 
     let map = mqo_shard::partition(bundle.tag.graph(), shards, seed, strategy);
@@ -935,7 +957,7 @@ fn cmd_partition(pos: &[String], flags: &HashMap<String, String>) -> Result<(), 
         map.total_cut(),
         bundle.tag.num_edges()
     );
-    if let Some(path) = flags.get("stats-json") {
+    if let Some(path) = args.get("stats-json") {
         std::fs::write(path, map.stats_json())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("stats written   : {path}");
@@ -944,11 +966,11 @@ fn cmd_partition(pos: &[String], flags: &HashMap<String, String>) -> Result<(), 
 }
 
 /// Front a set of shard workers with the consistent routing layer.
-fn cmd_route(pos: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
-    let map_path = pos.first().ok_or("missing shard-map file")?;
+fn cmd_route(args: &Args) -> Result<(), CliError> {
+    let map_path = args.pos(0);
     let map = mqo_shard::ShardMap::load(map_path)
         .map_err(|e| format!("cannot load shard map {map_path}: {e}"))?;
-    let workers_spec = flags
+    let workers_spec = args
         .get("workers")
         .ok_or("missing --workers ADDR,ADDR,... (one per shard, in shard-id order)")?;
     let shards: Vec<std::net::SocketAddr> = workers_spec
@@ -960,18 +982,17 @@ fn cmd_route(pos: &[String], flags: &HashMap<String, String>) -> Result<(), Stri
             "map has {} shards but --workers lists {} address(es)",
             map.num_shards(),
             shards.len()
-        ));
+        )
+        .into());
     }
     let mut cfg = mqo_shard::RouterConfig::new(shards);
-    if let Some(n) = flags.get("eject-after") {
-        cfg.eject_after = n.parse().map_err(|_| "bad --eject-after")?;
+    if let Some(n) = args.num("eject-after")? {
+        cfg.eject_after = n;
     }
-    if let Some(ms) = flags.get("probe-interval-ms") {
-        cfg.probe_interval = std::time::Duration::from_millis(
-            ms.parse().map_err(|_| "bad --probe-interval-ms")?,
-        );
+    if let Some(ms) = args.num("probe-interval-ms")? {
+        cfg.probe_interval = std::time::Duration::from_millis(ms);
     }
-    let addr = flags.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:9090".into());
+    let addr = args.get("addr").map(String::from).unwrap_or_else(|| "127.0.0.1:9090".into());
     let num_shards = map.num_shards();
     let router = mqo_shard::Router::start(&addr, map, cfg)
         .map_err(|e| format!("cannot route on {addr}: {e}"))?;
@@ -980,7 +1001,7 @@ fn cmd_route(pos: &[String], flags: &HashMap<String, String>) -> Result<(), Stri
         router.addr()
     );
     println!("endpoints       : /v1/healthz /v1/stats /v1/labels /metrics");
-    if let Some(path) = flags.get("addr-file") {
+    if let Some(path) = args.get("addr-file") {
         std::fs::write(path, format!("{}\n", router.addr()))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
@@ -994,18 +1015,13 @@ fn cmd_route(pos: &[String], flags: &HashMap<String, String>) -> Result<(), Stri
     Ok(())
 }
 
-fn cmd_plan(pos: &[String], flags: &HashMap<String, String>) -> Result<(), String> {
-    let arg = pos.first().ok_or("missing dataset")?;
+fn cmd_plan(args: &Args) -> Result<(), CliError> {
+    let arg = args.pos(0);
     let seed = 42;
     let bundle = resolve_bundle(arg, None, seed)?;
-    let dollars: f64 = flags
-        .get("dollars")
-        .ok_or("missing --dollars X")?
-        .parse()
-        .map_err(|_| "bad --dollars")?;
-    let queries: usize =
-        flags.get("queries").map_or(Ok(1000), |s| s.parse().map_err(|_| "bad --queries"))?;
-    let method = flags.get("method").map(String::as_str).unwrap_or("1hop");
+    let dollars: f64 = args.num("dollars")?.ok_or("missing --dollars X")?;
+    let queries: usize = args.num_or("queries", 1000)?;
+    let method = args.get("method").unwrap_or("1hop");
 
     let split = split_for(&bundle, queries, seed)?;
     let llm = SimLlm::new(
@@ -1044,7 +1060,7 @@ fn cmd_plan(pos: &[String], flags: &HashMap<String, String>) -> Result<(), Strin
     Ok(())
 }
 
-fn cmd_tables() {
+fn cmd_tables(_: &Args) -> Result<(), CliError> {
     println!(
         "table/figure → regenerating binary (cargo run --release -p mqo-bench --bin <name>)"
     );
@@ -1071,31 +1087,103 @@ fn cmd_tables() {
     ] {
         println!("  {what:44} {bin}");
     }
+    Ok(())
+}
+
+/// A verb's entry point.
+type Command = fn(&Args) -> Result<(), CliError>;
+
+/// The flag spec and entry point of each verb.
+fn verb(name: &str) -> Option<(Spec, Command)> {
+    Some(match name {
+        "generate" => (GENERATE, cmd_generate),
+        "inspect" => (INSPECT, cmd_inspect),
+        "classify" => (CLASSIFY, cmd_classify),
+        "plan" => (PLAN, cmd_plan),
+        "serve" => (SERVE, cmd_serve),
+        "partition" => (PARTITION, cmd_partition),
+        "route" => (ROUTE, cmd_route),
+        "tables" => (TABLES, cmd_tables),
+        _ => return None,
+    })
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(verb) = args.first() else { return usage() };
-    let (pos, flags) = parse_flags(&args[1..]);
-    let result = match verb.as_str() {
-        "generate" => cmd_generate(&pos, &flags),
-        "inspect" => cmd_inspect(&pos),
-        "classify" => cmd_classify(&pos, &flags),
-        "plan" => cmd_plan(&pos, &flags),
-        "serve" => cmd_serve(&pos, &flags),
-        "partition" => cmd_partition(&pos, &flags),
-        "route" => cmd_route(&pos, &flags),
-        "tables" => {
-            cmd_tables();
-            Ok(())
-        }
-        _ => return usage(),
-    };
-    match result {
+    let Some((spec, command)) = args.first().and_then(|v| verb(v)) else { return usage() };
+    match Args::parse(&args[1..], &spec).and_then(|parsed| command(&parsed)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
+        Err(e) => e.exit_code(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, CliError> {
+        let words: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let (spec, _) = verb(&words[0]).expect("known verb");
+        Args::parse(&words[1..], &spec)
+    }
+
+    /// Every invocation shape the smoke scripts, the README and the
+    /// benchmark harness pass must still parse.
+    #[test]
+    fn documented_invocations_parse() {
+        for line in [
+            "generate cora --out cora.mqotag",
+            "generate ogbn-products --scale 0.1 --seed 7 --out p.bin",
+            "inspect cora.mqotag",
+            "plan cora --dollars 0.05 --queries 1000",
+            "tables",
+            "classify cora.mqotag --method sns --prune 0.2 --boost",
+            "classify cora --queries 120 --repeat 3 --seed 42 --threads 4 --batch 16 \
+             --stats-json s.json",
+            "classify cora --queries 200 --boost --trace t.jsonl --trace-chrome c.json \
+             --serve-metrics 127.0.0.1:0 --cost-json cost.json",
+            "classify cora --queries 120 --seed 42 --faults error=0.10,malformed=0.05 \
+             --journal j.jsonl --fault-kill-after 60 --resume --dump-records r.jsonl",
+            "classify cora --queries 120 --boost --deterministic --threads 4 --seed 42 \
+             --no-cache --budget 2000 --retries 3 --cache-cap 64 --model gpt4o-mini",
+            "serve cora --addr 127.0.0.1:0 --addr-file a --workers 4 --queue-cap 32 \
+             --queries 120 --seed 42 --no-cache --faults latency=1.0,latency-micros=20000",
+            "serve cora.bin --addr 127.0.0.1:0 --addr-file a --tenants throttled=2000 \
+             --journal s.jsonl --resume --slo-p99-ms 250 --flight-dump f.json \
+             --trace-chrome t.json --cost-json c.json --stats-json s.json --scale 0.5",
+            "serve cora --addr 127.0.0.1:0 --addr-file a \
+             --chaos reset=0.15,stall=0.05,partial=0.15,abort=0.15,stall-millis=50 \
+             --chaos-seed 42 --chaos-addr-file d",
+            "serve shard-0.bin --shard-id 0 --shard-map m.bin --router 127.0.0.1:9090 \
+             --exchange-interval-ms 100 --boost --queries 400 --seed 42 \
+             --addr 127.0.0.1:0 --addr-file w.addr --workers 2 --queue-cap 32",
+            "partition ogbn-products --scale 0.41 --seed 42 --shards 4 --out-dir d \
+             --stats-json p.json --strategy ring",
+            "route m.bin --workers 127.0.0.1:8080,127.0.0.1:8081 --addr 127.0.0.1:9090 \
+             --addr-file r.addr --eject-after 3 --probe-interval-ms 250",
+        ] {
+            if let Err(e) = parse(line) {
+                panic!("{line:?} must parse: {e}");
+            }
         }
+    }
+
+    #[test]
+    fn misspelled_or_misplaced_flags_are_refused() {
+        for (line, why) in [
+            ("classify cora --parallel 4", "unknown flag '--parallel'"),
+            ("classify cora --queries", "--queries needs a value"),
+            ("classify cora extra", "unexpected argument 'extra'"),
+            ("route --workers a,b", "missing shard-map file"),
+            ("route m.bin --boost", "unknown flag '--boost'"),
+        ] {
+            match parse(line) {
+                Err(CliError::Usage(m)) => assert!(m.contains(why), "{line:?}: {m}"),
+                other => panic!("{line:?} should be refused, got {other:?}"),
+            }
+        }
+        // A flag the verb declares but whose value is not a number.
+        let args = parse("classify cora --scale abc").unwrap();
+        assert!(matches!(args.num::<f64>("scale"), Err(CliError::Usage(_))));
     }
 }

@@ -12,12 +12,14 @@
 //!   - `MQO_FAST=1` — CI preset: 200 queries and reduced OGB scales.
 //! * [`report`] — paper-vs-measured table printing and JSON artifact
 //!   output under `results/`.
+//! * [`cli`] — the one strict flag parser behind `mqo` and `loadgen`.
 //! * [`gate`] — the direction-aware regression arithmetic behind
 //!   `bench_gate` (higher-is-better vs lower-is-better metrics).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod gate;
 pub mod harness;
 pub mod report;

@@ -37,8 +37,8 @@
 //!   stream (the introduction's dynamic-node scenario).
 //! * [`planner`] — dollars → tokens → τ campaign planning before any LLM
 //!   call (§V-C arithmetic over rendered-prompt estimates).
-//! * [`queue`] — the bounded MPMC work queue behind the `mqo-serve`
-//!   request scheduler (non-blocking admission, drain-aware pop).
+//! * [`queue`] — the bounded MPMC work queue the [`sched`] worker pool
+//!   drains (non-blocking push, drain-aware pop).
 
 //! ```
 //! use mqo_core::{Executor, LabelStore, ZeroShot};
@@ -94,5 +94,4 @@ pub use inadequacy::InadequacyScorer;
 pub use journal::{RunHeader, RunJournal};
 pub use labels::LabelStore;
 pub use predictor::{KhopRandom, LlmRanked, Predictor, Sns, ZeroShot};
-pub use queue::{BoundedQueue, PushError};
 pub use sched::{Labels, RunReport, SchedulePolicy, Scheduler};

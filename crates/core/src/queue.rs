@@ -1,26 +1,24 @@
-//! A bounded MPMC work queue with explicit backpressure.
+//! A bounded MPMC work queue: the [`crate::sched::Scheduler`]'s dispatch
+//! queue.
 //!
-//! The serving layer (`mqo-serve`) admits classification jobs into a
-//! [`BoundedQueue`] and a worker pool drains it. The queue is the
-//! admission-control hinge: [`BoundedQueue::try_push`] **never blocks** —
-//! when the queue is full the caller gets the job back and turns it into
-//! a `429 Too Many Requests`, which is how saturation propagates to
-//! clients instead of piling up unbounded memory. [`BoundedQueue::pop`]
-//! blocks until work arrives, and returns `None` only after
-//! [`BoundedQueue::close`] *and* a fully drained queue — exactly the
-//! graceful-drain contract: accepted work always completes, late work is
-//! refused at the door.
+//! Each scheduler run sizes one queue for the work it is about to hand
+//! out, fills it with [`BoundedQueue::try_push`], and lets its worker
+//! pool drain it with [`BoundedQueue::pop`]. `pop` blocks until work
+//! arrives and returns `None` only after [`BoundedQueue::close`] *and* a
+//! fully drained queue, which is the pool's exit signal: every queued
+//! item is executed before the workers stop. `try_push` never blocks; a
+//! full or closed queue hands the item back as a [`PushError`].
 //!
 //! std `Mutex` + `Condvar` rather than a lock-free ring: the payloads are
-//! whole classification jobs whose execution dwarfs any queue overhead,
-//! and the blocking semantics (drain-aware pop) are the hard part worth
-//! being obviously correct about.
+//! whole queries whose execution dwarfs any queue overhead, and the
+//! blocking semantics (drain-aware pop) are the hard part worth being
+//! obviously correct about.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
 /// Why a [`BoundedQueue::try_push`] was refused. The rejected value comes
-/// back so the caller can answer the client without cloning jobs.
+/// back so the caller keeps ownership of it.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PushError<T> {
     /// The queue is at capacity — backpressure; retry later.

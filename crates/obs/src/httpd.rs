@@ -1,14 +1,26 @@
-//! Minimal std-only HTTP/1.1 plumbing shared by every endpoint in the
-//! workspace.
+//! Minimal std-only HTTP/1.1 plumbing: the one server every endpoint in
+//! the workspace runs on, and the client that tests, the load generator
+//! and the router speak through.
 //!
-//! Two hand-rolled servers grew the same request/response code — the
-//! metrics endpoint in [`crate::MetricsServer`] and the classification
-//! service in `mqo-serve`. This module is the one copy both use: a
-//! per-connection parser ([`HttpConnection`]) that reads requests and
-//! writes responses, and a persistent client ([`HttpClient`]) plus a
-//! pair of blocking one-shot helpers ([`http_get`], [`http_post`]) so
-//! integration tests, the load generator, and the smoke scripts all
-//! speak through one correct implementation.
+//! * [`HttpServer`] — the one accept loop. It binds, runs each
+//!   connection on its own thread through the keep-alive
+//!   `read_request` → handler → respond loop, answers malformed framing
+//!   with a `400`, and counts every connection that dies with an I/O
+//!   error in `mqo_http_errors_total`. The classification service
+//!   (`mqo serve`), the shard router (`mqo route`) and the live metrics
+//!   endpoint ([`serve_metrics`], behind `mqo classify --serve-metrics`)
+//!   differ only in the handler they mount.
+//! * [`HttpConnection`] — the per-connection parser that reads requests
+//!   and writes responses.
+//! * [`HttpClient`] plus the blocking one-shot helpers [`http_get`] and
+//!   [`http_post`].
+//!
+//! [`HttpServer::stop`] drains in a fixed order: stop accepting and drop
+//! the listener (later connections are refused at the socket), half-close
+//! the read side of live connections (a handler idling between
+//! keep-alive requests wakes at once instead of waiting out its read
+//! timeout, while an in-flight response can still be written), then join
+//! the connection threads.
 //!
 //! It is deliberately not a web framework: headers folded to lowercase
 //! names, bodies only via `Content-Length`, no chunked encoding. But it
@@ -33,8 +45,14 @@
 //!   `Content-Length` as raw bytes and decodes them lossily; a non-UTF-8
 //!   body is data, not an I/O error.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use crate::event::escape_json;
+use crate::metrics::Counter;
+use crate::registry::{MetricsSink, Registry};
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Cap on accepted request bodies: a classification batch is a few KB of
@@ -138,7 +156,7 @@ fn is_timeout(e: &io::Error) -> bool {
 
 /// Server side of one TCP connection: parses a stream of requests and
 /// writes framed responses, reusing every internal buffer across
-/// requests. Create one per accepted socket and loop:
+/// requests. [`HttpServer`] creates one per accepted socket and loops:
 ///
 /// ```text
 /// let mut conn = HttpConnection::new(stream)?;
@@ -195,10 +213,9 @@ impl HttpConnection {
         self.keep_alive
     }
 
-    /// Force `Connection: close` on the next response regardless of what
-    /// the request asked for (single-threaded endpoints like the metrics
-    /// server use this so one client cannot monopolize the serving
-    /// thread).
+    /// Force `Connection: close` (or allow reuse) on the next response
+    /// regardless of what the request asked for — a draining server uses
+    /// this so its connection threads wind down promptly.
     pub fn set_keep_alive(&mut self, keep_alive: bool) {
         self.keep_alive = keep_alive;
     }
@@ -368,64 +385,196 @@ impl HttpConnection {
     }
 }
 
-impl Write for HttpConnection {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.reader.get_mut().write(buf)
+/// How often the accept loop re-checks its stop flag while no connection
+/// is waiting.
+const ACCEPT_POLL: Duration = Duration::from_millis(2);
+
+/// Live connection threads, each with a clone of its socket so
+/// [`HttpServer::stop`] can half-close a handler parked in a blocking
+/// read.
+type Connections = Arc<Mutex<Vec<(JoinHandle<()>, TcpStream)>>>;
+
+/// The workspace's one HTTP/1.1 server; see the module docs. Every
+/// request is handed to one handler, which writes the response on the
+/// connection and returns the status code it sent. Stop with
+/// [`HttpServer::stop`]; dropping the server stops it too.
+pub struct HttpServer {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    accept: Option<JoinHandle<()>>,
+    connections: Connections,
+}
+
+impl HttpServer {
+    /// Bind `addr` (port 0 picks a free port) and serve every request
+    /// with `handler`. Connections that die with an I/O error — framing
+    /// errors included — count in `mqo_http_errors_total` on `registry`.
+    pub fn start<H>(addr: &str, registry: &Registry, handler: H) -> io::Result<HttpServer>
+    where
+        H: Fn(&Request, &mut HttpConnection) -> io::Result<u16> + Send + Sync + 'static,
+    {
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        // Nonblocking accept so the loop notices the stop flag.
+        listener.set_nonblocking(true)?;
+        let errors = registry
+            .counter("mqo_http_errors_total", "HTTP connections that died with an I/O error");
+        let stop = Arc::new(AtomicBool::new(false));
+        let connections = Connections::default();
+        let accept = {
+            let stop = Arc::clone(&stop);
+            let connections = Arc::clone(&connections);
+            let handler = Arc::new(handler);
+            thread::Builder::new().name("mqo-http-accept".into()).spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    match listener.accept() {
+                        Ok((stream, _)) => {
+                            if spawn_connection(stream, &handler, &errors, &connections)
+                                .is_err()
+                            {
+                                errors.inc();
+                            }
+                        }
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                            thread::sleep(ACCEPT_POLL)
+                        }
+                        Err(_) => {
+                            errors.inc();
+                            thread::sleep(ACCEPT_POLL);
+                        }
+                    }
+                }
+            })?
+        };
+        Ok(HttpServer { addr, stop, accept: Some(accept), connections })
     }
 
-    fn flush(&mut self) -> io::Result<()> {
-        self.reader.get_mut().flush()
+    /// The bound address (resolves port 0 to the actual port).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stop serving, in the order the module docs give: stop accepting
+    /// and drop the listener, half-close the read side of live
+    /// connections, then join their threads. A request already being
+    /// handled finishes and its response is written. Idempotent.
+    pub fn stop(&mut self) {
+        let Some(accept) = self.accept.take() else { return };
+        self.stop.store(true, Ordering::Relaxed);
+        let _ = accept.join();
+        let live = std::mem::take(&mut *self.connections.lock().expect("connection registry"));
+        for (_, stream) in &live {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        for (thread, _) in live {
+            let _ = thread.join();
+        }
     }
 }
 
-/// Read one request from `stream` with a fresh single-use parser.
-/// Convenience for tests and one-connection-at-a-time endpoints; the hot
-/// path should hold an [`HttpConnection`] instead.
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
-    let mut conn = HttpConnection::new(stream.try_clone()?)?;
+impl Drop for HttpServer {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// Start a thread serving one accepted connection and register it.
+fn spawn_connection<H>(
+    stream: TcpStream,
+    handler: &Arc<H>,
+    errors: &Arc<Counter>,
+    connections: &Connections,
+) -> io::Result<()>
+where
+    H: Fn(&Request, &mut HttpConnection) -> io::Result<u16> + Send + Sync + 'static,
+{
+    stream.set_nonblocking(false)?;
+    let waker = stream.try_clone()?;
+    let conn = HttpConnection::new(stream)?;
+    let handler = Arc::clone(handler);
+    let errors = Arc::clone(errors);
+    let thread = thread::Builder::new()
+        .name("mqo-http-conn".into())
+        .spawn(move || serve_connection(conn, &*handler, &errors))?;
+    let mut live = connections.lock().expect("connection registry");
+    // Reap finished threads so the registry stays bounded under load.
+    live.retain(|(t, _)| !t.is_finished());
+    live.push((thread, waker));
+    Ok(())
+}
+
+/// The keep-alive loop: read a request, hand it to `handler`, repeat
+/// while the connection stays reusable. Malformed framing gets a
+/// best-effort `400`; it and every other I/O error end the connection
+/// and count in `errors` — the server itself stays up.
+fn serve_connection<H>(mut conn: HttpConnection, handler: &H, errors: &Counter)
+where
+    H: Fn(&Request, &mut HttpConnection) -> io::Result<u16>,
+{
     let mut req = Request::default();
-    match conn.read_request(&mut req)? {
-        ReadOutcome::Request => Ok(req),
-        ReadOutcome::Closed => Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "connection closed before a request arrived",
-        )),
+    loop {
+        match conn.read_request(&mut req) {
+            Ok(ReadOutcome::Request) => {}
+            Ok(ReadOutcome::Closed) => break,
+            Err(e) => {
+                // Counted before the 400 goes out, so a client that has
+                // read the refusal already sees it in `/metrics`.
+                errors.inc();
+                if e.kind() == ErrorKind::InvalidData {
+                    conn.set_keep_alive(false);
+                    let mut body = String::from("{\"error\":");
+                    escape_json(&mut body, &e.to_string());
+                    body.push_str("}\n");
+                    let _ = conn.respond("400 Bad Request", "application/json", &body);
+                }
+                break;
+            }
+        }
+        match handler(&req, &mut conn) {
+            Ok(_) if conn.keep_alive() => {}
+            Ok(_) => break,
+            Err(_) => {
+                errors.inc();
+                break;
+            }
+        }
+    }
+    // The registry holds a clone of this socket, so dropping `conn` alone
+    // would not send FIN: a client reading to EOF would hang until the
+    // clone is reaped.
+    let _ = conn.reader.get_ref().shutdown(Shutdown::Both);
+}
+
+/// The live-metrics routes over `sink`: `GET /metrics` (Prometheus text
+/// exposition of its registry) and `GET /progress` (its compact JSON
+/// snapshot); anything else is a `404`. Returns the status sent.
+pub fn metrics_routes(
+    sink: &MetricsSink,
+    req: &Request,
+    conn: &mut HttpConnection,
+) -> io::Result<u16> {
+    match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/metrics") => {
+            let body = sink.registry().render_prometheus();
+            conn.respond("200 OK", "text/plain; version=0.0.4", &body).map(|()| 200)
+        }
+        ("GET", "/progress") => {
+            let mut body = sink.progress_json();
+            body.push('\n');
+            conn.respond("200 OK", "application/json", &body).map(|()| 200)
+        }
+        _ => conn
+            .respond("404 Not Found", "text/plain", "try /metrics or /progress\n")
+            .map(|()| 404),
     }
 }
 
-/// Write a complete `Connection: close` response with no extra headers.
-pub fn respond(
-    stream: &mut TcpStream,
-    status: &str,
-    content_type: &str,
-    body: &str,
-) -> io::Result<()> {
-    respond_with_headers(stream, status, content_type, &[], body)
-}
-
-/// Write a complete `Connection: close` response with extra headers.
-pub fn respond_with_headers(
-    stream: &mut TcpStream,
-    status: &str,
-    content_type: &str,
-    extra_headers: &[(&str, String)],
-    body: &str,
-) -> io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
-        body.len()
-    );
-    for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("Connection: close\r\n\r\n");
-    let mut buf = head.into_bytes();
-    buf.extend_from_slice(body.as_bytes());
-    stream.write_all(&buf)?;
-    stream.flush()
+/// Serve [`metrics_routes`] for `sink` on `addr`, counting connection
+/// errors on the sink's own registry — a broken scrape shows up in the
+/// very endpoint it scrapes.
+pub fn serve_metrics(addr: &str, sink: Arc<MetricsSink>) -> io::Result<HttpServer> {
+    let registry = Arc::clone(sink.registry());
+    HttpServer::start(addr, &registry, move |req, conn| metrics_routes(&sink, req, conn))
 }
 
 /// A persistent HTTP/1.1 client over one TCP connection: requests reuse
@@ -470,12 +619,12 @@ impl HttpClient {
 
     /// Blocking `GET`: returns `(status line, lossily decoded body)`.
     pub fn get(&mut self, path: &str) -> io::Result<(String, String)> {
-        self.request("GET", path, None, false)
+        self.request("GET", path, None, false, None)
     }
 
     /// Blocking `POST` with a JSON body.
     pub fn post(&mut self, path: &str, body: &str) -> io::Result<(String, String)> {
-        self.request("POST", path, Some(body), false)
+        self.request("POST", path, Some(body), false, None)
     }
 
     /// Blocking `POST` carrying one extra request header (e.g. a
@@ -486,7 +635,7 @@ impl HttpClient {
         body: &str,
         header: (&str, &str),
     ) -> io::Result<(String, String)> {
-        self.request_full("POST", path, Some(body), false, Some(header))
+        self.request("POST", path, Some(body), false, Some(header))
     }
 
     /// A header of the last response, by case-insensitive name.
@@ -500,16 +649,6 @@ impl HttpClient {
     /// One request/response exchange. `close` asks the server to close
     /// afterwards (used by the one-shot helpers).
     fn request(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-        close: bool,
-    ) -> io::Result<(String, String)> {
-        self.request_full(method, path, body, close, None)
-    }
-
-    fn request_full(
         &mut self,
         method: &str,
         path: &str,
@@ -624,7 +763,7 @@ fn one_shot(
     body: Option<&str>,
 ) -> io::Result<(String, String)> {
     let mut client = HttpClient::connect(addr)?;
-    let result = client.request(method, path, body, true);
+    let result = client.request(method, path, body, true, None);
     // Politely signal we are done writing even if the server ignored
     // `Connection: close`.
     let _ = client.reader.get_ref().shutdown(Shutdown::Write);
@@ -644,8 +783,8 @@ pub fn http_post(addr: SocketAddr, path: &str, body: &str) -> io::Result<(String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
-    use std::thread;
+    use crate::event::Event;
+    use crate::sink::EventSink;
 
     /// Serve exactly one connection with `handler`, return the bound addr.
     fn serve_once(
@@ -1009,5 +1148,86 @@ mod tests {
             drop(conn);
             client.join().unwrap();
         }
+    }
+
+    fn sink_with_traffic() -> Arc<MetricsSink> {
+        let sink = Arc::new(MetricsSink::new());
+        sink.emit(&Event::QueryExecuted {
+            node: 1,
+            prompt_tokens: 120,
+            pruned: false,
+            parse_failed: false,
+            wall_micros: 80,
+        });
+        sink.emit(&Event::RoundCompleted {
+            round: 0,
+            executed: 1,
+            gamma1: 3,
+            gamma2: 2,
+            pseudo_label_uses: 0,
+        });
+        sink
+    }
+
+    #[test]
+    fn serves_prometheus_text_and_progress_json() {
+        let server = serve_metrics("127.0.0.1:0", sink_with_traffic()).unwrap();
+        let (status, body) = http_get(server.addr(), "/metrics").unwrap();
+        assert!(status.contains("200"), "status: {status}");
+        assert!(body.contains("mqo_queries_total 1"), "body: {body}");
+        assert!(body.contains("# TYPE mqo_prompt_tokens histogram"));
+        let (status, body) = http_get(server.addr(), "/progress").unwrap();
+        assert!(status.contains("200"));
+        assert!(body.contains("\"queries\":1"), "body: {body}");
+        assert!(body.contains("\"rounds_completed\":1"));
+    }
+
+    #[test]
+    fn unknown_paths_get_404() {
+        let server = serve_metrics("127.0.0.1:0", Arc::new(MetricsSink::new())).unwrap();
+        let (status, _) = http_get(server.addr(), "/nope").unwrap();
+        assert!(status.contains("404"), "status: {status}");
+    }
+
+    #[test]
+    fn scrapes_see_live_updates() {
+        let sink = Arc::new(MetricsSink::new());
+        let server = serve_metrics("127.0.0.1:0", Arc::clone(&sink)).unwrap();
+        // One keep-alive connection for both scrapes.
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        let (_, before) = client.get("/metrics").unwrap();
+        assert!(before.contains("mqo_queries_total 0"));
+        sink.emit(&Event::QueryExecuted {
+            node: 9,
+            prompt_tokens: 64,
+            pruned: true,
+            parse_failed: false,
+            wall_micros: 10,
+        });
+        let (_, after) = client.get("/metrics").unwrap();
+        assert!(after.contains("mqo_queries_total 1"), "scrape is live: {after}");
+    }
+
+    #[test]
+    fn connection_errors_are_counted_not_swallowed() {
+        let sink = Arc::new(MetricsSink::new());
+        let server = serve_metrics("127.0.0.1:0", Arc::clone(&sink)).unwrap();
+        // A client that sends garbage framing: it gets a 400, and the
+        // error is counted before the refusal is written.
+        let raw = raw_exchange(server.addr(), b"\r\n", true);
+        assert!(raw.contains("400 Bad Request"), "got: {raw}");
+        assert!(raw.contains("malformed request line"), "got: {raw}");
+        let (_, body) = http_get(server.addr(), "/metrics").unwrap();
+        assert!(body.contains("mqo_http_errors_total 1"), "errors stayed invisible: {body}");
+    }
+
+    #[test]
+    fn drop_frees_the_port() {
+        let server = serve_metrics("127.0.0.1:0", Arc::new(MetricsSink::new())).unwrap();
+        let addr = server.addr();
+        drop(server);
+        // The listener is gone; a fresh bind to the same port succeeds.
+        let rebound = TcpListener::bind(addr);
+        assert!(rebound.is_ok(), "port still held after drop");
     }
 }

@@ -18,13 +18,16 @@
 //!   query → llm_call/retry) stamped by an injectable [`Clock`], exported
 //!   as Chrome trace JSON by [`ChromeTraceSink`] for
 //!   `chrome://tracing` / Perfetto.
-//! - [`Registry`] / [`MetricsSink`] / [`MetricsServer`] — live named
-//!   counters, gauges and histograms with Prometheus text exposition over
-//!   a std-only HTTP endpoint (`GET /metrics`, `GET /progress`).
-//! - [`httpd`] — the minimal HTTP/1.1 request/response plumbing shared
-//!   by [`MetricsServer`] and the `mqo-serve` classification service,
-//!   plus one-shot [`http_get`] / [`http_post`] clients for tests and
-//!   load generation.
+//! - [`Registry`] / [`MetricsSink`] — live named counters, gauges and
+//!   histograms with Prometheus text exposition, served over HTTP by
+//!   [`serve_metrics`] (`GET /metrics`, `GET /progress`).
+//! - [`httpd`] — the workspace's one std-only HTTP/1.1 server,
+//!   [`HttpServer`]: one accept loop and one keep-alive loop under the
+//!   metrics endpoint, the `mqo-serve` classification service and the
+//!   `mqo-shard` router, each mounting its own handler. Its `stop`
+//!   drains in one order: stop accepting, half-close live connections,
+//!   join them. Plus one-shot [`http_get`] / [`http_post`] clients for
+//!   tests and load generation.
 //! - [`CostLedger`] — the token-cost attribution ledger: where every
 //!   prompt token went (billed, pruned, cache-saved, starved), reconciled
 //!   exactly against the usage meter.
@@ -60,7 +63,6 @@ mod clock;
 mod cost;
 mod event;
 mod flight;
-mod http;
 pub mod httpd;
 mod metrics;
 mod registry;
@@ -74,8 +76,7 @@ pub use clock::{Clock, ManualClock, MonotonicClock, WaitClock, MONOTONIC_CLOCK};
 pub use cost::{CostLedger, CostReport, RoundCost};
 pub use event::Event;
 pub use flight::{spans_from_events, FlightEntry, FlightRecorder, FlightSpan};
-pub use http::MetricsServer;
-pub use httpd::{http_get, http_post};
+pub use httpd::{http_get, http_post, serve_metrics, HttpServer};
 pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::{CounterVec, GaugeVec, HistogramVec, MetricsSink, Registry};
 pub use sink::{

@@ -3,8 +3,9 @@
 //! Everything before this crate runs the paper's pipeline as a one-shot
 //! batch job. This crate turns it into a long-running service: load a
 //! TAG and build the client stack once, then answer classification
-//! requests over std-only HTTP/1.1 (the same no-dependency style as
-//! `mqo_obs::MetricsServer`, sharing its [`mqo_obs::httpd`] plumbing).
+//! requests over std-only HTTP/1.1 — a handler mounted on the workspace's
+//! one server, [`mqo_obs::httpd::HttpServer`], which also runs the
+//! `mqo route` front and the `--serve-metrics` endpoint.
 //!
 //! The pieces:
 //!

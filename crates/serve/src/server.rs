@@ -53,14 +53,16 @@
 //!
 //! ## Graceful drain
 //!
-//! [`Server::drain`] runs the shutdown sequence in dependency order:
-//! mark draining (late requests get a clean `503`) → stop the accept
-//! loop and close the listener (later connections are refused outright)
-//! → half-close the read side of open connections (idle keep-alive
-//! handlers wake immediately instead of stalling the drain until their
-//! read timeout) → join connection handlers (every admitted batch
-//! finishes on its handler's thread; permits release as they go, and
-//! in-flight responses still write) → seal the journal
+//! The socket side is the workspace's one HTTP server,
+//! [`mqo_obs::httpd::HttpServer`]; this module only mounts a handler on
+//! it. [`Server::drain`] runs the shutdown sequence in dependency order:
+//! mark draining (late requests get a clean `503`) → [`HttpServer::stop`]
+//! (stop the accept loop and close the listener, so later connections
+//! are refused outright; half-close the read side of open connections,
+//! so idle keep-alive handlers wake immediately instead of stalling the
+//! drain until their read timeout; join connection handlers — every
+//! admitted batch finishes on its handler's thread, permits release as
+//! they go, and in-flight responses still write) → seal the journal
 //! (fsync) → close the run span → flush trace artifacts. Accepted work
 //! always finishes; a restarted server resumes from the sealed journal
 //! re-billing zero tokens.
@@ -70,16 +72,15 @@ use crate::engine::{Engine, Rejection};
 use crate::shed::{Admit, BrownoutTransition, OverloadControl};
 use crate::slots::{AcquireError, SlotGate};
 use mqo_graph::NodeId;
-use mqo_obs::httpd::{HttpConnection, ReadOutcome, Request};
+use mqo_obs::httpd::{metrics_routes, HttpConnection, HttpServer, Request};
 use mqo_obs::{
     spans_from_events, Clock, Event, EventSink, FlightEntry, FlightSpan, Recorder, SpanId, Tee,
     MONOTONIC_CLOCK,
 };
 use serde_json::{json, Value};
-use std::io::{self, ErrorKind};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::io;
+use std::net::SocketAddr;
+use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -94,32 +95,20 @@ pub struct DrainReport {
     pub journal_sealed: bool,
 }
 
-/// A handler thread plus a clone of its connection, kept so drain can
-/// half-close the socket and wake a handler parked in a blocking read.
-type HandlerRegistry = Arc<Mutex<Vec<(JoinHandle<()>, Option<TcpStream>)>>>;
-
 /// A running classification server; see the module docs. Construct with
 /// [`Server::start`], stop with [`Server::drain`] (dropping an
 /// undrained server drains it too, discarding the report).
 pub struct Server {
     engine: Arc<Engine>,
-    addr: SocketAddr,
-    stop_accept: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    handlers: HandlerRegistry,
+    http: HttpServer,
     span_close: Option<mpsc::Sender<()>>,
     supervisor: Option<JoinHandle<()>>,
-    options: ServerOptions,
 }
 
 impl Server {
-    /// Bind, open the run span, build the slot gate, start the accept
-    /// loop.
+    /// Open the run span, build the slot gate, and serve on
+    /// `options.addr`.
     pub fn start(engine: Arc<Engine>, options: ServerOptions) -> io::Result<Server> {
-        let listener = TcpListener::bind(options.addr.as_str())?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-
         // The run span lives on a dedicated supervisor thread: it must
         // open before the first query (so query spans have a "run"
         // ancestor) and close after the last handler exits (so span
@@ -143,84 +132,41 @@ impl Server {
             })?;
         ready_rx.recv().map_err(|_| io::Error::other("span supervisor died before serving"))?;
 
-        let gate: Arc<SlotGate> =
-            Arc::new(SlotGate::new(options.workers.max(1), options.queue_capacity.max(1)));
-        let overload: Arc<OverloadControl> = Arc::new(OverloadControl::new(
-            options.overload.clone(),
-            options.queue_capacity.max(1),
-        ));
-
-        let stop_accept = Arc::new(AtomicBool::new(false));
-        let handlers: HandlerRegistry = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
-            let stop = Arc::clone(&stop_accept);
-            let handlers = Arc::clone(&handlers);
+        let gate = SlotGate::new(options.workers.max(1), options.queue_capacity.max(1));
+        let overload =
+            OverloadControl::new(options.overload.clone(), options.queue_capacity.max(1));
+        let handler = {
             let engine = Arc::clone(&engine);
-            let gate = Arc::clone(&gate);
-            let overload = Arc::clone(&overload);
-            thread::Builder::new().name("mqo-serve-accept".into()).spawn(move || {
-                let errors = engine.metrics().registry().counter(
-                    "mqo_http_errors_total",
-                    "HTTP connections that died with an I/O error",
-                );
-                while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let engine = Arc::clone(&engine);
-                            let gate = Arc::clone(&gate);
-                            let overload = Arc::clone(&overload);
-                            let errors_conn = Arc::clone(&errors);
-                            // A clone of the stream lets drain half-close
-                            // idle keep-alive connections instead of
-                            // waiting out their read timeouts.
-                            let peer = stream.try_clone().ok();
-                            let closer = stream.try_clone().ok();
-                            let handle = thread::spawn(move || {
-                                if handle_connection(&engine, &gate, &overload, stream).is_err()
-                                {
-                                    errors_conn.inc();
-                                }
-                                // The registry may still hold a dup of this
-                                // socket; dropping our copy alone would not
-                                // send FIN, leaving a client that reads to
-                                // EOF hanging until the dup is reaped.
-                                if let Some(s) = closer {
-                                    let _ = s.shutdown(Shutdown::Both);
-                                }
-                            });
-                            let mut reg = handlers.lock().expect("handler registry");
-                            // Reap finished handlers so the registry stays
-                            // bounded under sustained load.
-                            reg.retain(|(h, _)| !h.is_finished());
-                            reg.push((handle, peer));
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(_) => {
-                            errors.inc();
-                            thread::sleep(Duration::from_millis(2));
-                        }
-                    }
+            move |req: &Request, conn: &mut HttpConnection| {
+                // During a drain, finish this response but stop reusing
+                // the connection so its thread joins promptly.
+                if engine.draining() {
+                    conn.set_keep_alive(false);
                 }
-            })?
+                let started = MONOTONIC_CLOCK.now_micros();
+                let status = handle_request(&engine, &gate, &overload, req, conn)?;
+                // Classify observes itself (it knows the tenant);
+                // everything else lands here under the tenantless label.
+                if req.path != "/v1/classify" {
+                    let latency = MONOTONIC_CLOCK.now_micros().saturating_sub(started);
+                    engine.observe_http(route_label(&req.path), "-", status, latency);
+                }
+                Ok(status)
+            }
         };
+        let http = HttpServer::start(&options.addr, engine.metrics().registry(), handler)?;
 
         Ok(Server {
             engine,
-            addr,
-            stop_accept,
-            accept: Some(accept),
-            handlers,
+            http,
             span_close: Some(span_close_tx),
             supervisor: Some(supervisor),
-            options,
         })
     }
 
     /// The bound address (resolves port 0 to the actual port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.http.addr()
     }
 
     /// The engine this server fronts.
@@ -236,29 +182,13 @@ impl Server {
     fn drain_in_place(&mut self) -> DrainReport {
         // 1. Refuse new classification work with a clean 503.
         self.engine.set_draining();
-        // 2. Stop accepting; joining the accept thread drops the
-        //    listener, so later connections are refused at the socket.
-        self.stop_accept.store(true, Ordering::Relaxed);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        // 3. Let in-flight connections finish: every admitted batch runs
-        //    on its handler's thread, so joining the handlers *is*
-        //    draining the work — permits release as batches complete and
-        //    parked waiters run to completion behind them. Half-closing
-        //    the read side first wakes handlers idling between keep-alive
-        //    requests (they would otherwise stall the drain until their
-        //    idle timeout) while leaving in-flight responses writable.
-        let handlers = std::mem::take(&mut *self.handlers.lock().expect("handler registry"));
-        for (_, stream) in &handlers {
-            if let Some(s) = stream {
-                let _ = s.shutdown(Shutdown::Read);
-            }
-        }
-        for (h, _) in handlers {
-            let _ = h.join();
-        }
-        // 4. Seal the journal: everything answered is now durable, so a
+        // 2. Stop accepting, half-close idle keep-alive connections, and
+        //    join the connection threads. Every admitted batch runs on
+        //    its handler's thread, so joining the handlers *is* draining
+        //    the work — permits release as batches complete and parked
+        //    waiters run to completion behind them.
+        self.http.stop();
+        // 3. Seal the journal: everything answered is now durable, so a
         //    restarted server replays it without re-billing a token.
         let journal_sealed = match self.engine.journal() {
             Some(j) => {
@@ -267,7 +197,7 @@ impl Server {
             }
             None => false,
         };
-        // 5. Close the run span (after the last query span) and flush
+        // 4. Close the run span (after the last query span) and flush
         //    trace artifacts.
         self.span_close.take();
         if let Some(s) = self.supervisor.take() {
@@ -280,16 +210,11 @@ impl Server {
             journal_sealed,
         }
     }
-
-    /// Concurrent-execution bound (slot count).
-    pub fn workers(&self) -> usize {
-        self.options.workers.max(1)
-    }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if self.accept.is_some() {
+        if self.supervisor.is_some() {
             self.drain_in_place();
         }
     }
@@ -888,15 +813,7 @@ fn handle_request(
             engine.request_drain();
             json_response(conn, "202 Accepted", &json!({"draining": true})).map(|()| 202)
         }
-        ("GET", "/metrics") => {
-            let body = engine.metrics().registry().render_prometheus();
-            conn.respond("200 OK", "text/plain; version=0.0.4", &body).map(|()| 200)
-        }
-        ("GET", "/progress") => {
-            let mut body = engine.metrics().progress_json();
-            body.push('\n');
-            conn.respond("200 OK", "application/json", &body).map(|()| 200)
-        }
+        ("GET", "/metrics" | "/progress") => metrics_routes(engine.metrics(), req, conn),
         ("POST" | "GET", _) => conn
             .respond(
                 "404 Not Found",
@@ -907,52 +824,5 @@ fn handle_request(
         _ => conn
             .respond("405 Method Not Allowed", "text/plain", "only GET/POST\n")
             .map(|()| 405),
-    }
-}
-
-/// Serve one connection: a keep-alive loop reusing one request buffer.
-/// Malformed framing (truncated requests, conflicting `Content-Length`,
-/// header floods) gets a best-effort `400` and surfaces as an error so
-/// the accept loop counts it in `mqo_http_errors_total` — the server
-/// itself stays up.
-fn handle_connection(
-    engine: &Engine,
-    gate: &SlotGate,
-    overload: &OverloadControl,
-    stream: TcpStream,
-) -> io::Result<()> {
-    let mut conn = HttpConnection::new(stream)?;
-    let mut req = Request::default();
-    loop {
-        match conn.read_request(&mut req) {
-            Ok(ReadOutcome::Closed) => return Ok(()),
-            Ok(ReadOutcome::Request) => {}
-            Err(e) if e.kind() == ErrorKind::InvalidData => {
-                conn.set_keep_alive(false);
-                let _ = json_response(
-                    &mut conn,
-                    "400 Bad Request",
-                    &json!({"error": e.to_string()}),
-                );
-                return Err(e);
-            }
-            Err(e) => return Err(e),
-        }
-        // During a drain, finish this response but stop reusing the
-        // connection so the handler joins promptly.
-        if engine.draining() {
-            conn.set_keep_alive(false);
-        }
-        let started = MONOTONIC_CLOCK.now_micros();
-        let status = handle_request(engine, gate, overload, &req, &mut conn)?;
-        // Classify observes itself (it knows the tenant); everything
-        // else lands here under the tenantless label.
-        if req.path != "/v1/classify" {
-            let latency = MONOTONIC_CLOCK.now_micros().saturating_sub(started);
-            engine.observe_http(route_label(&req.path), "-", status, latency);
-        }
-        if !conn.keep_alive() {
-            return Ok(());
-        }
     }
 }

@@ -26,13 +26,13 @@
 //! smoke scripts (and operators) can see a degraded cluster at a glance.
 
 use crate::partition::ShardMap;
-use mqo_obs::httpd::{http_get, HttpClient, HttpConnection, ReadOutcome, Request};
+use mqo_obs::httpd::{http_get, HttpClient, HttpConnection, HttpServer, Request};
 use mqo_obs::{Counter, CounterVec, GaugeVec, Registry};
 use parking_lot::Mutex;
 use serde_json::{json, Map, Value};
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -83,12 +83,12 @@ struct Inner {
     upstream_errors: Arc<CounterVec>,
 }
 
-/// The running router process: an accept loop, a health-probe thread,
-/// and per-shard upstream connections. Drop via [`Router::shutdown`].
+/// The running router process: a handler on the shared
+/// [`HttpServer`], a health-probe thread, and per-shard upstream
+/// connections. Drop via [`Router::shutdown`].
 pub struct Router {
     inner: Arc<Inner>,
-    addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
+    http: HttpServer,
     probe: Option<JoinHandle<()>>,
 }
 
@@ -184,23 +184,10 @@ impl Router {
             upstream_errors,
         });
 
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let accept = {
+        let http = HttpServer::start(addr, &inner.registry, {
             let inner = inner.clone();
-            thread::Builder::new().name("mqo-route-accept".into()).spawn(move || {
-                for stream in listener.incoming() {
-                    if inner.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let inner = inner.clone();
-                    let _ = thread::Builder::new()
-                        .name("mqo-route-conn".into())
-                        .spawn(move || inner.serve_connection(stream));
-                }
-            })?
-        };
+            move |req, conn| inner.route(req, conn)
+        })?;
         let probe = {
             let inner = inner.clone();
             let interval = cfg.probe_interval;
@@ -211,12 +198,12 @@ impl Router {
                 }
             })?
         };
-        Ok(Router { inner, addr: local, accept: Some(accept), probe: Some(probe) })
+        Ok(Router { inner, http, probe: Some(probe) })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.http.addr()
     }
 
     /// The router's metric registry (the `/metrics` content).
@@ -229,8 +216,9 @@ impl Router {
         self.inner.shards[shard as usize].ejected.load(Ordering::SeqCst)
     }
 
-    /// Stop accepting, then join the accept and probe threads. In-flight
-    /// connections finish their current request.
+    /// Stop the HTTP server — stop accepting, half-close idle
+    /// keep-alive connections, join their threads; a request already in
+    /// flight finishes — then join the probe thread.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -239,11 +227,7 @@ impl Router {
         if self.inner.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Unblock the accept loop with a no-op connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.http.stop();
         if let Some(h) = self.probe.take() {
             let _ = h.join();
         }
@@ -261,63 +245,27 @@ impl Drop for Router {
 type Exchange = io::Result<(String, String)>;
 
 impl Inner {
-    fn serve_connection(&self, stream: TcpStream) {
-        let Ok(mut conn) = HttpConnection::new(stream) else { return };
-        let mut req = Request::default();
-        loop {
-            match conn.read_request(&mut req) {
-                Ok(ReadOutcome::Closed) => break,
-                Err(e) => {
-                    let body = jstr(&json!({"error": e.to_string()}));
-                    let _ = conn.respond("400 Bad Request", "application/json", &body);
-                    break;
-                }
-                Ok(ReadOutcome::Request) => {
-                    if self.route(&req, &mut conn).is_err() || !conn.keep_alive() {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    fn route(&self, req: &Request, conn: &mut HttpConnection) -> io::Result<()> {
-        match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/v1/healthz") => {
-                self.requests.with(&["/v1/healthz"]).inc();
-                let (status, body) = self.healthz();
-                conn.respond(status, "application/json", &body)
-            }
-            ("GET", "/v1/stats") => {
-                self.requests.with(&["/v1/stats"]).inc();
-                let body = self.stats();
-                conn.respond("200 OK", "application/json", &body)
-            }
-            ("GET", "/metrics") => {
-                self.requests.with(&["/metrics"]).inc();
-                let body = self.registry.render_prometheus();
-                conn.respond("200 OK", "text/plain; version=0.0.4", &body)
-            }
-            ("POST", "/v1/classify") => {
-                self.requests.with(&["/v1/classify"]).inc();
-                let (status, body) = self.classify(req);
-                conn.respond(status, "application/json", &body)
-            }
-            ("POST", "/v1/labels") => {
-                self.requests.with(&["/v1/labels"]).inc();
-                let (status, body) = self.relay_labels(req);
-                conn.respond(status, "application/json", &body)
-            }
+    /// Answer one request; returns the status sent.
+    fn route(&self, req: &Request, conn: &mut HttpConnection) -> io::Result<u16> {
+        let (route, (status, body)) = match (req.method.as_str(), req.path.as_str()) {
+            ("GET", "/v1/healthz") => ("/v1/healthz", self.healthz()),
+            ("GET", "/v1/stats") => ("/v1/stats", ("200 OK", self.stats())),
+            ("GET", "/metrics") => ("/metrics", ("200 OK", self.registry.render_prometheus())),
+            ("POST", "/v1/classify") => ("/v1/classify", self.classify(req)),
+            ("POST", "/v1/labels") => ("/v1/labels", self.relay_labels(req)),
             ("GET", _) | ("POST", _) => {
-                self.requests.with(&["other"]).inc();
-                conn.respond(
-                    "404 Not Found",
-                    "application/json",
-                    "{\"error\":\"no such route\"}",
-                )
+                ("other", ("404 Not Found", "{\"error\":\"no such route\"}".to_string()))
             }
-            _ => conn.respond("405 Method Not Allowed", "text/plain", "only GET/POST\n"),
-        }
+            _ => {
+                conn.respond("405 Method Not Allowed", "text/plain", "only GET/POST\n")?;
+                return Ok(405);
+            }
+        };
+        self.requests.with(&[route]).inc();
+        let content_type =
+            if route == "/metrics" { "text/plain; version=0.0.4" } else { "application/json" };
+        conn.respond(status, content_type, &body)?;
+        Ok(status[..3].parse().expect("status lines start with a code"))
     }
 
     fn healthz(&self) -> (&'static str, String) {
@@ -695,91 +643,59 @@ mod tests {
     use crate::partition::{partition, PartitionStrategy};
     use mqo_graph::GraphBuilder;
     use mqo_obs::http_post;
+    use mqo_obs::httpd::ReadOutcome;
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::time::Instant;
 
     /// A scriptable fake shard worker: answers classify with one record
     /// per node, echoing the node id, until told to die.
     struct FakeShard {
         addr: SocketAddr,
-        stop: Arc<AtomicBool>,
-        handle: Option<JoinHandle<usize>>,
+        server: HttpServer,
     }
 
     impl FakeShard {
         fn start(shard_id: u32) -> FakeShard {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            listener.set_nonblocking(true).unwrap();
-            let addr = listener.local_addr().unwrap();
-            let stop = Arc::new(AtomicBool::new(false));
-            let stop2 = stop.clone();
-            let handle = thread::spawn(move || {
-                let mut served = 0usize;
-                while !stop2.load(Ordering::SeqCst) {
-                    let stream = match listener.accept() {
-                        Ok((s, _)) => s,
-                        Err(_) => {
-                            thread::sleep(Duration::from_millis(5));
-                            continue;
-                        }
-                    };
-                    stream.set_nonblocking(false).unwrap();
-                    let mut conn = HttpConnection::new(stream).unwrap();
-                    let mut req = Request::default();
-                    while let Ok(ReadOutcome::Request) = conn.read_request(&mut req) {
-                        if stop2.load(Ordering::SeqCst) {
-                            return served;
-                        }
-                        let body = match (req.method.as_str(), req.path.as_str()) {
-                            ("GET", "/v1/healthz") => jstr(&json!({"status": "ok"})),
-                            ("GET", "/v1/stats") => jstr(&json!({
-                                "queries": served, "requests": served,
-                                "pseudo_labels": 0, "peak_rss_mb": 10 + shard_id,
-                            })),
-                            ("POST", "/v1/labels") => jstr(&json!({"ingested": true})),
-                            ("POST", "/v1/classify") => {
-                                served += 1;
-                                let v: Value = serde_json::from_str(req.body_utf8()).unwrap();
-                                let records: Vec<Value> = v["nodes"]
-                                    .as_array()
-                                    .unwrap()
-                                    .iter()
-                                    .map(|n| {
-                                        json!({"node": n.clone(), "predicted": shard_id, "correct": true})
-                                    })
-                                    .collect();
-                                jstr(&json!({
-                                    "tenant": v.get("tenant").cloned().unwrap_or(json!("public")),
-                                    "records": records,
-                                    "replayed": false,
-                                    "billed_tokens": 7,
-                                    "degraded": false,
-                                }))
-                            }
-                            _ => jstr(&json!({"error": "?"})),
-                        };
-                        if conn.respond("200 OK", "application/json", &body).is_err() {
-                            break;
-                        }
-                        if !conn.keep_alive() {
-                            break;
-                        }
+            let served = AtomicU32::new(0);
+            let handler = move |req: &Request, conn: &mut HttpConnection| {
+                let body = match (req.method.as_str(), req.path.as_str()) {
+                    ("GET", "/v1/healthz") => jstr(&json!({"status": "ok"})),
+                    ("GET", "/v1/stats") => {
+                        let served = served.load(Ordering::SeqCst);
+                        jstr(&json!({
+                            "queries": served, "requests": served,
+                            "pseudo_labels": 0, "peak_rss_mb": 10 + shard_id,
+                        }))
                     }
-                }
-                served
-            });
-            FakeShard { addr, stop, handle: Some(handle) }
+                    ("POST", "/v1/labels") => jstr(&json!({"ingested": true})),
+                    ("POST", "/v1/classify") => {
+                        served.fetch_add(1, Ordering::SeqCst);
+                        let v: Value = serde_json::from_str(req.body_utf8()).unwrap();
+                        let records: Vec<Value> = v["nodes"]
+                            .as_array()
+                            .unwrap()
+                            .iter()
+                            .map(|n| json!({"node": n.clone(), "predicted": shard_id, "correct": true}))
+                            .collect();
+                        jstr(&json!({
+                            "tenant": v.get("tenant").cloned().unwrap_or(json!("public")),
+                            "records": records,
+                            "replayed": false,
+                            "billed_tokens": 7,
+                            "degraded": false,
+                        }))
+                    }
+                    _ => jstr(&json!({"error": "?"})),
+                };
+                conn.respond("200 OK", "application/json", &body).map(|()| 200)
+            };
+            let server = HttpServer::start("127.0.0.1:0", &Registry::new(), handler).unwrap();
+            FakeShard { addr: server.addr(), server }
         }
 
         fn kill(&mut self) {
-            self.stop.store(true, Ordering::SeqCst);
-            if let Some(h) = self.handle.take() {
-                let _ = h.join();
-            }
-        }
-    }
-
-    impl Drop for FakeShard {
-        fn drop(&mut self) {
-            self.kill();
+            self.server.stop();
         }
     }
 
@@ -872,8 +788,8 @@ mod tests {
                 }
             }
         });
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while router.is_ejected(1) && std::time::Instant::now() < deadline {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while router.is_ejected(1) && Instant::now() < deadline {
             thread::sleep(Duration::from_millis(20));
         }
         assert!(!router.is_ejected(1), "healthy probe must re-admit");
@@ -936,6 +852,87 @@ mod tests {
         assert_eq!(v["nodes"].as_u64(), Some(40), "routers advertise the global node range");
         assert_eq!(v["queries"].as_u64(), Some(2));
         assert_eq!(v["peak_rss_mb"].as_u64(), Some(11), "max over workers, not sum");
+        router.shutdown();
+    }
+
+    /// Shutdown half-closes idle keep-alive client connections, so a
+    /// client parked between requests reads EOF at once instead of after
+    /// the connection's 5s read timeout.
+    #[test]
+    fn shutdown_closes_an_idle_keep_alive_connection_promptly() {
+        let s0 = FakeShard::start(0);
+        let s1 = FakeShard::start(1);
+        let router = Router::start(
+            "127.0.0.1:0",
+            line_map(40, 2),
+            RouterConfig::new(vec![s0.addr, s1.addr]),
+        )
+        .unwrap();
+        let mut stream = TcpStream::connect(router.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream.write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        // Read exactly one response, leaving the connection open.
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("200"), "status: {line}");
+        let mut length = 0;
+        loop {
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            if line.trim().is_empty() {
+                break;
+            }
+            if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
+                length = v.trim().parse().unwrap();
+            }
+        }
+        reader.read_exact(&mut vec![0; length]).unwrap();
+
+        let started = Instant::now();
+        router.shutdown();
+        let mut rest = Vec::new();
+        let _ = reader.read_to_end(&mut rest);
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "client read EOF only after {:?}",
+            started.elapsed()
+        );
+        assert!(rest.is_empty(), "no bytes after the one response: {rest:?}");
+    }
+
+    /// Malformed framing earns a 400, is counted in
+    /// `mqo_http_errors_total`, and leaves the router serving.
+    #[test]
+    fn malformed_framing_gets_400_and_is_counted() {
+        let s0 = FakeShard::start(0);
+        let s1 = FakeShard::start(1);
+        let router = Router::start(
+            "127.0.0.1:0",
+            line_map(40, 2),
+            RouterConfig::new(vec![s0.addr, s1.addr]),
+        )
+        .unwrap();
+        let mut stream = TcpStream::connect(router.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream
+            .write_all(
+                b"POST /v1/classify HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\nContent-Length: 9\r\n\r\nhello",
+            )
+            .unwrap();
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).unwrap();
+        assert!(raw.contains("400 Bad Request"), "got: {raw}");
+
+        let (_, metrics) = http_get(router.addr(), "/metrics").unwrap();
+        let errors: u64 = metrics
+            .lines()
+            .find_map(|l| l.strip_prefix("mqo_http_errors_total "))
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or(0);
+        assert!(errors >= 1, "framing error not counted: {metrics}");
+        let (status, _) = http_get(router.addr(), "/v1/healthz").unwrap();
+        assert!(status.contains("200"), "router must survive malformed framing: {status}");
         router.shutdown();
     }
 }

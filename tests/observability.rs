@@ -15,8 +15,8 @@ use mqo_llm::{
     ValidatingLlm,
 };
 use mqo_obs::{
-    http_get, ChromeTraceSink, Clock, CostLedger, Event, EventSink, Fanout, ManualClock,
-    MetricsServer, MetricsSink, MonotonicClock, Recorder, SpanId, Tee, Tracer,
+    http_get, serve_metrics, ChromeTraceSink, Clock, CostLedger, Event, EventSink, Fanout,
+    ManualClock, MetricsSink, MonotonicClock, Recorder, SpanId, Tee, Tracer,
 };
 use mqo_token::UsageMeter;
 use rand::rngs::StdRng;
@@ -233,7 +233,7 @@ fn live_endpoint_serves_metrics_and_progress_mid_run() {
     let tag = bridge_tag();
     let llm = GatedLlm::new(ScriptedLlm::new(vec!["Category: ['Alpha']"; 16]));
     let metrics = Arc::new(MetricsSink::new());
-    let server = MetricsServer::start("127.0.0.1:0", metrics.clone()).unwrap();
+    let server = serve_metrics("127.0.0.1:0", metrics.clone()).unwrap();
     let exec = Executor::new(&tag, &llm, 4, 7).with_sink(&*metrics);
     let predictor = KhopRandom::new(1, tag.num_nodes());
     let labels = LabelStore::empty(tag.num_nodes());
