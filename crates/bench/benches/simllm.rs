@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mqo_core::predictor::{KhopRandom, Predictor, SelectCtx};
-use mqo_core::{Executor, LabelStore};
+use mqo_core::{Executor, LabelStore, Labels, SchedulePolicy, Scheduler};
 use mqo_data::{dataset, DatasetId};
 use mqo_llm::{LanguageModel, ModelProfile, SimLlm};
 use rand::rngs::StdRng;
@@ -47,15 +47,9 @@ fn bench_complete(c: &mut Criterion) {
         group.bench_function(format!("run_100_queries_1hop_{threads}threads"), |b| {
             b.iter(|| {
                 black_box(
-                    mqo_core::parallel::run_all_parallel(
-                        &exec,
-                        &predictor,
-                        &labels,
-                        &queries,
-                        |_| false,
-                        threads,
-                    )
-                    .unwrap(),
+                    Scheduler::new(&exec, SchedulePolicy::Parallel { threads })
+                        .run(&predictor, Labels::Fixed(&labels), &queries, |_| false)
+                        .unwrap(),
                 )
             })
         });

@@ -14,10 +14,10 @@
 
 use mqo_bench::harness::{setup, surrogate_for, SEED};
 use mqo_bench::report::{print_table, write_json};
-use mqo_core::boosting::{run_with_boosting, BoostConfig};
+use mqo_core::boosting::{BoostConfig, DegradePolicy};
 use mqo_core::predictor::{KhopRandom, Sns, ZeroShot};
 use mqo_core::pruning::{run_with_pruning, PrunePlan};
-use mqo_core::{Executor, InadequacyScorer, LabelStore};
+use mqo_core::{Executor, InadequacyScorer, LabelStore, Labels, SchedulePolicy, Scheduler};
 use mqo_data::DatasetId;
 use mqo_graph::NodeId;
 use mqo_llm::ModelProfile;
@@ -39,15 +39,18 @@ fn main() {
     for gamma1 in [1usize, 2, 3, 4, 5] {
         for gamma2 in [1usize, 2, 3] {
             let mut labels = LabelStore::from_split(tag, &ctx.split);
-            let (out, traces) = run_with_boosting(
+            let report = Scheduler::new(
                 &exec,
-                &predictor,
-                &mut labels,
-                queries,
-                BoostConfig { gamma1, gamma2 },
-                &PrunePlan::default(),
+                SchedulePolicy::CueGated {
+                    config: BoostConfig { gamma1, gamma2 },
+                    policy: DegradePolicy::default(),
+                    threads: 1,
+                    deterministic: true,
+                },
             )
+            .run(&predictor, Labels::Boosting(&mut labels), queries, |_| false)
             .unwrap();
+            let (out, traces) = (report.outcome, report.rounds);
             rows.push(vec![
                 format!("γ1={gamma1}, γ2={gamma2}"),
                 format!("{:.1}", out.accuracy() * 100.0),
@@ -160,15 +163,18 @@ fn main() {
     let khop2 = KhopRandom::new(2, tag.num_nodes());
     let base2 = exec.run_all(&khop2, &labels, queries, |_| false).unwrap();
     let mut bl = LabelStore::from_split(tag, &ctx.split);
-    let (boost2, _) = run_with_boosting(
+    let boost2 = Scheduler::new(
         &exec,
-        &khop2,
-        &mut bl,
-        queries,
-        BoostConfig::default(),
-        &PrunePlan::default(),
+        SchedulePolicy::CueGated {
+            config: BoostConfig::default(),
+            policy: DegradePolicy::default(),
+            threads: 1,
+            deterministic: true,
+        },
     )
-    .unwrap();
+    .run(&khop2, Labels::Boosting(&mut bl), queries, |_| false)
+    .unwrap()
+    .outcome;
     let rows = vec![
         vec!["label propagation (no text)".into(), format!("{:.1}", lp_acc * 100.0)],
         vec!["LLM zero-shot (no graph)".into(), format!("{:.1}", zero.accuracy() * 100.0)],

@@ -272,13 +272,49 @@ fn cmd_inspect(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The scheduler policy a `classify` invocation selects, read from the
+/// flags alone (before any dataset loads). A flag the chosen policy would
+/// clamp or ignore is refused rather than silently rewritten.
+fn classify_policy(args: &Args) -> Result<SchedulePolicy, CliError> {
+    let refuse = |why: &str| Err(CliError::Usage(why.to_string()));
+    let threads: usize = args.num_or("threads", 1)?;
+    if threads == 0 {
+        return refuse("--threads must be at least 1");
+    }
+    let batch: Option<usize> = args.num("batch")?;
+    if batch == Some(0) {
+        return refuse("--batch must be at least 1");
+    }
+    if args.has("boost") {
+        if batch.is_some() {
+            return refuse("--batch does not apply to --boost (boosted runs dispatch by cue)");
+        }
+        // Width 1 runs waves either way; wider runs free-run unless
+        // --deterministic asks for wave barriers.
+        return Ok(SchedulePolicy::CueGated {
+            config: BoostConfig::default(),
+            policy: DegradePolicy::default(),
+            threads,
+            deterministic: args.has("deterministic"),
+        });
+    }
+    if args.has("deterministic") {
+        return refuse("--deterministic only applies to --boost");
+    }
+    Ok(match batch {
+        Some(batch_size) => SchedulePolicy::Batched { threads, batch_size },
+        None if threads > 1 => SchedulePolicy::Parallel { threads },
+        None => SchedulePolicy::Fifo,
+    })
+}
+
 fn cmd_classify(args: &Args) -> Result<(), CliError> {
+    let policy = classify_policy(args)?;
     let arg = args.pos(0);
     let seed = args.num_or("seed", 42u64)?;
     let bundle = resolve_bundle(arg, args.num("scale")?, seed)?;
     let queries: usize = args.num_or("queries", 200)?;
     let method = args.get("method").unwrap_or("1hop");
-    let threads: usize = args.num_or("threads", 1)?;
     let profile = match args.get("model") {
         None | Some("gpt35") => ModelProfile::gpt35(),
         Some("gpt4o-mini") => ModelProfile::gpt4o_mini(),
@@ -474,42 +510,16 @@ fn cmd_classify(args: &Args) -> Result<(), CliError> {
     let run_started = std::time::Instant::now();
     // One execution core for every shape of run: the scheduler policy is
     // the only thing the flags choose.
-    let deterministic = args.has("deterministic");
-    let outcome = if args.has("boost") {
-        let mut labels = LabelStore::from_split(&bundle.tag, &split);
-        let report = Scheduler::new(
-            &exec,
-            SchedulePolicy::CueGated {
-                config: BoostConfig::default(),
-                policy: DegradePolicy::default(),
-                threads: threads.max(1),
-                // Width 1 is deterministic by construction; wider runs
-                // free-run unless --deterministic asks for wave barriers.
-                deterministic: deterministic || threads <= 1,
-            },
-        )
-        .run(predictor.as_ref(), Labels::Boosting(&mut labels), &run_queries, |v| {
-            plan.is_pruned(v)
-        })
-        .map_err(|e| format!("boosting: {e}"))?;
+    let boost = matches!(policy, SchedulePolicy::CueGated { .. });
+    let mut labels = LabelStore::from_split(&bundle.tag, &split);
+    let labels = if boost { Labels::Boosting(&mut labels) } else { Labels::Fixed(&labels) };
+    let report = Scheduler::new(&exec, policy)
+        .run(predictor.as_ref(), labels, &run_queries, |v| plan.is_pruned(v))
+        .map_err(|e| format!("run: {e}"))?;
+    if boost {
         println!("boosting rounds: {}", report.rounds.len());
-        report.outcome
-    } else {
-        let labels = LabelStore::from_split(&bundle.tag, &split);
-        let policy = if let Some(batch) = args.num::<usize>("batch")? {
-            SchedulePolicy::Batched { threads: threads.max(1), batch_size: batch.max(1) }
-        } else if threads > 1 {
-            SchedulePolicy::Parallel { threads }
-        } else {
-            SchedulePolicy::Fifo
-        };
-        Scheduler::new(&exec, policy)
-            .run(predictor.as_ref(), Labels::Fixed(&labels), &run_queries, |v| {
-                plan.is_pruned(v)
-            })
-            .map_err(|e| format!("run: {e}"))?
-            .outcome
-    };
+    }
+    let outcome = report.outcome;
     let wall_seconds = run_started.elapsed().as_secs_f64();
     drop(run_span);
 
@@ -1162,8 +1172,32 @@ mod tests {
             "route m.bin --workers 127.0.0.1:8080,127.0.0.1:8081 --addr 127.0.0.1:9090 \
              --addr-file r.addr --eject-after 3 --probe-interval-ms 250",
         ] {
-            if let Err(e) = parse(line) {
-                panic!("{line:?} must parse: {e}");
+            let args = parse(line).unwrap_or_else(|e| panic!("{line:?} must parse: {e}"));
+            if line.starts_with("classify") {
+                if let Err(e) = classify_policy(&args) {
+                    panic!("{line:?} must select a policy: {e}");
+                }
+            }
+        }
+    }
+
+    /// Classify flags the chosen policy would clamp or ignore are refused
+    /// (exit 2, naming the flag) before any dataset loads.
+    #[test]
+    fn clamped_or_ignored_classify_flags_are_refused() {
+        for (line, flag) in [
+            ("classify cora --threads 0", "--threads"),
+            ("classify cora --boost --threads 0", "--threads"),
+            ("classify cora --batch 0", "--batch"),
+            ("classify cora --threads 4 --batch 0", "--batch"),
+            ("classify cora --boost --batch 16", "--batch"),
+            ("classify cora --boost --threads 4 --batch 4", "--batch"),
+            ("classify cora --deterministic", "--deterministic"),
+            ("classify cora --threads 4 --deterministic", "--deterministic"),
+        ] {
+            match classify_policy(&parse(line).unwrap()) {
+                Err(CliError::Usage(m)) => assert!(m.contains(flag), "{line:?}: {m}"),
+                other => panic!("{line:?} should be refused, got {other:?}"),
             }
         }
     }

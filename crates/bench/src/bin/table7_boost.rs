@@ -4,10 +4,9 @@
 
 use mqo_bench::harness::{setup, SEED};
 use mqo_bench::report::{print_table, write_json};
-use mqo_core::boosting::{run_with_boosting, BoostConfig};
+use mqo_core::boosting::{BoostConfig, DegradePolicy};
 use mqo_core::predictor::{KhopRandom, Predictor, Sns};
-use mqo_core::pruning::PrunePlan;
-use mqo_core::{Executor, LabelStore};
+use mqo_core::{Executor, LabelStore, Labels, SchedulePolicy, Scheduler};
 use mqo_data::DatasetId;
 use mqo_llm::ModelProfile;
 use serde_json::json;
@@ -43,15 +42,23 @@ fn main() {
                     .run_all(method.as_ref(), &labels, ctx.split.queries(), |_| false)
                     .unwrap();
                 let mut boost_labels = LabelStore::from_split(tag, &ctx.split);
-                let (boosted, _) = run_with_boosting(
+                let boosted = Scheduler::new(
                     &exec,
-                    method.as_ref(),
-                    &mut boost_labels,
-                    ctx.split.queries(),
-                    boost,
-                    &PrunePlan::default(),
+                    SchedulePolicy::CueGated {
+                        config: boost,
+                        policy: DegradePolicy::default(),
+                        threads: 1,
+                        deterministic: true,
+                    },
                 )
-                .unwrap();
+                .run(
+                    method.as_ref(),
+                    Labels::Boosting(&mut boost_labels),
+                    ctx.split.queries(),
+                    |_| false,
+                )
+                .unwrap()
+                .outcome;
                 measured[mi][d] = (base.accuracy(), boosted.accuracy());
                 artifacts.push(json!({
                     "model": profile.name,

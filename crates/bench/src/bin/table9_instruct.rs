@@ -5,11 +5,11 @@
 
 use mqo_bench::harness::{setup, surrogate_for, SEED};
 use mqo_bench::report::{print_table, write_json};
-use mqo_core::boosting::{run_with_boosting, BoostConfig};
+use mqo_core::boosting::{BoostConfig, DegradePolicy};
 use mqo_core::joint::run_joint;
 use mqo_core::pruning::{run_with_pruning, PrunePlan};
 use mqo_core::tuned::{instructglm_backbones, tuned_profile, TunedPredictor};
-use mqo_core::{Executor, InadequacyScorer, LabelStore};
+use mqo_core::{Executor, InadequacyScorer, LabelStore, Labels, SchedulePolicy, Scheduler};
 use mqo_data::DatasetId;
 use serde_json::json;
 
@@ -39,15 +39,18 @@ fn main() {
         let base = exec.run_all(&predictor, &labels, queries, |_| false).unwrap();
 
         let mut bl = LabelStore::from_split(tag, &ctx.split);
-        let (boosted, _) = run_with_boosting(
+        let boosted = Scheduler::new(
             &exec,
-            &predictor,
-            &mut bl,
-            queries,
-            boost,
-            &PrunePlan::default(),
+            SchedulePolicy::CueGated {
+                config: boost,
+                policy: DegradePolicy::default(),
+                threads: 1,
+                deterministic: true,
+            },
         )
-        .unwrap();
+        .run(&predictor, Labels::Boosting(&mut bl), queries, |_| false)
+        .unwrap()
+        .outcome;
 
         let random_plan = PrunePlan::random(queries, tau, SEED);
         let random =

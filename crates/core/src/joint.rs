@@ -1,13 +1,14 @@
 //! Both strategies applied jointly (§VI-H, Table VIII): prune the top τ%
 //! by text inadequacy, then execute everything through query boosting.
 
-use crate::boosting::{run_with_boosting, BoostConfig, RoundTrace};
+use crate::boosting::{BoostConfig, DegradePolicy, RoundTrace};
 use crate::error::Result;
 use crate::executor::{ExecOutcome, Executor};
 use crate::inadequacy::InadequacyScorer;
 use crate::labels::LabelStore;
 use crate::predictor::Predictor;
 use crate::pruning::PrunePlan;
+use crate::sched::{Labels, SchedulePolicy, Scheduler};
 use mqo_graph::NodeId;
 
 /// Run prune(τ) + boost over `queries`.
@@ -21,7 +22,19 @@ pub fn run_joint(
     boost: BoostConfig,
 ) -> Result<(ExecOutcome, Vec<RoundTrace>)> {
     let plan = PrunePlan::by_inadequacy(scorer, exec.tag, queries, tau);
-    run_with_boosting(exec, predictor, labels, queries, boost, &plan)
+    let policy = SchedulePolicy::CueGated {
+        config: boost,
+        policy: DegradePolicy::default(),
+        threads: 1,
+        deterministic: true,
+    };
+    let report = Scheduler::new(exec, policy).run(
+        predictor,
+        Labels::Boosting(labels),
+        queries,
+        |v| plan.is_pruned(v),
+    )?;
+    Ok((report.outcome, report.rounds))
 }
 
 #[cfg(test)]

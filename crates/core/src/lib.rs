@@ -29,12 +29,10 @@
 //! * [`sched`] — the event-driven execution core: one readiness queue
 //!   (keyed by the γ₁/γ₂ cue rule for boosting), a fixed worker pool
 //!   with a completion channel, and pluggable [`sched::SchedulePolicy`]
-//!   implementations recovering FIFO, width-N, prefix-coherent batched,
-//!   and cue-gated execution.
-//! * [`parallel`] — shims for the historical multi-threaded entry points
-//!   (now thin wrappers over [`sched`]).
-//! * [`stream`] — online classification with boosting over an arrival
-//!   stream (the introduction's dynamic-node scenario).
+//!   implementations for FIFO, width-N, prefix-coherent batched, and
+//!   cue-gated execution. Online arrivals (the introduction's
+//!   dynamic-node scenario) run as free-running cue-gated windows over
+//!   one evolving label store; see `examples/online_stream.rs`.
 //! * [`planner`] — dollars → tokens → τ campaign planning before any LLM
 //!   call (§V-C arithmetic over rendered-prompt estimates).
 //! * [`queue`] — the bounded MPMC work queue the [`sched`] worker pool
@@ -78,13 +76,11 @@ pub mod journal;
 pub mod labels;
 pub mod linkpred;
 pub mod metrics;
-pub mod parallel;
 pub mod planner;
 pub mod predictor;
 pub mod pruning;
 pub mod queue;
 pub mod sched;
-pub mod stream;
 pub mod surrogate;
 pub mod tuned;
 

@@ -1,9 +1,8 @@
 //! The event-driven execution scheduler.
 //!
-//! One entry point — [`Scheduler::run`] — replaces the four historical
-//! orchestration paths (`run_all`, `run_all_parallel`, `run_all_batched`,
-//! and the boosting round loop), which survive as thin shims. A
-//! [`SchedulePolicy`] picks how work becomes *ready*:
+//! One entry point — [`Scheduler::run`] — drives every orchestration
+//! shape: sequential, width-N, prefix-coherent batched, and Algorithm 2's
+//! query boosting. A [`SchedulePolicy`] picks how work becomes *ready*:
 //!
 //! * [`SchedulePolicy::Fifo`] — queries run inline, in input order, on the
 //!   caller's thread. The only policy that supports the Eq. 2 hard budget
@@ -20,20 +19,24 @@
 //!   when its neighbor pseudo-label support satisfies the γ₁/γ₂ rule.
 //!   In **deterministic** mode readiness is evaluated in waves (the
 //!   paper's rounds): candidates are selected against a frozen label
-//!   store, executed (inline at width 1, by the pool at width N), and
-//!   their pseudo-labels folded in at a barrier — byte-identical record
-//!   streams across runs. In **free-running** mode the barrier is gone:
+//!   store, executed by the pool, and their pseudo-labels folded in
+//!   candidate order at a barrier — byte-identical record streams across
+//!   runs and pool widths. In **free-running** mode the barrier is gone:
 //!   each completion folds its pseudo-label immediately and newly
 //!   qualified queries dispatch while their siblings are still in
-//!   flight, overlapping LLM latency with readiness evaluation.
+//!   flight, overlapping LLM latency with readiness evaluation. Both
+//!   modes are one loop; see [`Scheduler::run`].
+//!
+//! Every policy but `Fifo` runs on one worker pool per run: one dispatch
+//! queue, one completion channel, `worker_loop` on each thread. Width 1
+//! is a pool of one.
 //!
 //! ## Determinism contract
 //!
 //! Under `CueGated { deterministic: true }` the ready queue is drained in
 //! a stable order (input arrival order, which the CLI derives from the
-//! seeded split; ties cannot arise because a node is pending at most
-//! once), candidate waves see a frozen label store, and records are
-//! assembled in candidate order — so two runs with the same seed produce
+//! seeded split), candidate waves see a frozen label store, and records
+//! are folded in candidate order — so two runs with the same seed produce
 //! byte-identical record dumps whenever the model itself is
 //! call-order-insensitive (the simulated backends are; a response cache
 //! or call-indexed fault schedule is not, which is why the scheduler
@@ -50,34 +53,32 @@
 //!   fresh records are journaled on completion; cue-gated runs seal
 //!   rounds (wave mode) or fold batches (free-running) with an fsync.
 //! * Eq. 2 hard budget: order-dependent, so pooled policies reject it
-//!   (`Error::Config`) and cue-gated runs clamp to the width-1 wave path.
+//!   (`Error::Config`) and cue-gated runs clamp to one worker running
+//!   waves, where the spend order is the candidate order.
 
 use crate::boosting::{label_support, BoostConfig, DegradePolicy, RoundTrace};
 use crate::error::{Error, Result};
 use crate::executor::{ExecOutcome, Executor, QueryRecord, RenderScratch};
 use crate::labels::LabelStore;
-use crate::parallel::panic_message;
 use crate::predictor::{Predictor, SelectCtx};
 use crate::queue::BoundedQueue;
 use mqo_graph::NodeId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 
 /// How the scheduler decides what is ready to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulePolicy {
-    /// Run queries inline, in input order, on the caller's thread
-    /// (recovers `Executor::run_all`). Supports the hard budget.
+    /// Run queries inline, in input order, on the caller's thread (the
+    /// policy behind `Executor::run_all`). Supports the hard budget.
     Fifo,
-    /// Dispatch every query immediately across a fixed worker pool
-    /// (recovers `run_all_parallel`).
+    /// Dispatch every query immediately across a fixed worker pool.
     Parallel {
         /// Worker-pool width (must be ≥ 1).
         threads: usize,
     },
-    /// Dispatch prefix-coherent batches across a fixed worker pool
-    /// (recovers `run_all_batched`).
+    /// Dispatch prefix-coherent batches across a fixed worker pool.
     Batched {
         /// Worker-pool width (must be ≥ 1).
         threads: usize,
@@ -86,7 +87,7 @@ pub enum SchedulePolicy {
     },
     /// Algorithm 2 query boosting: readiness keyed by the γ₁/γ₂
     /// neighbor-cue rule, with incremental relaxation when nothing
-    /// qualifies (recovers the boosting round loop).
+    /// qualifies.
     CueGated {
         /// Candidacy thresholds (γ₁/γ₂) before relaxation.
         config: BoostConfig,
@@ -97,7 +98,8 @@ pub enum SchedulePolicy {
         /// `true` → wave (round) execution with a barrier per wave:
         /// byte-identical records across runs. `false` → free-running:
         /// completions fold immediately and newly ready queries dispatch
-        /// without waiting for the wave to drain.
+        /// without waiting for the wave to drain. Width 1 always runs
+        /// waves.
         deterministic: bool,
     },
 }
@@ -141,12 +143,13 @@ pub struct RunReport {
 struct Work {
     items: Vec<WorkItem>,
     batch: Option<BatchMeta>,
-    /// Label snapshot for free-running cue-gated dispatch; pooled fixed
-    /// policies read the caller's store directly instead.
+    /// Label snapshot for cue-gated dispatch; the fixed policies read the
+    /// caller's store directly instead.
     labels: Option<Arc<LabelStore>>,
 }
 
 struct WorkItem {
+    /// Position of the query in the run's input.
     slot: usize,
     node: NodeId,
     force_prune: bool,
@@ -167,6 +170,17 @@ struct Done {
     record: Result<QueryRecord>,
 }
 
+/// Closes the dispatch queue when the driving side of the pool is done —
+/// or unwinds — so the workers drain and exit instead of blocking the
+/// scope forever.
+struct CloseOnDrop<'q>(&'q BoundedQueue<Work>);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
 /// The event-driven execution core: one readiness queue, one fixed
 /// worker pool, one completion channel, pluggable [`SchedulePolicy`].
 pub struct Scheduler<'s, 'e> {
@@ -185,6 +199,14 @@ impl<'s, 'e> Scheduler<'s, 'e> {
     /// `prune_set` marks queries that execute without neighbor text
     /// (Algorithm 1 pruning; cue-gated runs treat pruned queries as
     /// immediately ready since they cannot be enriched).
+    ///
+    /// Cue-gated runs follow Algorithm 2 under a degraded executor
+    /// ([`Executor::with_degrade`]): a failed query contributes **no
+    /// pseudo-label** — the γ₁/γ₂ rule treats it as unexecuted — and
+    /// stays pending; after `policy.fallback_after` failures it retries
+    /// text-only, after `policy.give_up_after` the failed outcome is
+    /// final. With a journal attached, completed queries replay before
+    /// the first round and each round is sealed (fsync'd) as it folds.
     ///
     /// # Panics
     ///
@@ -213,27 +235,25 @@ impl<'s, 'e> Scheduler<'s, 'e> {
                 Some(batch_size),
             ),
             SchedulePolicy::CueGated { config, policy, threads, deterministic } => {
-                let labels = match labels {
-                    Labels::Boosting(l) => l,
-                    Labels::Fixed(_) => {
-                        return Err(Error::Config {
-                            detail: "cue-gated scheduling needs a boosting label store".into(),
-                        })
-                    }
+                let Labels::Boosting(labels) = labels else {
+                    return Err(Error::Config {
+                        detail: "cue-gated scheduling needs a boosting label store".into(),
+                    });
                 };
                 assert!(policy.give_up_after >= 1, "give_up_after must be positive");
-                // The hard budget is meter-order-dependent: clamp to the
-                // sequential wave path so spend order is reproducible.
+                // The hard budget is meter-order-dependent: clamp to one
+                // worker running waves, so spend order is candidate order.
                 let width = if self.exec.budget.is_some() { 1 } else { threads.max(1) };
-                if deterministic || width == 1 {
-                    self.cue_gated_waves(
-                        predictor, labels, queries, &prune_set, config, policy, width,
-                    )
-                } else {
-                    self.cue_gated_free(
-                        predictor, labels, queries, &prune_set, config, policy, width,
-                    )
-                }
+                self.run_cue_gated(
+                    predictor,
+                    labels,
+                    queries,
+                    &prune_set,
+                    config,
+                    policy,
+                    width,
+                    deterministic || width == 1,
+                )
             }
         }
     }
@@ -270,6 +290,35 @@ impl<'s, 'e> Scheduler<'s, 'e> {
             report.outcome.records.push(rec);
         }
         Ok(report)
+    }
+
+    /// Run `drive` against this run's worker pool: `width` threads pull
+    /// [`Work`] from one dispatch queue (sized for `capacity` units) and
+    /// push [`Done`]s back through one completion channel. The queue
+    /// closes once `drive` returns, which lets the workers drain and exit.
+    fn with_pool<R>(
+        &self,
+        predictor: &dyn Predictor,
+        fixed_labels: Option<&LabelStore>,
+        width: usize,
+        capacity: usize,
+        drive: impl FnOnce(&BoundedQueue<Work>, &mpsc::Receiver<Done>) -> R,
+    ) -> R {
+        let exec = self.exec;
+        let dispatch = BoundedQueue::new(capacity);
+        let (done_tx, done_rx) = mpsc::channel::<Done>();
+        std::thread::scope(|scope| {
+            let dispatch = &dispatch;
+            for worker in 0..width {
+                let done_tx = done_tx.clone();
+                scope.spawn(move || {
+                    worker_loop(exec, predictor, fixed_labels, dispatch, done_tx, worker as u32)
+                });
+            }
+            drop(done_tx);
+            let _close = CloseOnDrop(dispatch);
+            drive(dispatch, &done_rx)
+        })
     }
 
     /// The pooled fixed policies: dispatch everything up front (one item
@@ -374,22 +423,11 @@ impl<'s, 'e> Scheduler<'s, 'e> {
         };
         let expected: usize = works.iter().map(|w| w.items.len()).sum();
 
-        let dispatch = BoundedQueue::new(works.len().max(1));
-        for w in works {
-            dispatch.try_push(w).ok().expect("dispatch queue sized for all work");
-        }
-        dispatch.close();
-        let (done_tx, done_rx) = mpsc::channel::<Done>();
-
-        std::thread::scope(|scope| {
-            let dispatch = &dispatch;
-            for worker in 0..threads {
-                let done_tx = done_tx.clone();
-                scope.spawn(move || {
-                    worker_loop(exec, predictor, Some(labels), dispatch, done_tx, worker as u32)
-                });
+        self.with_pool(predictor, Some(labels), threads, works.len(), |dispatch, done_rx| {
+            for w in works {
+                dispatch.try_push(w).ok().expect("dispatch queue sized for all work");
             }
-            drop(done_tx);
+            dispatch.close();
             for _ in 0..expected {
                 let done = done_rx.recv().expect("worker pool hung up early");
                 if let Ok(rec) = &done.record {
@@ -406,14 +444,23 @@ impl<'s, 'e> Scheduler<'s, 'e> {
         Ok(report)
     }
 
-    /// Deterministic cue-gated execution: Algorithm 2's rounds as waves.
-    /// Candidate selection, relaxation, failure escalation, folding,
-    /// journaling, and span structure match the pre-scheduler boosting
-    /// loop exactly at width 1; width N executes each wave's candidates
-    /// on the pool against a frozen label store and re-assembles them in
-    /// candidate order at the wave barrier.
+    /// Algorithm 2 on the worker pool — one loop for both cue-gated
+    /// modes. Each turn:
+    ///
+    /// 1. a readiness pass over the pending queries in input order,
+    ///    relaxing γ₁ toward 0, then γ₂ toward K, only when nothing is
+    ///    ready *and* nothing is in flight (an in-flight completion may
+    ///    yet unlock a pending query at the current thresholds);
+    /// 2. dispatch of the ready queries against a label snapshot;
+    /// 3. failure escalation on the completions taken back;
+    /// 4. one fold of the final records as a round: pseudo-labels,
+    ///    [`RoundTrace`], `RoundCompleted`, journal, seal.
+    ///
+    /// `waves` decides only whether a turn waits for everything it
+    /// dispatched (the barrier), whether the fold runs in candidate
+    /// order, and whether a `round` span scopes the wave.
     #[allow(clippy::too_many_arguments)]
-    fn cue_gated_waves(
+    fn run_cue_gated(
         &self,
         predictor: &dyn Predictor,
         labels: &mut LabelStore,
@@ -422,392 +469,173 @@ impl<'s, 'e> Scheduler<'s, 'e> {
         config: BoostConfig,
         policy: DegradePolicy,
         width: usize,
+        waves: bool,
     ) -> Result<RunReport> {
         let exec = self.exec;
         let mut report = RunReport::default();
-        let mut pending: Vec<NodeId> = queries.to_vec();
+        // (input position, node), always sorted by position: a retried
+        // failure returns to its original place, so the readiness pass
+        // scans in stable input order and no tie-break is needed.
+        let mut pending: Vec<(usize, NodeId)> = queries.iter().copied().enumerate().collect();
         self.predrain_replays(labels, &mut pending, &mut report);
 
-        let mut gamma1 = config.gamma1;
-        let mut gamma2 = config.gamma2;
+        let (mut gamma1, mut gamma2) = (config.gamma1, config.gamma2);
         let k = exec.tag.num_classes();
         // Consecutive failures per node, for the fallback/give-up escalation.
         let mut failures: HashMap<NodeId, usize> = HashMap::new();
         let force_prune = |failures: &HashMap<NodeId, usize>, v: NodeId| {
             prune_set(v) || failures.get(&v).is_some_and(|&n| n >= policy.fallback_after)
         };
-        let mut scratch = RenderScratch::new();
+        let mut first_err: Option<Error> = None;
+        let mut in_flight = 0usize;
+        // The store as last dispatched; `None` once a fold changed it.
+        let mut snapshot: Option<Arc<LabelStore>> = None;
 
-        while !pending.is_empty() {
-            // Readiness pass with incremental relaxation: pending is
-            // drained in stable input order (a node is pending at most
-            // once, so no tie-break is needed beyond queue position).
-            let candidates: Vec<NodeId> = loop {
-                let ctx =
-                    SelectCtx { tag: exec.tag, labels, max_neighbors: exec.max_neighbors };
-                let mut c = Vec::new();
-                for &v in &pending {
-                    if force_prune(&failures, v) {
-                        // Pruned (or failure-downgraded) queries can't be
-                        // enriched; run them now.
-                        c.push(v);
-                        continue;
+        // A position is pending, in flight, or final — never two at once —
+        // so the queue never holds more than the query count.
+        self.with_pool(predictor, None, width, queries.len(), |dispatch, done_rx| loop {
+            let mut round_scope = None;
+            if first_err.is_none() && !pending.is_empty() {
+                let ready_at = |gamma1: usize, gamma2: usize| -> Vec<(usize, NodeId)> {
+                    let ctx =
+                        SelectCtx { tag: exec.tag, labels, max_neighbors: exec.max_neighbors };
+                    let qualifies = |v: NodeId| {
+                        // Per-node rng: N_i only changes when label knowledge does.
+                        let (n_l, lc) =
+                            label_support(predictor, &ctx, v, &mut exec.query_rng(v));
+                        n_l >= gamma1 && lc <= gamma2
+                    };
+                    // Pruned (or failure-downgraded) queries can't be
+                    // enriched; they are ready at once.
+                    pending
+                        .iter()
+                        .copied()
+                        .filter(|&(_, v)| force_prune(&failures, v) || qualifies(v))
+                        .collect()
+                };
+                let mut ready = ready_at(gamma1, gamma2);
+                while ready.is_empty() && in_flight == 0 {
+                    // At (0, K) every query qualifies, so this terminates.
+                    if gamma1 > 0 {
+                        gamma1 -= 1;
+                    } else if gamma2 < k {
+                        gamma2 += 1;
+                    } else {
+                        ready = pending.clone();
+                        break;
                     }
-                    // Per-node rng: N_i only changes when label knowledge does.
-                    let mut rng = exec.query_rng(v);
-                    let (n_l, lc) = label_support(predictor, &ctx, v, &mut rng);
-                    if n_l >= gamma1 && lc <= gamma2 {
-                        c.push(v);
+                    ready = ready_at(gamma1, gamma2);
+                }
+                if !ready.is_empty() {
+                    if waves {
+                        // Scope the wave's query spans under its round
+                        // span (restored at the barrier so a trailing
+                        // caller-side scope survives).
+                        let index = report.rounds.len();
+                        let span = exec.tracer.span(
+                            exec.sink,
+                            "round",
+                            || format!("round {index}"),
+                            exec.tracer.current_or(exec.span_scope()),
+                        );
+                        let outer = exec.span_scope();
+                        exec.set_span_scope(span.id());
+                        round_scope = Some((outer, span));
                     }
-                }
-                if !c.is_empty() {
-                    break c;
-                }
-                // Relax: γ1 down to zero first, then γ2 up to K (at (0, K)
-                // every query qualifies, so this terminates).
-                if gamma1 > 0 {
-                    gamma1 -= 1;
-                } else if gamma2 < k {
-                    gamma2 += 1;
-                } else {
-                    break pending.clone();
-                }
-            };
-
-            // Scope query spans under this wave's round span (restored
-            // after the wave so a trailing caller-side scope survives).
-            let round_index = report.rounds.len();
-            let round_span = exec.tracer.span(
-                exec.sink,
-                "round",
-                || format!("round {round_index}"),
-                exec.tracer.current_or(exec.span_scope()),
-            );
-            let outer_scope = exec.span_scope();
-            exec.set_span_scope(round_span.id());
-
-            // Execute the wave. Labels are frozen until the barrier (all
-            // candidates see the same knowledge state, as in Algorithm 2).
-            // A failed candidate stays pending (no record yet) unless it
-            // has exhausted its retries.
-            let mut round_records = Vec::with_capacity(candidates.len());
-            if width == 1 {
-                for &v in &candidates {
-                    let mut rng = exec.query_rng(v);
-                    let record = exec.run_one_reusing(
-                        predictor,
-                        labels,
-                        v,
-                        &mut rng,
-                        force_prune(&failures, v),
-                        &mut scratch,
-                    );
-                    match record {
-                        Ok(r) if r.failed() => {
-                            let n = failures.entry(v).or_insert(0);
-                            *n += 1;
-                            if *n >= policy.give_up_after {
-                                round_records.push(r); // permanent failed outcome
-                            }
-                        }
-                        Ok(r) => {
-                            failures.remove(&v);
-                            round_records.push(r);
-                        }
-                        Err(e) => {
-                            exec.set_span_scope(outer_scope);
-                            return Err(e);
-                        }
-                    }
-                }
-            } else {
-                let results = self.run_wave_pooled(
-                    predictor,
-                    labels,
-                    &candidates,
-                    &failures,
-                    &force_prune,
-                    width,
-                );
-                for (&v, record) in candidates.iter().zip(results) {
-                    match record {
-                        Ok(r) if r.failed() => {
-                            let n = failures.entry(v).or_insert(0);
-                            *n += 1;
-                            if *n >= policy.give_up_after {
-                                round_records.push(r);
-                            }
-                        }
-                        Ok(r) => {
-                            failures.remove(&v);
-                            round_records.push(r);
-                        }
-                        Err(e) => {
-                            exec.set_span_scope(outer_scope);
-                            return Err(e);
-                        }
+                    let labels_now =
+                        snapshot.get_or_insert_with(|| Arc::new(labels.clone())).clone();
+                    pending.retain(|p| ready.binary_search(p).is_err());
+                    for (slot, node) in ready {
+                        let work = Work {
+                            items: vec![WorkItem {
+                                slot,
+                                node,
+                                force_prune: force_prune(&failures, node),
+                            }],
+                            batch: None,
+                            labels: Some(labels_now.clone()),
+                        };
+                        dispatch
+                            .try_push(work)
+                            .ok()
+                            .expect("dispatch queue sized for every query");
+                        in_flight += 1;
                     }
                 }
             }
-            exec.set_span_scope(outer_scope);
-            drop(round_span);
-            report.rounds.push(RoundTrace { executed: round_records.len(), gamma1, gamma2 });
-            for r in &round_records {
-                if !r.failed() {
-                    labels.add_pseudo(r.node, r.predicted);
+            if in_flight == 0 {
+                break; // drained (or error-aborted with nothing left in flight)
+            }
+
+            // Waves wait for the whole wave; free-running blocks for one
+            // completion and takes whatever else has already landed.
+            let mut completed = vec![done_rx.recv().expect("worker pool hung up early")];
+            while completed.len() < in_flight {
+                let more = if waves { done_rx.recv().ok() } else { done_rx.try_recv().ok() };
+                let Some(done) = more else { break };
+                completed.push(done);
+            }
+            in_flight -= completed.len();
+            if let Some((outer, span)) = round_scope {
+                completed.sort_unstable_by_key(|d| d.slot); // candidate order
+                exec.set_span_scope(outer);
+                drop(span);
+            }
+
+            // A failed query stays pending (no record yet) unless it has
+            // exhausted its retries.
+            let mut finals = Vec::with_capacity(completed.len());
+            for done in completed {
+                match done.record {
+                    Ok(r) if r.failed() => {
+                        let n = failures.entry(done.node).or_insert(0);
+                        *n += 1;
+                        if *n >= policy.give_up_after {
+                            finals.push(r); // permanent failed outcome
+                        } else {
+                            let at = pending.partition_point(|&(i, _)| i < done.slot);
+                            pending.insert(at, (done.slot, done.node));
+                        }
+                    }
+                    Ok(r) => {
+                        failures.remove(&done.node);
+                        finals.push(r);
+                    }
+                    Err(e) => {
+                        first_err.get_or_insert(e);
+                    }
                 }
+            }
+
+            // Every wave is a round; a free-running fold batch is one only
+            // when it finalized something. Rounds are what the cache-epoch
+            // invalidator and the per-round ledger key on.
+            if finals.is_empty() && !waves {
+                continue;
+            }
+            let round = report.rounds.len();
+            report.rounds.push(RoundTrace { executed: finals.len(), gamma1, gamma2 });
+            for r in finals.iter().filter(|r| !r.failed()) {
+                labels.add_pseudo(r.node, r.predicted);
+                snapshot = None;
             }
             exec.sink.emit(&mqo_obs::Event::RoundCompleted {
-                round: round_index as u32,
-                executed: round_records.len() as u64,
+                round: round as u32,
+                executed: finals.len() as u64,
                 gamma1: gamma1 as u64,
                 gamma2: gamma2 as u64,
-                pseudo_label_uses: round_records
-                    .iter()
-                    .map(|r| r.pseudo_neighbors as u64)
-                    .sum(),
+                pseudo_label_uses: finals.iter().map(|r| r.pseudo_neighbors as u64).sum(),
             });
-            // Journal the wave's *final* outcomes (retried failures are not
-            // final), then seal: the seal fsyncs, making the wave durable.
-            for r in &round_records {
+            // Journal the round's *final* outcomes (retried failures are
+            // not final), then seal: the seal fsyncs, making it durable.
+            for r in &finals {
                 exec.journal_record(r);
                 report.fresh_billed_tokens += r.prompt_tokens;
             }
             if let Some(j) = exec.journal {
-                j.seal_round(round_index as u32);
+                j.seal_round(round as u32);
             }
-            let finished: HashSet<NodeId> = round_records.iter().map(|r| r.node).collect();
-            report.outcome.records.extend(round_records);
-            pending.retain(|v| !finished.contains(v));
-        }
-        Ok(report)
-    }
-
-    /// One deterministic wave on the worker pool: candidates execute
-    /// against the frozen label store, results return in candidate order.
-    fn run_wave_pooled(
-        &self,
-        predictor: &dyn Predictor,
-        labels: &LabelStore,
-        candidates: &[NodeId],
-        failures: &HashMap<NodeId, usize>,
-        force_prune: &impl Fn(&HashMap<NodeId, usize>, NodeId) -> bool,
-        width: usize,
-    ) -> Vec<Result<QueryRecord>> {
-        let exec = self.exec;
-        let dispatch = BoundedQueue::new(candidates.len().max(1));
-        for (i, &v) in candidates.iter().enumerate() {
-            let work = Work {
-                items: vec![WorkItem {
-                    slot: i,
-                    node: v,
-                    force_prune: force_prune(failures, v),
-                }],
-                batch: None,
-                labels: None,
-            };
-            dispatch.try_push(work).ok().expect("dispatch queue sized for the wave");
-        }
-        dispatch.close();
-        let (done_tx, done_rx) = mpsc::channel::<Done>();
-        let mut slots: Vec<Option<Result<QueryRecord>>> =
-            candidates.iter().map(|_| None).collect();
-
-        std::thread::scope(|scope| {
-            let dispatch = &dispatch;
-            for worker in 0..width.min(candidates.len()).max(1) {
-                let done_tx = done_tx.clone();
-                scope.spawn(move || {
-                    worker_loop(exec, predictor, Some(labels), dispatch, done_tx, worker as u32)
-                });
-            }
-            drop(done_tx);
-            for _ in 0..candidates.len() {
-                let done = done_rx.recv().expect("wave pool hung up early");
-                slots[done.slot] = Some(done.record);
-            }
-        });
-        slots.into_iter().map(|s| s.expect("every wave slot filled")).collect()
-    }
-
-    /// Free-running cue-gated execution: no wave barrier. Completions
-    /// fold their pseudo-labels the moment they land, readiness is
-    /// re-evaluated over the still-pending set, and newly qualified
-    /// queries dispatch against a fresh label snapshot while earlier
-    /// queries are still in flight. Thresholds relax only when nothing
-    /// is ready *and* nothing is in flight — an in-flight completion may
-    /// yet unlock a pending query at the current (γ1, γ2).
-    #[allow(clippy::too_many_arguments)]
-    fn cue_gated_free(
-        &self,
-        predictor: &dyn Predictor,
-        labels: &mut LabelStore,
-        queries: &[NodeId],
-        prune_set: &(impl Fn(NodeId) -> bool + Sync),
-        config: BoostConfig,
-        policy: DegradePolicy,
-        width: usize,
-    ) -> Result<RunReport> {
-        let exec = self.exec;
-        let mut report = RunReport::default();
-        let mut pending: Vec<NodeId> = queries.to_vec();
-        self.predrain_replays(labels, &mut pending, &mut report);
-
-        let mut gamma1 = config.gamma1;
-        let mut gamma2 = config.gamma2;
-        let k = exec.tag.num_classes();
-        let mut failures: HashMap<NodeId, usize> = HashMap::new();
-        let force_prune = |failures: &HashMap<NodeId, usize>, v: NodeId| {
-            prune_set(v) || failures.get(&v).is_some_and(|&n| n >= policy.fallback_after)
-        };
-
-        // A node is pending, queued/in-flight, or final — never two at
-        // once — so the dispatch queue can never hold more than the
-        // query count even across give-up retries.
-        let dispatch = BoundedQueue::<Work>::new(queries.len().max(1));
-        let (done_tx, done_rx) = mpsc::channel::<Done>();
-        let mut in_flight = 0usize;
-        let mut snapshot = Arc::new(labels.clone());
-        let mut dirty = false;
-        let mut first_err: Option<Error> = None;
-
-        std::thread::scope(|scope| {
-            let dispatch_ref = &dispatch;
-            for worker in 0..width {
-                let done_tx = done_tx.clone();
-                scope.spawn(move || {
-                    worker_loop(exec, predictor, None, dispatch_ref, done_tx, worker as u32)
-                });
-            }
-            drop(done_tx);
-
-            loop {
-                if first_err.is_none() && !pending.is_empty() {
-                    let mut ready = ready_set(
-                        exec,
-                        predictor,
-                        labels,
-                        &pending,
-                        &failures,
-                        &force_prune,
-                        gamma1,
-                        gamma2,
-                    );
-                    while ready.is_empty() && in_flight == 0 {
-                        // Nothing runnable and nothing that could unlock
-                        // more: relax γ1 toward 0, then γ2 toward K.
-                        if gamma1 > 0 {
-                            gamma1 -= 1;
-                        } else if gamma2 < k {
-                            gamma2 += 1;
-                        } else {
-                            ready = pending.clone();
-                            break;
-                        }
-                        ready = ready_set(
-                            exec,
-                            predictor,
-                            labels,
-                            &pending,
-                            &failures,
-                            &force_prune,
-                            gamma1,
-                            gamma2,
-                        );
-                    }
-                    if !ready.is_empty() {
-                        if dirty {
-                            snapshot = Arc::new(labels.clone());
-                            dirty = false;
-                        }
-                        let ready_lookup: HashSet<NodeId> = ready.iter().copied().collect();
-                        pending.retain(|v| !ready_lookup.contains(v));
-                        for v in ready {
-                            let work = Work {
-                                items: vec![WorkItem {
-                                    slot: 0,
-                                    node: v,
-                                    force_prune: force_prune(&failures, v),
-                                }],
-                                batch: None,
-                                labels: Some(snapshot.clone()),
-                            };
-                            in_flight += 1;
-                            dispatch
-                                .try_push(work)
-                                .ok()
-                                .expect("dispatch queue sized for all outstanding work");
-                        }
-                    }
-                }
-                if in_flight == 0 {
-                    break; // drained (or error-aborted with nothing left in flight)
-                }
-
-                // Block for one completion, then opportunistically drain
-                // whatever else has landed: one fold batch.
-                let Ok(first) = done_rx.recv() else { break };
-                let mut fold = vec![first];
-                while let Ok(more) = done_rx.try_recv() {
-                    fold.push(more);
-                }
-                in_flight -= fold.len();
-                let mut executed = 0u64;
-                let mut pseudo_uses = 0u64;
-                for done in fold {
-                    match done.record {
-                        Ok(r) if r.failed() => {
-                            let n = failures.entry(r.node).or_insert(0);
-                            *n += 1;
-                            if *n >= policy.give_up_after {
-                                executed += 1;
-                                pseudo_uses += r.pseudo_neighbors as u64;
-                                exec.journal_record(&r);
-                                report.outcome.records.push(r);
-                            } else {
-                                pending.push(done.node); // retry once re-ready
-                            }
-                        }
-                        Ok(r) => {
-                            failures.remove(&r.node);
-                            executed += 1;
-                            pseudo_uses += r.pseudo_neighbors as u64;
-                            labels.add_pseudo(r.node, r.predicted);
-                            dirty = true;
-                            exec.journal_record(&r);
-                            report.fresh_billed_tokens += r.prompt_tokens;
-                            report.outcome.records.push(r);
-                        }
-                        Err(e) => {
-                            if first_err.is_none() {
-                                first_err = Some(e);
-                            }
-                        }
-                    }
-                }
-                if executed > 0 {
-                    // Each fold batch that produced final records is a
-                    // "round" to downstream consumers: the cache-epoch
-                    // invalidator and the per-round ledger both key on it.
-                    let round_index = report.rounds.len();
-                    report.rounds.push(RoundTrace {
-                        executed: executed as usize,
-                        gamma1,
-                        gamma2,
-                    });
-                    exec.sink.emit(&mqo_obs::Event::RoundCompleted {
-                        round: round_index as u32,
-                        executed,
-                        gamma1: gamma1 as u64,
-                        gamma2: gamma2 as u64,
-                        pseudo_label_uses: pseudo_uses,
-                    });
-                    if let Some(j) = exec.journal {
-                        j.seal_round(round_index as u32);
-                    }
-                }
-            }
-            dispatch.close();
+            report.outcome.records.extend(finals);
         });
 
         match first_err {
@@ -816,60 +644,27 @@ impl<'s, 'e> Scheduler<'s, 'e> {
         }
     }
 
-    /// Crash-safe resume shared by the cue-gated paths: queries the
-    /// journal already holds replay with zero LLM requests, and their
-    /// pseudo-labels fold in up front so the remaining waves see the
-    /// same label knowledge they would have accumulated live (failed
-    /// queries never pseudo-label).
+    /// Crash-safe resume for cue-gated runs: queries the journal already
+    /// holds replay with zero LLM requests, and their pseudo-labels fold
+    /// in up front so the remaining waves see the same label knowledge
+    /// they would have accumulated live (failed queries never
+    /// pseudo-label).
     fn predrain_replays(
         &self,
         labels: &mut LabelStore,
-        pending: &mut Vec<NodeId>,
+        pending: &mut Vec<(usize, NodeId)>,
         report: &mut RunReport,
     ) {
-        let replayed: Vec<_> =
-            pending.iter().filter_map(|&v| self.exec.replay_journaled(v)).collect();
-        if !replayed.is_empty() {
-            let done: HashSet<NodeId> = replayed.iter().map(|r| r.node).collect();
-            pending.retain(|v| !done.contains(v));
-            for r in &replayed {
-                if !r.failed() {
-                    labels.add_pseudo(r.node, r.predicted);
-                }
+        pending.retain(|&(_, v)| {
+            let Some(r) = self.exec.replay_journaled(v) else { return true };
+            if !r.failed() {
+                labels.add_pseudo(r.node, r.predicted);
             }
-            report.replayed = replayed.len() as u64;
-            report.outcome.records.extend(replayed);
-        }
+            report.replayed += 1;
+            report.outcome.records.push(r);
+            false
+        });
     }
-}
-
-/// The γ₁/γ₂ readiness pass for free-running dispatch: pending queries
-/// that qualify right now, in stable input order.
-#[allow(clippy::too_many_arguments)]
-fn ready_set(
-    exec: &Executor<'_>,
-    predictor: &dyn Predictor,
-    labels: &LabelStore,
-    pending: &[NodeId],
-    failures: &HashMap<NodeId, usize>,
-    force_prune: &impl Fn(&HashMap<NodeId, usize>, NodeId) -> bool,
-    gamma1: usize,
-    gamma2: usize,
-) -> Vec<NodeId> {
-    let ctx = SelectCtx { tag: exec.tag, labels, max_neighbors: exec.max_neighbors };
-    let mut ready = Vec::new();
-    for &v in pending {
-        if force_prune(failures, v) {
-            ready.push(v);
-            continue;
-        }
-        let mut rng = exec.query_rng(v);
-        let (n_l, lc) = label_support(predictor, &ctx, v, &mut rng);
-        if n_l >= gamma1 && lc <= gamma2 {
-            ready.push(v);
-        }
-    }
-    ready
 }
 
 /// The worker side of the pool: pull work from the dispatch queue, run
@@ -954,18 +749,28 @@ fn worker_loop(
     });
 }
 
+/// Render a caught panic payload to text (panics carry `&str` or `String`
+/// in practice; anything else gets a placeholder).
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::boosting::{
-        run_with_boosting_policy, run_with_boosting_policy_legacy, RoundTrace,
-    };
-    use crate::parallel::{legacy, run_all_batched, run_all_parallel};
+    use crate::predictor::test_fixtures::two_cliques;
     use crate::predictor::KhopRandom;
     use crate::pruning::PrunePlan;
+    use mqo_data::{dataset, DatasetId};
     use mqo_fault::{FaultConfig, FaultSchedule, FaultyLlm};
-    use mqo_graph::{ClassId, GraphBuilder, NodeText, Tag};
-    use mqo_llm::{Completion, LanguageModel};
+    use mqo_graph::{ClassId, GraphBuilder, LabeledSplit, NodeText, SplitConfig, Tag};
+    use mqo_llm::{Completion, LanguageModel, ModelProfile, SimLlm};
     use mqo_obs::{CostLedger, ManualClock, WaitClock};
     use mqo_token::{Tokenizer, Usage, UsageMeter};
     use proptest::prelude::*;
@@ -973,6 +778,373 @@ mod tests {
     use rand::Rng;
     use rand::SeedableRng;
     use std::sync::Arc;
+
+    /// The pre-scheduler orchestration paths, kept verbatim as the
+    /// reference implementations the equivalence proptests compare the
+    /// scheduler against.
+    mod legacy {
+        use super::super::panic_message;
+        use crate::boosting::{label_support, BoostConfig, DegradePolicy, RoundTrace};
+        use crate::error::{Error, Result};
+        use crate::executor::{ExecOutcome, Executor, QueryRecord};
+        use crate::labels::LabelStore;
+        use crate::predictor::{Predictor, SelectCtx};
+        use crate::pruning::PrunePlan;
+        use mqo_graph::NodeId;
+        use parking_lot::Mutex;
+        use std::collections::{HashMap, HashSet};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        pub(super) fn run_all_parallel(
+            exec: &Executor<'_>,
+            predictor: &dyn Predictor,
+            labels: &LabelStore,
+            queries: &[NodeId],
+            prune_set: impl Fn(NodeId) -> bool + Sync,
+            threads: usize,
+        ) -> Result<ExecOutcome> {
+            assert!(threads >= 1, "need at least one worker");
+            if exec.budget.is_some() {
+                return Err(Error::Config {
+                    detail: "hard budgets require sequential execution".into(),
+                });
+            }
+            let slots: Vec<Mutex<Option<Result<QueryRecord>>>> =
+                queries.iter().map(|_| Mutex::new(None)).collect();
+            for (i, &v) in queries.iter().enumerate() {
+                if let Some(rec) = exec.replay_journaled(v) {
+                    *slots[i].lock() = Some(Ok(rec));
+                }
+            }
+            let next = std::sync::atomic::AtomicUsize::new(0);
+
+            std::thread::scope(|scope| {
+                let (next, slots, prune_set) = (&next, &slots, &prune_set);
+                for worker in 0..threads {
+                    scope.spawn(move || {
+                        mqo_obs::set_thread_track(worker as u32 + 1);
+                        let started = exec.clock.now_micros();
+                        let mut handled = 0u64;
+                        loop {
+                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            if i >= queries.len() {
+                                break;
+                            }
+                            if slots[i].lock().is_some() {
+                                continue; // replayed from the journal
+                            }
+                            let v = queries[i];
+                            let record = catch_unwind(AssertUnwindSafe(|| {
+                                let mut rng = exec.query_rng(v);
+                                exec.run_one(predictor, labels, v, &mut rng, prune_set(v))
+                            }))
+                            .unwrap_or_else(|payload| {
+                                let detail = panic_message(payload);
+                                exec.sink.emit(&mqo_obs::Event::WorkerLost {
+                                    worker: worker as u32,
+                                    node: v.0,
+                                    detail: detail.clone(),
+                                });
+                                Ok(exec.failed_record(v, format!("worker panicked: {detail}")))
+                            });
+                            if let Ok(rec) = &record {
+                                exec.journal_record(rec);
+                            }
+                            handled += 1;
+                            *slots[i].lock() = Some(record);
+                        }
+                        exec.sink.emit(&mqo_obs::Event::WorkerThroughput {
+                            worker: worker as u32,
+                            queries: handled,
+                            wall_micros: exec.clock.now_micros().saturating_sub(started),
+                        });
+                    });
+                }
+            });
+
+            let mut out = ExecOutcome::default();
+            for slot in slots {
+                let record = slot.into_inner().expect("every slot filled")?;
+                out.records.push(record);
+            }
+            Ok(out)
+        }
+
+        pub(super) fn run_all_batched(
+            exec: &Executor<'_>,
+            predictor: &dyn Predictor,
+            labels: &LabelStore,
+            queries: &[NodeId],
+            prune_set: impl Fn(NodeId) -> bool + Sync,
+            threads: usize,
+            batch_size: usize,
+        ) -> Result<ExecOutcome> {
+            assert!(threads >= 1, "need at least one worker");
+            assert!(batch_size >= 1, "need a positive batch size");
+            if exec.budget.is_some() {
+                return Err(Error::Config {
+                    detail: "hard budgets require sequential execution".into(),
+                });
+            }
+
+            let prompts: Vec<String> = queries
+                .iter()
+                .map(|&v| {
+                    catch_unwind(AssertUnwindSafe(|| {
+                        let mut rng = exec.query_rng(v);
+                        exec.render_for_estimate(predictor, labels, v, &mut rng, prune_set(v))
+                    }))
+                    .unwrap_or_default()
+                })
+                .collect();
+
+            let mut order: Vec<usize> = (0..queries.len()).collect();
+            order.sort_by(|&a, &b| prompts[a].cmp(&prompts[b]).then(a.cmp(&b)));
+            let batches: Vec<&[usize]> = order.chunks(batch_size).collect();
+
+            let slots: Vec<Mutex<Option<Result<QueryRecord>>>> =
+                queries.iter().map(|_| Mutex::new(None)).collect();
+            for (i, &v) in queries.iter().enumerate() {
+                if let Some(rec) = exec.replay_journaled(v) {
+                    *slots[i].lock() = Some(Ok(rec));
+                }
+            }
+            let next_batch = std::sync::atomic::AtomicUsize::new(0);
+
+            std::thread::scope(|scope| {
+                let (next_batch, slots, prompts, batches, prune_set) =
+                    (&next_batch, &slots, &prompts, &batches, &prune_set);
+                for worker in 0..threads {
+                    scope.spawn(move || {
+                        mqo_obs::set_thread_track(worker as u32 + 1);
+                        let started = exec.clock.now_micros();
+                        let mut handled = 0u64;
+                        loop {
+                            let b =
+                                next_batch.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            if b >= batches.len() {
+                                break;
+                            }
+                            let batch = batches[b];
+                            let batch_span = exec.tracer.span(
+                                exec.sink,
+                                "batch",
+                                || format!("batch {b} ({} queries)", batch.len()),
+                                exec.tracer.current_or(exec.span_scope()),
+                            );
+                            let shared: u64 = batch
+                                .windows(2)
+                                .map(|w| {
+                                    mqo_cache::common_prefix_tokens(
+                                        &prompts[w[0]],
+                                        &prompts[w[1]],
+                                    ) as u64
+                                })
+                                .sum();
+                            exec.sink.emit(&mqo_obs::Event::BatchDispatched {
+                                batch: b as u32,
+                                queries: batch.len() as u64,
+                                shared_prefix_tokens: shared,
+                            });
+                            for &i in batch {
+                                if slots[i].lock().is_some() {
+                                    continue; // replayed from the journal
+                                }
+                                let v = queries[i];
+                                let record = catch_unwind(AssertUnwindSafe(|| {
+                                    let mut rng = exec.query_rng(v);
+                                    exec.run_one(predictor, labels, v, &mut rng, prune_set(v))
+                                }))
+                                .unwrap_or_else(|payload| {
+                                    let detail = panic_message(payload);
+                                    exec.sink.emit(&mqo_obs::Event::WorkerLost {
+                                        worker: worker as u32,
+                                        node: v.0,
+                                        detail: detail.clone(),
+                                    });
+                                    Ok(exec
+                                        .failed_record(v, format!("worker panicked: {detail}")))
+                                });
+                                if let Ok(rec) = &record {
+                                    exec.journal_record(rec);
+                                }
+                                handled += 1;
+                                *slots[i].lock() = Some(record);
+                            }
+                            drop(batch_span);
+                        }
+                        exec.sink.emit(&mqo_obs::Event::WorkerThroughput {
+                            worker: worker as u32,
+                            queries: handled,
+                            wall_micros: exec.clock.now_micros().saturating_sub(started),
+                        });
+                    });
+                }
+            });
+
+            let mut out = ExecOutcome::default();
+            for slot in slots {
+                let record = slot.into_inner().expect("every slot filled")?;
+                out.records.push(record);
+            }
+            Ok(out)
+        }
+
+        /// The pre-scheduler boosting round loop.
+        #[allow(clippy::too_many_arguments)]
+        pub(super) fn run_with_boosting_policy(
+            exec: &Executor<'_>,
+            predictor: &dyn Predictor,
+            labels: &mut LabelStore,
+            queries: &[NodeId],
+            config: BoostConfig,
+            plan: &PrunePlan,
+            policy: DegradePolicy,
+        ) -> Result<(ExecOutcome, Vec<RoundTrace>)> {
+            assert!(policy.give_up_after >= 1, "give_up_after must be positive");
+            let mut pending: Vec<NodeId> = queries.to_vec();
+            let mut out = ExecOutcome::default();
+
+            // Crash-safe resume: queries the journal already holds replay
+            // with zero LLM requests. Their pseudo-labels are folded in up
+            // front so the remaining rounds see the same label knowledge
+            // they would have accumulated live (failed queries never
+            // pseudo-label).
+            let replayed: Vec<_> =
+                pending.iter().filter_map(|&v| exec.replay_journaled(v)).collect();
+            if !replayed.is_empty() {
+                let done: HashSet<NodeId> = replayed.iter().map(|r| r.node).collect();
+                pending.retain(|v| !done.contains(v));
+                for r in &replayed {
+                    if !r.failed() {
+                        labels.add_pseudo(r.node, r.predicted);
+                    }
+                }
+                out.records.extend(replayed);
+            }
+
+            let mut traces = Vec::new();
+            let mut gamma1 = config.gamma1;
+            let mut gamma2 = config.gamma2;
+            let k = exec.tag.num_classes();
+            // Consecutive failures per node, for the fallback/give-up
+            // escalation.
+            let mut failures: HashMap<NodeId, usize> = HashMap::new();
+            let force_prune = |failures: &HashMap<NodeId, usize>, v: NodeId| {
+                plan.is_pruned(v)
+                    || failures.get(&v).is_some_and(|&n| n >= policy.fallback_after)
+            };
+
+            while !pending.is_empty() {
+                // Step 1: candidate selection with incremental relaxation.
+                let candidates: Vec<NodeId> = loop {
+                    let ctx =
+                        SelectCtx { tag: exec.tag, labels, max_neighbors: exec.max_neighbors };
+                    let mut c = Vec::new();
+                    for &v in &pending {
+                        if force_prune(&failures, v) {
+                            // Pruned (or failure-downgraded) queries can't
+                            // be enriched; run them now.
+                            c.push(v);
+                            continue;
+                        }
+                        // Per-node rng: N_i only changes when label
+                        // knowledge does.
+                        let mut rng = exec.query_rng(v);
+                        let (n_l, lc) = label_support(predictor, &ctx, v, &mut rng);
+                        if n_l >= gamma1 && lc <= gamma2 {
+                            c.push(v);
+                        }
+                    }
+                    if !c.is_empty() {
+                        break c;
+                    }
+                    // Relax: γ1 down to zero first, then γ2 up to K (at
+                    // (0, K) every query qualifies, so this terminates).
+                    if gamma1 > 0 {
+                        gamma1 -= 1;
+                    } else if gamma2 < k {
+                        gamma2 += 1;
+                    } else {
+                        break pending.clone();
+                    }
+                };
+
+                // Scope query spans under this round's span (restored
+                // after the round so a trailing caller-side scope
+                // survives).
+                let round_index = traces.len();
+                let round_span = exec.tracer.span(
+                    exec.sink,
+                    "round",
+                    || format!("round {round_index}"),
+                    exec.tracer.current_or(exec.span_scope()),
+                );
+                let outer_scope = exec.span_scope();
+                exec.set_span_scope(round_span.id());
+
+                // Steps 2–3: execute candidates, then fold their
+                // pseudo-labels in. Labels are frozen during the round (all
+                // candidates see the same knowledge state, as in Algorithm
+                // 2). A failed candidate stays pending (no record yet)
+                // unless it has exhausted its retries.
+                let mut round_records = Vec::with_capacity(candidates.len());
+                for &v in &candidates {
+                    let mut rng = exec.query_rng(v);
+                    let record =
+                        exec.run_one(predictor, labels, v, &mut rng, force_prune(&failures, v));
+                    match record {
+                        Ok(r) if r.failed() => {
+                            let n = failures.entry(v).or_insert(0);
+                            *n += 1;
+                            if *n >= policy.give_up_after {
+                                round_records.push(r); // permanent failed outcome
+                            }
+                        }
+                        Ok(r) => {
+                            failures.remove(&v);
+                            round_records.push(r);
+                        }
+                        Err(e) => {
+                            exec.set_span_scope(outer_scope);
+                            return Err(e);
+                        }
+                    }
+                }
+                exec.set_span_scope(outer_scope);
+                drop(round_span);
+                traces.push(RoundTrace { executed: round_records.len(), gamma1, gamma2 });
+                for r in &round_records {
+                    if !r.failed() {
+                        labels.add_pseudo(r.node, r.predicted);
+                    }
+                }
+                exec.sink.emit(&mqo_obs::Event::RoundCompleted {
+                    round: round_index as u32,
+                    executed: round_records.len() as u64,
+                    gamma1: gamma1 as u64,
+                    gamma2: gamma2 as u64,
+                    pseudo_label_uses: round_records
+                        .iter()
+                        .map(|r| r.pseudo_neighbors as u64)
+                        .sum(),
+                });
+                // Journal the round's *final* outcomes (retried failures
+                // are not final), then seal: the seal fsyncs, making the
+                // round durable.
+                for r in &round_records {
+                    exec.journal_record(r);
+                }
+                if let Some(j) = exec.journal {
+                    j.seal_round(round_index as u32);
+                }
+                let finished: HashSet<NodeId> = round_records.iter().map(|r| r.node).collect();
+                out.records.extend(round_records);
+                pending.retain(|v| !finished.contains(v));
+            }
+            Ok((out, traces))
+        }
+    }
 
     /// An order-insensitive test model: the answer is a pure function of
     /// the prompt (hash → class), so records cannot depend on the order
@@ -1051,6 +1223,42 @@ mod tests {
 
     fn trace_fields(traces: &[RoundTrace]) -> Vec<(usize, usize, usize)> {
         traces.iter().map(|t| (t.executed, t.gamma1, t.gamma2)).collect()
+    }
+
+    /// Run a fixed-label policy and keep only the records.
+    fn fixed(
+        exec: &Executor<'_>,
+        predictor: &dyn Predictor,
+        labels: &LabelStore,
+        queries: &[NodeId],
+        prune_set: impl Fn(NodeId) -> bool + Sync,
+        policy: SchedulePolicy,
+    ) -> Result<ExecOutcome> {
+        Scheduler::new(exec, policy)
+            .run(predictor, Labels::Fixed(labels), queries, prune_set)
+            .map(|report| report.outcome)
+    }
+
+    /// A seeded Cora slice: the bundle, a per-class split and a SimLLM.
+    fn cora(
+        scale: f64,
+        data_seed: u64,
+        queries: usize,
+        split_seed: u64,
+    ) -> (mqo_data::DatasetBundle, LabeledSplit, SimLlm) {
+        let bundle = dataset(DatasetId::Cora, Some(scale), data_seed);
+        let split = LabeledSplit::generate(
+            &bundle.tag,
+            SplitConfig::PerClass { per_class: 20, num_queries: queries },
+            &mut StdRng::seed_from_u64(split_seed),
+        )
+        .unwrap();
+        let llm = SimLlm::new(
+            bundle.lexicon.clone(),
+            bundle.tag.class_names().to_vec(),
+            ModelProfile::gpt35(),
+        );
+        (bundle, split, llm)
     }
 
     proptest! {
@@ -1149,15 +1357,20 @@ mod tests {
                 &exec, &predictor, &labels, &queries, |_| false, threads,
             )
             .unwrap();
-            let par = run_all_parallel(&exec, &predictor, &labels, &queries, |_| false, threads)
-                .unwrap();
+            let par = fixed(
+                &exec, &predictor, &labels, &queries, |_| false,
+                SchedulePolicy::Parallel { threads },
+            )
+            .unwrap();
             let bat_legacy = legacy::run_all_batched(
                 &exec, &predictor, &labels, &queries, |_| false, threads, batch,
             )
             .unwrap();
-            let bat =
-                run_all_batched(&exec, &predictor, &labels, &queries, |_| false, threads, batch)
-                    .unwrap();
+            let bat = fixed(
+                &exec, &predictor, &labels, &queries, |_| false,
+                SchedulePolicy::Batched { threads, batch_size: batch },
+            )
+            .unwrap();
 
             prop_assert_eq!(&seq.records, &par_legacy.records);
             prop_assert_eq!(&seq.records, &par.records);
@@ -1184,7 +1397,7 @@ mod tests {
             let llm_a = HashLlm::new(tag.class_names().to_vec());
             let exec_a = Executor::new(&tag, &llm_a, 3, seed);
             let mut labels_a = labels.clone();
-            let (out_a, traces_a) = run_with_boosting_policy_legacy(
+            let (out_a, traces_a) = legacy::run_with_boosting_policy(
                 &exec_a, &predictor, &mut labels_a, &queries, config, &plan,
                 DegradePolicy::default(),
             )
@@ -1193,14 +1406,20 @@ mod tests {
             let llm_b = HashLlm::new(tag.class_names().to_vec());
             let exec_b = Executor::new(&tag, &llm_b, 3, seed);
             let mut labels_b = labels.clone();
-            let (out_b, traces_b) = run_with_boosting_policy(
-                &exec_b, &predictor, &mut labels_b, &queries, config, &plan,
-                DegradePolicy::default(),
+            let report = Scheduler::new(
+                &exec_b,
+                SchedulePolicy::CueGated {
+                    config,
+                    policy: DegradePolicy::default(),
+                    threads: 1,
+                    deterministic: true,
+                },
             )
+            .run(&predictor, Labels::Boosting(&mut labels_b), &queries, |v| plan.is_pruned(v))
             .unwrap();
 
-            prop_assert_eq!(&out_a.records, &out_b.records);
-            prop_assert_eq!(trace_fields(&traces_a), trace_fields(&traces_b));
+            prop_assert_eq!(&out_a.records, &report.outcome.records);
+            prop_assert_eq!(trace_fields(&traces_a), trace_fields(&report.rounds));
             prop_assert_eq!(llm_a.meter().totals(), llm_b.meter().totals());
         }
 
@@ -1338,5 +1557,361 @@ mod tests {
         .unwrap();
         assert_eq!(report.outcome.records.len(), queries.len());
         assert!(llm.meter().totals().prompt_tokens <= 200, "budget overshot");
+    }
+
+    /// One pool per run: a deterministic run that needs several waves
+    /// reports one throughput event per worker, not one per worker per
+    /// wave.
+    #[test]
+    fn one_pool_serves_every_wave() {
+        let tag = two_cliques();
+        let llm = HashLlm::new(tag.class_names().to_vec());
+        let sink = mqo_obs::Recorder::new();
+        // Room for every neighbor, so readiness sees the whole clique.
+        let exec = Executor::new(&tag, &llm, 6, 0).with_sink(&sink);
+        let mut labels = LabelStore::empty(tag.num_nodes());
+        for v in [1u32, 2, 3] {
+            labels.add_pseudo(NodeId(v), ClassId(0));
+        }
+        // Clique A's queries see three labeled neighbors and qualify at
+        // once; clique B's see none and wait for relaxation.
+        let qs: Vec<NodeId> = [0u32, 4, 5, 7, 8, 9, 10, 11].map(NodeId).to_vec();
+        let report = Scheduler::new(
+            &exec,
+            SchedulePolicy::CueGated {
+                config: BoostConfig { gamma1: 3, gamma2: 1 },
+                policy: DegradePolicy::default(),
+                threads: 3,
+                deterministic: true,
+            },
+        )
+        .run(&KhopRandom::new(1, tag.num_nodes()), Labels::Boosting(&mut labels), &qs, |_| {
+            false
+        })
+        .unwrap();
+        assert!(report.rounds.len() >= 2, "rounds: {:?}", trace_fields(&report.rounds));
+        assert!(report.rounds[0].executed >= 3, "rounds: {:?}", trace_fields(&report.rounds));
+        let reports = sink.of_kind("worker_throughput");
+        assert_eq!(reports.len(), 3, "one report per worker for the whole run");
+        let handled: u64 = reports
+            .iter()
+            .map(|e| match e {
+                mqo_obs::Event::WorkerThroughput { queries, .. } => *queries,
+                other => panic!("unexpected event {other:?}"),
+            })
+            .sum();
+        assert_eq!(handled, qs.len() as u64);
+    }
+
+    /// Online arrivals: queries arrive in windows of `window`, and each
+    /// window runs free-running on one label store that evolves across
+    /// windows. Returns every answered record, the final label store and
+    /// the arrivals in order.
+    fn run_arrival_windows(window: usize) -> (Vec<QueryRecord>, LabelStore, Vec<NodeId>) {
+        let (bundle, split, llm) = cora(0.4, 41, 200, 2);
+        let exec = Executor::new(&bundle.tag, &llm, 4, 3);
+        let predictor = KhopRandom::new(2, bundle.tag.num_nodes());
+        let mut labels = LabelStore::from_split(&bundle.tag, &split);
+        let scheduler = Scheduler::new(
+            &exec,
+            SchedulePolicy::CueGated {
+                config: BoostConfig::default(),
+                policy: DegradePolicy::default(),
+                threads: 2,
+                deterministic: false,
+            },
+        );
+        let mut answered = Vec::new();
+        for chunk in split.queries().chunks(window) {
+            let report = scheduler
+                .run(&predictor, Labels::Boosting(&mut labels), chunk, |_| false)
+                .unwrap();
+            answered.extend(report.outcome.records);
+        }
+        (answered, labels, split.queries().to_vec())
+    }
+
+    /// Every arrival is answered exactly once across windows.
+    #[test]
+    fn every_arrival_is_answered_exactly_once() {
+        let (answered, _, queries) = run_arrival_windows(32);
+        let mut nodes: Vec<u32> = answered.iter().map(|r| r.node.0).collect();
+        nodes.sort_unstable();
+        let mut expected: Vec<u32> = queries.iter().map(|v| v.0).collect();
+        expected.sort_unstable();
+        assert_eq!(nodes, expected);
+    }
+
+    /// Pseudo-labels from earlier arrivals reach later prompts, and every
+    /// arrival leaves a pseudo-label behind.
+    #[test]
+    fn online_boosting_accumulates_pseudo_labels_that_reach_prompts() {
+        let (answered, labels, _) = run_arrival_windows(64);
+        let pseudo_uses: usize = answered.iter().map(|r| r.pseudo_neighbors).sum();
+        assert!(pseudo_uses > 0, "online boosting never used a pseudo-label");
+        assert_eq!(labels.num_pseudo(), 200);
+    }
+
+    #[test]
+    fn parallel_matches_sequential_bit_for_bit() {
+        let (bundle, split, llm) = cora(0.3, 31, 150, 1);
+        let tag = &bundle.tag;
+        let exec = Executor::new(tag, &llm, 4, 5);
+        let labels = LabelStore::from_split(tag, &split);
+        let predictor = KhopRandom::new(1, tag.num_nodes());
+
+        let seq = exec.run_all(&predictor, &labels, split.queries(), |_| false).unwrap();
+        let par = fixed(
+            &exec,
+            &predictor,
+            &labels,
+            split.queries(),
+            |_| false,
+            SchedulePolicy::Parallel { threads: 4 },
+        )
+        .unwrap();
+        assert_eq!(seq.records, par.records, "parallel execution changed results");
+        // Meter totals also agree (both runs doubled the counts).
+        assert_eq!(llm.meter().totals().requests as usize, 2 * split.queries().len());
+    }
+
+    #[test]
+    fn parallel_respects_prune_set() {
+        let tag = two_cliques();
+        let llm = mqo_llm::ScriptedLlm::new(vec!["Category: ['Alpha']"; 12]);
+        let exec = Executor::new(&tag, &llm, 4, 0);
+        let labels = LabelStore::empty(tag.num_nodes());
+        let p = KhopRandom::new(1, tag.num_nodes());
+        let qs: Vec<NodeId> = (0..6).map(NodeId).collect();
+        let out = fixed(
+            &exec,
+            &p,
+            &labels,
+            &qs,
+            |v| v.0 % 2 == 0,
+            SchedulePolicy::Parallel { threads: 3 },
+        )
+        .unwrap();
+        for r in &out.records {
+            assert_eq!(r.pruned, r.node.0 % 2 == 0 || r.neighbors_included == 0);
+        }
+    }
+
+    #[test]
+    fn hard_budget_is_rejected() {
+        let tag = two_cliques();
+        let llm = mqo_llm::ScriptedLlm::new(vec!["Category: ['Alpha']"; 2]);
+        let exec = Executor::new(&tag, &llm, 4, 0).with_budget(100);
+        let labels = LabelStore::empty(tag.num_nodes());
+        let p = KhopRandom::new(1, tag.num_nodes());
+        let err = fixed(
+            &exec,
+            &p,
+            &labels,
+            &[NodeId(0)],
+            |_| false,
+            SchedulePolicy::Parallel { threads: 2 },
+        );
+        assert!(matches!(err, Err(Error::Config { .. })));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one worker")]
+    fn zero_threads_rejected() {
+        let tag = two_cliques();
+        let llm = mqo_llm::ScriptedLlm::new(vec!["x"]);
+        let exec = Executor::new(&tag, &llm, 4, 0);
+        let labels = LabelStore::empty(tag.num_nodes());
+        let p = KhopRandom::new(1, tag.num_nodes());
+        let _ =
+            fixed(&exec, &p, &labels, &[], |_| false, SchedulePolicy::Parallel { threads: 0 });
+    }
+
+    #[test]
+    fn each_worker_reports_throughput() {
+        let tag = two_cliques();
+        let llm = mqo_llm::ScriptedLlm::new(vec!["Category: ['Alpha']"; 12]);
+        let sink = mqo_obs::Recorder::new();
+        let exec = Executor::new(&tag, &llm, 4, 0).with_sink(&sink);
+        let labels = LabelStore::empty(tag.num_nodes());
+        let p = KhopRandom::new(1, tag.num_nodes());
+        let qs: Vec<NodeId> = (0..6).map(NodeId).collect();
+        fixed(&exec, &p, &labels, &qs, |_| false, SchedulePolicy::Parallel { threads: 3 })
+            .unwrap();
+        let reports = sink.of_kind("worker_throughput");
+        assert_eq!(reports.len(), 3, "one report per worker");
+        let total: u64 = reports
+            .iter()
+            .map(|e| match e {
+                mqo_obs::Event::WorkerThroughput { queries, .. } => *queries,
+                other => panic!("unexpected event {other:?}"),
+            })
+            .sum();
+        assert_eq!(total, 6, "workers collectively handled every query");
+    }
+
+    #[test]
+    fn batched_matches_sequential_bit_for_bit() {
+        let (bundle, split, llm) = cora(0.3, 31, 120, 2);
+        let tag = &bundle.tag;
+        let exec = Executor::new(tag, &llm, 4, 5);
+        let labels = LabelStore::from_split(tag, &split);
+        let predictor = KhopRandom::new(1, tag.num_nodes());
+
+        let seq = exec.run_all(&predictor, &labels, split.queries(), |_| false).unwrap();
+        let bat = fixed(
+            &exec,
+            &predictor,
+            &labels,
+            split.queries(),
+            |_| false,
+            SchedulePolicy::Batched { threads: 4, batch_size: 16 },
+        )
+        .unwrap();
+        assert_eq!(seq.records, bat.records, "batched execution changed results");
+    }
+
+    #[test]
+    fn batches_are_dispatched_and_cover_every_query() {
+        let tag = two_cliques();
+        let llm = mqo_llm::ScriptedLlm::new(vec!["Category: ['Alpha']"; 12]);
+        let sink = mqo_obs::Recorder::new();
+        let exec = Executor::new(&tag, &llm, 4, 0).with_sink(&sink);
+        let labels = LabelStore::empty(tag.num_nodes());
+        let p = KhopRandom::new(1, tag.num_nodes());
+        let qs: Vec<NodeId> = (0..6).map(NodeId).collect();
+        fixed(
+            &exec,
+            &p,
+            &labels,
+            &qs,
+            |_| false,
+            SchedulePolicy::Batched { threads: 2, batch_size: 4 },
+        )
+        .unwrap();
+        let dispatched = sink.of_kind("batch_dispatched");
+        assert_eq!(dispatched.len(), 2, "6 queries at batch size 4 → 2 batches");
+        let covered: u64 = dispatched
+            .iter()
+            .map(|e| match e {
+                mqo_obs::Event::BatchDispatched { queries, .. } => *queries,
+                other => panic!("unexpected event {other:?}"),
+            })
+            .sum();
+        assert_eq!(covered, 6, "batches collectively cover every query");
+    }
+
+    #[test]
+    fn batched_rejects_hard_budget() {
+        let tag = two_cliques();
+        let llm = mqo_llm::ScriptedLlm::new(vec!["Category: ['Alpha']"; 2]);
+        let exec = Executor::new(&tag, &llm, 4, 0).with_budget(100);
+        let labels = LabelStore::empty(tag.num_nodes());
+        let p = KhopRandom::new(1, tag.num_nodes());
+        let err = fixed(
+            &exec,
+            &p,
+            &labels,
+            &[NodeId(0)],
+            |_| false,
+            SchedulePolicy::Batched { threads: 2, batch_size: 4 },
+        );
+        assert!(matches!(err, Err(Error::Config { .. })));
+    }
+
+    #[test]
+    #[should_panic(expected = "positive batch size")]
+    fn zero_batch_size_rejected() {
+        let tag = two_cliques();
+        let llm = mqo_llm::ScriptedLlm::new(vec!["x"]);
+        let exec = Executor::new(&tag, &llm, 4, 0);
+        let labels = LabelStore::empty(tag.num_nodes());
+        let p = KhopRandom::new(1, tag.num_nodes());
+        let _ = fixed(
+            &exec,
+            &p,
+            &labels,
+            &[],
+            |_| false,
+            SchedulePolicy::Batched { threads: 1, batch_size: 0 },
+        );
+    }
+
+    /// A predictor that panics on a specific node — exercises panic
+    /// containment in the worker loop.
+    struct PanicOn(NodeId);
+
+    impl Predictor for PanicOn {
+        fn name(&self) -> &str {
+            "panic-on"
+        }
+        fn select_neighbors(
+            &self,
+            _ctx: &SelectCtx<'_>,
+            v: NodeId,
+            _rng: &mut StdRng,
+        ) -> Vec<NodeId> {
+            if v == self.0 {
+                panic!("deliberate test panic for node {}", v.0);
+            }
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn worker_panic_yields_failed_record_not_lost_run() {
+        let tag = two_cliques();
+        let llm = mqo_llm::ScriptedLlm::new(vec!["Category: ['Alpha']"; 6]);
+        let sink = mqo_obs::Recorder::new();
+        let exec = Executor::new(&tag, &llm, 4, 0).with_sink(&sink);
+        let labels = LabelStore::empty(tag.num_nodes());
+        let p = PanicOn(NodeId(2));
+        let qs: Vec<NodeId> = (0..4).map(NodeId).collect();
+        let out =
+            fixed(&exec, &p, &labels, &qs, |_| false, SchedulePolicy::Parallel { threads: 2 })
+                .unwrap();
+        assert_eq!(out.records.len(), 4, "no completed query was lost");
+        assert_eq!(out.failed(), 1);
+        let failed = out.records.iter().find(|r| r.node == NodeId(2)).unwrap();
+        assert!(failed.failed());
+        assert!(
+            failed.failure.as_deref().unwrap().contains("deliberate test panic"),
+            "got: {:?}",
+            failed.failure
+        );
+        assert!(!failed.correct);
+        // The survivors completed normally.
+        assert!(out.records.iter().filter(|r| r.node != NodeId(2)).all(|r| !r.failed()));
+        // Containment is observable.
+        match &sink.of_kind("worker_lost")[..] {
+            [mqo_obs::Event::WorkerLost { node, detail, .. }] => {
+                assert_eq!(*node, 2);
+                assert!(detail.contains("deliberate test panic"));
+            }
+            other => panic!("expected one WorkerLost, got {other:?}"),
+        }
+        assert_eq!(sink.of_kind("query_failed").len(), 1);
+    }
+
+    #[test]
+    fn batched_worker_panic_is_contained_too() {
+        let tag = two_cliques();
+        let llm = mqo_llm::ScriptedLlm::new(vec!["Category: ['Alpha']"; 6]);
+        let exec = Executor::new(&tag, &llm, 4, 0);
+        let labels = LabelStore::empty(tag.num_nodes());
+        let p = PanicOn(NodeId(1));
+        let qs: Vec<NodeId> = (0..4).map(NodeId).collect();
+        let out = fixed(
+            &exec,
+            &p,
+            &labels,
+            &qs,
+            |_| false,
+            SchedulePolicy::Batched { threads: 2, batch_size: 2 },
+        )
+        .unwrap();
+        assert_eq!(out.records.len(), 4);
+        assert_eq!(out.failed(), 1);
+        assert!(out.records.iter().find(|r| r.node == NodeId(1)).unwrap().failed());
     }
 }

@@ -23,7 +23,8 @@ pub enum Event {
         /// Wall-clock time for the query, in microseconds.
         wall_micros: u64,
     },
-    /// One worker thread of `run_all_parallel` drained its share.
+    /// One worker of a scheduler pool drained its share (one per worker
+    /// per run).
     WorkerThroughput {
         /// Worker index (0-based).
         worker: u32,

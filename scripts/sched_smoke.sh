@@ -6,7 +6,9 @@
 #      policy twice under --deterministic (width 4, cache off so the
 #      model sees every call) must dump byte-identical record files.
 #      Any scheduler change that lets pool width, lock timing, or
-#      completion order leak into results fails this diff.
+#      completion order leak into results fails this diff. The same
+#      seed at width 1 (a pool of one) must dump the same bytes as
+#      width 4: the pool width is unobservable in wave mode.
 #   2. Invariants under reordering — a traced deterministic wave run AND
 #      a traced free-running run (out-of-order completions folding
 #      pseudo-labels mid-flight) both go through obs_check: span nesting
@@ -34,6 +36,16 @@ if ! cmp "$OUT/records_a.jsonl" "$OUT/records_b.jsonl"; then
   exit 1
 fi
 echo "record dumps byte-identical ($(wc -l < "$OUT/records_a.jsonl") records)"
+
+echo "==> width invariance: the same seeded run at width 1 and width 4"
+./target/release/mqo classify cora \
+  --queries 120 --boost --deterministic --threads 1 --seed 42 --no-cache \
+  --dump-records "$OUT/records_w1.jsonl" > "$OUT/run_w1.log"
+if ! cmp "$OUT/records_w1.jsonl" "$OUT/records_a.jsonl"; then
+  echo "sched_smoke: FAIL — width-1 and width-4 record dumps differ byte-wise" >&2
+  exit 1
+fi
+echo "width-1 and width-4 dumps byte-identical"
 
 echo "==> invariants: traced deterministic wave run"
 ./target/release/mqo classify cora \

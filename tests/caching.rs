@@ -3,11 +3,9 @@
 //! token-savings contract the `--cache-cap`/`--no-cache` CLI arms and the
 //! `BENCH_PR2.json` bench gate rely on.
 
-use mqo_core::boosting::{run_with_boosting, BoostConfig};
-use mqo_core::parallel::run_all_batched;
+use mqo_core::boosting::{BoostConfig, DegradePolicy};
 use mqo_core::predictor::KhopRandom;
-use mqo_core::pruning::PrunePlan;
-use mqo_core::{Executor, LabelStore};
+use mqo_core::{Executor, LabelStore, Labels, SchedulePolicy, Scheduler};
 use mqo_data::{dataset, DatasetId};
 use mqo_graph::{GraphBuilder, LabeledSplit, NodeId, NodeText, SplitConfig, Tag};
 use mqo_llm::{CachedLlm, LanguageModel, ModelProfile, ScriptedLlm, SimLlm};
@@ -58,15 +56,18 @@ fn boosting_round_invalidates_dependent_cached_queries() {
     // One boosting round executes node 0 and folds its pseudo-label in;
     // the RoundCompleted event reaches the invalidator via the exec sink.
     let mut mut_labels = LabelStore::empty(tag.num_nodes());
-    let (out, rounds) = run_with_boosting(
+    let report = Scheduler::new(
         &exec,
-        &predictor,
-        &mut mut_labels,
-        &[NodeId(0)],
-        BoostConfig::default(),
-        &PrunePlan::default(),
+        SchedulePolicy::CueGated {
+            config: BoostConfig::default(),
+            policy: DegradePolicy::default(),
+            threads: 1,
+            deterministic: true,
+        },
     )
+    .run(&predictor, Labels::Boosting(&mut mut_labels), &[NodeId(0)], |_| false)
     .unwrap();
+    let (out, rounds) = (report.outcome, report.rounds);
     assert_eq!(out.records.len(), 1);
     assert!(mut_labels.is_pseudo(NodeId(0)));
     assert_eq!(llm.cache().epoch(), rounds.len() as u64, "each round advances the epoch");
@@ -166,7 +167,10 @@ fn batched_execution_composes_with_the_cache() {
         4096,
     );
     let exec = Executor::new(tag, &llm, 4, 5);
-    let out = run_all_batched(&exec, &predictor, &labels, &queries, |_| false, 4, 16).unwrap();
+    let out = Scheduler::new(&exec, SchedulePolicy::Batched { threads: 4, batch_size: 16 })
+        .run(&predictor, Labels::Fixed(&labels), &queries, |_| false)
+        .unwrap()
+        .outcome;
     let s = llm.stats();
     assert!(
         s.cache.hits + s.coalesced >= split.queries().len() as u64,

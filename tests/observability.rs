@@ -4,10 +4,9 @@
 //! exact token-cost reconciliation between the ledger and the usage
 //! meter, and deterministic wall times under an injected clock.
 
-use mqo_core::boosting::{run_with_boosting, BoostConfig};
+use mqo_core::boosting::{BoostConfig, DegradePolicy};
 use mqo_core::predictor::KhopRandom;
-use mqo_core::pruning::PrunePlan;
-use mqo_core::{Executor, LabelStore};
+use mqo_core::{Executor, LabelStore, Labels, SchedulePolicy, Scheduler};
 use mqo_data::{dataset, DatasetId};
 use mqo_graph::{GraphBuilder, LabeledSplit, NodeId, NodeText, SplitConfig, Tag};
 use mqo_llm::{
@@ -90,15 +89,18 @@ fn boosted_run_produces_a_causal_span_tree_and_a_loadable_chrome_trace() {
     let run_span = tracer.span(&tee, "run", || "test run".into(), SpanId::NONE);
     exec.set_span_scope(run_span.id());
     let mut labels = LabelStore::from_split(tag, &split);
-    let (out, rounds) = run_with_boosting(
+    let report = Scheduler::new(
         &exec,
-        &predictor,
-        &mut labels,
-        split.queries(),
-        BoostConfig::default(),
-        &PrunePlan::default(),
+        SchedulePolicy::CueGated {
+            config: BoostConfig::default(),
+            policy: DegradePolicy::default(),
+            threads: 1,
+            deterministic: true,
+        },
     )
+    .run(&predictor, Labels::Boosting(&mut labels), split.queries(), |_| false)
     .unwrap();
+    let (out, rounds) = (report.outcome, report.rounds);
     drop(run_span);
     assert!(!rounds.is_empty());
 
@@ -267,14 +269,16 @@ fn live_endpoint_serves_metrics_and_progress_mid_run() {
 
     // A boosting round afterwards moves the round gauges.
     let mut labels = LabelStore::empty(tag.num_nodes());
-    run_with_boosting(
+    Scheduler::new(
         &exec,
-        &predictor,
-        &mut labels,
-        &[NodeId(4)],
-        BoostConfig::default(),
-        &PrunePlan::default(),
+        SchedulePolicy::CueGated {
+            config: BoostConfig::default(),
+            policy: DegradePolicy::default(),
+            threads: 1,
+            deterministic: true,
+        },
     )
+    .run(&predictor, Labels::Boosting(&mut labels), &[NodeId(4)], |_| false)
     .unwrap();
     let (_, progress) = http_get(server.addr(), "/progress").unwrap();
     let p: serde_json::Value = serde_json::from_str(&progress).unwrap();
@@ -306,15 +310,18 @@ fn cost_ledger_reconciles_exactly_with_the_meter_under_boosting() {
     let exec = Executor::new(tag, &llm, 4, 13).with_sink(&fanout);
     let predictor = KhopRandom::new(1, tag.num_nodes());
     let mut labels = LabelStore::from_split(tag, &split);
-    let (out, rounds) = run_with_boosting(
+    let report = Scheduler::new(
         &exec,
-        &predictor,
-        &mut labels,
-        split.queries(),
-        BoostConfig::default(),
-        &PrunePlan::default(),
+        SchedulePolicy::CueGated {
+            config: BoostConfig::default(),
+            policy: DegradePolicy::default(),
+            threads: 1,
+            deterministic: true,
+        },
     )
+    .run(&predictor, Labels::Boosting(&mut labels), split.queries(), |_| false)
     .unwrap();
+    let (out, rounds) = (report.outcome, report.rounds);
 
     let report = ledger.report();
     assert_eq!(report.rounds.len(), rounds.len(), "one ledger row per boosting round");

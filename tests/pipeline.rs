@@ -1,11 +1,11 @@
 //! End-to-end integration tests spanning all crates: dataset generation →
 //! split → surrogate → calibration → execution engine → strategies.
 
-use mqo_core::boosting::{run_with_boosting, BoostConfig};
+use mqo_core::boosting::{BoostConfig, DegradePolicy};
 use mqo_core::predictor::{KhopRandom, Predictor, Sns, ZeroShot};
 use mqo_core::pruning::{run_with_pruning, PrunePlan};
 use mqo_core::surrogate::SurrogateConfig;
-use mqo_core::{Executor, InadequacyScorer, LabelStore};
+use mqo_core::{Executor, InadequacyScorer, LabelStore, Labels, SchedulePolicy, Scheduler};
 use mqo_data::{dataset, DatasetId};
 use mqo_graph::{LabeledSplit, SplitConfig};
 use mqo_llm::{LanguageModel, ModelProfile, SimLlm};
@@ -127,15 +127,18 @@ fn query_boosting_executes_all_and_uses_pseudo_labels() {
     let exec = Executor::new(tag, &w.llm, 4, 7);
     let mut labels = LabelStore::from_split(tag, &w.split);
     let predictor = KhopRandom::new(2, tag.num_nodes());
-    let (out, traces) = run_with_boosting(
+    let report = Scheduler::new(
         &exec,
-        &predictor,
-        &mut labels,
-        w.split.queries(),
-        BoostConfig::default(),
-        &PrunePlan::default(),
+        SchedulePolicy::CueGated {
+            config: BoostConfig::default(),
+            policy: DegradePolicy::default(),
+            threads: 1,
+            deterministic: true,
+        },
     )
+    .run(&predictor, Labels::Boosting(&mut labels), w.split.queries(), |_| false)
     .unwrap();
+    let (out, traces) = (report.outcome, report.rounds);
     assert_eq!(out.records.len(), 200);
     assert!(traces.len() >= 2, "boosting should take multiple rounds");
     assert!(out.pseudo_label_uses() > 0, "no pseudo-label ever reached a prompt");

@@ -1,10 +1,10 @@
 //! Property-based integration tests: invariants that must hold for *any*
 //! generated dataset, seed, and strategy configuration.
 
-use mqo_core::boosting::{run_with_boosting, BoostConfig};
+use mqo_core::boosting::{BoostConfig, DegradePolicy};
 use mqo_core::predictor::KhopRandom;
 use mqo_core::pruning::PrunePlan;
-use mqo_core::{Executor, LabelStore};
+use mqo_core::{Executor, LabelStore, Labels, SchedulePolicy, Scheduler};
 use mqo_data::{generate, DatasetSpec};
 use mqo_graph::{LabeledSplit, SplitConfig};
 use mqo_llm::{ModelProfile, SimLlm};
@@ -111,14 +111,18 @@ proptest! {
         let exec = Executor::new(tag, &llm, 4, seed);
         let mut labels = LabelStore::from_split(tag, &split);
         let predictor = KhopRandom::new(1, tag.num_nodes());
-        let (out, traces) = run_with_boosting(
+        let report = Scheduler::new(
             &exec,
-            &predictor,
-            &mut labels,
-            split.queries(),
-            BoostConfig { gamma1, gamma2 },
-            &PrunePlan::default(),
-        ).unwrap();
+            SchedulePolicy::CueGated {
+                config: BoostConfig { gamma1, gamma2 },
+                policy: DegradePolicy::default(),
+                threads: 1,
+                deterministic: true,
+            },
+        )
+        .run(&predictor, Labels::Boosting(&mut labels), split.queries(), |_| false)
+        .unwrap();
+        let (out, traces) = (report.outcome, report.rounds);
 
         prop_assert_eq!(out.records.len(), split.queries().len());
         let mut nodes: Vec<u32> = out.records.iter().map(|r| r.node.0).collect();

@@ -357,8 +357,14 @@ fn drain_completes_in_flight_work_then_refuses_connections() {
 
     // Put a large batch in flight, then drain while it runs.
     let in_flight: Vec<u32> = (0..120).collect();
+    let billed = engine.totals().requests;
     let client = std::thread::spawn(move || classify(addr, &nodes_json(&in_flight)));
-    std::thread::sleep(Duration::from_millis(5));
+    // Drain once the batch's first model call has landed, so the request
+    // is in flight rather than racing admission.
+    let started = std::time::Instant::now();
+    while engine.totals().requests == billed && started.elapsed() < Duration::from_secs(10) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let report = server.drain();
 
     let (status, response) = client.join().expect("in-flight client");

@@ -3,14 +3,14 @@
 //! come from the bench binaries).
 
 use mqo_core::analysis::info_gain_experiment;
-use mqo_core::boosting::{pseudo_label_utilization, run_with_boosting, BoostConfig};
+use mqo_core::boosting::{pseudo_label_utilization, BoostConfig, DegradePolicy};
 use mqo_core::joint::run_joint;
 use mqo_core::linkpred::{run_link_task, LinkDataset, LinkStrategy};
 use mqo_core::predictor::KhopRandom;
 use mqo_core::pruning::PrunePlan;
 use mqo_core::surrogate::SurrogateConfig;
 use mqo_core::tuned::{instructglm_backbones, tuned_profile, TunedPredictor};
-use mqo_core::{Executor, InadequacyScorer, LabelStore};
+use mqo_core::{Executor, InadequacyScorer, LabelStore, Labels, SchedulePolicy, Scheduler};
 use mqo_data::{dataset, DatasetId};
 use mqo_graph::{LabeledSplit, SplitConfig};
 use mqo_llm::{ModelProfile, SimLinkLlm, SimLlm};
@@ -62,15 +62,18 @@ fn boosting_improves_two_hop_on_cora() {
     let labels = LabelStore::from_split(tag, &split);
     let base = exec.run_all(&predictor, &labels, split.queries(), |_| false).unwrap();
     let mut bl = LabelStore::from_split(tag, &split);
-    let (boosted, _) = run_with_boosting(
+    let boosted = Scheduler::new(
         &exec,
-        &predictor,
-        &mut bl,
-        split.queries(),
-        BoostConfig { gamma1: 3, gamma2: 2 },
-        &PrunePlan::default(),
+        SchedulePolicy::CueGated {
+            config: BoostConfig { gamma1: 3, gamma2: 2 },
+            policy: DegradePolicy::default(),
+            threads: 1,
+            deterministic: true,
+        },
     )
-    .unwrap();
+    .run(&predictor, Labels::Boosting(&mut bl), split.queries(), |_| false)
+    .unwrap()
+    .outcome;
     assert!(
         boosted.accuracy() >= base.accuracy() - 0.01,
         "boosting regressed: {:.3} -> {:.3}",
