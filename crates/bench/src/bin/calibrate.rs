@@ -4,12 +4,13 @@
 //! (kept in-tree so recalibration after any simulator change is one
 //! command: `cargo run --release -p mqo-bench --bin calibrate`).
 
-use mqo_bench::harness::{m_for, setup, SEED};
+use mqo_bench::harness::{setup, SEED};
 use mqo_bench::report::print_table;
 use mqo_core::predictor::{KhopRandom, Predictor, Sns, ZeroShot};
 use mqo_core::{Executor, LabelStore};
 use mqo_data::DatasetId;
 use mqo_llm::ModelProfile;
+use mqo_serve::run::max_neighbors;
 
 /// Paper operating points (GPT-3.5): zero-shot (Table V), 1-hop, 2-hop,
 /// SNS (Table IV). Arxiv/products SNS/k-hop from Table IV.
@@ -28,7 +29,7 @@ fn main() {
         let ctx = setup(id, ModelProfile::gpt35());
         let tag = &ctx.bundle.tag;
         let labels = LabelStore::from_split(tag, &ctx.split);
-        let exec = Executor::new(tag, &ctx.llm, m_for(id), SEED);
+        let exec = Executor::new(tag, &ctx.llm, max_neighbors(&ctx.bundle), SEED);
         let methods: Vec<Box<dyn Predictor>> = vec![
             Box::new(ZeroShot),
             Box::new(KhopRandom::new(1, tag.num_nodes())),

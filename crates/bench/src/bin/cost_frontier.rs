@@ -5,7 +5,7 @@
 //! for 10M queries"; this harness shows where each configuration sits on
 //! the accuracy-per-dollar frontier and how the strategies shift it.
 
-use mqo_bench::harness::{m_for, num_queries, setup, surrogate_for, SEED};
+use mqo_bench::harness::{num_queries, setup, surrogate_for, SEED};
 use mqo_bench::report::{print_table, write_json};
 use mqo_core::boosting::BoostConfig;
 use mqo_core::joint::run_joint;
@@ -14,6 +14,7 @@ use mqo_core::pruning::{run_with_pruning, PrunePlan};
 use mqo_core::{Executor, InadequacyScorer, LabelStore};
 use mqo_data::DatasetId;
 use mqo_llm::ModelProfile;
+use mqo_serve::run::max_neighbors;
 use mqo_token::{ModelPricing, GPT_35_TURBO_0125, GPT_4, GPT_4O_MINI};
 use serde_json::json;
 
@@ -30,7 +31,7 @@ fn main() {
         eprintln!("[frontier] {}…", profile.name);
         let ctx = setup(id, profile.clone());
         let tag = &ctx.bundle.tag;
-        let exec = Executor::new(tag, &ctx.llm, m_for(id), SEED);
+        let exec = Executor::new(tag, &ctx.llm, max_neighbors(&ctx.bundle), SEED);
         let scorer =
             InadequacyScorer::build(&exec, &ctx.split, &surrogate_for(id), 10, SEED).unwrap();
         let khop = KhopRandom::new(1, tag.num_nodes());

@@ -4,7 +4,7 @@
 //! methods on the same split, reporting accuracy, training cost, and the
 //! per-query marginal cost that motivates MQO.
 
-use mqo_bench::harness::{m_for, setup, SEED};
+use mqo_bench::harness::{setup, SEED};
 use mqo_bench::report::{print_table, write_json};
 use mqo_core::predictor::{KhopRandom, Sns, ZeroShot};
 use mqo_core::{Executor, LabelStore};
@@ -14,6 +14,7 @@ use mqo_gnn::{
     label_propagation, matrix::Matrix, GnnConfig, GnnKind, GnnModel, LabelPropConfig,
 };
 use mqo_llm::{LanguageModel, ModelProfile};
+use mqo_serve::run::max_neighbors;
 use mqo_token::GPT_35_TURBO_0125;
 use serde_json::json;
 use std::time::Instant;
@@ -85,7 +86,7 @@ fn main() {
 
     // --- LLM side ---------------------------------------------------------
     let labels = LabelStore::from_split(tag, split);
-    let exec = Executor::new(tag, &ctx.llm, m_for(id), SEED);
+    let exec = Executor::new(tag, &ctx.llm, max_neighbors(&ctx.bundle), SEED);
     let zero = exec.run_all(&ZeroShot, &labels, split.queries(), |_| false).unwrap();
     let khop = KhopRandom::new(1, tag.num_nodes());
     let one = exec.run_all(&khop, &labels, split.queries(), |_| false).unwrap();

@@ -2,13 +2,14 @@
 //! for the information gain `IG^{N_i}`), grouped by whether the neighbor
 //! text contained labels, plus the pie-chart proportions.
 
-use mqo_bench::harness::{m_for, setup, SEED};
+use mqo_bench::harness::{setup, SEED};
 use mqo_bench::report::{pct, print_table, write_json};
 use mqo_core::analysis::info_gain_experiment;
 use mqo_core::predictor::KhopRandom;
 use mqo_core::{Executor, LabelStore};
 use mqo_data::DatasetId;
 use mqo_llm::ModelProfile;
+use mqo_serve::run::max_neighbors;
 use serde_json::json;
 
 fn main() {
@@ -19,7 +20,7 @@ fn main() {
         let ctx = setup(id, ModelProfile::gpt35());
         let tag = &ctx.bundle.tag;
         let labels = LabelStore::from_split(tag, &ctx.split);
-        let exec = Executor::new(tag, &ctx.llm, m_for(id), SEED);
+        let exec = Executor::new(tag, &ctx.llm, max_neighbors(&ctx.bundle), SEED);
         let khop = KhopRandom::new(1, tag.num_nodes());
         let report = info_gain_experiment(&exec, &khop, &labels, ctx.split.queries()).unwrap();
         rows.push(vec![

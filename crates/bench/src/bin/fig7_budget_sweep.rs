@@ -2,13 +2,14 @@
 //! the 1-hop random method, across token budgets allowing neighbor text
 //! for 100%, 80%, 60%, 40%, 20%, 0% of queries, on all five datasets.
 
-use mqo_bench::harness::{m_for, setup, surrogate_for, SEED};
+use mqo_bench::harness::{setup, surrogate_for, SEED};
 use mqo_bench::report::{print_table, write_json};
 use mqo_core::predictor::KhopRandom;
 use mqo_core::pruning::budget_sweep;
 use mqo_core::{Executor, InadequacyScorer, LabelStore};
 use mqo_data::DatasetId;
 use mqo_llm::ModelProfile;
+use mqo_serve::run::max_neighbors;
 use serde_json::json;
 
 fn main() {
@@ -19,7 +20,7 @@ fn main() {
         let ctx = setup(id, ModelProfile::gpt35());
         let tag = &ctx.bundle.tag;
         let labels = LabelStore::from_split(tag, &ctx.split);
-        let exec = Executor::new(tag, &ctx.llm, m_for(id), SEED);
+        let exec = Executor::new(tag, &ctx.llm, max_neighbors(&ctx.bundle), SEED);
         let scorer =
             InadequacyScorer::build(&exec, &ctx.split, &surrogate_for(id), 10, SEED).unwrap();
         let khop = KhopRandom::new(1, tag.num_nodes());

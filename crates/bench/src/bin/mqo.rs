@@ -41,28 +41,22 @@
 use mqo_bench::cli::{Args, CliError, Spec};
 use mqo_bench::harness::Trace;
 use mqo_core::boosting::{BoostConfig, DegradePolicy};
-use mqo_core::journal::{RunHeader, RunJournal};
+use mqo_core::journal::RunHeader;
 use mqo_core::metrics::ConfusionMatrix;
 use mqo_core::planner::plan_campaign;
-use mqo_core::predictor::{KhopRandom, LlmRanked, Predictor, Sns, ZeroShot};
 use mqo_core::pruning::PrunePlan;
 use mqo_core::surrogate::SurrogateConfig;
 use mqo_core::{Executor, InadequacyScorer, LabelStore, Labels, SchedulePolicy, Scheduler};
-use mqo_data::{dataset, persist, DatasetBundle, DatasetId};
-use mqo_fault::{FaultConfig, FaultSchedule, FaultyLlm};
-use mqo_graph::{LabeledSplit, NodeId, SplitConfig};
-use mqo_llm::{
-    CachedLlm, LanguageModel, LenientLlm, ModelProfile, ResilienceConfig, ResilientLlm,
-    RetryingLlm, SimLlm, ValidatingLlm,
-};
+use mqo_data::{dataset, persist, DatasetId};
+use mqo_graph::NodeId;
+use mqo_llm::{LanguageModel, ModelProfile, SimLlm};
 use mqo_obs::{
-    serve_metrics, ChromeTraceSink, CostLedger, Fanout, MetricsSink, MonotonicClock, SpanId,
-    Tracer, WaitClock,
+    serve_metrics, ChromeTraceSink, CostLedger, EventSink, Fanout, MetricsSink, MonotonicClock,
+    SpanId, Tracer,
 };
+use mqo_serve::run::{self, resolve_bundle, StackConfig};
 use mqo_serve::{ServeConfig, ServerOptions};
 use mqo_token::GPT_35_TURBO_0125;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -87,8 +81,6 @@ fn usage() -> ExitCode {
          [--slo-p99-ms MS] [--slo-availability F] [--flight-slow N]\n               \
          [--flight-errors N] [--flight-dump FILE]\n               \
          [--cost-json FILE] [--stats-json FILE] [--addr-file FILE]\n               \
-         [--sojourn-target-ms MS] [--shed-interval-ms MS] [--tenant-share-permille P]\n               \
-         [--brownout-enter MILLI] [--brownout-exit MILLI]\n               \
          [--chaos reset=R,stall=R,partial=R,abort=R,stall-millis=MS]\n               \
          [--chaos-seed N] [--chaos-addr-file FILE]\n               \
          [--shard-id I --shard-map FILE] [--router ADDR]\n               \
@@ -160,11 +152,6 @@ const SERVE: Spec = Spec {
         "flight-slow",
         "flight-errors",
         "flight-dump",
-        "sojourn-target-ms",
-        "shed-interval-ms",
-        "tenant-share-permille",
-        "brownout-enter",
-        "brownout-exit",
         "chaos",
         "chaos-seed",
         "chaos-addr-file",
@@ -188,61 +175,9 @@ const PLAN: Spec =
     Spec { positional: &["dataset"], switches: &[], values: &["dollars", "queries", "method"] };
 const TABLES: Spec = Spec { positional: &[], switches: &[], values: &[] };
 
-fn dataset_by_name(name: &str) -> Option<DatasetId> {
-    DatasetId::ALL.into_iter().find(|id| id.name() == name)
-}
-
-/// Load from file when the argument looks like a path, else generate.
-fn resolve_bundle(arg: &str, scale: Option<f64>, seed: u64) -> Result<DatasetBundle, String> {
-    if let Some(id) = dataset_by_name(arg) {
-        return Ok(dataset(id, scale, seed));
-    }
-    let path = std::path::Path::new(arg);
-    if path.exists() {
-        // Attach the spec whose name is stored in the file; fall back to
-        // Cora's spec shape for foreign files.
-        let probe = persist::load(path, DatasetId::Cora.spec())
-            .map_err(|e| format!("cannot load {arg}: {e}"))?;
-        let spec = dataset_by_name(probe.tag.name())
-            .map(|id| id.spec())
-            .unwrap_or_else(|| DatasetId::Cora.spec());
-        return persist::load(path, spec).map_err(|e| format!("cannot load {arg}: {e}"));
-    }
-    Err(format!("'{arg}' is neither a known dataset nor an existing file"))
-}
-
-fn make_predictor(method: &str, bundle: &DatasetBundle) -> Result<Box<dyn Predictor>, String> {
-    let n = bundle.tag.num_nodes();
-    Ok(match method {
-        "zero-shot" => Box::new(ZeroShot),
-        "1hop" => Box::new(KhopRandom::new(1, n)),
-        "2hop" => Box::new(KhopRandom::new(2, n)),
-        "sns" => Box::new(Sns::fit(&bundle.tag)),
-        "llmrank" => Box::new(LlmRanked::fit(&bundle.tag, 2)),
-        other => return Err(format!("unknown method '{other}'")),
-    })
-}
-
-fn split_for(
-    bundle: &DatasetBundle,
-    queries: usize,
-    seed: u64,
-) -> Result<LabeledSplit, String> {
-    let cfg = match bundle.spec.split {
-        SplitConfig::PerClass { per_class, .. } => {
-            SplitConfig::PerClass { per_class, num_queries: queries }
-        }
-        SplitConfig::Fraction { labeled_fraction, .. } => {
-            SplitConfig::Fraction { labeled_fraction, num_queries: queries }
-        }
-    };
-    LabeledSplit::generate(&bundle.tag, cfg, &mut StdRng::seed_from_u64(seed))
-        .map_err(|e| format!("cannot split: {e}"))
-}
-
 fn cmd_generate(args: &Args) -> Result<(), CliError> {
     let name = args.pos(0);
-    let id = dataset_by_name(name).ok_or_else(|| format!("unknown dataset '{name}'"))?;
+    let id = DatasetId::from_name(name).ok_or_else(|| format!("unknown dataset '{name}'"))?;
     let scale = args.num("scale")?;
     let seed = args.num_or("seed", 42)?;
     let out = args.get("out").ok_or("missing --out FILE")?;
@@ -329,18 +264,6 @@ fn cmd_classify(args: &Args) -> Result<(), CliError> {
     }
     let budget: Option<u64> = args.num("budget")?;
 
-    let split = split_for(&bundle, queries, seed)?;
-    // The client stack a production deployment runs: simulated model →
-    // fault injection (identity pass-through without --faults) →
-    // resilience (backoff, deadline, circuit breaker, rate-limit pacing)
-    // → strict format validation → bounded retries with the format
-    // reminder → lenient recovery (the executor's deterministic parse
-    // fallback is the last resort rather than aborting a campaign).
-    // Validation sits *above* resilience so the breaker counts transport
-    // failures only, never format rejections.
-    // With a hard budget the retry layer re-checks each retried prompt
-    // against Eq. 2, so retries stay on by default either way.
-    let retries: u32 = args.num_or("retries", 3)?;
     let trace = args
         .get("trace")
         .map(Trace::create)
@@ -379,62 +302,30 @@ fn cmd_classify(args: &Args) -> Result<(), CliError> {
     }
     let observed = !fanout.is_empty();
 
-    let wait_clock: Arc<dyn WaitClock> = Arc::new(MonotonicClock);
-    let sim = SimLlm::new(bundle.lexicon.clone(), bundle.tag.class_names().to_vec(), profile);
-    let schedule = match args.get("faults") {
-        Some(spec) => {
-            let cfg = FaultConfig::parse(spec).map_err(|e| format!("bad --faults: {e}"))?;
-            FaultSchedule::seeded(seed, cfg)
-        }
-        None => FaultSchedule::clean(),
-    };
-    let mut faulty = FaultyLlm::new(sim, schedule, wait_clock.clone());
-    if let Some(n) = args.num("fault-kill-after")? {
-        faulty = faulty.with_kill_after(n);
-    }
-    if observed {
-        faulty = faulty.with_sink(fanout.clone());
-    }
-    let mut resilient = ResilientLlm::new(
-        faulty,
-        ResilienceConfig { seed, ..ResilienceConfig::default() },
-        wait_clock,
-    );
-    if observed {
-        resilient = resilient.with_sink(fanout.clone());
-    }
-    if tracer.enabled() {
-        resilient = resilient.with_tracer(tracer.clone());
-    }
-    let mut retrying = RetryingLlm::new(
-        ValidatingLlm::new(resilient, bundle.tag.class_names().to_vec()),
-        retries.max(1),
-    );
-    if let Some(b) = budget {
-        retrying = retrying.with_budget(b);
-    }
-    if observed {
-        retrying = retrying.with_sink(fanout.clone());
-    }
-    if tracer.enabled() {
-        retrying = retrying.with_tracer(tracer.clone());
-    }
-    // The response cache wraps the *whole* stack so hits skip validation
-    // and retries entirely; `--no-cache` keeps the wrapper (capacity 0 is
-    // a transparent pass-through) so both arms run identical code.
+    let split = run::split(&bundle, queries, seed)?;
+    let predictor = run::make_predictor(method, &bundle.tag)?;
     let cache_cap: usize =
         if args.has("no-cache") { 0 } else { args.num_or("cache-cap", 4096)? };
-    let llm = CachedLlm::new(LenientLlm::new(retrying), cache_cap);
-    let m = if bundle.tag.name() == "ogbn-products" { 10 } else { 4 };
+    // With a hard budget the retry layer re-checks each retried prompt
+    // against Eq. 2, so retries stay on by default either way.
+    let llm = StackConfig {
+        profile,
+        seed,
+        faults: args.get("faults"),
+        kill_after: args.num("fault-kill-after")?,
+        retries: args.num_or("retries", 3)?,
+        budget,
+        cache_cap,
+    }
+    .build(&bundle, observed.then(|| fanout.clone() as Arc<dyn EventSink>), &tracer)?;
     // Round-based invalidation rides the telemetry stream: the invalidator
     // is an event sink that advances the cache epoch on RoundCompleted, so
     // boosting-enriched prompts are never answered from a previous round.
-    let invalidator = llm.round_invalidator();
-    fanout.push(Arc::new(invalidator));
+    fanout.push(Arc::new(llm.round_invalidator()));
     // The run journal is created (or resumed) before the executor borrows
     // it; the header fingerprints the run shape so `--resume` refuses a
     // journal written by a different campaign.
-    let journal: Option<RunJournal> = match args.get("journal") {
+    let journal = match args.get("journal") {
         Some(path) => {
             let header = RunHeader {
                 dataset: bundle.tag.name().to_string(),
@@ -444,20 +335,14 @@ fn cmd_classify(args: &Args) -> Result<(), CliError> {
                 boost: args.has("boost"),
                 budget,
             };
-            Some(if args.has("resume") {
-                RunJournal::resume(path, &header)
-                    .map_err(|e| format!("cannot resume journal {path}: {e}"))?
-            } else {
-                RunJournal::create(path, &header)
-                    .map_err(|e| format!("cannot create journal {path}: {e}"))?
-            })
+            Some(run::open_journal(path, &header, args.has("resume"))?)
         }
         None if args.has("resume") => return Err("--resume requires --journal FILE".into()),
         None => None,
     };
     // Degraded mode is always on in the CLI: a failed query becomes a
     // recorded outcome instead of aborting the whole campaign.
-    let mut exec = Executor::new(&bundle.tag, &llm, m, seed)
+    let mut exec = Executor::new(&bundle.tag, &llm, run::max_neighbors(&bundle), seed)
         .with_sink(&*fanout)
         .with_tracer(&tracer)
         .with_degrade();
@@ -467,10 +352,6 @@ fn cmd_classify(args: &Args) -> Result<(), CliError> {
     if let Some(b) = budget {
         exec = exec.with_budget(b);
     }
-    if observed {
-        llm.meter().attach_sink(fanout.clone());
-    }
-    let predictor = make_predictor(method, &bundle)?;
 
     let run_queries: Vec<NodeId> = split.queries().repeat(repeat);
 
@@ -650,23 +531,11 @@ fn cmd_classify(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Long-running classification service over the same stack as
-/// `classify`. Blocks until SIGTERM/SIGINT or `POST /v1/drain`, then
-/// drains gracefully: in-flight work completes, the journal is sealed,
-/// and artifacts (chrome trace, cost ledger, stats) are written — so a
-/// `--resume` restart re-bills zero tokens.
-/// Load a per-shard bundle file, probing the stored dataset name for
-/// its spec (same two-pass trick as [`resolve_bundle`]).
-fn load_shard_bundle(path: &str) -> Result<mqo_shard::ShardBundle, String> {
-    let probe = mqo_shard::ShardBundle::load(path, DatasetId::Cora.spec())
-        .map_err(|e| format!("cannot load shard bundle {path}: {e}"))?;
-    let spec = dataset_by_name(probe.data.tag.name())
-        .map(|id| id.spec())
-        .unwrap_or_else(|| DatasetId::Cora.spec());
-    mqo_shard::ShardBundle::load(path, spec)
-        .map_err(|e| format!("cannot load shard bundle {path}: {e}"))
-}
-
+/// Long-running classification service over the same run assembly
+/// ([`mqo_serve::run`]) as `classify`. Blocks until SIGTERM/SIGINT or
+/// `POST /v1/drain`, then drains gracefully: in-flight work completes,
+/// the journal is sealed, and artifacts (chrome trace, cost ledger,
+/// stats) are written — so a `--resume` restart re-bills zero tokens.
 fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let arg = args.pos(0);
     let seed = args.num_or("seed", 42u64)?;
@@ -691,7 +560,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         method: args.get("method").map(String::from).unwrap_or_else(|| "1hop".into()),
         seed,
         split_queries: args.num_or("queries", 200)?,
-        max_neighbors: 0,
         budget: args.num("budget")?,
         retries: args.num_or("retries", 3)?,
         cache_cap,
@@ -714,7 +582,8 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
             let map_path = args.get("shard-map").ok_or("--shard-id needs --shard-map FILE")?;
             let map = mqo_shard::ShardMap::load(map_path)
                 .map_err(|e| format!("cannot load shard map {map_path}: {e}"))?;
-            let sb = load_shard_bundle(arg)?;
+            let sb = run::load_shard_bundle(arg)
+                .map_err(|e| format!("cannot load shard bundle {arg}: {e}"))?;
             if sb.identity.shard_id != id {
                 return Err(format!(
                     "{arg} holds shard {} but --shard-id asked for {id}",
@@ -729,22 +598,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
             mqo_serve::Engine::new(bundle, cfg)?
         }
     });
-    let mut overload = mqo_serve::OverloadConfig::default();
-    if let Some(ms) = args.num::<u64>("sojourn-target-ms")? {
-        overload.sojourn_target_micros = ms.saturating_mul(1_000);
-    }
-    if let Some(ms) = args.num::<u64>("shed-interval-ms")? {
-        overload.shed_interval_micros = ms.saturating_mul(1_000);
-    }
-    if let Some(p) = args.num("tenant-share-permille")? {
-        overload.tenant_share_permille = p;
-    }
-    if let Some(m) = args.num("brownout-enter")? {
-        overload.brownout_enter_milli = m;
-    }
-    if let Some(m) = args.num("brownout-exit")? {
-        overload.brownout_exit_milli = m;
-    }
     let public_addr =
         args.get("addr").map(String::from).unwrap_or_else(|| "127.0.0.1:8080".into());
     let chaos = args
@@ -758,7 +611,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         addr: if chaos.is_some() { "127.0.0.1:0".into() } else { public_addr.clone() },
         workers: args.num_or("workers", 4)?,
         queue_capacity: args.num_or("queue-cap", 64)?,
-        overload,
+        overload: mqo_serve::OverloadConfig::default(),
     };
     let workers = options.workers;
     let server = mqo_serve::Server::start(Arc::clone(&engine), options)
@@ -1033,14 +886,14 @@ fn cmd_plan(args: &Args) -> Result<(), CliError> {
     let queries: usize = args.num_or("queries", 1000)?;
     let method = args.get("method").unwrap_or("1hop");
 
-    let split = split_for(&bundle, queries, seed)?;
+    let split = run::split(&bundle, queries, seed)?;
     let llm = SimLlm::new(
         bundle.lexicon.clone(),
         bundle.tag.class_names().to_vec(),
         ModelProfile::gpt35(),
     );
-    let exec = Executor::new(&bundle.tag, &llm, 4, seed);
-    let predictor = make_predictor(method, &bundle)?;
+    let exec = Executor::new(&bundle.tag, &llm, run::max_neighbors(&bundle), seed);
+    let predictor = run::make_predictor(method, &bundle.tag)?;
     let labels = LabelStore::from_split(&bundle.tag, &split);
     let plan = plan_campaign(
         &exec,

@@ -13,7 +13,7 @@
 //! (the unit providers bill), via [`mqo_cache::common_prefix_tokens`];
 //! byte counts are kept only as a secondary column.
 
-use mqo_bench::harness::{m_for, setup, surrogate_for, SEED};
+use mqo_bench::harness::{setup, surrogate_for, SEED};
 use mqo_bench::report::{print_table, write_json};
 use mqo_cache::{common_prefix_bytes, common_prefix_tokens, PrefixStore};
 use mqo_core::predictor::KhopRandom;
@@ -21,6 +21,7 @@ use mqo_core::pruning::PrunePlan;
 use mqo_core::{Executor, InadequacyScorer, LabelStore};
 use mqo_data::DatasetId;
 use mqo_llm::{prompt::segments, ModelProfile};
+use mqo_serve::run::max_neighbors;
 use mqo_token::Tokenizer;
 use serde_json::json;
 
@@ -32,7 +33,7 @@ fn main() {
         let ctx = setup(id, ModelProfile::gpt35());
         let tag = &ctx.bundle.tag;
         let labels = LabelStore::from_split(tag, &ctx.split);
-        let exec = Executor::new(tag, &ctx.llm, m_for(id), SEED);
+        let exec = Executor::new(tag, &ctx.llm, max_neighbors(&ctx.bundle), SEED);
         let predictor = KhopRandom::new(1, tag.num_nodes());
         let scorer =
             InadequacyScorer::build(&exec, &ctx.split, &surrogate_for(id), 10, SEED).unwrap();

@@ -2,13 +2,14 @@
 //! and without the token pruning strategy (top 20% by text inadequacy),
 //! across all five datasets.
 
-use mqo_bench::harness::{m_for, num_queries, setup, surrogate_for, SEED};
+use mqo_bench::harness::{num_queries, setup, surrogate_for, SEED};
 use mqo_bench::report::{delta_pct, print_table, write_json};
 use mqo_core::predictor::{KhopRandom, Predictor, Sns};
 use mqo_core::pruning::{run_with_pruning, PrunePlan};
 use mqo_core::{Executor, InadequacyScorer, LabelStore};
 use mqo_data::DatasetId;
 use mqo_llm::ModelProfile;
+use mqo_serve::run::max_neighbors;
 use serde_json::json;
 
 /// Paper's Table IV (GPT-3.5): (method, [cora, citeseer, pubmed, arxiv, products]) pairs.
@@ -29,7 +30,7 @@ fn main() {
         let ctx = setup(id, ModelProfile::gpt35());
         let tag = &ctx.bundle.tag;
         let labels = LabelStore::from_split(tag, &ctx.split);
-        let exec = Executor::new(tag, &ctx.llm, m_for(id), SEED);
+        let exec = Executor::new(tag, &ctx.llm, max_neighbors(&ctx.bundle), SEED);
         let scorer =
             InadequacyScorer::build(&exec, &ctx.split, &surrogate_for(id), 10, SEED).unwrap();
         let plan = PrunePlan::by_inadequacy(&scorer, tag, ctx.split.queries(), tau);

@@ -45,6 +45,11 @@ impl DatasetId {
         }
     }
 
+    /// The dataset whose canonical name is `name`, if any.
+    pub fn from_name(name: &str) -> Option<DatasetId> {
+        DatasetId::ALL.into_iter().find(|id| id.name() == name)
+    }
+
     /// Default generation scale: paper-size for the small graphs, reduced
     /// for the OGB graphs (experiments use 1,000 queries regardless; the
     /// analytic tables use full-scale counts from the spec).
@@ -293,6 +298,14 @@ mod tests {
             assert_eq!(spec.edges, edges);
             assert_eq!(spec.num_classes(), classes);
         }
+    }
+
+    #[test]
+    fn from_name_inverts_name() {
+        for id in DatasetId::ALL {
+            assert_eq!(DatasetId::from_name(id.name()), Some(id));
+        }
+        assert_eq!(DatasetId::from_name("Cora"), None);
     }
 
     #[test]

@@ -32,6 +32,21 @@ pub enum SplitConfig {
     },
 }
 
+impl SplitConfig {
+    /// The same labeled-set rule with a query set of `num_queries`: how a
+    /// run sizes a dataset's standard split to its own query count.
+    pub fn with_queries(self, num_queries: usize) -> SplitConfig {
+        match self {
+            SplitConfig::PerClass { per_class, .. } => {
+                SplitConfig::PerClass { per_class, num_queries }
+            }
+            SplitConfig::Fraction { labeled_fraction, .. } => {
+                SplitConfig::Fraction { labeled_fraction, num_queries }
+            }
+        }
+    }
+}
+
 /// The result of splitting: the labeled set `V_L` and the query set `V_Q`.
 #[derive(Debug, Clone)]
 pub struct LabeledSplit {
@@ -176,6 +191,20 @@ mod tests {
             per[t.label(v).index()] += 1;
         }
         assert!(per.iter().all(|&c| c == 3));
+    }
+
+    #[test]
+    fn with_queries_keeps_the_labeled_rule() {
+        let per = SplitConfig::PerClass { per_class: 20, num_queries: 1000 };
+        assert_eq!(
+            per.with_queries(60),
+            SplitConfig::PerClass { per_class: 20, num_queries: 60 }
+        );
+        let frac = SplitConfig::Fraction { labeled_fraction: 0.3, num_queries: 1000 };
+        assert_eq!(
+            frac.with_queries(7),
+            SplitConfig::Fraction { labeled_fraction: 0.3, num_queries: 7 }
+        );
     }
 
     #[test]

@@ -29,9 +29,6 @@ pub struct ServeConfig {
     /// compared against, and the split generator draws both from one RNG
     /// stream — so use the same value as the batch arm's `--queries`.
     pub split_queries: usize,
-    /// Maximum neighbors per prompt; `0` picks the dataset default
-    /// (10 for ogbn-products, 4 otherwise — same as the CLI).
-    pub max_neighbors: usize,
     /// Hard global input-token budget (Eq. 2), if any.
     pub budget: Option<u64>,
     /// Retry attempts for malformed completions (min 1).
@@ -75,7 +72,6 @@ impl Default for ServeConfig {
             method: "1hop".into(),
             seed: 42,
             split_queries: 200,
-            max_neighbors: 0,
             budget: None,
             retries: 3,
             cache_cap: 4096,
@@ -94,14 +90,16 @@ impl Default for ServeConfig {
     }
 }
 
-/// How the HTTP server schedules admitted work.
+/// How the HTTP server admits and runs work.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
     /// Bind address (`127.0.0.1:0` picks a free port).
     pub addr: String,
-    /// Worker threads draining the request queue.
+    /// Execution slots: at most this many admitted batches run at once,
+    /// each on its own connection handler's thread.
     pub workers: usize,
-    /// Bounded queue capacity; a full queue answers `429 Retry-After`.
+    /// Wait-room size: at most this many admitted requests wait for a
+    /// slot; beyond that a request is answered `429 Retry-After`.
     pub queue_capacity: usize,
     /// Overload-controller tunables: sojourn target, shed interval,
     /// tenant fair share, and the brown-out thresholds.

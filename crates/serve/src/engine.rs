@@ -1,48 +1,37 @@
 //! The classification engine behind the HTTP surface.
 //!
-//! An [`Engine`] loads one TAG and builds the full production client
-//! stack once — simulated model → fault injection → resilience →
-//! validation → retries → lenient recovery → response cache — then
-//! answers classification batches from any number of worker threads.
-//! Every query runs through the same [`mqo_core::Executor`] as the batch
-//! CLI: same per-node RNG derivation, same Eq. 2 budget enforcement,
-//! same telemetry events, same journal format. That sharing is what
+//! An [`Engine`] holds one TAG and the pieces [`crate::run`] assembles
+//! for every run — labeled split, predictor, neighbor cap, the
+//! [`ClientStack`], the journal — then answers classification batches
+//! from any number of connection handlers. Every query runs through the
+//! same [`mqo_core::Executor`] as the batch CLI: same per-node RNG
+//! derivation, same Eq. 2 budget enforcement, same telemetry events,
+//! same journal format. That sharing is what
 //! makes served responses bit-identical to a batch run of the same
 //! nodes (with the order-dependent optimizations, boosting and the
 //! response cache, off), and what lets a drained server resume
 //! billing-free from its journal.
 
 use crate::config::ServeConfig;
+use crate::run::{self, ClientStack, StackConfig};
 use crate::shard::{peak_rss_mb, OutboundLabel, ShardContext};
 use crate::tenant::{TenantExhausted, TenantTable};
 use mqo_core::journal::{record_to_json, RunHeader, RunJournal};
-use mqo_core::predictor::{KhopRandom, LlmRanked, Predictor, Sns, ZeroShot};
+use mqo_core::predictor::Predictor;
 use mqo_core::{Executor, LabelStore, Labels, QueryRecord, SchedulePolicy, Scheduler};
 use mqo_data::DatasetBundle;
-use mqo_fault::{FaultConfig, FaultSchedule, FaultyLlm};
-use mqo_graph::{ClassId, LabeledSplit, NodeId, SplitConfig};
-use mqo_llm::{
-    CachedLlm, CachedLlmStats, LanguageModel, LenientLlm, ModelProfile, ResilienceConfig,
-    ResilientLlm, RetryingLlm, SimLlm, ValidatingLlm,
-};
+use mqo_graph::{ClassId, NodeId};
+use mqo_llm::{CachedLlmStats, LanguageModel, ModelProfile};
 use mqo_obs::{
     ChromeTraceSink, CostLedger, Counter, CounterVec, Event, EventSink, Fanout, FlightRecorder,
     HistogramVec, MetricsSink, MonotonicClock, SloConfig, SloTracker, SpanId, Tee, Tracer,
-    WaitClock,
 };
 use mqo_shard::{ShardBundle, ShardMap};
 use mqo_token::ledger::Totals;
 use parking_lot::RwLock;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde_json::{json, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// The one concrete client stack serving runs — identical layering to the
-/// batch CLI so behavior (and records) match exactly.
-type ServeStack =
-    CachedLlm<LenientLlm<RetryingLlm<ValidatingLlm<ResilientLlm<FaultyLlm<SimLlm>>>>>>;
 
 /// Why a request was refused at admission.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,7 +40,8 @@ pub enum Rejection {
     Draining,
     /// The tenant's admission budget is exhausted.
     TenantExhausted(TenantExhausted),
-    /// The request queue is full — backpressure; retry later.
+    /// Every execution slot is busy and the wait room is full —
+    /// backpressure; retry later.
     Saturated,
 }
 
@@ -92,11 +82,11 @@ impl ProcessedBatch {
 }
 
 /// The serving engine; see the module docs. Shared as `Arc<Engine>`
-/// between the accept loop, connection handlers, and the worker pool.
+/// between the accept loop and the connection handlers.
 pub struct Engine {
     bundle: DatasetBundle,
     predictor: Box<dyn Predictor>,
-    llm: ServeStack,
+    llm: ClientStack,
     labels: RwLock<LabelStore>,
     journal: Option<RunJournal>,
     fanout: Arc<Fanout>,
@@ -149,35 +139,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn make_predictor(method: &str, bundle: &DatasetBundle) -> Result<Box<dyn Predictor>, String> {
-    let n = bundle.tag.num_nodes();
-    Ok(match method {
-        "zero-shot" => Box::new(ZeroShot),
-        "1hop" => Box::new(KhopRandom::new(1, n)),
-        "2hop" => Box::new(KhopRandom::new(2, n)),
-        "sns" => Box::new(Sns::fit(&bundle.tag)),
-        "llmrank" => Box::new(LlmRanked::fit(&bundle.tag, 2)),
-        other => return Err(format!("unknown method '{other}'")),
-    })
-}
-
-fn split_for(
-    bundle: &DatasetBundle,
-    queries: usize,
-    seed: u64,
-) -> Result<LabeledSplit, String> {
-    let cfg = match bundle.spec.split {
-        SplitConfig::PerClass { per_class, .. } => {
-            SplitConfig::PerClass { per_class, num_queries: queries }
-        }
-        SplitConfig::Fraction { labeled_fraction, .. } => {
-            SplitConfig::Fraction { labeled_fraction, num_queries: queries }
-        }
-    };
-    LabeledSplit::generate(&bundle.tag, cfg, &mut StdRng::seed_from_u64(seed))
-        .map_err(|e| format!("cannot split: {e}"))
-}
-
 impl Engine {
     /// Build the engine: labeled split, predictor, client stack,
     /// telemetry fanout, tenant table, and (optionally) the crash-safe
@@ -185,9 +146,10 @@ impl Engine {
     /// sealed journal, in which case already-answered nodes replay with
     /// zero re-billing.
     pub fn new(bundle: DatasetBundle, cfg: ServeConfig) -> Result<Engine, String> {
-        let split = split_for(&bundle, cfg.split_queries, cfg.seed)?;
+        let split = run::split(&bundle, cfg.split_queries, cfg.seed)?;
         let labels = LabelStore::from_split(&bundle.tag, &split);
-        let predictor = make_predictor(&cfg.method, &bundle)?;
+        let predictor = run::make_predictor(&cfg.method, &bundle.tag)?;
+        let max_neighbors = run::max_neighbors(&bundle);
 
         let metrics = Arc::new(MetricsSink::new());
         let ledger = Arc::new(CostLedger::new());
@@ -208,48 +170,21 @@ impl Engine {
         if let Some(c) = &chrome {
             fanout.push(c.clone());
         }
-
-        // Same stack, same order, same defaults as `mqo classify`:
-        // validation above resilience so the breaker counts transport
-        // failures only; the cache wraps everything so hits skip the
-        // whole chain.
-        let wait_clock: Arc<dyn WaitClock> = Arc::new(MonotonicClock);
-        let sim = SimLlm::new(
-            bundle.lexicon.clone(),
-            bundle.tag.class_names().to_vec(),
-            ModelProfile::gpt35(),
-        );
-        let schedule = match &cfg.faults {
-            Some(spec) => FaultSchedule::seeded(
-                cfg.seed,
-                FaultConfig::parse(spec).map_err(|e| format!("bad fault spec: {e}"))?,
-            ),
-            None => FaultSchedule::clean(),
-        };
-        let faulty =
-            FaultyLlm::new(sim, schedule, wait_clock.clone()).with_sink(fanout.clone());
-        let resilient = ResilientLlm::new(
-            faulty,
-            ResilienceConfig { seed: cfg.seed, ..ResilienceConfig::default() },
-            wait_clock,
-        )
-        .with_sink(fanout.clone())
-        .with_tracer(tracer.clone());
-        let mut retrying = RetryingLlm::new(
-            ValidatingLlm::new(resilient, bundle.tag.class_names().to_vec()),
-            cfg.retries.max(1),
-        )
-        .with_sink(fanout.clone())
-        .with_tracer(tracer.clone());
-        if let Some(b) = cfg.budget {
-            retrying = retrying.with_budget(b);
+        let llm = StackConfig {
+            profile: ModelProfile::gpt35(),
+            seed: cfg.seed,
+            faults: cfg.faults.as_deref(),
+            kill_after: None,
+            retries: cfg.retries,
+            budget: cfg.budget,
+            cache_cap: cfg.cache_cap,
         }
-        let llm = CachedLlm::new(LenientLlm::new(retrying), cfg.cache_cap);
-        llm.meter().attach_sink(fanout.clone());
-
-        let journal = match &cfg.journal {
-            Some(path) => {
-                // `queries: 0` fingerprints an open-ended server — the
+        .build(&bundle, Some(fanout.clone()), &tracer)?;
+        let journal = cfg
+            .journal
+            .as_ref()
+            .map(|path| {
+                // `queries: 0` fingerprints an open-ended server: the
                 // request count isn't known up front, and create/resume
                 // headers must agree across restarts.
                 let header = RunHeader {
@@ -260,24 +195,9 @@ impl Engine {
                     boost: cfg.boost,
                     budget: cfg.budget,
                 };
-                Some(if cfg.resume {
-                    RunJournal::resume(path, &header)
-                        .map_err(|e| format!("cannot resume journal {}: {e}", path.display()))?
-                } else {
-                    RunJournal::create(path, &header)
-                        .map_err(|e| format!("cannot create journal {}: {e}", path.display()))?
-                })
-            }
-            None => None,
-        };
-
-        let max_neighbors = if cfg.max_neighbors > 0 {
-            cfg.max_neighbors
-        } else if bundle.tag.name() == "ogbn-products" {
-            10
-        } else {
-            4
-        };
+                run::open_journal(path, &header, cfg.resume)
+            })
+            .transpose()?;
 
         let registry = metrics.registry();
         let slo = SloTracker::new(
@@ -373,8 +293,8 @@ impl Engine {
     }
 
     /// Build a shard worker's engine from its [`ShardBundle`] and the
-    /// cluster's [`ShardMap`]: the same stack as [`Engine::new`] over
-    /// the shard's induced subgraph, plus global↔local translation at
+    /// cluster's [`ShardMap`]: the same run assembly as [`Engine::new`]
+    /// over the shard's induced subgraph, plus global↔local translation at
     /// the request boundary and the cross-shard pseudo-label outbox.
     pub fn new_sharded(
         bundle: ShardBundle,
@@ -763,8 +683,8 @@ impl Engine {
         body
     }
 
-    /// End-of-life reporting, called once after the worker pool has
-    /// drained and the run span closed: emit the cache summary and flush
+    /// End-of-life reporting, called once after the server has drained
+    /// its execution slots and the run span closed: emit the cache summary and flush
     /// the Chrome trace so artifacts are complete on disk.
     pub fn finish(&self) {
         self.llm.report(&*self.fanout);

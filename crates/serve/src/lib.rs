@@ -9,10 +9,12 @@
 //!
 //! The pieces:
 //!
-//! * [`Engine`] — the shared brain: dataset + predictor + the full
-//!   `CachedLlm → … → SimLlm` stack, a pseudo-label store (responses can
-//!   boost later requests on neighboring nodes), per-tenant admission
-//!   accounting, and the same crash-safe journal as the batch CLI.
+//! * [`run`] — run assembly shared with the batch CLI: dataset loading,
+//!   the labeled split, predictor by method, the neighbor cap `M`, the
+//!   one [`run::ClientStack`] and journal create/resume.
+//! * [`Engine`] — the shared brain: dataset + the pieces [`run`]
+//!   assembles, a pseudo-label store (responses can boost later requests
+//!   on neighboring nodes), and per-tenant admission accounting.
 //! * [`Server`] — the HTTP surface: a slot gate bounding execution
 //!   concurrency in place of the old queue-and-worker-pool hand-off,
 //!   with three admission gates (draining → tenant budget → slot
@@ -34,6 +36,7 @@
 
 mod config;
 mod engine;
+pub mod run;
 mod server;
 pub mod shard;
 pub mod shed;

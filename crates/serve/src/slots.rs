@@ -225,6 +225,9 @@ mod tests {
         while gate.waiting() == 0 {
             thread::sleep(Duration::from_millis(1));
         }
+        // Hold the slot a known while once the waiter is queued, so its
+        // sojourn cannot undercut the bound however the polls interleave.
+        thread::sleep(Duration::from_millis(5));
         drop(p);
         let waited = waiter.join().unwrap();
         assert!(waited >= Duration::from_millis(1), "waited: {waited:?}");

@@ -22,4 +22,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --manifest-path benchmark/Cargo.toml"
+cargo test --manifest-path benchmark/Cargo.toml
+
 echo "All checks passed."
