@@ -8,7 +8,7 @@
 //!              [--deterministic] [--budget B] [--retries N] [--trace FILE]
 //!              [--trace-chrome FILE] [--serve-metrics ADDR]
 //!              [--cost-json FILE] [--cache-cap N] [--no-cache]
-//!              [--repeat K] [--batch B] [--stats-json FILE]
+//!              [--repeat K] [--stats-json FILE]
 //!              [--faults SPEC] [--fault-kill-after N]
 //!              [--journal FILE] [--resume] [--dump-records FILE]
 //! mqo serve    <dataset|FILE> [--addr A] [--method M] [--queries N]
@@ -71,7 +71,7 @@ fn usage() -> ExitCode {
          [--queries N] [--prune TAU] [--boost] [--model gpt35|gpt4o-mini] [--threads T]\n               \
          [--deterministic] [--budget B] [--retries N] [--trace FILE] [--trace-chrome FILE]\n               \
          [--serve-metrics ADDR] [--cost-json FILE] [--cache-cap N] [--no-cache]\n               \
-         [--repeat K] [--batch B] [--stats-json FILE]\n               \
+         [--repeat K] [--stats-json FILE]\n               \
          [--faults error=R,malformed=R,rate-limit=R,latency=R,truncate=R,outage=S+L]\n               \
          [--fault-kill-after N] [--journal FILE] [--resume] [--dump-records FILE]\n  \
          mqo serve    <dataset|FILE> [--addr A] [--method M] [--queries N] [--workers W]\n               \
@@ -117,7 +117,6 @@ const CLASSIFY: Spec = Spec {
         "cost-json",
         "cache-cap",
         "repeat",
-        "batch",
         "stats-json",
         "faults",
         "fault-kill-after",
@@ -216,14 +215,7 @@ fn classify_policy(args: &Args) -> Result<SchedulePolicy, CliError> {
     if threads == 0 {
         return refuse("--threads must be at least 1");
     }
-    let batch: Option<usize> = args.num("batch")?;
-    if batch == Some(0) {
-        return refuse("--batch must be at least 1");
-    }
     if args.has("boost") {
-        if batch.is_some() {
-            return refuse("--batch does not apply to --boost (boosted runs dispatch by cue)");
-        }
         // Width 1 runs waves either way; wider runs free-run unless
         // --deterministic asks for wave barriers.
         return Ok(SchedulePolicy::CueGated {
@@ -236,11 +228,7 @@ fn classify_policy(args: &Args) -> Result<SchedulePolicy, CliError> {
     if args.has("deterministic") {
         return refuse("--deterministic only applies to --boost");
     }
-    Ok(match batch {
-        Some(batch_size) => SchedulePolicy::Batched { threads, batch_size },
-        None if threads > 1 => SchedulePolicy::Parallel { threads },
-        None => SchedulePolicy::Fifo,
-    })
+    Ok(if threads > 1 { SchedulePolicy::Parallel { threads } } else { SchedulePolicy::Fifo })
 }
 
 fn cmd_classify(args: &Args) -> Result<(), CliError> {
@@ -447,10 +435,7 @@ fn cmd_classify(args: &Args) -> Result<(), CliError> {
             cstats.cache.evictions,
             cstats.cache.stale_drops,
         );
-        println!(
-            "tokens saved    : {} (+{} radix-prefix reusable)",
-            cstats.tokens_saved, cstats.prefix_reuse_tokens,
-        );
+        println!("tokens saved    : {}", cstats.tokens_saved);
     }
     if observed {
         llm.report(&*fanout);
@@ -502,7 +487,6 @@ fn cmd_classify(args: &Args) -> Result<(), CliError> {
             "coalesced": cstats.coalesced,
             "serve_rate": cstats.serve_rate(),
             "tokens_saved": cstats.tokens_saved,
-            "prefix_reuse_tokens": cstats.prefix_reuse_tokens,
             "failed": outcome.failed(),
             "replayed": journal.as_ref().map_or(0, |j| j.replayed()),
             "wall_seconds": wall_seconds,
@@ -1001,7 +985,7 @@ mod tests {
             "plan cora --dollars 0.05 --queries 1000",
             "tables",
             "classify cora.mqotag --method sns --prune 0.2 --boost",
-            "classify cora --queries 120 --repeat 3 --seed 42 --threads 4 --batch 16 \
+            "classify cora --queries 120 --repeat 3 --seed 42 --threads 4 \
              --stats-json s.json",
             "classify cora --queries 200 --boost --trace t.jsonl --trace-chrome c.json \
              --serve-metrics 127.0.0.1:0 --cost-json cost.json",
@@ -1041,10 +1025,6 @@ mod tests {
         for (line, flag) in [
             ("classify cora --threads 0", "--threads"),
             ("classify cora --boost --threads 0", "--threads"),
-            ("classify cora --batch 0", "--batch"),
-            ("classify cora --threads 4 --batch 0", "--batch"),
-            ("classify cora --boost --batch 16", "--batch"),
-            ("classify cora --boost --threads 4 --batch 4", "--batch"),
             ("classify cora --deterministic", "--deterministic"),
             ("classify cora --threads 4 --deterministic", "--deterministic"),
         ] {
@@ -1059,6 +1039,7 @@ mod tests {
     fn misspelled_or_misplaced_flags_are_refused() {
         for (line, why) in [
             ("classify cora --parallel 4", "unknown flag '--parallel'"),
+            ("classify cora --batch 16", "unknown flag '--batch'"),
             ("classify cora --queries", "--queries needs a value"),
             ("classify cora extra", "unexpected argument 'extra'"),
             ("route --workers a,b", "missing shard-map file"),

@@ -12,6 +12,10 @@
 //! serving order. All prefix quantities are measured in tokenizer tokens
 //! (the unit providers bill), via [`mqo_cache::common_prefix_tokens`];
 //! byte counts are kept only as a secondary column.
+//!
+//! This experiment is the only user of `PrefixStore`,
+//! `common_prefix_tokens` and `mqo_llm::prompt::segments`; the serving
+//! stack does not measure prefix reuse.
 
 use mqo_bench::harness::{setup, surrogate_for, SEED};
 use mqo_bench::report::{print_table, write_json};
@@ -71,9 +75,7 @@ fn main() {
                 prompts.windows(2).map(|w| common_prefix_bytes(&w[0], &w[1])).sum::<usize>()
                     / (prompts.len() - 1);
             // Realized reuse over the whole serving order: feed every
-            // prompt through the radix-style segment store the runtime
-            // cache layer uses (`CachedLlm` accounts this same quantity
-            // for actually-sent traffic).
+            // prompt through the radix-style segment store.
             let mut store = PrefixStore::new();
             for p in &prompts {
                 store.observe_segments(&segments(p));

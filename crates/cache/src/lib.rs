@@ -1,4 +1,4 @@
-//! # mqo-cache — black-box prompt caching and prefix accounting
+//! # mqo-cache — black-box prompt caching and prefix analysis
 //!
 //! The paper's strategies cut tokens *inside* each prompt; this crate cuts
 //! tokens *across* prompts, on the client side of the black-box boundary,
@@ -13,14 +13,15 @@
 //!   round folded in new pseudo-labels are never served from cache after
 //!   it. (Content-addressed fingerprints already make a *re-rendered*
 //!   prompt miss; the epoch guards the identical-text-across-rounds case.)
-//! * [`PrefixStore`] — a radix-style trie over rendered prompt *segments*
-//!   measuring how many leading tokens each prompt shares with traffic
-//!   already seen: the reuse a white-box prefix cache (vLLM/Hydragen-style)
-//!   would realize. Reported, not exploited — the black box hides its KV
-//!   cache — so the number quantifies what composes with this crate's
-//!   whole-response cache rather than replacing it.
+//! * [`PrefixStore`] — an **analysis tool**: a radix-style trie over
+//!   rendered prompt *segments* measuring how many leading tokens each
+//!   prompt shares with traffic already seen, the reuse a white-box prefix
+//!   cache (vLLM/Hydragen-style) would realize. The black box hides its KV
+//!   cache, so this is measured, never exploited, and only offline: the
+//!   `prefix_sharing` experiment (§II-C) is its one user, and the serving
+//!   stack does not feed it.
 //! * [`common_prefix_bytes`] / [`common_prefix_tokens`] — the shared
-//!   prefix-length helpers the analysis benches use; the token variant is
+//!   prefix-length helpers the same analysis uses; the token variant is
 //!   exact for the workspace tokenizer (a partial trailing subword is not
 //!   counted, since a serving cache could not reuse it).
 //! * [`RoundInvalidator`] — an [`mqo_obs::EventSink`] adapter that calls

@@ -1,7 +1,8 @@
 //! Shared-prefix accounting: how much of each prompt a prefix-reusing
 //! serving cache could skip.
 //!
-//! Two measurement tools live here:
+//! Two offline measurement tools live here (the `prefix_sharing`
+//! experiment uses both; nothing on the serving path does):
 //!
 //! * [`common_prefix_bytes`] / [`common_prefix_tokens`] — pairwise prefix
 //!   length between two rendered prompts. The token variant reports what a

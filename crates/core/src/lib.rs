@@ -29,10 +29,10 @@
 //! * [`sched`] — the event-driven execution core: one readiness queue
 //!   (keyed by the γ₁/γ₂ cue rule for boosting), a fixed worker pool
 //!   with a completion channel, and pluggable [`sched::SchedulePolicy`]
-//!   implementations for FIFO, width-N, prefix-coherent batched, and
-//!   cue-gated execution. Online arrivals (the introduction's
-//!   dynamic-node scenario) run as free-running cue-gated windows over
-//!   one evolving label store; see `examples/online_stream.rs`.
+//!   implementations for FIFO, width-N, and cue-gated execution. Online
+//!   arrivals (the introduction's dynamic-node scenario) run as
+//!   free-running cue-gated windows over one evolving label store; see
+//!   `examples/online_stream.rs`.
 //! * [`planner`] — dollars → tokens → τ campaign planning before any LLM
 //!   call (§V-C arithmetic over rendered-prompt estimates).
 //! * [`queue`] — the bounded MPMC work queue the [`sched`] worker pool

@@ -1,8 +1,8 @@
 //! The event-driven execution scheduler.
 //!
 //! One entry point — [`Scheduler::run`] — drives every orchestration
-//! shape: sequential, width-N, prefix-coherent batched, and Algorithm 2's
-//! query boosting. A [`SchedulePolicy`] picks how work becomes *ready*:
+//! shape: sequential, width-N, and Algorithm 2's query boosting. A
+//! [`SchedulePolicy`] picks how work becomes *ready*:
 //!
 //! * [`SchedulePolicy::Fifo`] — queries run inline, in input order, on the
 //!   caller's thread. The only policy that supports the Eq. 2 hard budget
@@ -12,9 +12,6 @@
 //!   fixed worker pool pulls work from a bounded dispatch queue and pushes
 //!   [`QueryRecord`]s back through a completion channel. Records are
 //!   re-assembled in input order.
-//! * [`SchedulePolicy::Batched`] — like `Parallel`, but prompts are
-//!   pre-rendered and sorted so prefix-coherent batches dispatch as a
-//!   unit (maximizing provider-side prefix-cache adjacency).
 //! * [`SchedulePolicy::CueGated`] — Algorithm 2: a query becomes ready
 //!   when its neighbor pseudo-label support satisfies the γ₁/γ₂ rule.
 //!   In **deterministic** mode readiness is evaluated in waves (the
@@ -78,13 +75,6 @@ pub enum SchedulePolicy {
         /// Worker-pool width (must be ≥ 1).
         threads: usize,
     },
-    /// Dispatch prefix-coherent batches across a fixed worker pool.
-    Batched {
-        /// Worker-pool width (must be ≥ 1).
-        threads: usize,
-        /// Queries per dispatched batch (must be ≥ 1).
-        batch_size: usize,
-    },
     /// Algorithm 2 query boosting: readiness keyed by the γ₁/γ₂
     /// neighbor-cue rule, with incremental relaxation when nothing
     /// qualifies.
@@ -125,7 +115,7 @@ impl Labels<'_> {
 /// What a scheduled run produced.
 #[derive(Debug, Default)]
 pub struct RunReport {
-    /// Per-query records. Input order for `Fifo`/`Parallel`/`Batched`,
+    /// Per-query records. Input order for `Fifo`/`Parallel`,
     /// candidate order per wave for deterministic cue-gated runs,
     /// completion order for free-running cue-gated runs.
     pub outcome: ExecOutcome,
@@ -138,29 +128,15 @@ pub struct RunReport {
     pub fresh_billed_tokens: u64,
 }
 
-/// One unit of dispatched work: a single query, or a whole
-/// prefix-coherent batch claimed by one worker.
+/// One unit of dispatched work: a single query.
 struct Work {
-    items: Vec<WorkItem>,
-    batch: Option<BatchMeta>,
-    /// Label snapshot for cue-gated dispatch; the fixed policies read the
-    /// caller's store directly instead.
-    labels: Option<Arc<LabelStore>>,
-}
-
-struct WorkItem {
     /// Position of the query in the run's input.
     slot: usize,
     node: NodeId,
     force_prune: bool,
-}
-
-struct BatchMeta {
-    index: u32,
-    /// Chunk size including journal-replayed members (the dispatch event
-    /// reports planned coverage, as the pre-scheduler path did).
-    queries: u64,
-    shared_prefix_tokens: u64,
+    /// Label snapshot for cue-gated dispatch; the fixed policies read the
+    /// caller's store directly instead.
+    labels: Option<Arc<LabelStore>>,
 }
 
 /// A completion pushed back through the completion channel.
@@ -210,8 +186,8 @@ impl<'s, 'e> Scheduler<'s, 'e> {
     ///
     /// # Panics
     ///
-    /// Panics if a pooled policy is configured with zero threads or a
-    /// zero batch size, or a cue-gated policy with `give_up_after == 0`.
+    /// Panics if a pooled policy is configured with zero threads, or a
+    /// cue-gated policy with `give_up_after == 0`.
     pub fn run(
         &self,
         predictor: &dyn Predictor,
@@ -224,16 +200,8 @@ impl<'s, 'e> Scheduler<'s, 'e> {
                 self.run_fifo(predictor, labels.store(), queries, &prune_set)
             }
             SchedulePolicy::Parallel { threads } => {
-                self.run_pooled(predictor, labels.store(), queries, &prune_set, threads, None)
+                self.run_pooled(predictor, labels.store(), queries, &prune_set, threads)
             }
-            SchedulePolicy::Batched { threads, batch_size } => self.run_pooled(
-                predictor,
-                labels.store(),
-                queries,
-                &prune_set,
-                threads,
-                Some(batch_size),
-            ),
             SchedulePolicy::CueGated { config, policy, threads, deterministic } => {
                 let Labels::Boosting(labels) = labels else {
                     return Err(Error::Config {
@@ -321,9 +289,8 @@ impl<'s, 'e> Scheduler<'s, 'e> {
         })
     }
 
-    /// The pooled fixed policies: dispatch everything up front (one item
-    /// per work unit, or prefix-coherent batches), then drain the
-    /// completion channel and re-assemble in input order.
+    /// The pooled fixed policy: dispatch every query up front, then drain
+    /// the completion channel and re-assemble in input order.
     fn run_pooled(
         &self,
         predictor: &dyn Predictor,
@@ -331,12 +298,8 @@ impl<'s, 'e> Scheduler<'s, 'e> {
         queries: &[NodeId],
         prune_set: &(impl Fn(NodeId) -> bool + Sync),
         threads: usize,
-        batch_size: Option<usize>,
     ) -> Result<RunReport> {
         assert!(threads >= 1, "need at least one worker");
-        if let Some(bs) = batch_size {
-            assert!(bs >= 1, "need a positive batch size");
-        }
         let exec = self.exec;
         if exec.budget.is_some() {
             // The hard-budget path is order-dependent (the meter decides
@@ -357,71 +320,13 @@ impl<'s, 'e> Scheduler<'s, 'e> {
             }
         }
 
-        let works: Vec<Work> = match batch_size {
-            None => queries
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| slots[*i].is_none())
-                .map(|(i, &v)| Work {
-                    items: vec![WorkItem { slot: i, node: v, force_prune: prune_set(v) }],
-                    batch: None,
-                    labels: None,
-                })
-                .collect(),
-            Some(bs) => {
-                // Pre-render every prompt for ordering. A panicking
-                // predictor is tolerated here (empty sort key); the
-                // worker's `catch_unwind` contains it as a failed record.
-                let prompts: Vec<String> = queries
-                    .iter()
-                    .map(|&v| {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            let mut rng = exec.query_rng(v);
-                            exec.render_for_estimate(
-                                predictor,
-                                labels,
-                                v,
-                                &mut rng,
-                                prune_set(v),
-                            )
-                        }))
-                        .unwrap_or_default()
-                    })
-                    .collect();
-                let mut order: Vec<usize> = (0..queries.len()).collect();
-                order.sort_by(|&a, &b| prompts[a].cmp(&prompts[b]).then(a.cmp(&b)));
-                order
-                    .chunks(bs)
-                    .enumerate()
-                    .map(|(b, chunk)| Work {
-                        items: chunk
-                            .iter()
-                            .filter(|&&i| slots[i].is_none())
-                            .map(|&i| WorkItem {
-                                slot: i,
-                                node: queries[i],
-                                force_prune: prune_set(queries[i]),
-                            })
-                            .collect(),
-                        batch: Some(BatchMeta {
-                            index: b as u32,
-                            queries: chunk.len() as u64,
-                            shared_prefix_tokens: chunk
-                                .windows(2)
-                                .map(|w| {
-                                    mqo_cache::common_prefix_tokens(
-                                        &prompts[w[0]],
-                                        &prompts[w[1]],
-                                    ) as u64
-                                })
-                                .sum(),
-                        }),
-                        labels: None,
-                    })
-                    .collect()
-            }
-        };
-        let expected: usize = works.iter().map(|w| w.items.len()).sum();
+        let works: Vec<Work> = queries
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| slots[*i].is_none())
+            .map(|(i, &v)| Work { slot: i, node: v, force_prune: prune_set(v), labels: None })
+            .collect();
+        let expected = works.len();
 
         self.with_pool(predictor, Some(labels), threads, works.len(), |dispatch, done_rx| {
             for w in works {
@@ -547,12 +452,9 @@ impl<'s, 'e> Scheduler<'s, 'e> {
                     pending.retain(|p| ready.binary_search(p).is_err());
                     for (slot, node) in ready {
                         let work = Work {
-                            items: vec![WorkItem {
-                                slot,
-                                node,
-                                force_prune: force_prune(&failures, node),
-                            }],
-                            batch: None,
+                            slot,
+                            node,
+                            force_prune: force_prune(&failures, node),
                             labels: Some(labels_now.clone()),
                         };
                         dispatch
@@ -686,61 +588,42 @@ fn worker_loop(
     let mut handled = 0u64;
     let mut scratch = RenderScratch::new();
     while let Some(work) = dispatch.pop() {
-        // Queries executed while this guard is live nest under the batch
-        // span via the worker's thread-local stack.
-        let batch_span = work.batch.as_ref().map(|meta| {
-            let span = exec.tracer.span(
-                exec.sink,
-                "batch",
-                || format!("batch {} ({} queries)", meta.index, meta.queries),
-                exec.tracer.current_or(exec.span_scope()),
-            );
-            exec.sink.emit(&mqo_obs::Event::BatchDispatched {
-                batch: meta.index,
-                queries: meta.queries,
-                shared_prefix_tokens: meta.shared_prefix_tokens,
-            });
-            span
-        });
-        for item in &work.items {
-            let labels = work
-                .labels
-                .as_deref()
-                .or(fixed_labels)
-                .expect("dispatched work carries no label store");
-            // Contain per-query panics: a poisoned predictor or a bug in
-            // one prompt path must not lose the other workers' completed
-            // queries — the panicked query becomes a failed record and
-            // the survivors drain the rest.
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let mut rng = exec.query_rng(item.node);
-                exec.run_one_reusing(
-                    predictor,
-                    labels,
-                    item.node,
-                    &mut rng,
-                    item.force_prune,
-                    &mut scratch,
-                )
-            }));
-            let record = match outcome {
-                Ok(record) => record,
-                Err(payload) => {
-                    // The render buffers may hold a half-written prompt.
-                    scratch = RenderScratch::new();
-                    let detail = panic_message(payload);
-                    exec.sink.emit(&mqo_obs::Event::WorkerLost {
-                        worker,
-                        node: item.node.0,
-                        detail: detail.clone(),
-                    });
-                    Ok(exec.failed_record(item.node, format!("worker panicked: {detail}")))
-                }
-            };
-            handled += 1;
-            let _ = done_tx.send(Done { slot: item.slot, node: item.node, record });
-        }
-        drop(batch_span);
+        let labels = work
+            .labels
+            .as_deref()
+            .or(fixed_labels)
+            .expect("dispatched work carries no label store");
+        // Contain per-query panics: a poisoned predictor or a bug in one
+        // prompt path must not lose the other workers' completed queries —
+        // the panicked query becomes a failed record and the survivors
+        // drain the rest.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut rng = exec.query_rng(work.node);
+            exec.run_one_reusing(
+                predictor,
+                labels,
+                work.node,
+                &mut rng,
+                work.force_prune,
+                &mut scratch,
+            )
+        }));
+        let record = match outcome {
+            Ok(record) => record,
+            Err(payload) => {
+                // The render buffers may hold a half-written prompt.
+                scratch = RenderScratch::new();
+                let detail = panic_message(payload);
+                exec.sink.emit(&mqo_obs::Event::WorkerLost {
+                    worker,
+                    node: work.node.0,
+                    detail: detail.clone(),
+                });
+                Ok(exec.failed_record(work.node, format!("worker panicked: {detail}")))
+            }
+        };
+        handled += 1;
+        let _ = done_tx.send(Done { slot: work.slot, node: work.node, record });
     }
     exec.sink.emit(&mqo_obs::Event::WorkerThroughput {
         worker,
@@ -852,126 +735,6 @@ mod tests {
                             }
                             handled += 1;
                             *slots[i].lock() = Some(record);
-                        }
-                        exec.sink.emit(&mqo_obs::Event::WorkerThroughput {
-                            worker: worker as u32,
-                            queries: handled,
-                            wall_micros: exec.clock.now_micros().saturating_sub(started),
-                        });
-                    });
-                }
-            });
-
-            let mut out = ExecOutcome::default();
-            for slot in slots {
-                let record = slot.into_inner().expect("every slot filled")?;
-                out.records.push(record);
-            }
-            Ok(out)
-        }
-
-        pub(super) fn run_all_batched(
-            exec: &Executor<'_>,
-            predictor: &dyn Predictor,
-            labels: &LabelStore,
-            queries: &[NodeId],
-            prune_set: impl Fn(NodeId) -> bool + Sync,
-            threads: usize,
-            batch_size: usize,
-        ) -> Result<ExecOutcome> {
-            assert!(threads >= 1, "need at least one worker");
-            assert!(batch_size >= 1, "need a positive batch size");
-            if exec.budget.is_some() {
-                return Err(Error::Config {
-                    detail: "hard budgets require sequential execution".into(),
-                });
-            }
-
-            let prompts: Vec<String> = queries
-                .iter()
-                .map(|&v| {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        let mut rng = exec.query_rng(v);
-                        exec.render_for_estimate(predictor, labels, v, &mut rng, prune_set(v))
-                    }))
-                    .unwrap_or_default()
-                })
-                .collect();
-
-            let mut order: Vec<usize> = (0..queries.len()).collect();
-            order.sort_by(|&a, &b| prompts[a].cmp(&prompts[b]).then(a.cmp(&b)));
-            let batches: Vec<&[usize]> = order.chunks(batch_size).collect();
-
-            let slots: Vec<Mutex<Option<Result<QueryRecord>>>> =
-                queries.iter().map(|_| Mutex::new(None)).collect();
-            for (i, &v) in queries.iter().enumerate() {
-                if let Some(rec) = exec.replay_journaled(v) {
-                    *slots[i].lock() = Some(Ok(rec));
-                }
-            }
-            let next_batch = std::sync::atomic::AtomicUsize::new(0);
-
-            std::thread::scope(|scope| {
-                let (next_batch, slots, prompts, batches, prune_set) =
-                    (&next_batch, &slots, &prompts, &batches, &prune_set);
-                for worker in 0..threads {
-                    scope.spawn(move || {
-                        mqo_obs::set_thread_track(worker as u32 + 1);
-                        let started = exec.clock.now_micros();
-                        let mut handled = 0u64;
-                        loop {
-                            let b =
-                                next_batch.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if b >= batches.len() {
-                                break;
-                            }
-                            let batch = batches[b];
-                            let batch_span = exec.tracer.span(
-                                exec.sink,
-                                "batch",
-                                || format!("batch {b} ({} queries)", batch.len()),
-                                exec.tracer.current_or(exec.span_scope()),
-                            );
-                            let shared: u64 = batch
-                                .windows(2)
-                                .map(|w| {
-                                    mqo_cache::common_prefix_tokens(
-                                        &prompts[w[0]],
-                                        &prompts[w[1]],
-                                    ) as u64
-                                })
-                                .sum();
-                            exec.sink.emit(&mqo_obs::Event::BatchDispatched {
-                                batch: b as u32,
-                                queries: batch.len() as u64,
-                                shared_prefix_tokens: shared,
-                            });
-                            for &i in batch {
-                                if slots[i].lock().is_some() {
-                                    continue; // replayed from the journal
-                                }
-                                let v = queries[i];
-                                let record = catch_unwind(AssertUnwindSafe(|| {
-                                    let mut rng = exec.query_rng(v);
-                                    exec.run_one(predictor, labels, v, &mut rng, prune_set(v))
-                                }))
-                                .unwrap_or_else(|payload| {
-                                    let detail = panic_message(payload);
-                                    exec.sink.emit(&mqo_obs::Event::WorkerLost {
-                                        worker: worker as u32,
-                                        node: v.0,
-                                        detail: detail.clone(),
-                                    });
-                                    Ok(exec
-                                        .failed_record(v, format!("worker panicked: {detail}")))
-                                });
-                                if let Ok(rec) = &record {
-                                    exec.journal_record(rec);
-                                }
-                                handled += 1;
-                                *slots[i].lock() = Some(record);
-                            }
-                            drop(batch_span);
                         }
                         exec.sink.emit(&mqo_obs::Event::WorkerThroughput {
                             worker: worker as u32,
@@ -1344,7 +1107,6 @@ mod tests {
             seed in 0u64..10_000,
             n in 4usize..12,
             threads in 1usize..4,
-            batch in 1usize..5,
         ) {
             let tag = random_tag(seed, n, 3);
             let (queries, labels) = split(&tag);
@@ -1362,20 +1124,9 @@ mod tests {
                 SchedulePolicy::Parallel { threads },
             )
             .unwrap();
-            let bat_legacy = legacy::run_all_batched(
-                &exec, &predictor, &labels, &queries, |_| false, threads, batch,
-            )
-            .unwrap();
-            let bat = fixed(
-                &exec, &predictor, &labels, &queries, |_| false,
-                SchedulePolicy::Batched { threads, batch_size: batch },
-            )
-            .unwrap();
 
             prop_assert_eq!(&seq.records, &par_legacy.records);
             prop_assert_eq!(&seq.records, &par.records);
-            prop_assert_eq!(&seq.records, &bat_legacy.records);
-            prop_assert_eq!(&seq.records, &bat.records);
         }
 
         /// Deterministic cue-gated scheduling at width 1 *is* the legacy
@@ -1750,93 +1501,6 @@ mod tests {
         assert_eq!(total, 6, "workers collectively handled every query");
     }
 
-    #[test]
-    fn batched_matches_sequential_bit_for_bit() {
-        let (bundle, split, llm) = cora(0.3, 31, 120, 2);
-        let tag = &bundle.tag;
-        let exec = Executor::new(tag, &llm, 4, 5);
-        let labels = LabelStore::from_split(tag, &split);
-        let predictor = KhopRandom::new(1, tag.num_nodes());
-
-        let seq = exec.run_all(&predictor, &labels, split.queries(), |_| false).unwrap();
-        let bat = fixed(
-            &exec,
-            &predictor,
-            &labels,
-            split.queries(),
-            |_| false,
-            SchedulePolicy::Batched { threads: 4, batch_size: 16 },
-        )
-        .unwrap();
-        assert_eq!(seq.records, bat.records, "batched execution changed results");
-    }
-
-    #[test]
-    fn batches_are_dispatched_and_cover_every_query() {
-        let tag = two_cliques();
-        let llm = mqo_llm::ScriptedLlm::new(vec!["Category: ['Alpha']"; 12]);
-        let sink = mqo_obs::Recorder::new();
-        let exec = Executor::new(&tag, &llm, 4, 0).with_sink(&sink);
-        let labels = LabelStore::empty(tag.num_nodes());
-        let p = KhopRandom::new(1, tag.num_nodes());
-        let qs: Vec<NodeId> = (0..6).map(NodeId).collect();
-        fixed(
-            &exec,
-            &p,
-            &labels,
-            &qs,
-            |_| false,
-            SchedulePolicy::Batched { threads: 2, batch_size: 4 },
-        )
-        .unwrap();
-        let dispatched = sink.of_kind("batch_dispatched");
-        assert_eq!(dispatched.len(), 2, "6 queries at batch size 4 → 2 batches");
-        let covered: u64 = dispatched
-            .iter()
-            .map(|e| match e {
-                mqo_obs::Event::BatchDispatched { queries, .. } => *queries,
-                other => panic!("unexpected event {other:?}"),
-            })
-            .sum();
-        assert_eq!(covered, 6, "batches collectively cover every query");
-    }
-
-    #[test]
-    fn batched_rejects_hard_budget() {
-        let tag = two_cliques();
-        let llm = mqo_llm::ScriptedLlm::new(vec!["Category: ['Alpha']"; 2]);
-        let exec = Executor::new(&tag, &llm, 4, 0).with_budget(100);
-        let labels = LabelStore::empty(tag.num_nodes());
-        let p = KhopRandom::new(1, tag.num_nodes());
-        let err = fixed(
-            &exec,
-            &p,
-            &labels,
-            &[NodeId(0)],
-            |_| false,
-            SchedulePolicy::Batched { threads: 2, batch_size: 4 },
-        );
-        assert!(matches!(err, Err(Error::Config { .. })));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive batch size")]
-    fn zero_batch_size_rejected() {
-        let tag = two_cliques();
-        let llm = mqo_llm::ScriptedLlm::new(vec!["x"]);
-        let exec = Executor::new(&tag, &llm, 4, 0);
-        let labels = LabelStore::empty(tag.num_nodes());
-        let p = KhopRandom::new(1, tag.num_nodes());
-        let _ = fixed(
-            &exec,
-            &p,
-            &labels,
-            &[],
-            |_| false,
-            SchedulePolicy::Batched { threads: 1, batch_size: 0 },
-        );
-    }
-
     /// A predictor that panics on a specific node — exercises panic
     /// containment in the worker loop.
     struct PanicOn(NodeId);
@@ -1891,27 +1555,5 @@ mod tests {
             other => panic!("expected one WorkerLost, got {other:?}"),
         }
         assert_eq!(sink.of_kind("query_failed").len(), 1);
-    }
-
-    #[test]
-    fn batched_worker_panic_is_contained_too() {
-        let tag = two_cliques();
-        let llm = mqo_llm::ScriptedLlm::new(vec!["Category: ['Alpha']"; 6]);
-        let exec = Executor::new(&tag, &llm, 4, 0);
-        let labels = LabelStore::empty(tag.num_nodes());
-        let p = PanicOn(NodeId(1));
-        let qs: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let out = fixed(
-            &exec,
-            &p,
-            &labels,
-            &qs,
-            |_| false,
-            SchedulePolicy::Batched { threads: 2, batch_size: 2 },
-        )
-        .unwrap();
-        assert_eq!(out.records.len(), 4);
-        assert_eq!(out.failed(), 1);
-        assert!(out.records.iter().find(|r| r.node == NodeId(1)).unwrap().failed());
     }
 }

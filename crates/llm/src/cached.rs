@@ -4,9 +4,7 @@
 //! from an LRU response cache (keyed by the canonical
 //! [`mqo_cache::fingerprint()`] of model name + rendered prompt), coalesces
 //! identical prompts that are *in flight* concurrently so only one request
-//! reaches the model, and feeds every prompt it actually sends through a
-//! [`mqo_cache::PrefixStore`] to account the prefix reuse a white-box
-//! serving cache would additionally realize.
+//! reaches the model.
 //!
 //! Metering semantics: only requests that reach the inner client are
 //! metered. A completion served from cache (or coalesced onto another
@@ -26,8 +24,7 @@
 
 use crate::error::Result;
 use crate::model::{Completion, LanguageModel};
-use crate::prompt::segments;
-use mqo_cache::{fingerprint, CacheStats, PrefixStore, ResponseCache, RoundInvalidator};
+use mqo_cache::{fingerprint, CacheStats, ResponseCache, RoundInvalidator};
 use mqo_obs::{Event, EventSink};
 use mqo_token::{Tokenizer, Usage, UsageMeter};
 use parking_lot::Mutex;
@@ -51,11 +48,6 @@ pub struct CachedLlmStats {
     pub coalesced: u64,
     /// Prompt tokens that were *not* sent thanks to hits + coalescing.
     pub tokens_saved: u64,
-    /// Leading tokens of actually-sent prompts a radix prefix cache would
-    /// have reused (realized, in serving order).
-    pub prefix_reuse_tokens: u64,
-    /// Total tokens across actually-sent prompts (prefix-store view).
-    pub prefix_total_tokens: u64,
 }
 
 impl CachedLlmStats {
@@ -75,7 +67,6 @@ impl CachedLlmStats {
 pub struct CachedLlm<L> {
     inner: L,
     cache: Arc<ResponseCache<Completion>>,
-    prefix: Mutex<PrefixStore>,
     in_flight: Mutex<HashMap<u64, Arc<Flight>>>,
     coalesced: AtomicU64,
     tokens_saved: AtomicU64,
@@ -93,7 +84,6 @@ impl<L: LanguageModel> CachedLlm<L> {
         CachedLlm {
             inner,
             cache: Arc::new(ResponseCache::new(capacity)),
-            prefix: Mutex::new(PrefixStore::new()),
             in_flight: Mutex::new(HashMap::new()),
             coalesced: AtomicU64::new(0),
             tokens_saved: AtomicU64::new(0),
@@ -120,13 +110,10 @@ impl<L: LanguageModel> CachedLlm<L> {
 
     /// Counters snapshot.
     pub fn stats(&self) -> CachedLlmStats {
-        let prefix = self.prefix.lock();
         CachedLlmStats {
             cache: self.cache.stats(),
             coalesced: self.coalesced.load(Ordering::Relaxed),
             tokens_saved: self.tokens_saved.load(Ordering::Relaxed),
-            prefix_reuse_tokens: prefix.reused_tokens(),
-            prefix_total_tokens: prefix.total_tokens(),
         }
     }
 
@@ -141,7 +128,6 @@ impl<L: LanguageModel> CachedLlm<L> {
             stale_drops: s.cache.stale_drops,
             coalesced: s.coalesced,
             tokens_saved: s.tokens_saved,
-            prefix_reuse_tokens: s.prefix_reuse_tokens,
         })
     }
 
@@ -204,9 +190,7 @@ impl<L: LanguageModel> LanguageModel for CachedLlm<L> {
             };
         }
 
-        // Leader: this request actually reaches the model — account its
-        // prefix reuse against traffic already sent.
-        self.prefix.lock().observe_segments(&segments(prompt));
+        // Leader: this request actually reaches the model.
         let result = self.inner.complete(prompt);
         if let Ok(c) = &result {
             self.cache.insert(fp, c.clone());
@@ -354,18 +338,22 @@ mod tests {
         assert_eq!(s.coalesced, 1, "the second caller coalesced");
     }
 
+    /// Only the prompts that reach the model are metered: a hit is
+    /// neither sent nor billed, so any analysis of sent traffic (the
+    /// `prefix_sharing` experiment's prefix store) sees just the misses.
     #[test]
     fn prefix_store_sees_only_sent_traffic() {
         let llm = CachedLlm::new(ScriptedLlm::new(["x", "y"]), 16);
         llm.complete(&prompt(0)).unwrap();
-        llm.complete(&prompt(0)).unwrap(); // hit: not sent, not observed
+        llm.complete(&prompt(0)).unwrap(); // hit: not sent
         llm.complete(&prompt(1)).unwrap();
+        let sent = (Tokenizer.count(&prompt(0)) + Tokenizer.count(&prompt(1))) as u64;
+        let totals = llm.meter().totals();
+        assert_eq!(totals.requests, 2, "the hit never reached the model");
+        assert_eq!(totals.prompt_tokens, sent, "only sent prompts are billed");
         let s = llm.stats();
-        assert!(s.prefix_total_tokens > 0);
-        // The two *sent* prompts diverge at the target block (their first
-        // segment), so a radix cache would reuse no leading tokens here —
-        // exactly the paper's §II-C observation about this prompt shape.
-        assert_eq!(s.prefix_reuse_tokens, 0);
+        assert_eq!((s.cache.hits, s.cache.misses), (1, 2));
+        assert_eq!(s.tokens_saved, Tokenizer.count(&prompt(0)) as u64);
     }
 
     #[test]

@@ -110,13 +110,13 @@ pub const NEIGHBOR_BLOCK_PREFIX: &str = "Neighbor Paper";
 /// Split a rendered prompt into its structural segments: the target block,
 /// the neighbor-section header, each neighbor block, and the task block.
 ///
-/// This is the segmentation `mqo_cache::PrefixStore` consumes: it cuts at
-/// blank lines (which separate the Table III sections) and additionally at
-/// every [`NEIGHBOR_BLOCK_PREFIX`] line, so two prompts sharing the same
-/// leading neighbor blocks register that reuse even though the blocks live
-/// inside one paragraph. Blank separator lines are whitespace-only and
-/// therefore token-free: the segments' token counts sum exactly to the
-/// whole prompt's.
+/// This is the segmentation `mqo_cache::PrefixStore` consumes in the
+/// `prefix_sharing` experiment: it cuts at blank lines (which separate the
+/// Table III sections) and additionally at every [`NEIGHBOR_BLOCK_PREFIX`]
+/// line, so two prompts sharing the same leading neighbor blocks register
+/// that reuse even though the blocks live inside one paragraph. Blank
+/// separator lines are whitespace-only and therefore token-free: the
+/// segments' token counts sum exactly to the whole prompt's.
 pub fn segments(prompt: &str) -> Vec<&str> {
     let mut out = Vec::new();
     let mut seg_start = 0usize;

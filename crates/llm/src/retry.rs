@@ -80,9 +80,10 @@ impl<L: LanguageModel> LanguageModel for RetryingLlm<L> {
     }
 
     fn complete(&self, prompt: &str) -> Result<Completion> {
-        // Built once from the original prompt: the suffix can never stack.
-        let retry_prompt = format!("{prompt}{RETRY_SUFFIX}");
-        let retry_cost = Tokenizer.count(&retry_prompt) as u64;
+        // The retry prompt and its token cost, built on the first retry
+        // from the original prompt (so the suffix can never stack) and
+        // never on a first-attempt success.
+        let mut retry: Option<(String, u64)> = None;
         let mut attempts = 0;
         let err = loop {
             let _retry_span = match (&self.tracer, attempts) {
@@ -94,11 +95,18 @@ impl<L: LanguageModel> LanguageModel for RetryingLlm<L> {
                 )),
                 _ => None,
             };
-            let attempt_prompt = if attempts == 0 { prompt } else { retry_prompt.as_str() };
+            let attempt_prompt = retry.as_ref().map_or(prompt, |(p, _)| p.as_str());
             attempts += 1;
             match self.inner.complete(attempt_prompt) {
                 Ok(c) => return Ok(c),
                 Err(e) if attempts < self.max_attempts && e.is_retriable() => {
+                    let retry_cost = retry
+                        .get_or_insert_with(|| {
+                            let p = format!("{prompt}{RETRY_SUFFIX}");
+                            let cost = Tokenizer.count(&p) as u64;
+                            (p, cost)
+                        })
+                        .1;
                     // Each attempt is metered, so the re-send must fit the
                     // Eq. 2 hard budget like any first send would.
                     if let Some(budget) = self.budget {

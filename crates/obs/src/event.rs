@@ -77,19 +77,6 @@ pub enum Event {
         coalesced: u64,
         /// Prompt tokens never sent thanks to hits + coalescing.
         tokens_saved: u64,
-        /// Leading tokens of sent prompts a radix prefix cache would have
-        /// reused (realized, in serving order).
-        prefix_reuse_tokens: u64,
-    },
-    /// The batched scheduler dispatched one prefix-coherent batch.
-    BatchDispatched {
-        /// Batch index (0-based, in dispatch order).
-        batch: u32,
-        /// Queries in the batch.
-        queries: u64,
-        /// Tokens shared between consecutive prompts inside the batch —
-        /// the adjacency reuse a serving-side prefix cache would see.
-        shared_prefix_tokens: u64,
     },
     /// The hard token budget (Eq. 2) started binding: a `would_exceed`
     /// check first denied a prompt. Emitted once per meter.
@@ -107,7 +94,7 @@ pub enum Event {
         id: u64,
         /// Parent span id (0 = root).
         parent: u64,
-        /// Span kind: `run`, `round`, `batch`, `query`, `llm_call`, `retry`.
+        /// Span kind: `run`, `round`, `query`, `llm_call`, `retry`.
         name: String,
         /// Free-form detail (e.g. `"node 17"`).
         detail: String,
@@ -301,7 +288,6 @@ impl Event {
             Event::RetryAttempt { .. } => "retry_attempt",
             Event::RetryExhausted { .. } => "retry_exhausted",
             Event::CacheStats { .. } => "cache_stats",
-            Event::BatchDispatched { .. } => "batch_dispatched",
             Event::BudgetPressure { .. } => "budget_pressure",
             Event::SpanEnter { .. } => "span_enter",
             Event::SpanExit { .. } => "span_exit",
@@ -368,21 +354,12 @@ impl Event {
                 stale_drops,
                 coalesced,
                 tokens_saved,
-                prefix_reuse_tokens,
             } => {
                 let _ = write!(
                     s,
                     ",\"hits\":{hits},\"misses\":{misses},\"evictions\":{evictions},\
                      \"stale_drops\":{stale_drops},\"coalesced\":{coalesced},\
-                     \"tokens_saved\":{tokens_saved},\
-                     \"prefix_reuse_tokens\":{prefix_reuse_tokens}"
-                );
-            }
-            Event::BatchDispatched { batch, queries, shared_prefix_tokens } => {
-                let _ = write!(
-                    s,
-                    ",\"batch\":{batch},\"queries\":{queries},\
-                     \"shared_prefix_tokens\":{shared_prefix_tokens}"
+                     \"tokens_saved\":{tokens_saved}"
                 );
             }
             Event::BudgetPressure { budget, prompt_tokens_used, denied_cost } => {
@@ -568,13 +545,8 @@ mod tests {
                     stale_drops: 2,
                     coalesced: 1,
                     tokens_saved: 640,
-                    prefix_reuse_tokens: 72,
                 },
                 "cache_stats",
-            ),
-            (
-                Event::BatchDispatched { batch: 2, queries: 16, shared_prefix_tokens: 320 },
-                "batch_dispatched",
             ),
             (
                 Event::SpanEnter {

@@ -14,8 +14,8 @@
 //!   summaries, [`FileSink`] streams JSONL to disk (conventionally under
 //!   `results/logs/`), [`Tee`] fans out to two sinks, and [`Fanout`] to
 //!   any number.
-//! - [`Tracer`] / [`SpanGuard`] — causal spans (run → round → batch →
-//!   query → llm_call/retry) stamped by an injectable [`Clock`], exported
+//! - [`Tracer`] / [`SpanGuard`] — causal spans (run → round → query →
+//!   llm_call/retry) stamped by an injectable [`Clock`], exported
 //!   as Chrome trace JSON by [`ChromeTraceSink`] for
 //!   `chrome://tracing` / Perfetto.
 //! - [`Registry`] / [`MetricsSink`] — live named counters, gauges and

@@ -438,8 +438,6 @@ pub struct MetricsSink {
     retries: Arc<Counter>,
     retries_exhausted: Arc<Counter>,
     workers: Arc<Counter>,
-    batches: Arc<Counter>,
-    batch_shared_prefix_tokens: Arc<Counter>,
     budget_pressure: Arc<Counter>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
@@ -515,11 +513,6 @@ impl MetricsSink {
             retries_exhausted: r
                 .counter("mqo_retries_exhausted_total", "Retry sequences that gave up"),
             workers: r.counter("mqo_workers_total", "Worker throughput reports"),
-            batches: r.counter("mqo_batches_total", "Prefix-coherent batches dispatched"),
-            batch_shared_prefix_tokens: r.counter(
-                "mqo_batch_shared_prefix_tokens_total",
-                "Tokens shared between consecutive prompts inside batches",
-            ),
             budget_pressure: r
                 .counter("mqo_budget_pressure_total", "Hard-budget pressure events"),
             cache_hits: r.counter("mqo_cache_hits_total", "Response-cache hits"),
@@ -641,7 +634,7 @@ impl MetricsSink {
              \"billed_tokens\":{},\"rendered_tokens\":{},\"pruned_saved_tokens\":{},\
              \"cache_saved_tokens\":{},\"starved_tokens\":{},\"enrichment_tokens\":{},\
              \"failed_tokens\":{},\"retries\":{},\"parse_failures\":{},\
-             \"batches\":{},\"queries_failed\":{},\"queries_replayed\":{}}}",
+             \"queries_failed\":{},\"queries_replayed\":{}}}",
             self.queries.get(),
             self.rounds.get(),
             self.current_round.get(),
@@ -654,7 +647,6 @@ impl MetricsSink {
             self.cost_failed.get(),
             self.retries.get(),
             self.parse_failures.get(),
-            self.batches.get(),
             self.queries_failed.get(),
             self.queries_replayed.get(),
         )
@@ -687,10 +679,6 @@ impl EventSink for MetricsSink {
                 self.cache_misses.add(*misses);
                 self.cache_coalesced.add(*coalesced);
                 self.cache_tokens_saved.add(*tokens_saved);
-            }
-            Event::BatchDispatched { shared_prefix_tokens, .. } => {
-                self.batches.inc();
-                self.batch_shared_prefix_tokens.add(*shared_prefix_tokens);
             }
             Event::BudgetPressure { .. } => self.budget_pressure.inc(),
             Event::SpanEnter { .. } => self.spans.inc(),

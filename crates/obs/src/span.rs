@@ -2,7 +2,7 @@
 //!
 //! A span is an interval with a name, a parent, and monotonic enter/exit
 //! timestamps from an injectable [`Clock`]. Threaded through the pipeline
-//! they decompose a run causally — run → round → batch → query →
+//! they decompose a run causally — run → round → query →
 //! llm_call / retry — which a flat event stream cannot express.
 //!
 //! Spans ride the existing [`EventSink`] stream as

@@ -41,12 +41,6 @@ pub struct Summary {
     pub cache_coalesced: u64,
     /// Prompt tokens never sent thanks to the cache.
     pub cache_tokens_saved: u64,
-    /// Realized radix-prefix reuse tokens across sent prompts.
-    pub prefix_reuse_tokens: u64,
-    /// Prefix-coherent batches dispatched by the batched scheduler.
-    pub batches: u64,
-    /// Tokens shared between consecutive prompts inside batches.
-    pub batch_shared_prefix_tokens: u64,
     /// Causal spans opened.
     pub spans: u64,
     /// Ledger: tokens prompts would cost fully rendered.
@@ -100,9 +94,6 @@ impl Summary {
             cache_stale_drops: 0,
             cache_coalesced: 0,
             cache_tokens_saved: 0,
-            prefix_reuse_tokens: 0,
-            batches: 0,
-            batch_shared_prefix_tokens: 0,
             spans: 0,
             cost_rendered_tokens: 0,
             cost_billed_tokens: 0,
@@ -149,7 +140,6 @@ impl Summary {
                     stale_drops,
                     coalesced,
                     tokens_saved,
-                    prefix_reuse_tokens,
                 } => {
                     s.cache_hits += hits;
                     s.cache_misses += misses;
@@ -157,11 +147,6 @@ impl Summary {
                     s.cache_stale_drops += stale_drops;
                     s.cache_coalesced += coalesced;
                     s.cache_tokens_saved += tokens_saved;
-                    s.prefix_reuse_tokens += prefix_reuse_tokens;
-                }
-                Event::BatchDispatched { queries: _, shared_prefix_tokens, .. } => {
-                    s.batches += 1;
-                    s.batch_shared_prefix_tokens += shared_prefix_tokens;
                 }
                 Event::SpanEnter { .. } => s.spans += 1,
                 Event::SpanExit { .. } => {}
@@ -265,18 +250,7 @@ impl fmt::Display for Summary {
                 self.cache_stale_drops,
                 self.cache_coalesced,
             )?;
-            writeln!(
-                f,
-                "  tokens saved       {:>8}   (+{} radix-prefix reusable)",
-                self.cache_tokens_saved, self.prefix_reuse_tokens,
-            )?;
-        }
-        if self.batches > 0 {
-            writeln!(
-                f,
-                "  batches            {:>8}   ({} shared-prefix tokens in-batch)",
-                self.batches, self.batch_shared_prefix_tokens,
-            )?;
+            writeln!(f, "  tokens saved       {:>8}", self.cache_tokens_saved)?;
         }
         if self.budget_pressure > 0 {
             writeln!(f, "  budget pressure    {:>8} event(s)", self.budget_pressure)?;
@@ -360,10 +334,7 @@ mod tests {
                 stale_drops: 2,
                 coalesced: 3,
                 tokens_saved: 900,
-                prefix_reuse_tokens: 40,
             },
-            Event::BatchDispatched { batch: 0, queries: 2, shared_prefix_tokens: 11 },
-            Event::BatchDispatched { batch: 1, queries: 2, shared_prefix_tokens: 9 },
             Event::SpanEnter {
                 id: 1,
                 parent: 0,
@@ -412,9 +383,6 @@ mod tests {
         assert_eq!((s.cache_hits, s.cache_misses), (7, 4));
         assert_eq!(s.cache_coalesced, 3);
         assert_eq!(s.cache_tokens_saved, 900);
-        assert_eq!(s.prefix_reuse_tokens, 40);
-        assert_eq!(s.batches, 2);
-        assert_eq!(s.batch_shared_prefix_tokens, 20);
         assert_eq!(s.spans, 1);
         assert_eq!(s.cost_rendered_tokens, 500);
         assert_eq!(s.cost_billed_tokens, 350);

@@ -11,9 +11,10 @@
 #                                     # the routed fields)
 #
 # The gated workload replays a fixed Cora query set three times through
-# the simulated LLM with the response cache on, so tokens_sent and
-# serve_rate are bit-deterministic (in-flight dedup guarantees one send
-# per unique prompt regardless of thread interleaving). The gate fails
+# the simulated LLM on a 4-worker pool with the response cache on, so
+# tokens_sent and serve_rate are bit-deterministic (in-flight dedup
+# guarantees one send per unique prompt regardless of thread
+# interleaving). The gate fails
 # when metered tokens rise or the serve rate drops by more than 5% vs the
 # committed baseline — i.e. when a change quietly breaks the cache.
 #
@@ -48,9 +49,9 @@ SERVE_ADDR=target/bench_serve_addr
 echo "==> building release binaries"
 cargo build --release -q -p mqo-bench --bin mqo --bin loadgen --bin bench_gate --bin obs_check
 
-echo "==> smoke workload (cora x3, cached, batched)"
+echo "==> smoke workload (cora x3, cached, 4 workers)"
 ./target/release/mqo classify cora \
-  --queries 120 --repeat 3 --seed 42 --threads 4 --batch 16 \
+  --queries 120 --repeat 3 --seed 42 --threads 4 \
   --stats-json "$CURRENT"
 
 echo "==> observability workload (cora, boosted, traced + cost ledger)"

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests for the response-cache layer: correctness
 //! under query boosting (round-based invalidation), and the end-to-end
 //! token-savings contract the `--cache-cap`/`--no-cache` CLI arms and the
-//! `BENCH_PR2.json` bench gate rely on.
+//! `BENCH_PR10.json` bench gate rely on.
 
 use mqo_core::boosting::{BoostConfig, DegradePolicy};
 use mqo_core::predictor::KhopRandom;
@@ -145,9 +145,10 @@ fn cached_repeat_run_sends_fewer_tokens_with_equal_accuracy() {
     }
 }
 
-/// The batched scheduler composes with the cache: prefix-coherent batches
-/// place identical prompts adjacently, and the run still matches the
-/// sequential records prediction-for-prediction.
+/// Pooled execution composes with the cache: across a width-4 worker
+/// pool every repeated prompt is served or coalesced onto its in-flight
+/// twin, and the run still matches the sequential records
+/// prediction-for-prediction.
 #[test]
 fn batched_execution_composes_with_the_cache() {
     let bundle = dataset(DatasetId::Citeseer, Some(0.3), 22);
@@ -167,7 +168,7 @@ fn batched_execution_composes_with_the_cache() {
         4096,
     );
     let exec = Executor::new(tag, &llm, 4, 5);
-    let out = Scheduler::new(&exec, SchedulePolicy::Batched { threads: 4, batch_size: 16 })
+    let out = Scheduler::new(&exec, SchedulePolicy::Parallel { threads: 4 })
         .run(&predictor, Labels::Fixed(&labels), &queries, |_| false)
         .unwrap()
         .outcome;
