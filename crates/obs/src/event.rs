@@ -260,7 +260,7 @@ pub enum Event {
 }
 
 /// Append `s` JSON-escaped (quoted) onto `out`.
-pub(crate) fn escape_json(out: &mut String, s: &str) {
+pub fn escape_json(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

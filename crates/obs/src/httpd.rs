@@ -582,9 +582,15 @@ pub fn serve_metrics(addr: &str, sink: Arc<MetricsSink>) -> io::Result<HttpServe
 /// Response bodies are framed by `Content-Length` and read as raw bytes;
 /// [`HttpClient::get`] / [`HttpClient::post`] decode them lossily, so a
 /// binary body can never turn into an I/O error.
+///
+/// An exchange also splits into its two halves, [`HttpClient::send`] and
+/// [`HttpClient::recv`], so one thread can put requests on several
+/// connections before it waits for any answer.
 pub struct HttpClient {
     reader: BufReader<TcpStream>,
     line: String,
+    /// Status line of the last response.
+    status: String,
     write_buf: Vec<u8>,
     body_buf: Vec<u8>,
     /// Headers of the last response, in arrival order (names lowercased).
@@ -601,6 +607,7 @@ impl HttpClient {
         Ok(HttpClient {
             reader: BufReader::with_capacity(16 * 1024, Self::open(addr)?),
             line: String::with_capacity(256),
+            status: String::new(),
             write_buf: Vec::with_capacity(512),
             body_buf: Vec::new(),
             resp_headers: Vec::new(),
@@ -646,6 +653,41 @@ impl HttpClient {
             .map(|(_, v)| v.as_str())
     }
 
+    /// Write one request (a JSON `body` if given, plus one optional extra
+    /// header) without waiting for the answer. Each `send` must be
+    /// followed by one [`HttpClient::recv`] before the connection carries
+    /// anything else. A connection the server closed is redialed first.
+    pub fn send(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+        extra_header: Option<(&str, &str)>,
+    ) -> io::Result<()> {
+        self.send_framed(method, path, body, false, extra_header)
+    }
+
+    /// Read the answer to the request last sent and return its status
+    /// code; the body is then [`HttpClient::body`].
+    pub fn recv(&mut self) -> io::Result<u16> {
+        let result = self.read_response();
+        if result.is_err() {
+            self.dead = true;
+        }
+        result
+    }
+
+    /// The body of the last response read, as raw bytes.
+    pub fn body(&self) -> &[u8] {
+        &self.body_buf
+    }
+
+    /// Whether the next request can go out on the current connection:
+    /// false once the server announced a close or the stream failed.
+    pub fn is_open(&self) -> bool {
+        !self.dead
+    }
+
     /// One request/response exchange. `close` asks the server to close
     /// afterwards (used by the one-shot helpers).
     fn request(
@@ -656,6 +698,19 @@ impl HttpClient {
         close: bool,
         extra_header: Option<(&str, &str)>,
     ) -> io::Result<(String, String)> {
+        self.send_framed(method, path, body, close, extra_header)?;
+        self.recv()?;
+        Ok((self.status.clone(), String::from_utf8_lossy(&self.body_buf).into_owned()))
+    }
+
+    fn send_framed(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+        close: bool,
+        extra_header: Option<(&str, &str)>,
+    ) -> io::Result<()> {
         if self.dead {
             self.reader = BufReader::with_capacity(16 * 1024, Self::open(self.addr)?);
             self.dead = false;
@@ -679,31 +734,33 @@ impl HttpClient {
         if let Some(body) = body {
             self.write_buf.extend_from_slice(body.as_bytes());
         }
-        let result = self.exchange(close);
+        let stream = self.reader.get_mut();
+        let result = stream.write_all(&self.write_buf).and_then(|()| stream.flush());
         if result.is_err() {
             self.dead = true;
         }
         result
     }
 
-    fn exchange(&mut self, close: bool) -> io::Result<(String, String)> {
-        {
-            let stream = self.reader.get_mut();
-            stream.write_all(&self.write_buf)?;
-            stream.flush()?;
-        }
-
-        self.line.clear();
-        if self.reader.read_line(&mut self.line)? == 0 {
+    fn read_response(&mut self) -> io::Result<u16> {
+        self.status.clear();
+        if self.reader.read_line(&mut self.status)? == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "connection closed before a status line arrived",
             ));
         }
-        let status = self.line.trim_end_matches(['\r', '\n']).to_string();
+        let trimmed = self.status.trim_end_matches(['\r', '\n']).len();
+        self.status.truncate(trimmed);
+        let code = self
+            .status
+            .split_whitespace()
+            .nth(1)
+            .and_then(|c| c.parse::<u16>().ok())
+            .ok_or_else(|| invalid("malformed response status line"))?;
 
         let mut content_length: Option<usize> = None;
-        let mut server_closes = close;
+        let mut server_closes = false;
         self.resp_headers.clear();
         loop {
             self.line.clear();
@@ -752,7 +809,7 @@ impl HttpClient {
         if server_closes {
             self.dead = true;
         }
-        Ok((status, String::from_utf8_lossy(&self.body_buf).into_owned()))
+        Ok(code)
     }
 }
 

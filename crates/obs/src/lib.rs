@@ -28,6 +28,10 @@
 //!   drains in one order: stop accepting, half-close live connections,
 //!   join them. Plus one-shot [`http_get`] / [`http_post`] clients for
 //!   tests and load generation.
+//! - [`wire`] — borrowed-span JSON reading: check a document once, then
+//!   walk its members and items as `&str` spans of the original text, so
+//!   the router and the shard workers relay records and labels without
+//!   building a value tree.
 //! - [`CostLedger`] — the token-cost attribution ledger: where every
 //!   prompt token went (billed, pruned, cache-saved, starved), reconciled
 //!   exactly against the usage meter.
@@ -70,6 +74,7 @@ mod sink;
 mod slo;
 mod span;
 mod summary;
+pub mod wire;
 
 pub use chrome::ChromeTraceSink;
 pub use clock::{Clock, ManualClock, MonotonicClock, WaitClock, MONOTONIC_CLOCK};

@@ -128,6 +128,7 @@ pub struct Engine {
     // cross-shard pseudo-label outbox.
     shard: Option<ShardContext>,
     remote_labels_total: Arc<Counter>,
+    labels_received_total: Arc<Counter>,
 }
 
 /// The 64-bit finalizer from `splitmix64` — a cheap, well-mixed hash
@@ -226,6 +227,10 @@ impl Engine {
             remote_labels_total: counter(
                 "mqo_shard_remote_labels_total",
                 "remote pseudo-labels accepted into the halo label store",
+            ),
+            labels_received_total: counter(
+                "mqo_shard_labels_received_total",
+                "remote pseudo-labels received from the router, accepted or not",
             ),
             shard: None,
             flight: FlightRecorder::new(cfg.flight_slow, cfg.flight_errors),
@@ -375,11 +380,13 @@ impl Engine {
     /// the router from other shards. Only labels for *halo* locals are
     /// ingested — an owned node's pseudo-labels are minted here, and a
     /// node absent from this shard's halo cannot cue any local prompt.
-    /// Returns how many were accepted.
+    /// Every label counts in `mqo_shard_labels_received_total`; returns
+    /// how many were accepted.
     pub fn ingest_remote_labels(&self, labels: &[(u64, u16)]) -> usize {
         let Some(ctx) = &self.shard else {
             return 0;
         };
+        self.labels_received_total.add(labels.len() as u64);
         let num_classes = self.bundle.tag.num_classes() as u16;
         let mut accepted = 0usize;
         {

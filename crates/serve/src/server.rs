@@ -73,6 +73,7 @@ use crate::shed::{Admit, BrownoutTransition, OverloadControl};
 use crate::slots::{AcquireError, SlotGate};
 use mqo_graph::NodeId;
 use mqo_obs::httpd::{metrics_routes, HttpConnection, HttpServer, Request};
+use mqo_obs::wire;
 use mqo_obs::{
     spans_from_events, Clock, Event, EventSink, FlightEntry, FlightSpan, Recorder, SpanId, Tee,
     MONOTONIC_CLOCK,
@@ -723,8 +724,8 @@ fn handle_labels(engine: &Engine, req: &Request, conn: &mut HttpConnection) -> i
         return json_response(conn, "404 Not Found", &json!({"error": "not a shard worker"}))
             .map(|()| 404);
     }
-    let body: Value = match serde_json::from_str(req.body_utf8()) {
-        Ok(v) => v,
+    let body = match wire::parse(req.body_utf8()) {
+        Ok(b) => b,
         Err(e) => {
             return json_response(
                 conn,
@@ -734,7 +735,7 @@ fn handle_labels(engine: &Engine, req: &Request, conn: &mut HttpConnection) -> i
             .map(|()| 400);
         }
     };
-    let Some(list) = body.get("labels").and_then(|l| l.as_array()) else {
+    let Some(list) = body.get("labels").and_then(|l| l.items()) else {
         return json_response(
             conn,
             "400 Bad Request",
@@ -742,12 +743,19 @@ fn handle_labels(engine: &Engine, req: &Request, conn: &mut HttpConnection) -> i
         )
         .map(|()| 400);
     };
-    let mut labels = Vec::with_capacity(list.len());
+    let mut labels = Vec::new();
     for entry in list {
-        let (Some(node), Some(label)) = (
-            entry.get("node").and_then(|n| n.as_u64()),
-            entry.get("label").and_then(|l| l.as_u64()),
-        ) else {
+        let (mut node, mut label) = (None, None);
+        for (key, value) in entry.members().into_iter().flatten() {
+            if key.is("node") {
+                node = Some(value);
+            } else if key.is("label") {
+                label = Some(value);
+            }
+        }
+        let (Some(node), Some(label)) =
+            (node.and_then(|n| n.as_u64()), label.and_then(|l| l.as_u64()))
+        else {
             return json_response(
                 conn,
                 "400 Bad Request",

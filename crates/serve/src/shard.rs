@@ -28,7 +28,7 @@ use mqo_obs::httpd::HttpClient;
 use mqo_obs::{Event, EventSink};
 use mqo_shard::{ShardIdentity, ShardMap};
 use parking_lot::Mutex;
-use serde_json::{json, Value};
+use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -180,17 +180,25 @@ impl Drop for LabelExchanger {
     }
 }
 
-/// The `/v1/labels` push body for one drained batch.
+/// The `/v1/labels` push body for one drained batch, keys in the sorted
+/// order a `serde_json` object renders in.
 fn push_body(shard_id: u32, batch: &[OutboundLabel]) -> String {
-    let labels: Vec<Value> = batch
-        .iter()
-        .map(|l| {
-            let shards: Vec<u64> = l.shards.iter().map(|&s| u64::from(s)).collect();
-            json!({"node": l.node, "label": l.label, "shards": shards})
-        })
-        .collect();
-    let v = json!({"from_shard": shard_id, "labels": labels});
-    serde_json::to_string(&v).expect("push body serialization")
+    let mut body = format!("{{\"from_shard\":{shard_id},\"labels\":[");
+    for (i, l) in batch.iter().enumerate() {
+        if i > 0 {
+            body.push(',');
+        }
+        let _ = write!(body, "{{\"label\":{},\"node\":{},\"shards\":[", l.label, l.node);
+        for (j, s) in l.shards.iter().enumerate() {
+            if j > 0 {
+                body.push(',');
+            }
+            let _ = write!(body, "{s}");
+        }
+        body.push_str("]}");
+    }
+    body.push_str("]}");
+    body
 }
 
 /// POST `body` to the router's `/v1/labels` over a cached keep-alive

@@ -10,7 +10,8 @@
 #     per shard from the map);
 #   * cross-shard label traffic is visible in Prometheus metrics on
 #     both sides: the router's relay counters and the workers'
-#     push/ingest counters all move;
+#     push/ingest counters all move, and the relay conserves labels
+#     (Σ router forwarded = Σ workers received);
 #   * all workers drain cleanly, and worker 0's Chrome trace + cost
 #     ledger pass obs_check;
 #   * cluster peak RSS (max VmHWM across workers) and routed
@@ -152,6 +153,23 @@ done
   exit 1
 }
 echo "cross-shard     : $INGESTED remote labels ingested across the cluster"
+# Relay conservation: the router relays labels byte-level, so every label
+# it counts as forwarded must have reached a worker's /v1/labels.
+FORWARDED=$(echo "$ROUTER_METRICS" \
+  | sed -n 's/^mqo_shard_labels_forwarded_total{[^}]*} \([0-9]*\).*/\1/p' \
+  | awk '{ s += $1 } END { print s + 0 }')
+RECEIVED=0
+for i in $(seq 0 $((SHARDS - 1))); do
+  ADDR=$(tr -d '[:space:]' < "$DIR/worker-$i.addr")
+  N=$(curl -sf "http://$ADDR/metrics" \
+    | sed -n 's/^mqo_shard_labels_received_total \([0-9]*\).*/\1/p')
+  RECEIVED=$((RECEIVED + ${N:-0}))
+done
+[ "$RECEIVED" -eq "$FORWARDED" ] || {
+  echo "shard_smoke: router forwarded $FORWARDED labels but workers received $RECEIVED" >&2
+  exit 1
+}
+echo "relay           : $FORWARDED labels forwarded = $RECEIVED received"
 
 echo "==> draining workers and stopping the router"
 for i in $(seq 0 $((SHARDS - 1))); do
