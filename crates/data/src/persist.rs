@@ -29,30 +29,53 @@
 //! only caught (or worse, not caught) thousands of records later. This
 //! matters most for sharded deployments, where per-shard files are
 //! copied between machines.
+//!
+//! Decoding streams. [`load`] parses straight from a buffered file
+//! through an [`ImageReader`], which hashes each byte as it passes, so
+//! no whole-file image is ever resident; [`from_bytes`] runs the same
+//! decoder over a slice. The CSR is built as soon as the edge section
+//! ends, so the `GraphBuilder`'s edge list is freed before the first
+//! text is read. After the parse, succeeded or failed, the reader drains the
+//! rest of the image and the fingerprint is compared: a mismatch wins
+//! over any parse error, so a damaged image reports the same verdict it
+//! would if it had been hashed before parsing. Because parsing now runs
+//! before that verdict, every count and length is checked against the
+//! bytes left in the image before it sizes an allocation; a count the
+//! rest of the image cannot back is reported as a truncation.
 
 use crate::generate::DatasetBundle;
 use crate::spec::DatasetSpec;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use mqo_graph::{ClassId, GraphBuilder, NodeText, Tag};
 use mqo_text::Lexicon;
-use std::fs;
-use std::io;
+use std::fs::{self, File};
+use std::io::{self, BufReader, Read};
 use std::path::Path;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"MQOTAG2\n";
+
+/// Smallest node record: label u16, alpha f32, adversarial u8, and two
+/// empty strings (a `u32` length each).
+const MIN_NODE_RECORD: u64 = 2 + 4 + 1 + 4 + 4;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv_extend(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
 
 /// FNV-1a 64-bit over `bytes` — the persistence fingerprint. Not
 /// cryptographic; it exists to catch truncation, bit rot, and
 /// mismatched shard files, all of which it detects with probability
 /// ~1 − 2⁻⁶⁴ per corruption.
 pub fn fingerprint(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    fnv_extend(FNV_OFFSET, bytes)
 }
 
 /// Errors from persistence.
@@ -81,21 +104,165 @@ impl From<io::Error> for PersistError {
     }
 }
 
+/// A forward-only cursor over a binary image that feeds every byte it
+/// hands out to a running FNV-1a hash (the [`fingerprint`] hash, in the
+/// same byte order) and knows how many bytes are left, so a decoder can
+/// refuse a count before it sizes an allocation. Every read names the
+/// [`PersistError::Corrupt`] message it fails with when the image ends
+/// first.
+pub struct ImageReader<R> {
+    inner: R,
+    left: u64,
+    hash: u64,
+}
+
+impl ImageReader<BufReader<File>> {
+    /// Stream the file at `path`; its length bounds every read, so it
+    /// must be a regular file whose length stays fixed while it loads. A
+    /// pipe or device is refused as `InvalidInput`.
+    pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
+        let file = File::open(path)?;
+        let meta = file.metadata()?;
+        if !meta.is_file() {
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, "not a regular file"));
+        }
+        Ok(ImageReader::new(BufReader::with_capacity(1 << 16, file), meta.len()))
+    }
+}
+
+impl<'a> ImageReader<&'a [u8]> {
+    /// Read an in-memory image.
+    pub fn from_slice(bytes: &'a [u8]) -> Self {
+        ImageReader::new(bytes, bytes.len() as u64)
+    }
+}
+
+impl<R: Read> ImageReader<R> {
+    fn new(inner: R, len: u64) -> Self {
+        ImageReader { inner, left: len, hash: FNV_OFFSET }
+    }
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> u64 {
+        self.left
+    }
+
+    /// Restart the running hash: it covers the bytes read from here on.
+    pub fn start_hash(&mut self) {
+        self.hash = FNV_OFFSET;
+    }
+
+    /// The FNV-1a hash of the bytes read since [`ImageReader::start_hash`].
+    pub fn hash(&self) -> u64 {
+        self.hash
+    }
+
+    /// Fill `buf`, failing with `Corrupt(what)` if the image ends first,
+    /// including a file that shrank after it was opened.
+    fn read_exact(&mut self, buf: &mut [u8], what: &'static str) -> Result<(), PersistError> {
+        if (buf.len() as u64) > self.left {
+            return Err(PersistError::Corrupt(what));
+        }
+        self.inner.read_exact(buf).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => PersistError::Corrupt(what),
+            _ => e.into(),
+        })?;
+        self.left -= buf.len() as u64;
+        self.hash = fnv_extend(self.hash, buf);
+        Ok(())
+    }
+
+    /// Read `N` raw bytes.
+    pub fn array<const N: usize>(
+        &mut self,
+        what: &'static str,
+    ) -> Result<[u8; N], PersistError> {
+        let mut buf = [0u8; N];
+        self.read_exact(&mut buf, what)?;
+        Ok(buf)
+    }
+
+    /// Read a `u8`.
+    pub fn u8(&mut self, what: &'static str) -> Result<u8, PersistError> {
+        Ok(self.array::<1>(what)?[0])
+    }
+
+    /// Read a little-endian `u16`.
+    pub fn u16_le(&mut self, what: &'static str) -> Result<u16, PersistError> {
+        Ok(u16::from_le_bytes(self.array(what)?))
+    }
+
+    /// Read a little-endian `u32`.
+    pub fn u32_le(&mut self, what: &'static str) -> Result<u32, PersistError> {
+        Ok(u32::from_le_bytes(self.array(what)?))
+    }
+
+    /// Read a little-endian `u64`.
+    pub fn u64_le(&mut self, what: &'static str) -> Result<u64, PersistError> {
+        Ok(u64::from_le_bytes(self.array(what)?))
+    }
+
+    /// Read a little-endian `f32`.
+    pub fn f32_le(&mut self, what: &'static str) -> Result<f32, PersistError> {
+        Ok(f32::from_le_bytes(self.array(what)?))
+    }
+
+    /// Read a little-endian `f64`.
+    pub fn f64_le(&mut self, what: &'static str) -> Result<f64, PersistError> {
+        Ok(f64::from_le_bytes(self.array(what)?))
+    }
+
+    /// Read a `u32`-length-prefixed UTF-8 string. The length is checked
+    /// against the bytes left before the buffer is allocated.
+    pub fn string(&mut self) -> Result<String, PersistError> {
+        let len = self.u32_le("truncated string length")? as u64;
+        if len > self.left {
+            return Err(PersistError::Corrupt("truncated string body"));
+        }
+        let mut bytes = vec![0u8; len as usize];
+        self.read_exact(&mut bytes, "truncated string body")?;
+        String::from_utf8(bytes).map_err(|_| PersistError::Corrupt("invalid utf-8"))
+    }
+
+    /// Hash the rest of the input, to its end, and return the hash.
+    fn drain(&mut self) -> Result<u64, PersistError> {
+        let mut chunk = [0u8; 1 << 13];
+        loop {
+            match self.inner.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(k) => {
+                    self.hash = fnv_extend(self.hash, &chunk[..k]);
+                    self.left = self.left.saturating_sub(k as u64);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(self.hash)
+    }
+
+    /// Run `parse` over the rest of the input, then settle the verdict
+    /// against `stored`, the fingerprint of everything from here to the
+    /// end: drain what `parse` left, and on a mismatch report `mismatch`
+    /// whatever `parse` returned.
+    pub fn verified<T>(
+        &mut self,
+        stored: u64,
+        mismatch: &'static str,
+        parse: impl FnOnce(&mut Self) -> Result<T, PersistError>,
+    ) -> Result<T, PersistError> {
+        self.start_hash();
+        let parsed = parse(self);
+        if self.drain()? != stored {
+            return Err(PersistError::Corrupt(mismatch));
+        }
+        parsed
+    }
+}
+
 fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut Bytes) -> Result<String, PersistError> {
-    if buf.remaining() < 4 {
-        return Err(PersistError::Corrupt("truncated string length"));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(PersistError::Corrupt("truncated string body"));
-    }
-    let bytes = buf.copy_to_bytes(len);
-    String::from_utf8(bytes.to_vec()).map_err(|_| PersistError::Corrupt("invalid utf-8"))
 }
 
 /// Serialize a bundle to bytes.
@@ -141,27 +308,38 @@ pub fn to_bytes(bundle: &DatasetBundle) -> Bytes {
 }
 
 /// Deserialize a bundle; the caller supplies the spec (code, not data).
-pub fn from_bytes(mut buf: Bytes, spec: DatasetSpec) -> Result<DatasetBundle, PersistError> {
-    if buf.remaining() < MAGIC.len() || &buf.copy_to_bytes(MAGIC.len())[..] != MAGIC {
+pub fn from_bytes(buf: Bytes, spec: DatasetSpec) -> Result<DatasetBundle, PersistError> {
+    decode(&mut ImageReader::from_slice(&buf), spec)
+}
+
+/// Decode one dataset image from `r`, which must end where the image
+/// does (the fingerprint covers everything to the end of the input).
+pub fn decode<R: Read>(
+    r: &mut ImageReader<R>,
+    spec: DatasetSpec,
+) -> Result<DatasetBundle, PersistError> {
+    if &r.array::<8>("bad magic")? != MAGIC {
         return Err(PersistError::Corrupt("bad magic"));
     }
-    if buf.remaining() < 8 {
-        return Err(PersistError::Corrupt("truncated fingerprint"));
-    }
-    let stored = buf.get_u64_le();
-    if fingerprint(&buf) != stored {
-        return Err(PersistError::Corrupt("fingerprint mismatch (truncated or corrupt file)"));
-    }
-    let name = get_str(&mut buf)?;
-    if buf.remaining() < 8 + 8 + 2 + 4 + 4 + 4 {
-        return Err(PersistError::Corrupt("truncated header"));
-    }
-    let scale = buf.get_f64_le();
-    let lex_seed = buf.get_u64_le();
-    let lex_classes = buf.get_u16_le();
-    let lex_per_class = buf.get_u32_le();
-    let lex_shared = buf.get_u32_le();
-    let lex_markers = buf.get_u32_le();
+    let stored = r.u64_le("truncated fingerprint")?;
+    r.verified(stored, "fingerprint mismatch (truncated or corrupt file)", |r| {
+        decode_payload(r, spec)
+    })
+}
+
+fn decode_payload<R: Read>(
+    r: &mut ImageReader<R>,
+    spec: DatasetSpec,
+) -> Result<DatasetBundle, PersistError> {
+    use PersistError::Corrupt;
+    let name = r.string()?;
+    let header = "truncated header";
+    let scale = r.f64_le(header)?;
+    let lex_seed = r.u64_le(header)?;
+    let lex_classes = r.u16_le(header)?;
+    let lex_per_class = r.u32_le(header)?;
+    let lex_shared = r.u32_le(header)?;
+    let lex_markers = r.u32_le(header)?;
     let lexicon = Arc::new(Lexicon::with_markers(
         lex_seed,
         lex_classes,
@@ -170,48 +348,51 @@ pub fn from_bytes(mut buf: Bytes, spec: DatasetSpec) -> Result<DatasetBundle, Pe
         lex_markers,
     ));
 
-    if buf.remaining() < 2 {
-        return Err(PersistError::Corrupt("truncated class count"));
+    let k = r.u16_le("truncated class count")? as u64;
+    if k * 4 > r.remaining() {
+        return Err(Corrupt("truncated string length"));
     }
-    let k = buf.get_u16_le() as usize;
-    let mut class_names = Vec::with_capacity(k);
+    let mut class_names = Vec::with_capacity(k as usize);
     for _ in 0..k {
-        class_names.push(get_str(&mut buf)?);
+        class_names.push(r.string()?);
     }
 
-    if buf.remaining() < 12 {
-        return Err(PersistError::Corrupt("truncated graph header"));
+    let n = r.u32_le("truncated graph header")? as u64;
+    let m = r.u64_le("truncated graph header")?;
+    // Size nothing the rest of the image cannot back: 8 bytes per edge,
+    // then at least `MIN_NODE_RECORD` per node.
+    if m > r.remaining() / 8 {
+        return Err(Corrupt("truncated edge list"));
     }
-    let n = buf.get_u32_le() as usize;
-    let m = buf.get_u64_le();
+    if n > (r.remaining() - 8 * m) / MIN_NODE_RECORD {
+        return Err(Corrupt("truncated node record"));
+    }
+    let n = n as usize;
     let mut builder = GraphBuilder::with_capacity(n, m as usize);
     for _ in 0..m {
-        if buf.remaining() < 8 {
-            return Err(PersistError::Corrupt("truncated edge list"));
-        }
-        let u = buf.get_u32_le();
-        let v = buf.get_u32_le();
-        builder.add_edge(u, v).map_err(|_| PersistError::Corrupt("edge out of range"))?;
+        let u = r.u32_le("truncated edge list")?;
+        let v = r.u32_le("truncated edge list")?;
+        builder.add_edge(u, v).map_err(|_| Corrupt("edge out of range"))?;
     }
+    // Build the CSR now, so the edge list is gone before the texts.
+    let graph = builder.build();
 
     let mut labels = Vec::with_capacity(n);
     let mut alphas = Vec::with_capacity(n);
     let mut adversarial = Vec::with_capacity(n);
     let mut texts = Vec::with_capacity(n);
+    let record = "truncated node record";
     for _ in 0..n {
-        if buf.remaining() < 7 {
-            return Err(PersistError::Corrupt("truncated node record"));
-        }
-        labels.push(ClassId(buf.get_u16_le()));
-        alphas.push(buf.get_f32_le());
-        adversarial.push(buf.get_u8() != 0);
-        let title = get_str(&mut buf)?;
-        let body = get_str(&mut buf)?;
+        labels.push(ClassId(r.u16_le(record)?));
+        alphas.push(r.f32_le(record)?);
+        adversarial.push(r.u8(record)? != 0);
+        let title = r.string()?;
+        let body = r.string()?;
         texts.push(NodeText::new(title, body));
     }
 
-    let tag = Tag::new(name, builder.build(), texts, labels, class_names)
-        .map_err(|_| PersistError::Corrupt("inconsistent arrays"))?;
+    let tag = Tag::new(name, graph, texts, labels, class_names)
+        .map_err(|_| Corrupt("inconsistent arrays"))?;
     Ok(DatasetBundle { tag, lexicon, alphas, adversarial, spec, scale })
 }
 
@@ -220,9 +401,10 @@ pub fn save(bundle: &DatasetBundle, path: impl AsRef<Path>) -> Result<(), Persis
     Ok(fs::write(path, to_bytes(bundle))?)
 }
 
-/// Load a bundle from a file, attaching `spec`.
+/// Load a bundle from a file, attaching `spec`. Streams: see the module
+/// docs. `path` must be a regular file (see [`ImageReader::open`]).
 pub fn load(path: impl AsRef<Path>, spec: DatasetSpec) -> Result<DatasetBundle, PersistError> {
-    from_bytes(Bytes::from(fs::read(path)?), spec)
+    decode(&mut ImageReader::open(path)?, spec)
 }
 
 #[cfg(test)]
@@ -318,6 +500,27 @@ mod tests {
 
         // Fingerprint of the intact image still verifies.
         assert!(from_bytes(bytes, original.spec.clone()).is_ok());
+    }
+
+    #[test]
+    fn an_input_shorter_than_its_length_is_a_truncation() {
+        // A file that shrinks after `open` read its length: the reader
+        // reports the read it was making, not a bare I/O error.
+        let mut r = ImageReader::new(&[1u8, 2][..], 8);
+        assert!(matches!(
+            r.u64_le("truncated header"),
+            Err(PersistError::Corrupt("truncated header"))
+        ));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn load_refuses_a_file_that_is_not_regular() {
+        let spec = DatasetId::Cora.spec();
+        match load("/dev/null", spec) {
+            Err(PersistError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput),
+            other => panic!("a device must be refused up front, got {other:?}"),
+        }
     }
 
     #[test]

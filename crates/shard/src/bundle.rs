@@ -17,13 +17,23 @@
 //! fingerprint — for the induced subgraph. A worker therefore loads only
 //! its shard file, a few percent of the full-graph image at products
 //! scale, and any truncation or cross-shard file swap fails loudly.
+//!
+//! [`ShardBundle::load`] streams the file through one
+//! [`persist::ImageReader`]: the header and id map are hashed as they
+//! are read and their fingerprint is checked before the first byte of
+//! the inner image, which then decodes from the same reader exactly as
+//! `persist::load` does (streamed, with its own verdict taking
+//! precedence over its parse errors). The id-map length is checked
+//! against the bytes left before it sizes an allocation. Each run of the
+//! map must be strictly ascending, and no id may be both owned and halo:
+//! `local_of` binary-searches the owned run, then the halo run.
 
 use crate::partition::ShardMap;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use mqo_data::persist::{self, fingerprint, PersistError};
+use bytes::{BufMut, Bytes, BytesMut};
+use mqo_data::persist::{self, fingerprint, ImageReader, PersistError};
 use mqo_data::{DatasetBundle, DatasetSpec};
 use mqo_graph::{GraphBuilder, NodeId, Tag};
-use std::collections::HashMap;
+use std::io::Read;
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"MQOSHD1\n";
@@ -41,8 +51,6 @@ pub struct ShardIdentity {
     num_owned: u32,
     /// Local id → global id. Owned ascending, then halo ascending.
     global_ids: Vec<u32>,
-    /// Global id → local id, for the nodes present on this shard.
-    local_ids: HashMap<u32, u32>,
 }
 
 /// One shard's slice of a dataset: the induced subgraph on owned ∪ halo
@@ -91,15 +99,15 @@ pub fn extract_shard(full: &DatasetBundle, map: &ShardMap, shard: u32) -> ShardB
 
     let mut global_ids = owned;
     global_ids.extend_from_slice(&halo);
-    let local_ids: HashMap<u32, u32> =
-        global_ids.iter().enumerate().map(|(l, &g)| (g, l as u32)).collect();
+    let identity = ShardIdentity::new(shard, map.num_shards(), num_owned, global_ids);
+    let global_ids = &identity.global_ids;
 
     let n = global_ids.len();
     let mut builder = GraphBuilder::new(n);
     for local_u in 0..num_owned {
         let gu = global_ids[local_u as usize];
         for &gv in csr.neighbors(NodeId(gu)) {
-            let local_v = local_ids[&gv];
+            let local_v = identity.local_of(gv).expect("every neighbor is owned or halo");
             // Owned–owned edges are walked from both ends: keep the one
             // walk where this end is the lower global id. Owned–halo
             // edges are walked only from the owned end: always keep.
@@ -118,13 +126,7 @@ pub fn extract_shard(full: &DatasetBundle, map: &ShardMap, shard: u32) -> ShardB
             .expect("induced subgraph arrays are consistent by construction");
 
     ShardBundle {
-        identity: ShardIdentity {
-            shard_id: shard,
-            num_shards: map.num_shards(),
-            num_owned,
-            global_ids,
-            local_ids,
-        },
+        identity,
         data: DatasetBundle {
             tag: sub_tag,
             lexicon: full.lexicon.clone(),
@@ -140,8 +142,11 @@ impl ShardIdentity {
     /// Assemble an identity directly from the local→global map:
     /// `global_ids` lists owned nodes first (the leading `num_owned`
     /// entries), then halo nodes. For tools and tests building shard
-    /// views without going through [`extract_shard`]; global ids must
-    /// be distinct.
+    /// views without going through [`extract_shard`].
+    ///
+    /// # Panics
+    /// If `shard_id >= num_shards`, `num_owned` exceeds the map, either
+    /// run is not strictly ascending, or an id is both owned and halo.
     pub fn new(
         shard_id: u32,
         num_shards: u32,
@@ -153,10 +158,32 @@ impl ShardIdentity {
             (num_owned as usize) <= global_ids.len(),
             "owned count exceeds the local id space"
         );
-        let local_ids: HashMap<u32, u32> =
-            global_ids.iter().enumerate().map(|(l, &g)| (g, l as u32)).collect();
-        assert_eq!(local_ids.len(), global_ids.len(), "duplicate global id");
-        ShardIdentity { shard_id, num_shards, num_owned, global_ids, local_ids }
+        ShardIdentity::checked(shard_id, num_shards, num_owned, global_ids)
+            .unwrap_or_else(|what| panic!("{what}"))
+    }
+
+    /// [`ShardIdentity::new`] after its range checks: validate the two
+    /// runs.
+    fn checked(
+        shard_id: u32,
+        num_shards: u32,
+        num_owned: u32,
+        global_ids: Vec<u32>,
+    ) -> Result<ShardIdentity, &'static str> {
+        let (owned, halo) = global_ids.split_at(num_owned as usize);
+        let ascending = |run: &[u32]| run.windows(2).all(|w| w[0] < w[1]);
+        if !ascending(owned) || !ascending(halo) {
+            return Err("unsorted local id map");
+        }
+        let (mut i, mut j) = (0, 0);
+        while i < owned.len() && j < halo.len() {
+            match owned[i].cmp(&halo[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => return Err("duplicate global id in local id map"),
+            }
+        }
+        Ok(ShardIdentity { shard_id, num_shards, num_owned, global_ids })
     }
 
     /// Owned node count; local ids below this are owned, at or above are
@@ -185,7 +212,12 @@ impl ShardIdentity {
     /// Local id of a global node, if present on this shard.
     #[inline]
     pub fn local_of(&self, global: u32) -> Option<u32> {
-        self.local_ids.get(&global).copied()
+        let (owned, halo) = self.global_ids.split_at(self.num_owned as usize);
+        owned
+            .binary_search(&global)
+            .map(|l| l as u32)
+            .or_else(|_| halo.binary_search(&global).map(|i| self.num_owned + i as u32))
+            .ok()
     }
 
     /// The shards owning off-shard neighbors of the owned node `local` —
@@ -270,45 +302,49 @@ impl ShardBundle {
 
     /// Deserialize bytes written by [`ShardBundle::to_bytes`]; the caller
     /// supplies the spec, exactly as `mqo_data::persist::load` does.
-    pub fn from_bytes(mut buf: Bytes, spec: DatasetSpec) -> Result<ShardBundle, PersistError> {
+    pub fn from_bytes(buf: Bytes, spec: DatasetSpec) -> Result<ShardBundle, PersistError> {
+        ShardBundle::decode(&mut ImageReader::from_slice(&buf), spec)
+    }
+
+    /// Decode a shard image from `r`, which must end where the image
+    /// does.
+    fn decode<R: Read>(
+        r: &mut ImageReader<R>,
+        spec: DatasetSpec,
+    ) -> Result<ShardBundle, PersistError> {
         use PersistError::Corrupt;
-        if buf.remaining() < MAGIC.len() || &buf.copy_to_bytes(MAGIC.len())[..] != MAGIC {
+        if &r.array::<8>("bad shard magic")? != MAGIC {
             return Err(Corrupt("bad shard magic"));
         }
-        if buf.remaining() < 8 + 16 {
-            return Err(Corrupt("truncated shard header"));
-        }
-        let stored = buf.get_u64_le();
         // The header fingerprint covers only the shard header; the inner
-        // dataset image that follows verifies itself. Keep a cheap view
-        // from before the reads so the whole header can be hashed.
-        let header_probe = buf.clone();
-        let shard_id = buf.get_u32_le();
-        let num_shards = buf.get_u32_le();
-        let num_owned = buf.get_u32_le();
-        let num_locals = buf.get_u32_le() as usize;
-        if buf.remaining() < 4 * num_locals {
+        // dataset image that follows verifies itself.
+        let header = "truncated shard header";
+        let stored = r.u64_le(header)?;
+        r.start_hash();
+        let shard_id = r.u32_le(header)?;
+        let num_shards = r.u32_le(header)?;
+        let num_owned = r.u32_le(header)?;
+        let num_locals = r.u32_le(header)?;
+        if 4 * u64::from(num_locals) > r.remaining() {
             return Err(Corrupt("truncated local id map"));
         }
-        if fingerprint(&header_probe[..16 + 4 * num_locals]) != stored {
+        let mut global_ids = Vec::with_capacity(num_locals as usize);
+        for _ in 0..num_locals {
+            global_ids.push(r.u32_le("truncated local id map")?);
+        }
+        if r.hash() != stored {
             return Err(Corrupt("shard header fingerprint mismatch"));
         }
-        if shard_id >= num_shards || num_owned as usize > num_locals {
+        if shard_id >= num_shards || num_owned > num_locals {
             return Err(Corrupt("inconsistent shard header"));
         }
-        let mut global_ids = Vec::with_capacity(num_locals);
-        for _ in 0..num_locals {
-            global_ids.push(buf.get_u32_le());
-        }
-        let data = persist::from_bytes(buf, spec)?;
-        if data.tag.num_nodes() != num_locals {
+        let identity = ShardIdentity::checked(shard_id, num_shards, num_owned, global_ids)
+            .map_err(Corrupt)?;
+        let data = persist::decode(r, spec)?;
+        if data.tag.num_nodes() != num_locals as usize {
             return Err(Corrupt("shard header disagrees with inner image"));
         }
-        let local_ids = global_ids.iter().enumerate().map(|(l, &g)| (g, l as u32)).collect();
-        Ok(ShardBundle {
-            identity: ShardIdentity { shard_id, num_shards, num_owned, global_ids, local_ids },
-            data,
-        })
+        Ok(ShardBundle { identity, data })
     }
 
     /// Save to a file.
@@ -316,12 +352,12 @@ impl ShardBundle {
         Ok(std::fs::write(path, self.to_bytes())?)
     }
 
-    /// Load from a file, attaching `spec`.
+    /// Load from a file, attaching `spec`. Streams: see the module docs.
     pub fn load(
         path: impl AsRef<Path>,
         spec: DatasetSpec,
     ) -> Result<ShardBundle, PersistError> {
-        ShardBundle::from_bytes(Bytes::from(std::fs::read(path)?), spec)
+        ShardBundle::decode(&mut ImageReader::open(path)?, spec)
     }
 }
 
@@ -330,6 +366,7 @@ mod tests {
     use super::*;
     use crate::partition::{partition, PartitionStrategy};
     use mqo_data::{dataset, DatasetId};
+    use std::collections::HashMap;
 
     fn fixture() -> (DatasetBundle, ShardMap) {
         let full = dataset(DatasetId::Cora, Some(0.2), 17);
@@ -415,5 +452,81 @@ mod tests {
         let tail = bad_inner.len() - 8;
         bad_inner[tail] ^= 1;
         assert!(ShardBundle::from_bytes(Bytes::from(bad_inner), full.spec.clone()).is_err());
+    }
+
+    /// Re-frame `sb`'s image with its id map rewritten by `edit` and the
+    /// header fingerprint recomputed, so only the id-map checks can
+    /// object.
+    fn with_edited_ids(sb: &ShardBundle, edit: impl FnOnce(&mut [u32])) -> Bytes {
+        let mut ids = sb.identity.global_ids.clone();
+        edit(&mut ids);
+        let mut bytes = sb.to_bytes().to_vec();
+        let header = MAGIC.len() + 8;
+        for (i, g) in ids.iter().enumerate() {
+            let at = header + 16 + 4 * i;
+            bytes[at..at + 4].copy_from_slice(&g.to_le_bytes());
+        }
+        let end = header + 16 + 4 * ids.len();
+        let fp = fingerprint(&bytes[header..end]);
+        bytes[MAGIC.len()..header].copy_from_slice(&fp.to_le_bytes());
+        Bytes::from(bytes)
+    }
+
+    fn corrupt_reason(bytes: Bytes, spec: DatasetSpec) -> &'static str {
+        match ShardBundle::from_bytes(bytes, spec) {
+            Err(PersistError::Corrupt(what)) => what,
+            other => panic!("expected a corrupt-image error, got {other:?}"),
+        }
+    }
+
+    /// Bugfix regression: the id map used to become a `HashMap` without
+    /// any check, so a duplicated global id silently kept its last
+    /// mapping and `local_of(global_of(l)) != l` for the first one.
+    #[test]
+    fn duplicate_or_unsorted_id_maps_are_refused() {
+        let (full, map) = fixture();
+        let sb = extract_shard(&full, &map, 0);
+        let owned = sb.num_owned() as usize;
+        assert!(owned >= 2 && sb.num_locals() as usize >= owned + 2);
+
+        let dup = with_edited_ids(&sb, |ids| ids[1] = ids[0]);
+        assert_eq!(corrupt_reason(dup, full.spec.clone()), "unsorted local id map");
+        let swapped = with_edited_ids(&sb, |ids| ids.swap(owned, owned + 1));
+        assert_eq!(corrupt_reason(swapped, full.spec.clone()), "unsorted local id map");
+        let both = with_edited_ids(&sb, |ids| ids[owned] = ids[owned - 1]);
+        assert_eq!(
+            corrupt_reason(both, full.spec.clone()),
+            "duplicate global id in local id map"
+        );
+        // The untouched map still decodes.
+        assert!(
+            ShardBundle::from_bytes(with_edited_ids(&sb, |_| {}), full.spec.clone()).is_ok()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unsorted local id map")]
+    fn identity_new_refuses_a_duplicate_id() {
+        ShardIdentity::new(0, 2, 2, vec![4, 4, 9]);
+    }
+
+    #[test]
+    fn local_of_is_exact_for_scattered_and_contiguous_owned_runs() {
+        // Contiguous owned run [10, 13), halo on both sides of it.
+        let range = ShardIdentity::new(0, 2, 3, vec![10, 11, 12, 2, 13, 40]);
+        // Scattered owned run, as a ring partition produces.
+        let ring = ShardIdentity::new(1, 2, 3, vec![1, 5, 9, 0, 6, 10]);
+        for id in [&range, &ring] {
+            for l in 0..id.num_locals() {
+                assert_eq!(id.local_of(id.global_of(l)), Some(l));
+            }
+            let present: Vec<u32> = (0..id.num_locals()).map(|l| id.global_of(l)).collect();
+            for g in (0..50).filter(|g| !present.contains(g)) {
+                assert_eq!(id.local_of(g), None, "global {g}");
+            }
+        }
+        // An empty owned run maps only halo ids.
+        let halo_only = ShardIdentity::new(0, 1, 0, vec![3, 7]);
+        assert_eq!((halo_only.local_of(7), halo_only.local_of(4)), (Some(1), None));
     }
 }

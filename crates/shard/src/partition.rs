@@ -23,10 +23,10 @@
 //!   [`crate::ring`]. Membership-stable, cut-oblivious.
 
 use crate::ring::{splitmix64, HashRing};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use mqo_data::persist::fingerprint;
+use bytes::{BufMut, Bytes, BytesMut};
+use mqo_data::persist::{fingerprint, ImageReader, PersistError};
 use mqo_graph::{Csr, NodeId};
-use std::io;
+use std::io::{self, Read};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"MQOSHM1\n";
@@ -75,6 +75,15 @@ impl std::error::Error for ShardMapError {}
 impl From<io::Error> for ShardMapError {
     fn from(e: io::Error) -> Self {
         ShardMapError::Io(e)
+    }
+}
+
+impl From<PersistError> for ShardMapError {
+    fn from(e: PersistError) -> Self {
+        match e {
+            PersistError::Io(e) => ShardMapError::Io(e),
+            PersistError::Corrupt(what) => ShardMapError::Corrupt(what),
+        }
     }
 }
 
@@ -310,40 +319,52 @@ impl ShardMap {
     }
 
     /// Deserialize bytes written by [`ShardMap::to_bytes`].
-    pub fn from_bytes(mut buf: Bytes) -> Result<ShardMap, ShardMapError> {
-        use ShardMapError::Corrupt;
-        if buf.remaining() < MAGIC.len() || &buf.copy_to_bytes(MAGIC.len())[..] != MAGIC {
-            return Err(Corrupt("bad magic"));
+    pub fn from_bytes(buf: Bytes) -> Result<ShardMap, ShardMapError> {
+        ShardMap::decode(&mut ImageReader::from_slice(&buf))
+    }
+
+    /// Decode a shard map from `r`, streamed and verified the way
+    /// `mqo_data::persist` decodes a dataset image.
+    fn decode<R: Read>(r: &mut ImageReader<R>) -> Result<ShardMap, ShardMapError> {
+        if &r.array::<8>("bad magic")? != MAGIC {
+            return Err(ShardMapError::Corrupt("bad magic"));
         }
-        if buf.remaining() < 8 {
-            return Err(Corrupt("truncated fingerprint"));
+        let stored = r.u64_le("truncated fingerprint")?;
+        let mut map = r.verified(
+            stored,
+            "fingerprint mismatch (truncated or corrupt file)",
+            ShardMap::decode_payload,
+        )?;
+        // Built only after the verdict: the ring's size follows
+        // `num_shards`, which the image alone does not bound tightly.
+        if map.strategy == PartitionStrategy::Ring {
+            map.ring = Some(HashRing::new(map.seed, map.num_shards()));
         }
-        let stored = buf.get_u64_le();
-        if fingerprint(&buf) != stored {
-            return Err(Corrupt("fingerprint mismatch (truncated or corrupt file)"));
-        }
-        if buf.remaining() < 1 + 8 + 4 + 4 {
-            return Err(Corrupt("truncated header"));
-        }
-        let strategy = match buf.get_u8() {
+        Ok(map)
+    }
+
+    fn decode_payload<R: Read>(r: &mut ImageReader<R>) -> Result<ShardMap, PersistError> {
+        use PersistError::Corrupt;
+        let header = "truncated header";
+        let strategy = match r.u8(header)? {
             0 => PartitionStrategy::EdgeCut,
             1 => PartitionStrategy::Ring,
             _ => return Err(Corrupt("unknown strategy")),
         };
-        let seed = buf.get_u64_le();
-        let num_nodes = buf.get_u32_le();
-        let num_shards = buf.get_u32_le();
+        let seed = r.u64_le(header)?;
+        let num_nodes = r.u32_le(header)?;
+        let num_shards = r.u32_le(header)?;
         if num_shards == 0 {
             return Err(Corrupt("zero shards"));
         }
-        let (starts, ring) = match strategy {
+        let starts = match strategy {
             PartitionStrategy::EdgeCut => {
+                if 4 * (u64::from(num_shards) + 1) > r.remaining() {
+                    return Err(Corrupt("truncated range starts"));
+                }
                 let mut starts = Vec::with_capacity(num_shards as usize + 1);
                 for _ in 0..=num_shards {
-                    if buf.remaining() < 4 {
-                        return Err(Corrupt("truncated range starts"));
-                    }
-                    starts.push(buf.get_u32_le());
+                    starts.push(r.u32_le("truncated range starts")?);
                 }
                 if starts[0] != 0
                     || *starts.last().unwrap() != num_nodes
@@ -351,35 +372,43 @@ impl ShardMap {
                 {
                     return Err(Corrupt("non-monotone range starts"));
                 }
-                (starts, None)
+                starts
             }
-            PartitionStrategy::Ring => (Vec::new(), Some(HashRing::new(seed, num_shards))),
+            PartitionStrategy::Ring => Vec::new(),
         };
-        if buf.remaining() < 8 {
-            return Err(Corrupt("truncated cut total"));
+        let total_cut = r.u64_le("truncated cut total")?;
+        let stats_len = 4 + 8 + 8 + 4;
+        if stats_len * u64::from(num_shards) > r.remaining() {
+            return Err(Corrupt("truncated shard stats"));
         }
-        let total_cut = buf.get_u64_le();
         let mut stats = Vec::with_capacity(num_shards as usize);
         let mut boundary = Vec::with_capacity(num_shards as usize);
         for _ in 0..num_shards {
-            if buf.remaining() < 4 + 8 + 8 + 4 {
-                return Err(Corrupt("truncated shard stats"));
-            }
-            let owned_nodes = buf.get_u32_le();
-            let internal_edges = buf.get_u64_le();
-            let cut_edges = buf.get_u64_le();
-            let len = buf.get_u32_le() as usize;
-            if buf.remaining() < 4 * len {
+            let what = "truncated shard stats";
+            let owned_nodes = r.u32_le(what)?;
+            let internal_edges = r.u64_le(what)?;
+            let cut_edges = r.u64_le(what)?;
+            let len = r.u32_le(what)?;
+            if 4 * u64::from(len) > r.remaining() {
                 return Err(Corrupt("truncated boundary list"));
             }
-            let mut list = Vec::with_capacity(len);
+            let mut list = Vec::with_capacity(len as usize);
             for _ in 0..len {
-                list.push(buf.get_u32_le());
+                list.push(r.u32_le("truncated boundary list")?);
             }
             stats.push(ShardStats { owned_nodes, internal_edges, cut_edges });
             boundary.push(list);
         }
-        Ok(ShardMap { seed, num_nodes, strategy, starts, ring, boundary, stats, total_cut })
+        Ok(ShardMap {
+            seed,
+            num_nodes,
+            strategy,
+            starts,
+            ring: None,
+            boundary,
+            stats,
+            total_cut,
+        })
     }
 
     /// Save to a file.
@@ -387,9 +416,9 @@ impl ShardMap {
         Ok(std::fs::write(path, self.to_bytes())?)
     }
 
-    /// Load from a file.
+    /// Load from a file, streamed.
     pub fn load(path: impl AsRef<Path>) -> Result<ShardMap, ShardMapError> {
-        ShardMap::from_bytes(Bytes::from(std::fs::read(path)?))
+        ShardMap::decode(&mut ImageReader::open(path)?)
     }
 
     /// Human-facing partition summary as JSON.
