@@ -12,7 +12,7 @@
 //!    LLM-mediated label propagation; the text-free classic shows how much
 //!    of the gain is graph structure alone.
 
-use mqo_bench::harness::{setup, surrogate_for, SEED};
+use mqo_bench::harness::{setup, SEED};
 use mqo_bench::report::{print_table, write_json};
 use mqo_core::boosting::{BoostConfig, DegradePolicy};
 use mqo_core::predictor::{KhopRandom, Sns, ZeroShot};
@@ -21,6 +21,7 @@ use mqo_core::{Executor, InadequacyScorer, LabelStore, Labels, SchedulePolicy, S
 use mqo_data::DatasetId;
 use mqo_graph::NodeId;
 use mqo_llm::ModelProfile;
+use mqo_serve::run::surrogate_config;
 use serde_json::json;
 use std::collections::HashSet;
 
@@ -77,9 +78,8 @@ fn main() {
     let labels = LabelStore::from_split(tag, &ctx.split);
     let khop = KhopRandom::new(1, tag.num_nodes());
     let tau = 0.4;
-    let scorer =
-        InadequacyScorer::build(&exec, &ctx.split, &surrogate_for(DatasetId::Cora), 10, SEED)
-            .unwrap();
+    let surrogate = surrogate_config(&ctx.bundle, SEED);
+    let scorer = InadequacyScorer::build(&exec, &ctx.split, &surrogate, 10, SEED).unwrap();
 
     let full_plan = PrunePlan::by_inadequacy(&scorer, tag, queries, tau);
 

@@ -2,14 +2,14 @@
 //! the 1-hop random method, across token budgets allowing neighbor text
 //! for 100%, 80%, 60%, 40%, 20%, 0% of queries, on all five datasets.
 
-use mqo_bench::harness::{setup, surrogate_for, SEED};
+use mqo_bench::harness::{setup, SEED};
 use mqo_bench::report::{print_table, write_json};
 use mqo_core::predictor::KhopRandom;
 use mqo_core::pruning::budget_sweep;
 use mqo_core::{Executor, InadequacyScorer, LabelStore};
 use mqo_data::DatasetId;
 use mqo_llm::ModelProfile;
-use mqo_serve::run::max_neighbors;
+use mqo_serve::run::{max_neighbors, surrogate_config};
 use serde_json::json;
 
 fn main() {
@@ -21,8 +21,8 @@ fn main() {
         let tag = &ctx.bundle.tag;
         let labels = LabelStore::from_split(tag, &ctx.split);
         let exec = Executor::new(tag, &ctx.llm, max_neighbors(&ctx.bundle), SEED);
-        let scorer =
-            InadequacyScorer::build(&exec, &ctx.split, &surrogate_for(id), 10, SEED).unwrap();
+        let surrogate = surrogate_config(&ctx.bundle, SEED);
+        let scorer = InadequacyScorer::build(&exec, &ctx.split, &surrogate, 10, SEED).unwrap();
         let khop = KhopRandom::new(1, tag.num_nodes());
         let points =
             budget_sweep(&exec, &khop, &labels, ctx.split.queries(), &scorer, &taus, SEED)

@@ -45,7 +45,6 @@ use mqo_core::journal::RunHeader;
 use mqo_core::metrics::ConfusionMatrix;
 use mqo_core::planner::plan_campaign;
 use mqo_core::pruning::PrunePlan;
-use mqo_core::surrogate::SurrogateConfig;
 use mqo_core::{Executor, InadequacyScorer, LabelStore, Labels, SchedulePolicy, Scheduler};
 use mqo_data::{dataset, persist, DatasetId};
 use mqo_graph::NodeId;
@@ -345,9 +344,9 @@ fn cmd_classify(args: &Args) -> Result<(), CliError> {
 
     let plan = match args.num::<f64>("prune")? {
         Some(tau) => {
-            let scorer =
-                InadequacyScorer::build(&exec, &split, &SurrogateConfig::small(seed), 10, seed)
-                    .map_err(|e| format!("scorer: {e}"))?;
+            let surrogate = run::surrogate_config(&bundle, seed);
+            let scorer = InadequacyScorer::build(&exec, &split, &surrogate, 10, seed)
+                .map_err(|e| format!("scorer: {e}"))?;
             PrunePlan::by_inadequacy(&scorer, &bundle.tag, split.queries(), tau)
         }
         None => PrunePlan::default(),

@@ -17,7 +17,7 @@
 //! `common_prefix_tokens` and `mqo_llm::prompt::segments`; the serving
 //! stack does not measure prefix reuse.
 
-use mqo_bench::harness::{setup, surrogate_for, SEED};
+use mqo_bench::harness::{setup, SEED};
 use mqo_bench::report::{print_table, write_json};
 use mqo_cache::{common_prefix_bytes, common_prefix_tokens, PrefixStore};
 use mqo_core::predictor::KhopRandom;
@@ -25,7 +25,7 @@ use mqo_core::pruning::PrunePlan;
 use mqo_core::{Executor, InadequacyScorer, LabelStore};
 use mqo_data::DatasetId;
 use mqo_llm::{prompt::segments, ModelProfile};
-use mqo_serve::run::max_neighbors;
+use mqo_serve::run::{max_neighbors, surrogate_config};
 use mqo_token::Tokenizer;
 use serde_json::json;
 
@@ -39,8 +39,8 @@ fn main() {
         let labels = LabelStore::from_split(tag, &ctx.split);
         let exec = Executor::new(tag, &ctx.llm, max_neighbors(&ctx.bundle), SEED);
         let predictor = KhopRandom::new(1, tag.num_nodes());
-        let scorer =
-            InadequacyScorer::build(&exec, &ctx.split, &surrogate_for(id), 10, SEED).unwrap();
+        let surrogate = surrogate_config(&ctx.bundle, SEED);
+        let scorer = InadequacyScorer::build(&exec, &ctx.split, &surrogate, 10, SEED).unwrap();
         let plan = PrunePlan::by_inadequacy(&scorer, tag, ctx.split.queries(), 0.2);
 
         let render_all = |prune: bool| -> Vec<String> {

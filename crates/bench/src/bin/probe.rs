@@ -3,20 +3,20 @@
 //! `w`, the fitted merger coefficients, the saturated fraction per ranking
 //! quintile, and the latent composition of the pruned set. Used when
 //! recalibrating the simulator or generator knobs (see DESIGN.md §4b).
-use mqo_bench::harness::{setup, surrogate_for, SEED};
+use mqo_bench::harness::{setup, SEED};
 use mqo_core::predictor::ZeroShot;
 use mqo_core::{Executor, InadequacyScorer, LabelStore};
 use mqo_data::DatasetId;
 use mqo_llm::ModelProfile;
+use mqo_serve::run::surrogate_config;
 
 fn main() {
     let ctx = setup(DatasetId::Cora, ModelProfile::gpt35());
     let tag = &ctx.bundle.tag;
     let labels = LabelStore::from_split(tag, &ctx.split);
     let exec = Executor::new(tag, &ctx.llm, 4, SEED);
-    let scorer =
-        InadequacyScorer::build(&exec, &ctx.split, &surrogate_for(DatasetId::Cora), 10, SEED)
-            .unwrap();
+    let surrogate = surrogate_config(&ctx.bundle, SEED);
+    let scorer = InadequacyScorer::build(&exec, &ctx.split, &surrogate, 10, SEED).unwrap();
     println!("surrogate oof acc: {:.3}", scorer.surrogate().oof_accuracy);
     println!(
         "bias weights w: {:?}",

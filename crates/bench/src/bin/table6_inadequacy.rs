@@ -2,12 +2,13 @@
 //! non-saturated query nodes (saturation judged by whether vanilla
 //! zero-shot classified the node correctly, as in the paper).
 
-use mqo_bench::harness::{setup, surrogate_for, SEED};
+use mqo_bench::harness::{setup, SEED};
 use mqo_bench::report::{print_table, write_json};
 use mqo_core::predictor::ZeroShot;
 use mqo_core::{Executor, InadequacyScorer, LabelStore};
 use mqo_data::DatasetId;
 use mqo_llm::ModelProfile;
+use mqo_serve::run::surrogate_config;
 use serde_json::json;
 
 /// Paper Table VI: (saturated mean, non-saturated mean) per dataset.
@@ -23,8 +24,8 @@ fn main() {
         let tag = &ctx.bundle.tag;
         let labels = LabelStore::from_split(tag, &ctx.split);
         let exec = Executor::new(tag, &ctx.llm, 4, SEED);
-        let scorer =
-            InadequacyScorer::build(&exec, &ctx.split, &surrogate_for(id), 10, SEED).unwrap();
+        let surrogate = surrogate_config(&ctx.bundle, SEED);
+        let scorer = InadequacyScorer::build(&exec, &ctx.split, &surrogate, 10, SEED).unwrap();
         let zero = exec.run_all(&ZeroShot, &labels, ctx.split.queries(), |_| false).unwrap();
 
         let (mut s_sum, mut s_n, mut n_sum, mut n_n) = (0.0f64, 0usize, 0.0f64, 0usize);

@@ -2,7 +2,7 @@
 //! text inadequacy, then execute through query boosting. Reports accuracy
 //! and the "# Queries Equip N_i" cost indicator, for both model profiles.
 
-use mqo_bench::harness::{num_queries, setup, surrogate_for, SEED};
+use mqo_bench::harness::{num_queries, setup, SEED};
 use mqo_bench::report::{print_table, write_json};
 use mqo_core::boosting::BoostConfig;
 use mqo_core::joint::run_joint;
@@ -10,6 +10,7 @@ use mqo_core::predictor::{KhopRandom, Predictor, Sns};
 use mqo_core::{Executor, InadequacyScorer, LabelStore};
 use mqo_data::DatasetId;
 use mqo_llm::ModelProfile;
+use mqo_serve::run::surrogate_config;
 use serde_json::json;
 
 fn main() {
@@ -23,9 +24,9 @@ fn main() {
             let ctx = setup(id, profile.clone());
             let tag = &ctx.bundle.tag;
             let exec = Executor::new(tag, &ctx.llm, 4, SEED);
+            let surrogate = surrogate_config(&ctx.bundle, SEED);
             let scorer =
-                InadequacyScorer::build(&exec, &ctx.split, &surrogate_for(id), 10, SEED)
-                    .unwrap();
+                InadequacyScorer::build(&exec, &ctx.split, &surrogate, 10, SEED).unwrap();
             let methods: Vec<Box<dyn Predictor>> = vec![
                 Box::new(KhopRandom::new(1, tag.num_nodes())),
                 Box::new(KhopRandom::new(2, tag.num_nodes())),

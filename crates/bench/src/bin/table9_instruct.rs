@@ -3,7 +3,7 @@
 //! backbone: Base / w/ boost / w/ random prune / w/ our prune / w/ both,
 //! with 30% of queries pruned in the pruning variants.
 
-use mqo_bench::harness::{setup, surrogate_for, SEED};
+use mqo_bench::harness::{setup, SEED};
 use mqo_bench::report::{print_table, write_json};
 use mqo_core::boosting::{BoostConfig, DegradePolicy};
 use mqo_core::joint::run_joint;
@@ -11,6 +11,7 @@ use mqo_core::pruning::{run_with_pruning, PrunePlan};
 use mqo_core::tuned::{instructglm_backbones, tuned_profile, TunedPredictor};
 use mqo_core::{Executor, InadequacyScorer, LabelStore, Labels, SchedulePolicy, Scheduler};
 use mqo_data::DatasetId;
+use mqo_serve::run::surrogate_config;
 use serde_json::json;
 
 fn main() {
@@ -25,14 +26,8 @@ fn main() {
         let tag = &ctx.bundle.tag;
         let exec = Executor::new(tag, &ctx.llm, 4, SEED);
         let predictor = TunedPredictor::new(backbone, tag.num_nodes());
-        let scorer = InadequacyScorer::build(
-            &exec,
-            &ctx.split,
-            &surrogate_for(DatasetId::Cora),
-            10,
-            SEED,
-        )
-        .unwrap();
+        let surrogate = surrogate_config(&ctx.bundle, SEED);
+        let scorer = InadequacyScorer::build(&exec, &ctx.split, &surrogate, 10, SEED).unwrap();
         let queries = ctx.split.queries();
 
         let labels = LabelStore::from_split(tag, &ctx.split);

@@ -1,6 +1,5 @@
 //! Standard experiment setup shared by every table/figure binary.
 
-use mqo_core::surrogate::SurrogateConfig;
 use mqo_data::{dataset, DatasetBundle, DatasetId};
 use mqo_graph::LabeledSplit;
 use mqo_llm::{ModelProfile, SimLlm};
@@ -48,17 +47,6 @@ pub fn scale_for(id: DatasetId) -> f64 {
         }
     } else {
         base
-    }
-}
-
-/// Surrogate configuration per §VI-A3: linear TF-IDF model for the small
-/// datasets, hashed features with a small grid search for the OGB ones.
-pub fn surrogate_for(id: DatasetId) -> SurrogateConfig {
-    match id {
-        DatasetId::Cora | DatasetId::Citeseer | DatasetId::Pubmed => {
-            SurrogateConfig::small(SEED)
-        }
-        _ => SurrogateConfig::large(SEED),
     }
 }
 

@@ -185,15 +185,6 @@ impl PrefixStore {
         self.total_tokens
     }
 
-    /// Realized reuse fraction over everything observed (0.0 when empty).
-    pub fn reuse_fraction(&self) -> f64 {
-        if self.total_tokens == 0 {
-            0.0
-        } else {
-            self.reused_tokens as f64 / self.total_tokens as f64
-        }
-    }
-
     /// Token-count memo effectiveness: `(hits, misses)`. A miss
     /// tokenizes the segment (O(len)); a hit is one hash lookup. Misses
     /// equal the number of distinct segments observed.
@@ -274,7 +265,7 @@ mod tests {
         assert_eq!(third.reused_tokens, 0);
 
         assert_eq!(store.prompts(), 3);
-        assert!(store.reuse_fraction() > 0.0 && store.reuse_fraction() < 1.0);
+        assert!(store.reused_tokens() > 0 && store.reused_tokens() < store.total_tokens());
     }
 
     #[test]

@@ -66,12 +66,6 @@ impl LabelStore {
         self.entries[v.index()].map(|(c, _)| c)
     }
 
-    /// Label plus provenance.
-    #[inline]
-    pub fn get_with_source(&self, v: NodeId) -> Option<(ClassId, LabelSource)> {
-        self.entries[v.index()]
-    }
-
     /// Whether `v` currently has any label.
     #[inline]
     pub fn is_labeled(&self, v: NodeId) -> bool {

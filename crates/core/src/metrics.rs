@@ -84,12 +84,6 @@ impl ConfusionMatrix {
         let k = self.num_classes();
         (0..k).map(|c| self.f1(c)).sum::<f64>() / k as f64
     }
-
-    /// Per-class error rates on the *truth* side — the empirical analogue
-    /// of the bias vector `w` the pruning strategy estimates on `V_L^c`.
-    pub fn per_class_error(&self) -> Vec<f64> {
-        (0..self.num_classes()).map(|c| 1.0 - self.recall(c)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -152,8 +146,8 @@ mod tests {
         assert!((m.recall(0) - 2.0 / 3.0).abs() < 1e-12);
         assert!((m.f1(0) - 2.0 / 3.0).abs() < 1e-12);
         assert!((m.macro_f1() - 2.0 / 3.0).abs() < 1e-12);
-        for e in m.per_class_error() {
-            assert!((e - 1.0 / 3.0).abs() < 1e-12);
+        for c in 0..m.num_classes() {
+            assert!((m.recall(c) - 2.0 / 3.0).abs() < 1e-12);
         }
     }
 

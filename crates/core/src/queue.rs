@@ -99,11 +99,6 @@ impl<T> BoundedQueue<T> {
         self.available.notify_all();
     }
 
-    /// Whether the queue has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("queue lock").closed
-    }
-
     /// Items currently waiting (a point-in-time snapshot).
     pub fn len(&self) -> usize {
         self.state.lock().expect("queue lock").items.len()
@@ -156,7 +151,6 @@ mod tests {
         let q = BoundedQueue::new(4);
         q.try_push(1).unwrap();
         q.close();
-        assert!(q.is_closed());
         assert!(matches!(q.try_push(2), Err(PushError::Closed(2))));
         assert_eq!(q.pop(), Some(1), "accepted work still completes");
         assert_eq!(q.pop(), None, "then consumers see the close");

@@ -7,7 +7,6 @@
 //! * [`Vocabulary`] — corpus-fitted word → feature-index map with document
 //!   frequency statistics and a `max_features` cap (keep the most frequent
 //!   words, mirroring sklearn's `CountVectorizer`).
-//! * [`BowEncoder`] — term-count / binary bag-of-words vectors.
 //! * [`TfIdfEncoder`] — smoothed TF-IDF with L2 normalization; its encoded
 //!   vectors power the cosine-similarity ranking that replaces SimCSE for
 //!   the SNS method (both are dense sentence representations whose inner
@@ -22,17 +21,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bow;
 pub mod hashed;
-pub mod ngram;
 pub mod similarity;
 pub mod tfidf;
 pub mod vocab;
 
-pub use bow::BowEncoder;
 pub use hashed::HashedEncoder;
-pub use ngram::NgramEncoder;
-pub use similarity::{cosine, top_k_similar};
+pub use similarity::cosine;
 pub use tfidf::TfIdfEncoder;
 pub use vocab::Vocabulary;
 

@@ -1,4 +1,4 @@
-//! Cosine similarity and top-k ranking (the SNS neighbor-ranking step).
+//! Cosine similarity (the SNS neighbor-ranking step).
 
 /// Cosine similarity between two equal-length vectors; 0.0 if either is a
 /// zero vector.
@@ -17,18 +17,6 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
     } else {
         dot / (na.sqrt() * nb.sqrt())
     }
-}
-
-/// Indices of the `k` candidates most similar to `query`, most similar
-/// first. Ties break by ascending candidate index for determinism.
-pub fn top_k_similar(query: &[f32], candidates: &[Vec<f32>], k: usize) -> Vec<usize> {
-    let mut scored: Vec<(usize, f32)> =
-        candidates.iter().enumerate().map(|(i, c)| (i, cosine(query, c))).collect();
-    scored.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-    });
-    scored.truncate(k);
-    scored.into_iter().map(|(i, _)| i).collect()
 }
 
 #[cfg(test)]
@@ -54,31 +42,5 @@ mod tests {
     #[test]
     fn zero_vector_yields_zero() {
         assert_eq!(cosine(&[0.0, 0.0], &[1.0, 2.0]), 0.0);
-    }
-
-    #[test]
-    fn top_k_orders_by_similarity() {
-        let q = vec![1.0, 0.0];
-        let cands = vec![
-            vec![0.0, 1.0], // orthogonal
-            vec![1.0, 0.1], // very close
-            vec![1.0, 1.0], // 45 degrees
-        ];
-        assert_eq!(top_k_similar(&q, &cands, 2), vec![1, 2]);
-    }
-
-    #[test]
-    fn top_k_truncates_and_handles_small_candidate_sets() {
-        let q = vec![1.0];
-        let cands = vec![vec![1.0]];
-        assert_eq!(top_k_similar(&q, &cands, 5), vec![0]);
-        assert!(top_k_similar(&q, &[], 3).is_empty());
-    }
-
-    #[test]
-    fn ties_break_by_index() {
-        let q = vec![1.0, 0.0];
-        let cands = vec![vec![2.0, 0.0], vec![3.0, 0.0]]; // both cosine 1.0
-        assert_eq!(top_k_similar(&q, &cands, 2), vec![0, 1]);
     }
 }

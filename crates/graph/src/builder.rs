@@ -1,7 +1,7 @@
 //! Mutable edge-list accumulator that finalizes into a [`Csr`].
 
 use crate::csr::Csr;
-use crate::{Error, NodeId, Result};
+use crate::{Error, Result};
 
 /// Accumulates undirected edges and builds a deduplicated, sorted [`Csr`].
 ///
@@ -48,11 +48,6 @@ impl GraphBuilder {
         Ok(())
     }
 
-    /// Queue an edge by [`NodeId`]s.
-    pub fn add_edge_ids(&mut self, u: NodeId, v: NodeId) -> Result<()> {
-        self.add_edge(u.0, v.0)
-    }
-
     /// Finalize into a [`Csr`]: deduplicate, mirror, sort neighbor runs.
     pub fn build(mut self) -> Csr {
         self.edges.sort_unstable();
@@ -96,6 +91,7 @@ impl GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NodeId;
 
     #[test]
     fn rejects_out_of_range() {

@@ -62,11 +62,6 @@ impl Csr {
         &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
-    /// Neighbors of `v` as [`NodeId`]s.
-    pub fn neighbor_ids(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.neighbors(v).iter().map(|&u| NodeId(u))
-    }
-
     /// Whether the undirected edge `{u, v}` exists.
     #[inline]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {

@@ -46,7 +46,6 @@ pub mod error;
 pub mod ids;
 pub mod split;
 pub mod stats;
-pub mod subgraph;
 pub mod tag;
 pub mod traversal;
 

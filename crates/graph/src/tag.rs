@@ -139,17 +139,6 @@ impl Tag {
         &self.class_names
     }
 
-    /// Resolve a class name back to its id (case-insensitive, trimmed).
-    /// Returns `None` for unknown names — callers treat that as an LLM
-    /// formatting failure.
-    pub fn class_by_name(&self, name: &str) -> Option<ClassId> {
-        let needle = name.trim().to_ascii_lowercase();
-        self.class_names
-            .iter()
-            .position(|c| c.to_ascii_lowercase() == needle)
-            .map(ClassId::from)
-    }
-
     /// Iterate all node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
         (0..self.num_nodes() as u32).map(NodeId)
@@ -188,14 +177,6 @@ mod tests {
         assert_eq!(t.text(NodeId(0)).title, "Paper A");
         assert_eq!(t.label(NodeId(1)), ClassId(1));
         assert_eq!(t.class_name(ClassId(1)), "Agents");
-    }
-
-    #[test]
-    fn class_by_name_is_case_insensitive() {
-        let t = tiny();
-        assert_eq!(t.class_by_name("database"), Some(ClassId(0)));
-        assert_eq!(t.class_by_name("  AGENTS "), Some(ClassId(1)));
-        assert_eq!(t.class_by_name("nonsense"), None);
     }
 
     #[test]

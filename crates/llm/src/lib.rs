@@ -37,7 +37,6 @@ pub mod error;
 pub mod graphllm;
 pub mod link;
 pub mod model;
-pub mod openai;
 pub mod parse;
 pub mod profile;
 pub mod prompt;

@@ -31,9 +31,10 @@
 //!   default (`Connection: close` or HTTP/1.0 opt out), so a loaded
 //!   client pays connection setup once, not per request.
 //! * **Bounded framing.** Total header bytes and header count are
-//!   capped ([`MAX_HEADER_BYTES`], [`MAX_HEADERS`]), so a slow-loris
-//!   client cannot grow server memory without limit; bodies are capped
-//!   at [`MAX_BODY_BYTES`] before allocation.
+//!   capped ([`MAX_HEADER_BYTES`], [`MAX_HEADERS`]), and a line is read
+//!   only as far as the header cap allows, so a slow-loris client
+//!   cannot grow server memory without limit; bodies are capped at
+//!   [`MAX_BODY_BYTES`] before allocation.
 //! * **Strict framing.** Conflicting duplicate `Content-Length` headers
 //!   (the classic request-smuggling shape) and EOF before the blank
 //!   header terminator (a truncated request) are hard errors, never
@@ -230,8 +231,7 @@ impl HttpConnection {
         req.clear();
         self.keep_alive = false;
 
-        self.line.clear();
-        match self.reader.read_line(&mut self.line) {
+        match self.read_line_within(MAX_HEADER_BYTES) {
             Ok(0) => return Ok(ReadOutcome::Closed),
             // An idle timeout with no bytes of a new request on the wire
             // is a clean keep-alive expiry, not an error; a timeout
@@ -241,6 +241,9 @@ impl HttpConnection {
             Ok(_) => {}
         }
         let mut header_bytes = self.line.len();
+        if header_bytes > MAX_HEADER_BYTES {
+            return Err(invalid("header block too large"));
+        }
         {
             let mut parts = self.line.split_whitespace();
             let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
@@ -255,24 +258,23 @@ impl HttpConnection {
 
         let mut content_length: Option<usize> = None;
         loop {
-            self.line.clear();
-            let n = match self.reader.read_line(&mut self.line) {
+            let n = match self.read_line_within(MAX_HEADER_BYTES - header_bytes) {
                 Ok(n) => n,
                 Err(e) if is_timeout(&e) => {
                     return Err(invalid("timed out mid-headers (truncated request)"))
                 }
                 Err(e) => return Err(e),
             };
+            header_bytes += n;
+            if header_bytes > MAX_HEADER_BYTES {
+                return Err(invalid("header block too large"));
+            }
             if n == 0 || !self.line.ends_with('\n') {
                 // EOF before the blank terminator line — whether between
                 // header lines or mid-line: the request is truncated, not
                 // complete. (This used to parse as a finished header
                 // block — a framing hole.)
                 return Err(invalid("EOF mid-headers (truncated request)"));
-            }
-            header_bytes += n;
-            if header_bytes > MAX_HEADER_BYTES {
-                return Err(invalid("header block too large"));
             }
             let line = self.line.trim_end_matches(['\r', '\n']);
             if line.is_empty() {
@@ -319,6 +321,15 @@ impl HttpConnection {
         }
         self.keep_alive = req.keep_alive;
         Ok(ReadOutcome::Request)
+    }
+
+    /// Read one line into the reused line buffer, but at most `budget + 1`
+    /// bytes of it: a line longer than what is left of the header budget
+    /// stops there instead of being buffered whole, and the caller sees
+    /// the overrun as a count above `budget`.
+    fn read_line_within(&mut self, budget: usize) -> io::Result<usize> {
+        self.line.clear();
+        (&mut self.reader).take(budget as u64 + 1).read_line(&mut self.line)
     }
 
     /// Read exactly `buf.len()` body bytes under one cumulative
@@ -1107,6 +1118,40 @@ mod tests {
         let got = raw_exchange(addr, &raw, false);
         assert!(got.contains("400"), "got: {got}");
         assert!(got.contains("too many"), "got: {got}");
+    }
+
+    /// Bugfix regression: each line used to be read whole before the
+    /// header budget was checked, so a request line with no `\n` was
+    /// buffered without limit until the socket timed out. A line is now
+    /// cut off where the budget ends.
+    #[test]
+    fn an_endless_line_is_cut_off_at_the_header_budget() {
+        let server = HttpServer::start(
+            "127.0.0.1:0",
+            &Registry::new(),
+            |_: &Request, _: &mut HttpConnection| -> io::Result<u16> {
+                panic!("request must not parse")
+            },
+        )
+        .unwrap();
+        let started = Instant::now();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        // Written from another thread: the server may refuse before it
+        // has read it all, and a failed write must not hide the answer.
+        let mut writer = stream.try_clone().unwrap();
+        let sender = thread::spawn(move || writer.write_all(&[b'a'; 4 * MAX_HEADER_BYTES]));
+        // No newline, no half-close: the socket stays open while we read.
+        let mut buf = Vec::new();
+        let _ = stream.read_to_end(&mut buf);
+        let _ = sender.join().unwrap();
+        let got = String::from_utf8_lossy(&buf);
+        assert!(got.contains("400 Bad Request"), "got: {got}");
+        assert!(got.contains("too large"), "got: {got}");
+        assert!(
+            started.elapsed() < Duration::from_secs(3),
+            "refused at the budget, not the timeout"
+        );
     }
 
     /// Bugfix regression: the one-shot client used `read_to_string`, so

@@ -330,12 +330,6 @@ impl Registry {
         }
     }
 
-    /// Seconds since this registry was created — the scrape-time value of
-    /// `mqo_uptime_seconds`.
-    pub fn uptime_seconds(&self) -> u64 {
-        self.start.elapsed().as_secs()
-    }
-
     /// Render every metric in the Prometheus text exposition format, in
     /// registration order. Labeled families render one HELP/TYPE header
     /// and one line per child, with label values escaped per the

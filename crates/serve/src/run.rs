@@ -3,12 +3,14 @@
 //! A batch run (`mqo classify`) and a served run (the [`crate::Engine`])
 //! need the same things: the dataset, a labeled split `V_L`/`V_Q` sized
 //! to a query count, a neighbor-selecting predictor, the paper's neighbor
-//! cap `M`, one metered LLM client stack, and optionally a crash-safe
-//! journal. Each is decided here, once, so a batch run and a served run
-//! of the same nodes build identical pieces and write identical records.
+//! cap `M`, the surrogate setup Algorithm 1's pruning trains, one metered
+//! LLM client stack, and optionally a crash-safe journal. Each is decided
+//! here, once, so a batch run and a served run of the same nodes build
+//! identical pieces and write identical records.
 
 use mqo_core::journal::{RunHeader, RunJournal};
 use mqo_core::predictor::{KhopRandom, LlmRanked, Predictor, Sns, ZeroShot};
+use mqo_core::surrogate::SurrogateConfig;
 use mqo_data::persist::{self, PersistError};
 use mqo_data::{dataset, DatasetBundle, DatasetId, DatasetSpec};
 use mqo_fault::{FaultConfig, FaultSchedule, FaultyLlm};
@@ -72,6 +74,16 @@ pub fn max_neighbors(bundle: &DatasetBundle) -> usize {
     match DatasetId::from_name(bundle.tag.name()) {
         Some(DatasetId::OgbnProducts) => 10,
         _ => 4,
+    }
+}
+
+/// The surrogate classifier setup of §VI-A3 that Algorithm 1's pruning
+/// trains: hashed features with a small grid search on ogbn-arxiv and
+/// ogbn-products, a linear TF-IDF model on every other dataset.
+pub fn surrogate_config(bundle: &DatasetBundle, seed: u64) -> SurrogateConfig {
+    match DatasetId::from_name(bundle.tag.name()) {
+        Some(DatasetId::OgbnArxiv | DatasetId::OgbnProducts) => SurrogateConfig::large(seed),
+        _ => SurrogateConfig::small(seed),
     }
 }
 
@@ -253,6 +265,17 @@ mod tests {
     fn m_matches_paper() {
         assert_eq!(max_neighbors(&dataset(DatasetId::Cora, Some(0.1), 1)), 4);
         assert_eq!(max_neighbors(&dataset(DatasetId::OgbnProducts, Some(0.0005), 1)), 10);
+    }
+
+    #[test]
+    fn surrogate_config_matches_paper() {
+        let shape = |id, scale| {
+            let cfg = surrogate_config(&dataset(id, Some(scale), 1), 9);
+            (cfg.hashed_dim, cfg.candidates.len(), cfg.seed)
+        };
+        assert_eq!(shape(DatasetId::Cora, 0.1), (None, 1, 9));
+        assert_eq!(shape(DatasetId::OgbnArxiv, 0.0005), (Some(256), 4, 9));
+        assert_eq!(shape(DatasetId::OgbnProducts, 0.0005), (Some(256), 4, 9));
     }
 
     #[test]

@@ -13,8 +13,14 @@ cargo clippy --version
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> cargo fmt --check --manifest-path benchmark/Cargo.toml"
+cargo fmt --check --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo clippy --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings"
+cargo clippy --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 
 echo "==> cargo doc --workspace --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
