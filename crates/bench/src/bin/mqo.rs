@@ -503,9 +503,7 @@ fn cmd_classify(args: &Args) -> Result<(), CliError> {
         records.sort_by_key(|r| (r.node.0, r.prompt_tokens));
         let mut body = String::new();
         for r in &records {
-            let line = serde_json::to_string(&mqo_core::journal::record_to_json(r))
-                .map_err(|e| format!("record json: {e}"))?;
-            body.push_str(&line);
+            mqo_core::journal::write_record(r, "", &mut body);
             body.push('\n');
         }
         std::fs::write(path, body).map_err(|e| format!("cannot write {path}: {e}"))?;

@@ -389,9 +389,9 @@ impl<'a> Executor<'a> {
         let observing = self.sink.observing();
         // Token count of the *current* contents of `prompt`, computed at
         // most once: counting is O(len) and the serving hot path would
-        // otherwise tokenize the same unchanged prompt three times
-        // (attribution, budget, final accounting). Invalidated when the
-        // budget fallback swaps the prompt.
+        // otherwise tokenize the same unchanged prompt four times
+        // (attribution, budget, final accounting, the `llm_call` span
+        // label). Invalidated when the budget fallback swaps the prompt.
         let mut prompt_count: Option<u64> = None;
         fn count_once(prompt: &str, memo: &mut Option<u64>) -> u64 {
             *memo.get_or_insert_with(|| Tokenizer.count(prompt) as u64)
@@ -459,7 +459,7 @@ impl<'a> Executor<'a> {
                 let _llm_span = self.tracer.span(
                     self.sink,
                     "llm_call",
-                    || format!("{} tokens", Tokenizer.count(prompt)),
+                    || format!("{} tokens", count_once(prompt, &mut prompt_count)),
                     self.tracer.current(),
                 );
                 self.llm.complete(prompt)

@@ -29,9 +29,11 @@
 
 use crate::executor::QueryRecord;
 use mqo_graph::{ClassId, NodeId};
+use mqo_obs::wire::escape_json;
 use parking_lot::Mutex;
 use serde_json::{json, Value};
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -85,8 +87,9 @@ impl RunHeader {
     }
 }
 
-/// Serialize one final record as a journal line (also the `--dump-records`
-/// format, so resume comparisons diff the exact bytes the journal stores).
+/// One final record as a [`Value`] tree: the object whose compact form
+/// [`write_record`] writes for journal lines and `--dump-records` (so
+/// resume comparisons diff the exact bytes the journal stores).
 pub fn record_to_json(r: &QueryRecord) -> Value {
     record_to_json_traced(r, "")
 }
@@ -117,6 +120,43 @@ pub fn record_to_json_traced(r: &QueryRecord, trace: &str) -> Value {
         }
     }
     v
+}
+
+/// Append `r` as one compact JSON object: byte for byte what
+/// `serde_json::to_string(&record_to_json_traced(r, trace))` writes (keys
+/// in sorted order), without building the [`Value`]. The one record
+/// writer: journal lines, `mqo classify --dump-records` and every record
+/// of a `POST /v1/classify` response go through it.
+pub fn write_record(r: &QueryRecord, trace: &str, out: &mut String) {
+    let _ = write!(
+        out,
+        "{{\"budget_starved\":{},\"correct\":{},\"failure\":",
+        r.budget_starved, r.correct
+    );
+    match &r.failure {
+        Some(f) => escape_json(out, f),
+        None => out.push_str("null"),
+    }
+    let _ = write!(
+        out,
+        ",\"kind\":\"record\",\"labeled_neighbors\":{},\"neighbors_included\":{},\
+         \"node\":{},\"parse_failed\":{},\"predicted\":{},\"prompt_tokens\":{},\
+         \"pruned\":{},\"pseudo_neighbors\":{},\"remote_neighbors\":{}",
+        r.labeled_neighbors,
+        r.neighbors_included,
+        r.node.0,
+        r.parse_failed,
+        r.predicted.0,
+        r.prompt_tokens,
+        r.pruned,
+        r.pseudo_neighbors,
+        r.remote_neighbors,
+    );
+    if !trace.is_empty() {
+        out.push_str(",\"trace\":");
+        escape_json(out, trace);
+    }
+    out.push('}');
 }
 
 /// Parse a record line written by [`record_to_json`]; `None` when the
@@ -264,8 +304,8 @@ impl RunJournal {
     /// journal line (omitted when empty). Replay ignores the extra key, so
     /// traced and untraced journals resume identically.
     pub fn record_traced(&self, rec: &QueryRecord, trace: &str) {
-        let mut line = serde_json::to_string(&record_to_json_traced(rec, trace))
-            .expect("record serialization");
+        let mut line = String::with_capacity(320);
+        write_record(rec, trace, &mut line);
         line.push('\n');
         let mut inner = self.inner.lock();
         inner.file.write_all(line.as_bytes()).expect("journal append failed");

@@ -72,7 +72,9 @@ pub struct CachedLlm<L> {
     tokens_saved: AtomicU64,
     /// Prompt token counts memoized by the same fingerprint the cache is
     /// keyed on: a served hit re-sees a prompt the wrapper has already
-    /// tokenized, so the O(len) count collapses to a hash lookup.
+    /// tokenized, so the O(len) count collapses to a hash lookup. Holds at
+    /// most the cache's capacity in entries: it is cleared when full, since
+    /// every entry can be recounted.
     prompt_tokens: Mutex<HashMap<u64, u64>>,
 }
 
@@ -136,11 +138,13 @@ impl<L: LanguageModel> CachedLlm<L> {
     /// cost ledger can attribute the saving (zeroed `usage` alone is
     /// ambiguous — lenient parse recoveries also return zero usage).
     fn served(&self, fp_key: u64, prompt: &str, cached: &Completion) -> Completion {
-        let saved = *self
-            .prompt_tokens
-            .lock()
-            .entry(fp_key)
-            .or_insert_with(|| Tokenizer.count(prompt) as u64);
+        let saved = {
+            let mut memo = self.prompt_tokens.lock();
+            if memo.len() >= self.cache.capacity() && !memo.contains_key(&fp_key) {
+                memo.clear();
+            }
+            *memo.entry(fp_key).or_insert_with(|| Tokenizer.count(prompt) as u64)
+        };
         self.tokens_saved.fetch_add(saved, Ordering::Relaxed);
         Completion {
             text: cached.text.clone(),
@@ -239,6 +243,24 @@ mod tests {
         assert_eq!((s.cache.hits, s.cache.misses), (1, 1));
         assert!(s.tokens_saved > 0);
         assert!(s.serve_rate() > 0.49);
+    }
+
+    #[test]
+    fn token_count_memo_is_bounded_by_the_cache_capacity() {
+        let llm =
+            CachedLlm::new(ScriptedLlm::new(std::iter::repeat_n("Category: ['A']", 50)), 4);
+        let mut expected_saved = 0;
+        for i in 0..50 {
+            let p = prompt(i);
+            llm.complete(&p).unwrap();
+            let hit = llm.complete(&p).unwrap();
+            expected_saved += Tokenizer.count(&p) as u64;
+            assert_eq!(hit.cache_saved_tokens, Tokenizer.count(&p) as u64);
+            let held = llm.prompt_tokens.lock().len();
+            assert!(held <= 4, "memo holds {held} entries after {} prompts", i + 1);
+        }
+        assert_eq!(llm.stats().tokens_saved, expected_saved);
+        assert_eq!(llm.stats().cache.hits, 50);
     }
 
     #[test]

@@ -31,6 +31,10 @@ use mqo_text::{Lexicon, WordKind};
 use mqo_token::{Tokenizer, Usage, UsageMeter};
 use std::sync::Arc;
 
+/// Stack buffer for lowercasing a prompt word in [`SimLlm::scan`]: the
+/// lexicon's words are a few syllables, far shorter than this.
+const WORD_BUF: usize = 16;
+
 /// Parsed view of a node-classification prompt.
 #[derive(Debug, Default)]
 struct ParsedPrompt<'a> {
@@ -85,14 +89,25 @@ impl SimLlm {
     }
 
     /// Count recognized class words in `text`, accumulating into `counts`.
+    /// Each word is lowercased into a stack buffer and decoded once; a
+    /// word longer than the buffer takes the allocating path, since
+    /// `decode` accepts zero-padded syllables and so any length can decode.
     fn scan(&self, text: &str, counts: &mut [f64], weight: f64) {
+        let mut buf = [0u8; WORD_BUF];
         for w in Tokenizer.words(text) {
-            if let Some(WordKind::Class(c)) = self.lexicon.kind_of_word(&w.to_ascii_lowercase())
-            {
-                if let Some(id) = self.lexicon.decode(&w.to_ascii_lowercase()) {
-                    if self.knows(id, c) {
-                        counts[c as usize] += weight;
-                    }
+            let id = if w.len() <= WORD_BUF {
+                let lower = &mut buf[..w.len()];
+                lower.copy_from_slice(w.as_bytes());
+                lower.make_ascii_lowercase();
+                // ASCII lowercasing keeps UTF-8 valid.
+                std::str::from_utf8(lower).ok().and_then(|l| self.lexicon.decode(l))
+            } else {
+                self.lexicon.decode(&w.to_ascii_lowercase())
+            };
+            let Some(id) = id else { continue };
+            if let Some(WordKind::Class(c)) = self.lexicon.kind_of(id) {
+                if self.knows(id, c) {
+                    counts[c as usize] += weight;
                 }
             }
         }
@@ -124,13 +139,13 @@ impl SimLlm {
 
     /// Resolve a label string to a class index (case-insensitive).
     fn class_index(&self, name: &str) -> Option<usize> {
-        let needle = name.trim().to_ascii_lowercase();
-        self.class_names.iter().position(|c| c.to_ascii_lowercase() == needle)
+        let needle = name.trim();
+        self.class_names.iter().position(|c| c.eq_ignore_ascii_case(needle))
     }
 
-    /// Decide the answer class for a parsed prompt. Exposed for the
-    /// white-box ablation benches (`pub(crate)` keeps it out of the API).
-    fn decide(&self, prompt: &str) -> usize {
+    /// Decide the answer class for `prompt`, whose `fnv64` is
+    /// `prompt_hash`.
+    fn decide(&self, prompt: &str, prompt_hash: u64) -> usize {
         let parsed = self.parse(prompt);
         let k = self.class_names.len();
         let mut n_target = vec![0.0f64; k];
@@ -145,7 +160,7 @@ impl SimLlm {
                 n_labels[c] += 1.0;
             }
         }
-        let noise_seed = self.profile.seed ^ fnv64(prompt.as_bytes());
+        let noise_seed = self.profile.seed ^ prompt_hash;
         // Decision noise is calibrated as a *pairwise-margin* noise: the
         // expected max of K independent Gumbels grows like ln K, but a real
         // model's logit noise does not scale with the size of the label
@@ -201,8 +216,9 @@ impl LanguageModel for SimLlm {
     }
 
     fn complete(&self, prompt: &str) -> Result<Completion> {
-        let class = self.decide(prompt);
-        let text = self.render_answer(class, fnv64(prompt.as_bytes()));
+        let prompt_hash = fnv64(prompt.as_bytes());
+        let class = self.decide(prompt, prompt_hash);
+        let text = self.render_answer(class, prompt_hash);
         let usage = Usage {
             prompt_tokens: Tokenizer.count(prompt) as u64,
             completion_tokens: Tokenizer.count(&text) as u64,
@@ -383,6 +399,137 @@ mod tests {
                 "unparseable response: {}",
                 r.text
             );
+        }
+    }
+
+    /// `SimLlm`'s prompt reader before the single-hash, stack-buffer scan:
+    /// the oracle `complete` must agree with on every prompt.
+    fn reference_answer(llm: &SimLlm, prompt: &str) -> String {
+        let scan = |text: &str, counts: &mut [f64]| {
+            for w in Tokenizer.words(text) {
+                if let Some(WordKind::Class(c)) =
+                    llm.lexicon.kind_of_word(&w.to_ascii_lowercase())
+                {
+                    if let Some(id) = llm.lexicon.decode(&w.to_ascii_lowercase()) {
+                        if llm.knows(id, c) {
+                            counts[c as usize] += 1.0;
+                        }
+                    }
+                }
+            }
+        };
+        let class_index = |name: &str| {
+            let needle = name.trim().to_ascii_lowercase();
+            llm.class_names.iter().position(|c| c.to_ascii_lowercase() == needle)
+        };
+        let parsed = llm.parse(prompt);
+        let k = llm.class_names.len();
+        let (mut n_target, mut n_neigh, mut n_labels) =
+            (vec![0.0f64; k], vec![0.0f64; k], vec![0.0f64; k]);
+        scan(parsed.target, &mut n_target);
+        for t in &parsed.neighbor_titles {
+            scan(t, &mut n_neigh);
+        }
+        for l in &parsed.neighbor_labels {
+            if let Some(c) = class_index(l) {
+                n_labels[c] += 1.0;
+            }
+        }
+        let noise_seed = llm.profile.seed ^ fnv64(prompt.as_bytes());
+        let temp = llm.profile.temperature / (1.0 + (k as f64 / 8.0).ln().max(0.0));
+        let tw = llm.profile.target_weight
+            * if parsed.neighbor_titles.is_empty() {
+                1.0
+            } else {
+                1.0 - llm.profile.context_dilution
+            };
+        let mut best = 0usize;
+        let mut best_score = f64::NEG_INFINITY;
+        for c in 0..k {
+            let u = hash01(noise_seed, c as u64).clamp(1e-12, 1.0 - 1e-12);
+            let gumbel = -(-(u.ln())).ln();
+            let label_cue = (1.0 + n_labels[c]).ln() / std::f64::consts::LN_2;
+            let score = tw * (1.0 + n_target[c]).ln()
+                + llm.profile.neighbor_text_weight * (1.0 + n_neigh[c]).ln()
+                + llm.profile.neighbor_label_weight * label_cue
+                + llm.prior[c]
+                + temp * gumbel;
+            if score > best_score {
+                best_score = score;
+                best = c;
+            }
+        }
+        llm.render_answer(best, fnv64(prompt.as_bytes()))
+    }
+
+    /// Word `pick` of a generated prompt, in one of the spellings the
+    /// reader must treat as before: as generated, upper case, capitalized,
+    /// zero-padded past the 16-byte stack buffer (`decode` reads trailing
+    /// zero syllables as no-ops), padded past it with a nonzero syllable
+    /// at the end (no lexicon word), or with a non-ASCII letter attached.
+    /// Class words are over-represented; some ids lie past the lexicon.
+    fn spelled(lex: &Lexicon, pick: u32, style: u8) -> String {
+        let id = match pick % 4 {
+            0 => pick / 4 % lex.total_words(),
+            1 => lex.total_words() + pick / 4,
+            _ => lex.class_id((pick / 4 % 4) as u16, pick / 16 % lex.class_size()),
+        };
+        let w = lex.word(id);
+        match style {
+            0 => w,
+            1 => w.to_ascii_uppercase(),
+            2 => w[..1].to_ascii_uppercase() + &w[1..],
+            3 => w + &lex.word(0)[..2].repeat(8),
+            4 => (w + &lex.word(0)[..2].repeat(8)).to_ascii_uppercase(),
+            5 => format!("{w}{}{w}", &lex.word(0)[..2].repeat(8)),
+            6 => w + "é",
+            _ => format!("ß{w}"),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn complete_matches_the_reference_reader(
+            words in proptest::prop::collection::vec((0u32..1 << 20, 0u8..8), 0..40),
+            neighbors in proptest::prop::collection::vec(
+                (proptest::prop::collection::vec((0u32..1 << 20, 0u8..8), 0..6), 0usize..6, 0u8..4),
+                0..5,
+            ),
+        ) {
+            let (lex, names, llm) = setup();
+            let text = |ws: &[(u32, u8)]| {
+                ws.iter()
+                    .map(|&(pick, style)| spelled(&lex, pick, style))
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            };
+            let (title, body) = words.split_at(words.len().min(6));
+            let neighbors: Vec<NeighborEntry> = neighbors
+                .iter()
+                .map(|(ws, label, case)| NeighborEntry {
+                    title: text(ws),
+                    // Labels in any case, padded, or naming no class.
+                    label: names.get(*label).map(|n| match case {
+                        0 => n.clone(),
+                        1 => n.to_ascii_uppercase(),
+                        2 => format!(" {} ", n.to_ascii_lowercase()),
+                        _ => format!("{n}é"),
+                    }),
+                })
+                .collect();
+            let prompt = NodePromptSpec {
+                title: &text(title),
+                abstract_text: &text(body),
+                neighbors: &neighbors,
+                categories: &names,
+                ranked: false,
+            }
+            .render();
+            let got = llm.complete(&prompt).unwrap();
+            proptest::prop_assert_eq!(got.text, reference_answer(&llm, &prompt));
+            proptest::prop_assert_eq!(got.usage.prompt_tokens, Tokenizer.count(&prompt) as u64);
         }
     }
 

@@ -118,6 +118,22 @@ impl FlightRecorder {
         }
     }
 
+    /// Whether [`offer`](Self::offer) would retain a finished request
+    /// with this `status` and latency right now, so a caller can skip
+    /// building an entry the recorder would drop. `offer` decides again
+    /// under its lock, so a racing offer cannot overfill a ring.
+    pub fn would_keep(&self, status: u16, latency_micros: u64) -> bool {
+        if status >= 400 {
+            return self.error_cap > 0;
+        }
+        if self.slow_cap == 0 {
+            return false;
+        }
+        let rings = self.rings.lock().expect("flight lock");
+        rings.slow.len() < self.slow_cap
+            || rings.slow.iter().any(|e| latency_micros > e.latency_micros)
+    }
+
     /// Offer one finished request. Returns whether it was retained:
     /// errors always are (until the error ring evicts them), successes
     /// only while they rank among the `slow_cap` slowest seen.
@@ -279,6 +295,20 @@ mod tests {
         let (slow, _) = rec.snapshot();
         let traces: Vec<&str> = slow.iter().map(|e| e.trace.as_str()).collect();
         assert_eq!(traces, vec!["b", "d"]);
+    }
+
+    #[test]
+    fn would_keep_predicts_every_offer() {
+        for (slow_cap, error_cap) in [(0, 0), (1, 0), (0, 2), (3, 2)] {
+            let rec = FlightRecorder::new(slow_cap, error_cap);
+            for i in 0..40u64 {
+                let status = if i % 5 == 0 { 500 } else { 200 };
+                let latency = (i * 37) % 23;
+                let predicted = rec.would_keep(status, latency);
+                let kept = rec.offer(entry(&format!("{i:016x}"), status, latency));
+                assert_eq!(predicted, kept, "caps ({slow_cap}, {error_cap}), offer {i}");
+            }
+        }
     }
 
     #[test]

@@ -206,9 +206,16 @@ impl EventSink for Tee<'_> {
 /// builds it before the client stack exists, hands clones to the retry
 /// layer and meter, then pushes the cache invalidator in once the client
 /// is constructed.
-#[derive(Default)]
 pub struct Fanout {
-    sinks: Mutex<Vec<Arc<dyn EventSink>>>,
+    /// Replaced whole by [`push`](Self::push), so an emit clones one `Arc`
+    /// and runs the children with no lock held.
+    sinks: Mutex<Arc<[Arc<dyn EventSink>]>>,
+}
+
+impl Default for Fanout {
+    fn default() -> Self {
+        Fanout { sinks: Mutex::new(Arc::new([])) }
+    }
 }
 
 impl Fanout {
@@ -219,7 +226,8 @@ impl Fanout {
 
     /// Add a destination. Events emitted before the push are not replayed.
     pub fn push(&self, sink: Arc<dyn EventSink>) {
-        self.sinks.lock().expect("fanout lock").push(sink);
+        let mut sinks = self.sinks.lock().expect("fanout lock");
+        *sinks = sinks.iter().cloned().chain([sink]).collect();
     }
 
     /// Number of destinations.
@@ -235,20 +243,20 @@ impl Fanout {
     /// Snapshot the children so emit/flush run outside the list lock
     /// (a child may itself take locks; holding ours across its call
     /// invites ordering deadlocks).
-    fn snapshot(&self) -> Vec<Arc<dyn EventSink>> {
+    fn snapshot(&self) -> Arc<[Arc<dyn EventSink>]> {
         self.sinks.lock().expect("fanout lock").clone()
     }
 }
 
 impl EventSink for Fanout {
     fn emit(&self, event: &Event) {
-        for sink in self.snapshot() {
+        for sink in self.snapshot().iter() {
             sink.emit(event);
         }
     }
 
     fn flush(&self) {
-        for sink in self.snapshot() {
+        for sink in self.snapshot().iter() {
             sink.flush();
         }
     }

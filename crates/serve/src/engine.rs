@@ -16,12 +16,13 @@ use crate::config::ServeConfig;
 use crate::run::{self, ClientStack, StackConfig};
 use crate::shard::{peak_rss_mb, OutboundLabel, ShardContext};
 use crate::tenant::{TenantExhausted, TenantTable};
-use mqo_core::journal::{record_to_json, RunHeader, RunJournal};
+use mqo_core::journal::{record_to_json, write_record, RunHeader, RunJournal};
 use mqo_core::predictor::Predictor;
 use mqo_core::{Executor, LabelStore, Labels, QueryRecord, SchedulePolicy, Scheduler};
 use mqo_data::DatasetBundle;
 use mqo_graph::{ClassId, NodeId};
 use mqo_llm::{CachedLlmStats, LanguageModel, ModelProfile};
+use mqo_obs::wire::escape_json;
 use mqo_obs::{
     ChromeTraceSink, CostLedger, Counter, CounterVec, Event, EventSink, Fanout, FlightRecorder,
     HistogramVec, MetricsSink, MonotonicClock, SloConfig, SloTracker, SpanId, Tee, Tracer,
@@ -30,6 +31,7 @@ use mqo_shard::{ShardBundle, ShardMap};
 use mqo_token::ledger::Totals;
 use parking_lot::RwLock;
 use serde_json::{json, Value};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -63,7 +65,33 @@ pub struct ProcessedBatch {
 }
 
 impl ProcessedBatch {
-    /// The response body for `POST /v1/classify`.
+    /// Append the `POST /v1/classify` response body: byte for byte
+    /// `serde_json::to_string(&self.to_json(tenant))`, written straight
+    /// into `out` with each record through [`write_record`].
+    pub fn write_json(&self, tenant: &str, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"billed_tokens\":{},\"degraded\":{},\"records\":[",
+            self.billed_tokens, self.degraded
+        );
+        for (i, r) in self.records.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_record(r, "", out);
+        }
+        let _ = write!(out, "],\"replayed\":{},\"tenant\":", self.replayed);
+        escape_json(out, tenant);
+        if !self.trace.is_empty() {
+            out.push_str(",\"trace\":");
+            escape_json(out, &self.trace);
+        }
+        out.push('}');
+    }
+
+    /// The response body as a [`Value`] tree, for tools and as the oracle
+    /// [`write_json`](Self::write_json) is tested against; the server
+    /// writes the bytes directly.
     pub fn to_json(&self, tenant: &str) -> Value {
         let mut v = json!({
             "tenant": tenant,

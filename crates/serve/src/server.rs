@@ -300,32 +300,36 @@ fn trace_for(req: &Request, engine: &Engine) -> String {
 
 /// Classify epilogue, run after the response is flushed: stamp the
 /// exchange into the labeled request metrics, the tenant's SLO windows,
-/// and the flight recorder. Returns `status` for the connection loop.
-#[allow(clippy::too_many_arguments)]
+/// and the flight recorder. `detail` yields the entry's span tree and
+/// response summary; it runs only when the recorder would keep the
+/// entry, so the common request builds neither. Returns `status` for the
+/// connection loop.
 fn finish_classify(
     engine: &Engine,
     trace: String,
     tenant: &str,
     status: u16,
     started_micros: u64,
-    spans: Vec<FlightSpan>,
     request_summary: String,
-    response_summary: String,
+    detail: impl FnOnce() -> (Vec<FlightSpan>, String),
 ) -> u16 {
     let latency = MONOTONIC_CLOCK.now_micros().saturating_sub(started_micros);
     engine.observe_http("/v1/classify", tenant, status, latency);
     engine.slo().observe(tenant, status, latency);
-    engine.flight().offer(FlightEntry {
-        trace,
-        tenant: tenant.to_string(),
-        route: "/v1/classify".to_string(),
-        status,
-        latency_micros: latency,
-        started_micros,
-        request_summary,
-        response_summary,
-        spans,
-    });
+    if engine.flight().would_keep(status, latency) {
+        let (spans, response_summary) = detail();
+        engine.flight().offer(FlightEntry {
+            trace,
+            tenant: tenant.to_string(),
+            route: "/v1/classify".to_string(),
+            status,
+            latency_micros: latency,
+            started_micros,
+            request_summary,
+            response_summary,
+            spans,
+        });
+    }
     status
 }
 
@@ -403,16 +407,9 @@ fn respond_shed(
         &[("Retry-After", retry_after_secs.to_string()), ("x-mqo-trace-id", trace.clone())],
         &body,
     )?;
-    Ok(finish_classify(
-        engine,
-        trace,
-        tenant,
-        429,
-        started,
-        Vec::new(),
-        request_summary,
-        format!("refused: {reason}, retry after {retry_after_secs}s"),
-    ))
+    Ok(finish_classify(engine, trace, tenant, 429, started, request_summary, || {
+        (Vec::new(), format!("refused: {reason}, retry after {retry_after_secs}s"))
+    }))
 }
 
 /// Answer `504` for a request whose deadline expired at `stage`
@@ -448,16 +445,9 @@ fn respond_deadline_expired(
             "waited_micros": waited_micros,
         }),
     )?;
-    Ok(finish_classify(
-        engine,
-        trace,
-        tenant,
-        504,
-        started,
-        spans,
-        request_summary,
-        format!("deadline exceeded at {stage} after {waited_micros}us"),
-    ))
+    Ok(finish_classify(engine, trace, tenant, 504, started, request_summary, || {
+        (spans, format!("deadline exceeded at {stage} after {waited_micros}us"))
+    }))
 }
 
 fn handle_classify(
@@ -479,9 +469,8 @@ fn handle_classify(
                 "-",
                 400,
                 started,
-                Vec::new(),
                 "bad x-mqo-deadline-ms".into(),
-                e,
+                || (Vec::new(), e),
             ));
         }
     };
@@ -495,9 +484,8 @@ fn handle_classify(
                 "-",
                 400,
                 started,
-                Vec::new(),
                 "unparseable classify body".into(),
-                e,
+                || (Vec::new(), e),
             ));
         }
     };
@@ -517,9 +505,8 @@ fn handle_classify(
                 &tenant,
                 503,
                 started,
-                Vec::new(),
                 request_summary,
-                "refused: draining".into(),
+                || (Vec::new(), "refused: draining".into()),
             ));
         }
         Err(Rejection::TenantExhausted(t)) => {
@@ -540,9 +527,14 @@ fn handle_classify(
                 &tenant,
                 429,
                 started,
-                Vec::new(),
                 request_summary,
-                format!("refused: {} of {} budget tokens spent", t.spent_tokens, t.budget),
+                || {
+                    let summary = format!(
+                        "refused: {} of {} budget tokens spent",
+                        t.spent_tokens, t.budget
+                    );
+                    (Vec::new(), summary)
+                },
             ));
         }
         Err(Rejection::Saturated) => unreachable!("admit never reports slot saturation"),
@@ -694,24 +686,26 @@ fn handle_classify(
             spans_from_events(&collector.events()),
         );
     }
-    traced_json(conn, "200 OK", &trace, &batch.to_json(&tenant))?;
-    let response_summary = format!(
-        "{} record(s), {} replayed, {} tokens billed{}",
-        batch.records.len(),
-        batch.replayed,
-        batch.billed_tokens,
-        if batch.degraded { ", degraded" } else { "" }
-    );
-    Ok(finish_classify(
-        engine,
-        trace,
-        &tenant,
-        200,
-        started,
-        spans_from_events(&collector.events()),
-        request_summary,
-        response_summary,
-    ))
+    // The body carries `"trace"` because the batch ran under `trace`.
+    let mut body = String::with_capacity(160 + 320 * batch.records.len());
+    batch.write_json(&tenant, &mut body);
+    body.push('\n');
+    conn.respond_with_headers(
+        "200 OK",
+        "application/json",
+        &[("x-mqo-trace-id", trace.clone())],
+        &body,
+    )?;
+    Ok(finish_classify(engine, trace, &tenant, 200, started, request_summary, || {
+        let summary = format!(
+            "{} record(s), {} replayed, {} tokens billed{}",
+            batch.records.len(),
+            batch.replayed,
+            batch.billed_tokens,
+            if batch.degraded { ", degraded" } else { "" }
+        );
+        (spans_from_events(&collector.events()), summary)
+    }))
 }
 
 /// Ingest remote pseudo-labels forwarded by the router
