@@ -386,6 +386,7 @@ fn cmd_classify(args: &Args) -> Result<(), CliError> {
         .map_err(|e| format!("run: {e}"))?;
     if boost {
         println!("boosting rounds: {}", report.rounds.len());
+        println!("readiness evals : {}", report.readiness_evals);
     }
     let outcome = report.outcome;
     let wall_seconds = run_started.elapsed().as_secs_f64();
@@ -488,6 +489,7 @@ fn cmd_classify(args: &Args) -> Result<(), CliError> {
             "tokens_saved": cstats.tokens_saved,
             "failed": outcome.failed(),
             "replayed": journal.as_ref().map_or(0, |j| j.replayed()),
+            "readiness_evals": report.readiness_evals,
             "wall_seconds": wall_seconds,
         });
         let body =

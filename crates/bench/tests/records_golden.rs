@@ -3,8 +3,9 @@
 //!
 //! The dumps carry every record's prediction, correctness and billed
 //! tokens, so a change to prompt rendering, tokenization, the
-//! simulated LLM's prompt reader or the record writer that moves a single
-//! answer or count changes a digest. A change that is *meant* to move
+//! simulated LLM's prompt reader, the record writer or the boosting
+//! waves' readiness decisions that moves a single answer or count
+//! changes a digest. A change that is *meant* to move
 //! answers must re-record the constants and say why.
 
 use std::path::PathBuf;
@@ -40,7 +41,7 @@ fn dump(name: &str, args: &[&str]) -> Vec<u8> {
 #[test]
 fn record_dumps_match_their_recorded_digests() {
     const CORA: [&str; 5] = ["cora", "--queries", "120", "--seed", "42"];
-    let arms: [(&str, Vec<&str>, usize, u64); 4] = [
+    let arms: [(&str, Vec<&str>, usize, u64); 5] = [
         ("cora", CORA.to_vec(), 120, 0xc271_8df4_1ea3_f28c),
         (
             "cora-boost",
@@ -60,6 +61,18 @@ fn record_dumps_match_their_recorded_digests() {
             vec!["ogbn-products", "--scale", "0.01", "--queries", "60", "--seed", "42"],
             60,
             0xc7a6_c437_f4d4_6c5e,
+        ),
+        // 13 boosting rounds with relaxation on a realistic-degree graph:
+        // each fold's pseudo-labels re-open many pending queries' support.
+        (
+            "products-boost",
+            [
+                &["ogbn-products", "--scale", "0.01", "--queries", "400", "--seed", "42"][..],
+                &["--boost", "--deterministic", "--threads", "2", "--no-cache"],
+            ]
+            .concat(),
+            400,
+            0xc310_f51d_9f86_4ae4,
         ),
     ];
     let mut wrong = Vec::new();

@@ -9,12 +9,15 @@
 //! the reliability ordering while guaranteeing termination.
 //!
 //! The rounds run on the scheduler: [`crate::sched::SchedulePolicy::CueGated`]
-//! with this module's [`BoostConfig`] and [`DegradePolicy`].
+//! with this module's [`BoostConfig`] and [`DegradePolicy`]. The
+//! scheduler keeps each pending query's `(|N_i^L|, LC_i)` and, through
+//! this module's `Readiness`, recounts it only after a label changes
+//! within the predictor's [`crate::predictor::Predictor::label_radius`].
 
 use crate::labels::LabelStore;
 use crate::predictor::{Predictor, SelectCtx};
 use mqo_graph::traversal::{khop_nodes, sample_prefer_labeled, KhopBuffer};
-use mqo_graph::{NodeId, Tag};
+use mqo_graph::{ClassId, Csr, NodeId, Tag};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -69,22 +72,210 @@ impl Default for DegradePolicy {
 }
 
 /// Count `|N_i^L|` and `LC_i` over a query's *selected* neighbor set.
+/// `kinds` is scratch for the distinct classes: at most `M` labels, so a
+/// linear scan beats hashing.
 pub(crate) fn label_support(
     predictor: &dyn Predictor,
     ctx: &SelectCtx<'_>,
     v: NodeId,
     rng: &mut StdRng,
+    kinds: &mut Vec<ClassId>,
 ) -> (usize, usize) {
-    let selected = predictor.select_neighbors(ctx, v, rng);
-    let mut labels_seen = HashSet::new();
+    kinds.clear();
     let mut count = 0usize;
-    for n in selected {
+    for n in predictor.select_neighbors(ctx, v, rng) {
         if let Some(c) = ctx.labels.get(n) {
             count += 1;
-            labels_seen.insert(c);
+            if !kinds.contains(&c) {
+                kinds.push(c);
+            }
         }
     }
-    (count, labels_seen.len())
+    (count, kinds.len())
+}
+
+/// A pending query's `(|N_i^L|, LC_i)` as of the last readiness pass,
+/// or [`Support::UNKNOWN`]. Four bytes, so it rides in the padding of a
+/// `(usize, NodeId)` pending entry. Counts saturate at 65,534, far above
+/// any neighbor cap `M`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Support {
+    labeled: u16,
+    kinds: u16,
+}
+
+impl Support {
+    /// Not counted yet, or invalidated.
+    pub(crate) const UNKNOWN: Support = Support { labeled: u16::MAX, kinds: u16::MAX };
+
+    fn new(labeled: usize, kinds: usize) -> Self {
+        let clamp = |n: usize| n.min(usize::from(u16::MAX - 1)) as u16;
+        Support { labeled: clamp(labeled), kinds: clamp(kinds) }
+    }
+
+    /// Whether the counts meet the γ₁/γ₂ rule.
+    pub(crate) fn qualifies(self, gamma1: usize, gamma2: usize) -> bool {
+        debug_assert!(self != Support::UNKNOWN, "support read before a readiness pass");
+        usize::from(self.labeled) >= gamma1 && usize::from(self.kinds) <= gamma2
+    }
+}
+
+/// The incremental half of the cue-gated readiness pass: which pending
+/// queries' [`Support`] a label change since the last pass made stale.
+/// A query is recounted only after a label changes within the
+/// predictor's [`Predictor::label_radius`] of it.
+///
+/// Caching is exact: [`label_support`] of `v` reads the query's own rng
+/// (a pure function of the run seed and `v`) and the labels inside v's
+/// selection ball. The graph is undirected, so a label change on `u` can
+/// move v's support only if `v` lies within the radius of `u`. With no
+/// radius, every label change invalidates every entry.
+///
+/// State is three bits per node: the invalidation ball is grown hop by
+/// hop over node bitsets, so nothing grows with node degree.
+pub(crate) struct Readiness {
+    radius: Option<u8>,
+    /// Nodes whose label changed since the last refresh.
+    changed: NodeBits,
+    /// Nodes within `radius` of a changed node: their entries are stale.
+    stale: NodeBits,
+    /// The next hop's frontier while `stale` grows.
+    next: NodeBits,
+    /// Whether any label changed since the last refresh.
+    dirty: bool,
+    kinds: Vec<ClassId>,
+    evals: u64,
+}
+
+impl Readiness {
+    /// Tracking for a graph of `num_nodes` nodes, invalidating within
+    /// `radius` hops.
+    pub(crate) fn new(num_nodes: usize, radius: Option<u8>) -> Self {
+        Readiness {
+            radius,
+            changed: NodeBits::new(num_nodes),
+            stale: NodeBits::new(num_nodes),
+            next: NodeBits::new(num_nodes),
+            dirty: false,
+            kinds: Vec::new(),
+            evals: 0,
+        }
+    }
+
+    /// Record that the label of `u` changed.
+    pub(crate) fn label_changed(&mut self, u: NodeId) {
+        self.dirty = true;
+        self.changed.insert(u.index());
+    }
+
+    /// [`label_support`] calls made so far.
+    pub(crate) fn evals(&self) -> u64 {
+        self.evals
+    }
+
+    /// Bring the support of every `pending` entry up to date with
+    /// `ctx.labels`, in pending order, counting only unknown entries and
+    /// those within the radius of a label change since the last refresh.
+    /// Nodes `skip` accepts are ready without support and are not
+    /// counted.
+    pub(crate) fn refresh(
+        &mut self,
+        predictor: &dyn Predictor,
+        ctx: &SelectCtx<'_>,
+        pending: &mut [(usize, NodeId, Support)],
+        skip: impl Fn(NodeId) -> bool,
+        rng: impl Fn(NodeId) -> StdRng,
+    ) {
+        let grown = std::mem::take(&mut self.dirty);
+        if grown {
+            self.grow_stale(ctx.tag.graph());
+        }
+        for (_, v, support) in pending.iter_mut() {
+            if skip(*v) {
+                continue;
+            }
+            if *support == Support::UNKNOWN || (grown && self.stale.contains(v.index())) {
+                let (n, lc) = label_support(predictor, ctx, *v, &mut rng(*v), &mut self.kinds);
+                *support = Support::new(n, lc);
+                self.evals += 1;
+            }
+        }
+        if grown {
+            self.stale.clear();
+        }
+        // The test build checks every entry a pass can read against a
+        // fresh count.
+        #[cfg(test)]
+        for &(i, v, support) in pending.iter().filter(|&&(_, v, _)| !skip(v)) {
+            let (n, lc) = label_support(predictor, ctx, v, &mut rng(v), &mut Vec::new());
+            assert_eq!(support, Support::new(n, lc), "stale support for {v:?} at {i}");
+        }
+    }
+
+    /// Set `stale` to every node within `radius` hops of a changed node
+    /// (a multi-source BFS, one hop per frontier sweep; every node when
+    /// there is no radius) and empty `changed`.
+    fn grow_stale(&mut self, g: &Csr) {
+        let Readiness { radius, changed, stale, next, .. } = self;
+        let Some(radius) = *radius else {
+            stale.0.fill(u64::MAX);
+            changed.clear();
+            return;
+        };
+        stale.copy_from(changed);
+        let (mut frontier, mut next) = (changed, next);
+        for _ in 0..radius {
+            frontier.drain(|u| {
+                for &w in g.neighbors(NodeId(u as u32)) {
+                    if stale.insert(w as usize) {
+                        next.insert(w as usize);
+                    }
+                }
+            });
+            std::mem::swap(&mut frontier, &mut next);
+        }
+        frontier.clear();
+    }
+}
+
+/// One bit per node.
+struct NodeBits(Vec<u64>);
+
+impl NodeBits {
+    fn new(num_nodes: usize) -> Self {
+        NodeBits(vec![0; num_nodes.div_ceil(64)])
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.0[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// Set bit `i`; whether it was clear.
+    fn insert(&mut self, i: usize) -> bool {
+        let (word, bit) = (&mut self.0[i / 64], 1u64 << (i % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+
+    fn copy_from(&mut self, other: &NodeBits) {
+        self.0.copy_from_slice(&other.0);
+    }
+
+    fn clear(&mut self) {
+        self.0.fill(0);
+    }
+
+    /// Visit every set bit in ascending order, clearing as it goes.
+    fn drain(&mut self, mut visit: impl FnMut(usize)) {
+        for (w, word) in self.0.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                visit(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
 }
 
 /// Fig. 8 pseudo-label utilization analysis.
@@ -176,12 +367,12 @@ mod tests {
     use super::*;
     use crate::error::Result;
     use crate::executor::{ExecOutcome, Executor};
-    use crate::predictor::test_fixtures::two_cliques;
+    use crate::predictor::test_fixtures::{random_tag, two_cliques};
     use crate::predictor::KhopRandom;
     use crate::pruning::PrunePlan;
     use crate::sched::{Labels, SchedulePolicy, Scheduler};
-    use mqo_graph::ClassId;
     use mqo_llm::{LanguageModel, ScriptedLlm};
+    use proptest::prelude::*;
 
     /// Algorithm 2 as the paper runs it: deterministic waves on one
     /// worker, `plan` queries pruned, the given failure policy.
@@ -473,5 +664,57 @@ mod tests {
         let labels = LabelStore::empty(tag.num_nodes());
         let qs: Vec<NodeId> = (0..12).map(NodeId).collect();
         assert_eq!(pseudo_label_utilization(&tag, &labels, &qs, 1, 4, 1, true, 0), 0);
+    }
+
+    /// The support count rides in the padding of a pending entry, so
+    /// caching it costs no memory per query.
+    #[test]
+    fn support_fits_in_a_pending_entrys_padding() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<(usize, NodeId, Support)>(), size_of::<(usize, NodeId)>());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The stale set a refresh grows from the changed nodes is exactly
+        /// the union of their radius balls, and the growth leaves no
+        /// frontier bits behind.
+        #[test]
+        fn stale_set_is_the_union_of_radius_balls(
+            seed in 0u64..10_000,
+            n in 1usize..150,
+            edges in 0usize..300,
+            radius in 0u8..5,
+            changed in prop::collection::vec(any::<usize>(), 0..6),
+        ) {
+            let tag = random_tag(seed, n, 2, edges);
+            let g = tag.graph();
+            let mut cache = Readiness::new(n, Some(radius));
+            let mut want = vec![false; n];
+            for &c in &changed {
+                cache.label_changed(NodeId((c % n) as u32));
+                // Plain BFS from one changed node, up to `radius` hops.
+                let mut dist = vec![usize::MAX; n];
+                dist[c % n] = 0;
+                let mut queue = std::collections::VecDeque::from([c % n]);
+                while let Some(u) = queue.pop_front() {
+                    want[u] = true;
+                    if dist[u] == radius as usize {
+                        continue;
+                    }
+                    for &w in g.neighbors(NodeId(u as u32)) {
+                        if dist[w as usize] == usize::MAX {
+                            dist[w as usize] = dist[u] + 1;
+                            queue.push_back(w as usize);
+                        }
+                    }
+                }
+            }
+            cache.grow_stale(g);
+            let got: Vec<bool> = (0..n).map(|i| cache.stale.contains(i)).collect();
+            prop_assert_eq!(got, want);
+            prop_assert!(cache.changed.0.iter().chain(&cache.next.0).all(|&w| w == 0));
+        }
     }
 }

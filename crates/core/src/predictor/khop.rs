@@ -15,8 +15,11 @@ pub struct KhopRandom {
     k: u8,
     name: String,
     /// Reusable BFS scratch, shared behind a lock so the predictor can be
-    /// `&self` in the trait (execution is effectively single-threaded; the
-    /// lock is uncontended).
+    /// `&self` in the trait. The lock is contended: every pool worker
+    /// takes it to render a prompt, a free-running cue-gated run's
+    /// readiness pass takes it while queries are in flight, and a serving
+    /// process shares one predictor across its request threads. It is
+    /// held for one BFS and one sample.
     buf: Mutex<(KhopBuffer, Vec<mqo_graph::traversal::HopNode>)>,
 }
 
@@ -55,6 +58,11 @@ impl Predictor for KhopRandom {
             .into_iter()
             .map(|h| h.node)
             .collect()
+    }
+
+    /// The sample is drawn from `N^k(v)` and reads labels only there.
+    fn label_radius(&self) -> Option<u8> {
+        Some(self.k)
     }
 }
 

@@ -68,6 +68,12 @@ impl Predictor for LlmRanked {
         scored.truncate(ctx.max_neighbors);
         scored.into_iter().map(|(n, _)| n).collect()
     }
+
+    /// The ranking reads no labels; the support counted over it reads
+    /// labels of the selected nodes, all within `k` hops.
+    fn label_radius(&self) -> Option<u8> {
+        Some(self.k)
+    }
 }
 
 #[cfg(test)]

@@ -46,6 +46,21 @@ pub trait Predictor: Send + Sync {
     fn select_neighbors(&self, ctx: &SelectCtx<'_>, v: NodeId, rng: &mut StdRng)
         -> Vec<NodeId>;
 
+    /// How far label knowledge reaches this method's selection: a label
+    /// added or changed on a node more than `r` hops from `v` changes
+    /// neither `select_neighbors(v)` (for the same rng) nor the label
+    /// support counted over it. The cue-gated scheduler re-checks a
+    /// pending query's readiness only after a label changes within this
+    /// radius.
+    ///
+    /// `None` — the default, and the safe choice for any new or wrapping
+    /// predictor — claims nothing: every label change re-checks every
+    /// pending query. Override only with a radius the selection provably
+    /// respects.
+    fn label_radius(&self) -> Option<u8> {
+        None
+    }
+
     /// Render one selected neighbor as a prompt entry. The default uses the
     /// neighbor's full title plus its known label; instruction-tuned
     /// variants override this (e.g. graph-token backbones compress the raw
@@ -62,6 +77,28 @@ pub trait Predictor: Send + Sync {
 pub(crate) mod test_fixtures {
     //! Shared fixtures for predictor and executor tests.
     use mqo_graph::{ClassId, GraphBuilder, NodeText, Tag};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A random TAG: `n` nodes, `edges` random edge draws (self-loops
+    /// skipped), `k` classes.
+    pub fn random_tag(seed: u64, n: usize, k: usize, edges: usize) -> Tag {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = GraphBuilder::new(n);
+        for _ in 0..edges {
+            let u = rng.gen_range(0..n as u32);
+            let v = rng.gen_range(0..n as u32);
+            if u != v {
+                let _ = b.add_edge(u, v);
+            }
+        }
+        let texts = (0..n)
+            .map(|i| NodeText::new(format!("paper {i}"), format!("about topic {}", i % k)))
+            .collect();
+        let labels = (0..n).map(|i| ClassId((i % k) as u16)).collect();
+        let class_names = (0..k).map(|c| format!("Topic{c}")).collect();
+        Tag::new("random", b.build(), texts, labels, class_names).unwrap()
+    }
 
     /// A 12-node, 2-class graph: two 6-cliques joined by one bridge edge.
     /// Nodes 0-5 class 0, nodes 6-11 class 1.
@@ -81,5 +118,127 @@ pub(crate) mod test_fixtures {
         let labels = (0..12).map(|i| ClassId::from((i >= 6) as usize)).collect();
         Tag::new("cliques", b.build(), texts, labels, vec!["Alpha".into(), "Beta".into()])
             .unwrap()
+    }
+}
+
+/// The [`Predictor::label_radius`] contract, one proptest per predictor
+/// that claims a radius: labels added or overwritten only beyond the
+/// radius of `v` leave `select_neighbors(v)` and its label support
+/// unchanged under the same rng.
+#[cfg(test)]
+mod radius_contract {
+    use super::test_fixtures::random_tag;
+    use super::*;
+    use crate::boosting::label_support;
+    use crate::tuned::{instructglm_backbones, TunedPredictor};
+    use mqo_graph::ClassId;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use std::collections::VecDeque;
+
+    /// Hop distance from `v` to every node (`usize::MAX` if unreachable).
+    fn distances(tag: &Tag, v: NodeId) -> Vec<usize> {
+        let mut dist = vec![usize::MAX; tag.num_nodes()];
+        dist[v.index()] = 0;
+        let mut queue = VecDeque::from([v]);
+        while let Some(u) = queue.pop_front() {
+            for &w in tag.graph().neighbors(u) {
+                if dist[w as usize] == usize::MAX {
+                    dist[w as usize] = dist[u.index()] + 1;
+                    queue.push_back(NodeId(w));
+                }
+            }
+        }
+        dist
+    }
+
+    /// One case: graph seed, node count, edge draws, query node,
+    /// neighbor cap `M`, and the `(node, class)` label changes to try.
+    type Case = (u64, usize, usize, usize, usize, Vec<(usize, u16)>);
+
+    fn cases() -> impl Strategy<Value = Case> {
+        (
+            0u64..10_000,
+            2usize..40,
+            0usize..50,
+            any::<usize>(),
+            1usize..6,
+            prop::collection::vec((any::<usize>(), 0u16..3), 1..16),
+        )
+    }
+
+    /// Select and count for the case's query node before and after
+    /// applying the label changes that fall beyond the predictor's
+    /// radius, and require both to agree.
+    fn check(make: impl Fn(&Tag) -> Box<dyn Predictor>, case: Case) {
+        let (seed, n, edges, v, m, changes) = case;
+        let tag = random_tag(seed, n, 3, edges);
+        let predictor = make(&tag);
+        let radius = predictor.label_radius().expect("predictor claims a radius") as usize;
+        let v = NodeId((v % n) as u32);
+        let dist = distances(&tag, v);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x1abe1);
+        let mut labels = LabelStore::empty(n);
+        for u in 0..n {
+            if rng.gen_bool(0.4) {
+                labels.add_pseudo(NodeId(u as u32), ClassId(rng.gen_range(0..3)));
+            }
+        }
+        let observe = |labels: &LabelStore| {
+            let ctx = SelectCtx { tag: &tag, labels, max_neighbors: m };
+            let rng = || StdRng::seed_from_u64(seed.rotate_left(7) ^ v.0 as u64);
+            let selected = predictor.select_neighbors(&ctx, v, &mut rng());
+            let support = label_support(&*predictor, &ctx, v, &mut rng(), &mut Vec::new());
+            (selected, support)
+        };
+        let before = observe(&labels);
+        let mut changed = 0;
+        for (u, class) in changes {
+            let u = u % n;
+            if dist[u] > radius {
+                labels.add_pseudo(NodeId(u as u32), ClassId(class));
+                changed += 1;
+            }
+        }
+        prop_assert_eq!(before, observe(&labels), "{changed} labels changed beyond {radius}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn khop1_ignores_labels_beyond_one_hop(case in cases()) {
+            check(|t| Box::new(KhopRandom::new(1, t.num_nodes())), case);
+        }
+
+        #[test]
+        fn khop2_ignores_labels_beyond_two_hops(case in cases()) {
+            check(|t| Box::new(KhopRandom::new(2, t.num_nodes())), case);
+        }
+
+        #[test]
+        fn llm_ranked_ignores_labels_beyond_its_hops(case in cases(), k in 1u8..3) {
+            check(|t| Box::new(LlmRanked::fit(t, k)), case);
+        }
+
+        #[test]
+        fn sns_ignores_labels_beyond_its_hop_limit(case in cases()) {
+            check(|t| Box::new(Sns::fit(t)), case);
+        }
+
+        #[test]
+        fn zero_shot_ignores_every_label(case in cases()) {
+            check(|_| Box::new(ZeroShot), case);
+        }
+
+        #[test]
+        fn tuned_ignores_labels_beyond_its_backbone_hops(
+            case in cases(),
+            pick in any::<usize>(),
+        ) {
+            let backbones = instructglm_backbones();
+            let b = backbones[pick % backbones.len()];
+            check(|t| Box::new(TunedPredictor::new(b, t.num_nodes())), case);
+        }
     }
 }

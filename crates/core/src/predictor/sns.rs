@@ -82,6 +82,11 @@ impl Predictor for Sns {
         scored.truncate(ctx.max_neighbors);
         scored.into_iter().map(|(n, _)| n).collect()
     }
+
+    /// The progressive exploration stops at `max_hop`.
+    fn label_radius(&self) -> Option<u8> {
+        Some(self.max_hop)
+    }
 }
 
 #[cfg(test)]

@@ -21,6 +21,11 @@ impl Predictor for ZeroShot {
     ) -> Vec<NodeId> {
         Vec::new()
     }
+
+    /// The empty selection reads no labels at all.
+    fn label_radius(&self) -> Option<u8> {
+        Some(0)
+    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,11 @@
 //!   each completion folds its pseudo-label immediately and newly
 //!   qualified queries dispatch while their siblings are still in
 //!   flight, overlapping LLM latency with readiness evaluation. Both
-//!   modes are one loop; see [`Scheduler::run`].
+//!   modes are one loop; see [`Scheduler::run`]. Readiness is
+//!   incremental: a query's neighbor support is cached and recounted
+//!   only after a label changes within the predictor's
+//!   [`Predictor::label_radius`] (every pending query, for a predictor
+//!   that claims no radius); relaxation re-filters the cache.
 //!
 //! Every policy but `Fifo` runs on one worker pool per run: one dispatch
 //! queue, one completion channel, `worker_loop` on each thread. Width 1
@@ -53,7 +57,7 @@
 //!   (`Error::Config`) and cue-gated runs clamp to one worker running
 //!   waves, where the spend order is the candidate order.
 
-use crate::boosting::{label_support, BoostConfig, DegradePolicy, RoundTrace};
+use crate::boosting::{BoostConfig, DegradePolicy, Readiness, RoundTrace, Support};
 use crate::error::{Error, Result};
 use crate::executor::{ExecOutcome, Executor, QueryRecord, RenderScratch};
 use crate::labels::LabelStore;
@@ -126,6 +130,10 @@ pub struct RunReport {
     pub replayed: u64,
     /// Prompt tokens billed to freshly executed (non-replayed) records.
     pub fresh_billed_tokens: u64,
+    /// Label-support evaluations the cue-gated readiness passes made
+    /// (zero for the fixed policies). A function of the inputs alone in
+    /// wave mode, so it repeats exactly under `deterministic`.
+    pub readiness_evals: u64,
 }
 
 /// One unit of dispatched work: a single query.
@@ -355,7 +363,12 @@ impl<'s, 'e> Scheduler<'s, 'e> {
     /// 1. a readiness pass over the pending queries in input order,
     ///    relaxing γ₁ toward 0, then γ₂ toward K, only when nothing is
     ///    ready *and* nothing is in flight (an in-flight completion may
-    ///    yet unlock a pending query at the current thresholds);
+    ///    yet unlock a pending query at the current thresholds). The pass
+    ///    is incremental: each pending entry carries its last support
+    ///    count, [`Readiness`] recounts it only when it is unknown or a
+    ///    label changed within the predictor's
+    ///    [`Predictor::label_radius`], and relaxation steps re-filter the
+    ///    counted entries without recounting any;
     /// 2. dispatch of the ready queries against a label snapshot;
     /// 3. failure escalation on the completions taken back;
     /// 4. one fold of the final records as a round: pseudo-labels,
@@ -378,10 +391,12 @@ impl<'s, 'e> Scheduler<'s, 'e> {
     ) -> Result<RunReport> {
         let exec = self.exec;
         let mut report = RunReport::default();
-        // (input position, node), always sorted by position: a retried
-        // failure returns to its original place, so the readiness pass
-        // scans in stable input order and no tie-break is needed.
-        let mut pending: Vec<(usize, NodeId)> = queries.iter().copied().enumerate().collect();
+        // (input position, node, support as of the last readiness pass),
+        // always sorted by position: a retried failure returns to its
+        // original place, so the readiness pass scans in stable input
+        // order and no tie-break is needed.
+        let mut pending: Vec<(usize, NodeId, Support)> =
+            queries.iter().enumerate().map(|(i, &v)| (i, v, Support::UNKNOWN)).collect();
         self.predrain_replays(labels, &mut pending, &mut report);
 
         let (mut gamma1, mut gamma2) = (config.gamma1, config.gamma2);
@@ -395,27 +410,32 @@ impl<'s, 'e> Scheduler<'s, 'e> {
         let mut in_flight = 0usize;
         // The store as last dispatched; `None` once a fold changed it.
         let mut snapshot: Option<Arc<LabelStore>> = None;
+        let mut readiness = Readiness::new(exec.tag.num_nodes(), predictor.label_radius());
 
         // A position is pending, in flight, or final — never two at once —
         // so the queue never holds more than the query count.
         self.with_pool(predictor, None, width, queries.len(), |dispatch, done_rx| loop {
             let mut round_scope = None;
             if first_err.is_none() && !pending.is_empty() {
+                let ctx =
+                    SelectCtx { tag: exec.tag, labels, max_neighbors: exec.max_neighbors };
+                // Pruned (or failure-downgraded) queries can't be enriched:
+                // they are ready at once, and their support is never counted.
+                // Per-node rng: N_i only changes when label knowledge does.
+                readiness.refresh(
+                    predictor,
+                    &ctx,
+                    &mut pending,
+                    |v| force_prune(&failures, v),
+                    |v| exec.query_rng(v),
+                );
                 let ready_at = |gamma1: usize, gamma2: usize| -> Vec<(usize, NodeId)> {
-                    let ctx =
-                        SelectCtx { tag: exec.tag, labels, max_neighbors: exec.max_neighbors };
-                    let qualifies = |v: NodeId| {
-                        // Per-node rng: N_i only changes when label knowledge does.
-                        let (n_l, lc) =
-                            label_support(predictor, &ctx, v, &mut exec.query_rng(v));
-                        n_l >= gamma1 && lc <= gamma2
-                    };
-                    // Pruned (or failure-downgraded) queries can't be
-                    // enriched; they are ready at once.
                     pending
                         .iter()
-                        .copied()
-                        .filter(|&(_, v)| force_prune(&failures, v) || qualifies(v))
+                        .filter(|&&(_, v, support)| {
+                            force_prune(&failures, v) || support.qualifies(gamma1, gamma2)
+                        })
+                        .map(|&(i, v, _)| (i, v))
                         .collect()
                 };
                 let mut ready = ready_at(gamma1, gamma2);
@@ -426,7 +446,7 @@ impl<'s, 'e> Scheduler<'s, 'e> {
                     } else if gamma2 < k {
                         gamma2 += 1;
                     } else {
-                        ready = pending.clone();
+                        ready = pending.iter().map(|&(i, v, _)| (i, v)).collect();
                         break;
                     }
                     ready = ready_at(gamma1, gamma2);
@@ -449,7 +469,7 @@ impl<'s, 'e> Scheduler<'s, 'e> {
                     }
                     let labels_now =
                         snapshot.get_or_insert_with(|| Arc::new(labels.clone())).clone();
-                    pending.retain(|p| ready.binary_search(p).is_err());
+                    pending.retain(|&(i, v, _)| ready.binary_search(&(i, v)).is_err());
                     for (slot, node) in ready {
                         let work = Work {
                             slot,
@@ -495,8 +515,11 @@ impl<'s, 'e> Scheduler<'s, 'e> {
                         if *n >= policy.give_up_after {
                             finals.push(r); // permanent failed outcome
                         } else {
-                            let at = pending.partition_point(|&(i, _)| i < done.slot);
-                            pending.insert(at, (done.slot, done.node));
+                            // Its count left `pending` with it, and a
+                            // free-running fold may since have passed it by:
+                            // count it afresh.
+                            let at = pending.partition_point(|&(i, _, _)| i < done.slot);
+                            pending.insert(at, (done.slot, done.node, Support::UNKNOWN));
                         }
                     }
                     Ok(r) => {
@@ -518,7 +541,11 @@ impl<'s, 'e> Scheduler<'s, 'e> {
             let round = report.rounds.len();
             report.rounds.push(RoundTrace { executed: finals.len(), gamma1, gamma2 });
             for r in finals.iter().filter(|r| !r.failed()) {
+                let before = labels.get(r.node);
                 labels.add_pseudo(r.node, r.predicted);
+                if labels.get(r.node) != before {
+                    readiness.label_changed(r.node);
+                }
                 snapshot = None;
             }
             exec.sink.emit(&mqo_obs::Event::RoundCompleted {
@@ -540,6 +567,7 @@ impl<'s, 'e> Scheduler<'s, 'e> {
             report.outcome.records.extend(finals);
         });
 
+        report.readiness_evals = readiness.evals();
         match first_err {
             Some(e) => Err(e),
             None => Ok(report),
@@ -554,10 +582,10 @@ impl<'s, 'e> Scheduler<'s, 'e> {
     fn predrain_replays(
         &self,
         labels: &mut LabelStore,
-        pending: &mut Vec<(usize, NodeId)>,
+        pending: &mut Vec<(usize, NodeId, Support)>,
         report: &mut RunReport,
     ) {
-        pending.retain(|&(_, v)| {
+        pending.retain(|&(_, v, _)| {
             let Some(r) = self.exec.replay_journaled(v) else { return true };
             if !r.failed() {
                 labels.add_pseudo(r.node, r.predicted);
@@ -648,26 +676,30 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
     use crate::predictor::test_fixtures::two_cliques;
-    use crate::predictor::KhopRandom;
+    use crate::predictor::{KhopRandom, LlmRanked, Sns, ZeroShot};
     use crate::pruning::PrunePlan;
+    use crate::tuned::{instructglm_backbones, TunedPredictor};
     use mqo_data::{dataset, DatasetId};
     use mqo_fault::{FaultConfig, FaultSchedule, FaultyLlm};
-    use mqo_graph::{ClassId, GraphBuilder, LabeledSplit, NodeText, SplitConfig, Tag};
+    use mqo_graph::{ClassId, LabeledSplit, SplitConfig, Tag};
     use mqo_llm::{Completion, LanguageModel, ModelProfile, SimLlm};
     use mqo_obs::{CostLedger, ManualClock, WaitClock};
     use mqo_token::{Tokenizer, Usage, UsageMeter};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::Rng;
     use rand::SeedableRng;
     use std::sync::Arc;
 
-    /// The pre-scheduler orchestration paths, kept verbatim as the
-    /// reference implementations the equivalence proptests compare the
-    /// scheduler against.
+    /// The pre-scheduler orchestration paths, kept as the reference
+    /// implementations the equivalence proptests compare the scheduler
+    /// against. The boosting loop tracks input positions (so a query
+    /// listed twice runs twice, as the scheduler runs it) and recounts
+    /// every pending query's support on every pass, with its own
+    /// hash-set count: it shares neither the scheduler's support cache
+    /// nor its counting code.
     mod legacy {
         use super::super::panic_message;
-        use crate::boosting::{label_support, BoostConfig, DegradePolicy, RoundTrace};
+        use crate::boosting::{BoostConfig, DegradePolicy, RoundTrace};
         use crate::error::{Error, Result};
         use crate::executor::{ExecOutcome, Executor, QueryRecord};
         use crate::labels::LabelStore;
@@ -675,8 +707,28 @@ mod tests {
         use crate::pruning::PrunePlan;
         use mqo_graph::NodeId;
         use parking_lot::Mutex;
+        use rand::rngs::StdRng;
         use std::collections::{HashMap, HashSet};
         use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        /// `(|N_i^L|, LC_i)` over the selected neighbors, counted afresh.
+        fn label_support(
+            predictor: &dyn Predictor,
+            ctx: &SelectCtx<'_>,
+            v: NodeId,
+            rng: &mut StdRng,
+        ) -> (usize, usize) {
+            let selected = predictor.select_neighbors(ctx, v, rng);
+            let mut labels_seen = HashSet::new();
+            let mut count = 0usize;
+            for n in selected {
+                if let Some(c) = ctx.labels.get(n) {
+                    count += 1;
+                    labels_seen.insert(c);
+                }
+            }
+            (count, labels_seen.len())
+        }
 
         pub(super) fn run_all_parallel(
             exec: &Executor<'_>,
@@ -765,7 +817,8 @@ mod tests {
             policy: DegradePolicy,
         ) -> Result<(ExecOutcome, Vec<RoundTrace>)> {
             assert!(policy.give_up_after >= 1, "give_up_after must be positive");
-            let mut pending: Vec<NodeId> = queries.to_vec();
+            let mut pending: Vec<(usize, NodeId)> =
+                queries.iter().copied().enumerate().collect();
             let mut out = ExecOutcome::default();
 
             // Crash-safe resume: queries the journal already holds replay
@@ -774,10 +827,10 @@ mod tests {
             // they would have accumulated live (failed queries never
             // pseudo-label).
             let replayed: Vec<_> =
-                pending.iter().filter_map(|&v| exec.replay_journaled(v)).collect();
+                pending.iter().filter_map(|&(_, v)| exec.replay_journaled(v)).collect();
             if !replayed.is_empty() {
                 let done: HashSet<NodeId> = replayed.iter().map(|r| r.node).collect();
-                pending.retain(|v| !done.contains(v));
+                pending.retain(|(_, v)| !done.contains(v));
                 for r in &replayed {
                     if !r.failed() {
                         labels.add_pseudo(r.node, r.predicted);
@@ -800,15 +853,15 @@ mod tests {
 
             while !pending.is_empty() {
                 // Step 1: candidate selection with incremental relaxation.
-                let candidates: Vec<NodeId> = loop {
+                let candidates: Vec<(usize, NodeId)> = loop {
                     let ctx =
                         SelectCtx { tag: exec.tag, labels, max_neighbors: exec.max_neighbors };
                     let mut c = Vec::new();
-                    for &v in &pending {
+                    for &(i, v) in &pending {
                         if force_prune(&failures, v) {
                             // Pruned (or failure-downgraded) queries can't
                             // be enriched; run them now.
-                            c.push(v);
+                            c.push((i, v));
                             continue;
                         }
                         // Per-node rng: N_i only changes when label
@@ -816,7 +869,7 @@ mod tests {
                         let mut rng = exec.query_rng(v);
                         let (n_l, lc) = label_support(predictor, &ctx, v, &mut rng);
                         if n_l >= gamma1 && lc <= gamma2 {
-                            c.push(v);
+                            c.push((i, v));
                         }
                     }
                     if !c.is_empty() {
@@ -852,20 +905,27 @@ mod tests {
                 // 2). A failed candidate stays pending (no record yet)
                 // unless it has exhausted its retries.
                 let mut round_records = Vec::with_capacity(candidates.len());
-                for &v in &candidates {
+                let mut finished = HashSet::new();
+                // Text-only fallbacks are decided at selection, like the
+                // labels: an earlier copy of a listed-twice node in this
+                // round cannot change them.
+                let pruned: Vec<bool> =
+                    candidates.iter().map(|&(_, v)| force_prune(&failures, v)).collect();
+                for (&(i, v), &pruned) in candidates.iter().zip(&pruned) {
                     let mut rng = exec.query_rng(v);
-                    let record =
-                        exec.run_one(predictor, labels, v, &mut rng, force_prune(&failures, v));
+                    let record = exec.run_one(predictor, labels, v, &mut rng, pruned);
                     match record {
                         Ok(r) if r.failed() => {
                             let n = failures.entry(v).or_insert(0);
                             *n += 1;
                             if *n >= policy.give_up_after {
+                                finished.insert(i);
                                 round_records.push(r); // permanent failed outcome
                             }
                         }
                         Ok(r) => {
                             failures.remove(&v);
+                            finished.insert(i);
                             round_records.push(r);
                         }
                         Err(e) => {
@@ -901,9 +961,8 @@ mod tests {
                 if let Some(j) = exec.journal {
                     j.seal_round(round_index as u32);
                 }
-                let finished: HashSet<NodeId> = round_records.iter().map(|r| r.node).collect();
                 out.records.extend(round_records);
-                pending.retain(|v| !finished.contains(v));
+                pending.retain(|(i, _)| !finished.contains(i));
             }
             Ok((out, traces))
         }
@@ -951,23 +1010,9 @@ mod tests {
         }
     }
 
-    /// A random small TAG: `n` nodes, ~2n random edges, 2–4 classes.
+    /// A random small TAG: `n` nodes, ~2n random edges, `k` classes.
     fn random_tag(seed: u64, n: usize, k: usize) -> Tag {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut b = GraphBuilder::new(n);
-        for _ in 0..(2 * n) {
-            let u = rng.gen_range(0..n as u32);
-            let v = rng.gen_range(0..n as u32);
-            if u != v {
-                let _ = b.add_edge(u, v);
-            }
-        }
-        let texts = (0..n)
-            .map(|i| NodeText::new(format!("paper {i}"), format!("about topic {}", i % k)))
-            .collect();
-        let labels = (0..n).map(|i| ClassId((i % k) as u16)).collect();
-        let class_names = (0..k).map(|c| format!("Topic{c}")).collect();
-        Tag::new("random", b.build(), texts, labels, class_names).unwrap()
+        crate::predictor::test_fixtures::random_tag(seed, n, k, 2 * n)
     }
 
     /// Queries (every other node) and a seed label on the rest.
@@ -1069,28 +1114,13 @@ mod tests {
             let tag = random_tag(seed, 8, 2);
             let (queries, labels) = split(&tag);
             let predictor = KhopRandom::new(1, tag.num_nodes());
-            let cfg = FaultConfig {
-                transient_rate: transient,
-                malformed_rate: malformed,
-                ..FaultConfig::default()
-            };
-            let clock = Arc::new(ManualClock::new());
-            let wait: Arc<dyn WaitClock> = clock;
 
-            let faulty_a = FaultyLlm::new(
-                HashLlm::new(tag.class_names().to_vec()),
-                FaultSchedule::seeded(fault_seed, cfg),
-                wait.clone(),
-            );
+            let faulty_a = faulty(&tag, fault_seed, transient, malformed);
             let exec_a = Executor::new(&tag, &faulty_a, 3, seed).with_degrade();
             let legacy =
                 exec_a.run_all_legacy(&predictor, &labels, &queries, |_| false).unwrap();
 
-            let faulty_b = FaultyLlm::new(
-                HashLlm::new(tag.class_names().to_vec()),
-                FaultSchedule::seeded(fault_seed, cfg),
-                wait.clone(),
-            );
+            let faulty_b = faulty(&tag, fault_seed, transient, malformed);
             let exec_b = Executor::new(&tag, &faulty_b, 3, seed).with_degrade();
             let sched = Scheduler::new(&exec_b, SchedulePolicy::Fifo)
                 .run(&predictor, Labels::Fixed(&labels), &queries, |_| false)
@@ -1127,51 +1157,6 @@ mod tests {
 
             prop_assert_eq!(&seq.records, &par_legacy.records);
             prop_assert_eq!(&seq.records, &par.records);
-        }
-
-        /// Deterministic cue-gated scheduling at width 1 *is* the legacy
-        /// boosting loop: same records in the same order, same round
-        /// traces, same relaxation path.
-        #[test]
-        fn cue_gated_deterministic_matches_legacy_boosting(
-            seed in 0u64..10_000,
-            n in 4usize..12,
-            gamma1 in 0usize..4,
-            gamma2 in 1usize..3,
-        ) {
-            let tag = random_tag(seed, n, 3);
-            let (queries, labels) = split(&tag);
-            let config = BoostConfig { gamma1, gamma2 };
-            let predictor = KhopRandom::new(1, tag.num_nodes());
-            let plan = PrunePlan::default();
-
-            let llm_a = HashLlm::new(tag.class_names().to_vec());
-            let exec_a = Executor::new(&tag, &llm_a, 3, seed);
-            let mut labels_a = labels.clone();
-            let (out_a, traces_a) = legacy::run_with_boosting_policy(
-                &exec_a, &predictor, &mut labels_a, &queries, config, &plan,
-                DegradePolicy::default(),
-            )
-            .unwrap();
-
-            let llm_b = HashLlm::new(tag.class_names().to_vec());
-            let exec_b = Executor::new(&tag, &llm_b, 3, seed);
-            let mut labels_b = labels.clone();
-            let report = Scheduler::new(
-                &exec_b,
-                SchedulePolicy::CueGated {
-                    config,
-                    policy: DegradePolicy::default(),
-                    threads: 1,
-                    deterministic: true,
-                },
-            )
-            .run(&predictor, Labels::Boosting(&mut labels_b), &queries, |v| plan.is_pruned(v))
-            .unwrap();
-
-            prop_assert_eq!(&out_a.records, &report.outcome.records);
-            prop_assert_eq!(trace_fields(&traces_a), trace_fields(&report.rounds));
-            prop_assert_eq!(llm_a.meter().totals(), llm_b.meter().totals());
         }
 
         /// Width-N deterministic waves reproduce the width-1 stream bit
@@ -1256,6 +1241,214 @@ mod tests {
                 queries.len()
             );
         }
+    }
+
+    /// One of every predictor the cue-gated loop runs, by `which`: 1- and
+    /// 2-hop random, LLM-ranked, SNS, zero-shot, and a tuned backbone
+    /// (picked by `seed`).
+    fn any_predictor(which: usize, tag: &Tag, seed: u64) -> Box<dyn Predictor> {
+        let backbones = instructglm_backbones();
+        match which {
+            0 => Box::new(KhopRandom::new(1, tag.num_nodes())),
+            1 => Box::new(KhopRandom::new(2, tag.num_nodes())),
+            2 => Box::new(LlmRanked::fit(tag, 1)),
+            3 => Box::new(Sns::fit(tag)),
+            4 => Box::new(ZeroShot),
+            _ => Box::new(TunedPredictor::new(
+                backbones[seed as usize % backbones.len()],
+                tag.num_nodes(),
+            )),
+        }
+    }
+
+    /// A seeded fault injector over the order-insensitive test model.
+    fn faulty(
+        tag: &Tag,
+        fault_seed: u64,
+        transient: f64,
+        malformed: f64,
+    ) -> FaultyLlm<HashLlm> {
+        let cfg = FaultConfig {
+            transient_rate: transient,
+            malformed_rate: malformed,
+            ..FaultConfig::default()
+        };
+        let wait: Arc<dyn WaitClock> = Arc::new(ManualClock::new());
+        FaultyLlm::new(
+            HashLlm::new(tag.class_names().to_vec()),
+            FaultSchedule::seeded(fault_seed, cfg),
+            wait,
+        )
+    }
+
+    /// `queries` with each `(from, to)` pick copying one query id to
+    /// another position.
+    fn with_duplicates(mut queries: Vec<NodeId>, picks: &[(usize, usize)]) -> Vec<NodeId> {
+        for (from, to) in picks {
+            let v = queries[from % queries.len()];
+            let at = to % (queries.len() + 1);
+            queries.insert(at, v);
+        }
+        queries
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Deterministic cue-gated scheduling at width 1 *is* the legacy
+        /// boosting loop — same records in the same order, same round
+        /// traces, same relaxation path, same metered spend — for every
+        /// predictor, with a random prune set, with node ids listed more
+        /// than once, and under a degraded executor whose seeded faults
+        /// send queries through retry, text-only fallback and give-up
+        /// back into `pending`.
+        #[test]
+        fn cue_gated_deterministic_matches_legacy_boosting(
+            seed in 0u64..10_000,
+            n in 4usize..40,
+            gamma1 in 0usize..4,
+            gamma2 in 1usize..3,
+            which in 0usize..6,
+            prune in 0.0f64..0.4,
+            fault_seed in 0u64..10_000,
+            transient in 0.0f64..0.5,
+            malformed in 0.0f64..0.3,
+            dups in prop::collection::vec((any::<usize>(), any::<usize>()), 0..4),
+        ) {
+            let tag = random_tag(seed, n, 3);
+            let (queries, labels) = split(&tag);
+            let queries = with_duplicates(queries, &dups);
+            let config = BoostConfig { gamma1, gamma2 };
+            let predictor = any_predictor(which, &tag, seed);
+            let plan = PrunePlan::random(&queries, prune, seed);
+
+            let llm_a = faulty(&tag, fault_seed, transient, malformed);
+            let exec_a = Executor::new(&tag, &llm_a, 3, seed).with_degrade();
+            let mut labels_a = labels.clone();
+            let (out_a, traces_a) = legacy::run_with_boosting_policy(
+                &exec_a, &*predictor, &mut labels_a, &queries, config, &plan,
+                DegradePolicy::default(),
+            )
+            .unwrap();
+
+            let llm_b = faulty(&tag, fault_seed, transient, malformed);
+            let exec_b = Executor::new(&tag, &llm_b, 3, seed).with_degrade();
+            let mut labels_b = labels.clone();
+            let report = Scheduler::new(
+                &exec_b,
+                SchedulePolicy::CueGated {
+                    config,
+                    policy: DegradePolicy::default(),
+                    threads: 1,
+                    deterministic: true,
+                },
+            )
+            .run(&*predictor, Labels::Boosting(&mut labels_b), &queries, |v| plan.is_pruned(v))
+            .unwrap();
+
+            prop_assert_eq!(&out_a.records, &report.outcome.records);
+            prop_assert_eq!(trace_fields(&traces_a), trace_fields(&report.rounds));
+            prop_assert_eq!(llm_a.meter().totals(), llm_b.meter().totals());
+            prop_assert_eq!(report.outcome.records.len(), queries.len());
+        }
+
+        /// Free-running runs under faults: failures return to `pending`
+        /// after other completions folded labels around them. The test
+        /// build re-counts every support entry a readiness pass reads and
+        /// panics on a stale one; every position still gets exactly one
+        /// record.
+        #[test]
+        fn free_running_under_faults_reads_only_current_support(
+            seed in 0u64..10_000,
+            n in 4usize..40,
+            threads in 2usize..4,
+            which in 0usize..6,
+            fault_seed in 0u64..10_000,
+            transient in 0.0f64..0.5,
+            dups in prop::collection::vec((any::<usize>(), any::<usize>()), 0..4),
+        ) {
+            let tag = random_tag(seed, n, 3);
+            let (queries, labels) = split(&tag);
+            let queries = with_duplicates(queries, &dups);
+            let predictor = any_predictor(which, &tag, seed);
+            let llm = faulty(&tag, fault_seed, transient, 0.0);
+            let exec = Executor::new(&tag, &llm, 3, seed).with_degrade();
+            let mut l = labels.clone();
+            let report = Scheduler::new(
+                &exec,
+                SchedulePolicy::CueGated {
+                    config: BoostConfig::default(),
+                    policy: DegradePolicy::default(),
+                    threads,
+                    deterministic: false,
+                },
+            )
+            .run(&*predictor, Labels::Boosting(&mut l), &queries, |_| false)
+            .unwrap();
+
+            let mut got: Vec<u32> = report.outcome.records.iter().map(|r| r.node.0).collect();
+            got.sort_unstable();
+            let mut want: Vec<u32> = queries.iter().map(|v| v.0).collect();
+            want.sort_unstable();
+            prop_assert_eq!(got, want, "a position was lost or answered twice");
+        }
+    }
+
+    /// The readiness pass recounts support only where a label changed:
+    /// a predictor claiming no radius recounts every pending query after
+    /// every fold, the same run with 1-hop radius far fewer, and both
+    /// reach identical records. Evaluations repeat exactly in wave mode.
+    #[test]
+    fn readiness_recounts_only_within_the_label_radius() {
+        /// 1-hop random with its radius claim withdrawn.
+        struct NoRadius(KhopRandom);
+        impl Predictor for NoRadius {
+            fn name(&self) -> &str {
+                self.0.name()
+            }
+            fn select_neighbors(
+                &self,
+                ctx: &SelectCtx<'_>,
+                v: NodeId,
+                rng: &mut StdRng,
+            ) -> Vec<NodeId> {
+                self.0.select_neighbors(ctx, v, rng)
+            }
+        }
+
+        let (bundle, split, _) = cora(0.4, 41, 200, 2);
+        let tag = &bundle.tag;
+        let run = |predictor: &dyn Predictor| {
+            let llm = HashLlm::new(tag.class_names().to_vec());
+            let exec = Executor::new(tag, &llm, 4, 3);
+            let mut labels = LabelStore::from_split(tag, &split);
+            Scheduler::new(
+                &exec,
+                SchedulePolicy::CueGated {
+                    config: BoostConfig::default(),
+                    policy: DegradePolicy::default(),
+                    threads: 2,
+                    deterministic: true,
+                },
+            )
+            .run(predictor, Labels::Boosting(&mut labels), split.queries(), |_| false)
+            .unwrap()
+        };
+        let khop = KhopRandom::new(1, tag.num_nodes());
+        let (a, b) = (run(&khop), run(&khop));
+        let everywhere = run(&NoRadius(KhopRandom::new(1, tag.num_nodes())));
+        assert_eq!(a.outcome.records, everywhere.outcome.records);
+        assert_eq!(trace_fields(&a.rounds), trace_fields(&everywhere.rounds));
+        assert_eq!(a.readiness_evals, b.readiness_evals, "wave-mode count must repeat");
+        assert!(a.rounds.len() >= 3, "rounds: {:?}", trace_fields(&a.rounds));
+        // Every query is counted at least once before its first wave.
+        assert!(a.readiness_evals >= split.queries().len() as u64);
+        assert!(
+            a.readiness_evals < everywhere.readiness_evals,
+            "radius 1: {}, no radius: {}",
+            a.readiness_evals,
+            everywhere.readiness_evals
+        );
     }
 
     /// Cue-gated scheduling without a boosting label store is a config

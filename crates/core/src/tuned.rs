@@ -99,6 +99,10 @@ impl Predictor for TunedPredictor {
         self.khop.select_neighbors(&ctx, v, rng)
     }
 
+    fn label_radius(&self) -> Option<u8> {
+        self.khop.label_radius()
+    }
+
     fn entry_for(&self, ctx: &SelectCtx<'_>, n: NodeId) -> NeighborEntry {
         let label = ctx.labels.get(n).map(|c| ctx.tag.class_name(c).to_string());
         let title = if self.backbone.raw_text {

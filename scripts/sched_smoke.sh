@@ -8,7 +8,10 @@
 #      Any scheduler change that lets pool width, lock timing, or
 #      completion order leak into results fails this diff. The same
 #      seed at width 1 (a pool of one) must dump the same bytes as
-#      width 4: the pool width is unobservable in wave mode.
+#      width 4: the pool width is unobservable in wave mode. The width
+#      check repeats on an ogbn-products slice, whose many relaxing
+#      waves re-check readiness after labels land among neighbors of
+#      realistic degree.
 #   2. Invariants under reordering — a traced deterministic wave run AND
 #      a traced free-running run (out-of-order completions folding
 #      pseudo-labels mid-flight) both go through obs_check: span nesting
@@ -46,6 +49,18 @@ if ! cmp "$OUT/records_w1.jsonl" "$OUT/records_a.jsonl"; then
   exit 1
 fi
 echo "width-1 and width-4 dumps byte-identical"
+
+echo "==> width invariance at products scale: many relaxing waves on a realistic-degree graph"
+for width in 1 4; do
+  ./target/release/mqo classify ogbn-products --scale 0.01 \
+    --queries 400 --boost --deterministic --threads "$width" --seed 42 --no-cache \
+    --dump-records "$OUT/products_w$width.jsonl" > "$OUT/products_w$width.log"
+done
+if ! cmp "$OUT/products_w1.jsonl" "$OUT/products_w4.jsonl"; then
+  echo "sched_smoke: FAIL — products width-1 and width-4 record dumps differ byte-wise" >&2
+  exit 1
+fi
+echo "products width-1 and width-4 dumps byte-identical ($(wc -l < "$OUT/products_w1.jsonl") records)"
 
 echo "==> invariants: traced deterministic wave run"
 ./target/release/mqo classify cora \
