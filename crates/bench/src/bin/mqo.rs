@@ -39,7 +39,6 @@
 //! stray positional, or an unparsable number exits 2 with a message.
 
 use mqo_bench::cli::{Args, CliError, Spec};
-use mqo_bench::harness::Trace;
 use mqo_core::boosting::{BoostConfig, DegradePolicy};
 use mqo_core::journal::RunHeader;
 use mqo_core::metrics::ConfusionMatrix;
@@ -50,13 +49,14 @@ use mqo_data::{dataset, persist, DatasetId};
 use mqo_graph::NodeId;
 use mqo_llm::{LanguageModel, ModelProfile, SimLlm};
 use mqo_obs::{
-    serve_metrics, ChromeTraceSink, CostLedger, EventSink, Fanout, MetricsSink, MonotonicClock,
-    SpanId, Tracer,
+    serve_metrics, ChromeTraceSink, CostLedger, EventSink, Fanout, FileSink, MetricsSink,
+    MonotonicClock, SpanId, Tracer,
 };
 use mqo_serve::run::{self, resolve_bundle, StackConfig};
 use mqo_serve::{ServeConfig, ServerOptions};
 use mqo_token::GPT_35_TURBO_0125;
 use std::collections::HashMap;
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -253,16 +253,20 @@ fn cmd_classify(args: &Args) -> Result<(), CliError> {
 
     let trace = args
         .get("trace")
-        .map(Trace::create)
+        .map(FileSink::create)
         .transpose()
-        .map_err(|e| format!("cannot create trace file: {e}"))?;
+        .map_err(|e| format!("cannot create trace file: {e}"))?
+        .map(Arc::new);
     let chrome = args
         .get("trace-chrome")
         .map(ChromeTraceSink::create)
         .transpose()
         .map_err(|e| format!("cannot create chrome trace file: {e}"))?
         .map(Arc::new);
-    let metrics = args.get("serve-metrics").map(|_| Arc::new(MetricsSink::new()));
+    // One fold of the event stream backs both the `--trace` summary and
+    // the live endpoint; it keeps counters, not events.
+    let metrics = (trace.is_some() || args.get("serve-metrics").is_some())
+        .then(|| Arc::new(MetricsSink::new()));
     let ledger = args.get("cost-json").map(|_| Arc::new(CostLedger::new()));
     // Spans are stamped from the process monotonic clock only when a
     // Chrome trace asked for them; the disabled tracer otherwise makes
@@ -276,7 +280,7 @@ fn cmd_classify(args: &Args) -> Result<(), CliError> {
     // below once the client stack exists.
     let fanout = Arc::new(Fanout::new());
     if let Some(t) = &trace {
-        fanout.push(Arc::new(t.clone()));
+        fanout.push(t.clone());
     }
     if let Some(c) = &chrome {
         fanout.push(c.clone());
@@ -388,7 +392,7 @@ fn cmd_classify(args: &Args) -> Result<(), CliError> {
         println!("boosting rounds: {}", report.rounds.len());
         println!("readiness evals : {}", report.readiness_evals);
     }
-    let outcome = report.outcome;
+    let mut outcome = report.outcome;
     let wall_seconds = run_started.elapsed().as_secs_f64();
     drop(run_span);
 
@@ -440,20 +444,10 @@ fn cmd_classify(args: &Args) -> Result<(), CliError> {
     if observed {
         llm.report(&*fanout);
     }
-    if let Some(t) = &trace {
-        mqo_obs::EventSink::flush(t);
-        print!("{}", t.summary());
+    if let (Some(t), Some(m)) = (&trace, &metrics) {
+        EventSink::flush(&**t);
+        print!("{m}");
         println!("trace written   : {}", args.get("trace").unwrap_or_default());
-        let dropped = t.dropped();
-        if dropped > 0 {
-            if let Some(m) = &metrics {
-                m.add_events_dropped(dropped);
-            }
-            println!(
-                "warning         : {dropped} event(s) evicted from the summary ring \
-                 (the JSONL trace file is complete)"
-            );
-        }
     }
     if let Some(c) = &chrome {
         mqo_obs::EventSink::flush(&**c);
@@ -501,14 +495,17 @@ fn cmd_classify(args: &Args) -> Result<(), CliError> {
         // Records sorted by node, one journal-format line each: resumed
         // and from-scratch runs of the same campaign must dump identical
         // bytes, which is exactly what the chaos gate diffs.
-        let mut records = outcome.records.clone();
-        records.sort_by_key(|r| (r.node.0, r.prompt_tokens));
-        let mut body = String::new();
-        for r in &records {
-            mqo_core::journal::write_record(r, "", &mut body);
-            body.push('\n');
+        outcome.records.sort_by_key(|r| (r.node.0, r.prompt_tokens));
+        let cannot = |e: std::io::Error| format!("cannot write {path}: {e}");
+        let mut out = std::io::BufWriter::new(std::fs::File::create(path).map_err(cannot)?);
+        let mut line = String::new();
+        for r in &outcome.records {
+            line.clear();
+            mqo_core::journal::write_record(r, "", &mut line);
+            line.push('\n');
+            out.write_all(line.as_bytes()).map_err(cannot)?;
         }
-        std::fs::write(path, body).map_err(|e| format!("cannot write {path}: {e}"))?;
+        out.flush().map_err(cannot)?;
         println!("records written : {path}");
     }
     Ok(())

@@ -3,9 +3,6 @@
 use mqo_data::{dataset, DatasetBundle, DatasetId};
 use mqo_graph::LabeledSplit;
 use mqo_llm::{ModelProfile, SimLlm};
-use mqo_obs::{Event, EventSink, FileSink, Recorder, Summary};
-use std::path::Path;
-use std::sync::Arc;
 
 /// The workspace-wide experiment seed (reruns are bit-identical).
 pub const SEED: u64 = 20_250_704;
@@ -47,51 +44,6 @@ pub fn scale_for(id: DatasetId) -> f64 {
         }
     } else {
         base
-    }
-}
-
-/// Telemetry wiring for a traced run: every event goes both to a JSONL
-/// file (for offline analysis) and to an in-memory recorder (for the
-/// end-of-run summary). Cheap to clone — clones share the same sinks — so
-/// one trace can feed the executor (by reference) and the meter / retry
-/// layers (by `Arc`) at once.
-#[derive(Clone)]
-pub struct Trace {
-    file: Arc<FileSink>,
-    recorder: Arc<Recorder>,
-}
-
-impl Trace {
-    /// Create (truncate) the JSONL trace file at `path`.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(Trace {
-            file: Arc::new(FileSink::create(path)?),
-            recorder: Arc::new(Recorder::new()),
-        })
-    }
-
-    /// One-screen summary of everything recorded so far (p50/p99 prompt
-    /// tokens, retries, rounds, prune rate, …).
-    pub fn summary(&self) -> Summary {
-        Summary::from_events(&self.recorder.events())
-    }
-
-    /// Events evicted from the in-memory recorder's bounded ring: the
-    /// summary above under-counts by exactly this many events (the JSONL
-    /// file keeps everything).
-    pub fn dropped(&self) -> u64 {
-        self.recorder.dropped()
-    }
-}
-
-impl EventSink for Trace {
-    fn emit(&self, event: &Event) {
-        self.file.emit(event);
-        self.recorder.emit(event);
-    }
-
-    fn flush(&self) {
-        self.file.flush();
     }
 }
 

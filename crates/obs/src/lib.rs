@@ -11,16 +11,20 @@
 //!   span enter/exit pairs, and per-query token-cost attribution.
 //! - [`EventSink`] — where events go. [`NullSink`] (the default) drops
 //!   them, [`Recorder`] keeps a bounded ring in memory for tests and
-//!   summaries, [`FileSink`] streams JSONL to disk (conventionally under
-//!   `results/logs/`), [`Tee`] fans out to two sinks, and [`Fanout`] to
-//!   any number.
+//!   per-request span trees, [`FileSink`] streams JSONL to disk
+//!   (conventionally under `results/logs/`), [`Tee`] fans out to two
+//!   sinks, and [`Fanout`] to any number.
 //! - [`Tracer`] / [`SpanGuard`] — causal spans (run → round → query →
 //!   llm_call/retry) stamped by an injectable [`Clock`], exported
 //!   as Chrome trace JSON by [`ChromeTraceSink`] for
 //!   `chrome://tracing` / Perfetto.
 //! - [`Registry`] / [`MetricsSink`] — live named counters, gauges and
 //!   histograms with Prometheus text exposition, served over HTTP by
-//!   [`serve_metrics`] (`GET /metrics`, `GET /progress`).
+//!   [`serve_metrics`] (`GET /metrics`, `GET /progress`). The sink is the
+//!   one fold of the event stream into run totals: the same series back
+//!   `/metrics`, `/progress`, the serving engine's `/v1/stats`, and the
+//!   one-screen digest (p50/p99 prompt tokens, retry counts, rounds,
+//!   prune rate) `mqo classify --trace` prints through its `Display`.
 //! - [`httpd`] — the workspace's one std-only HTTP/1.1 server,
 //!   [`HttpServer`]: one accept loop and one keep-alive loop under the
 //!   metrics endpoint, the `mqo-serve` classification service and the
@@ -42,13 +46,11 @@
 //!   burn rates against a configured latency/availability objective.
 //! - [`Histogram`] / [`Counter`] / [`Gauge`] — fixed-bucket, lock-free
 //!   aggregation primitives.
-//! - [`Summary`] — the one-screen digest (p50/p99 prompt tokens, retry
-//!   counts, rounds, prune rate) the bench harness prints for `--trace`.
 //!
 //! ```
-//! use mqo_obs::{Event, EventSink, Recorder, Summary};
+//! use mqo_obs::{Event, EventSink, MetricsSink};
 //!
-//! let sink = Recorder::new();
+//! let sink = MetricsSink::new();
 //! sink.emit(&Event::QueryExecuted {
 //!     node: 3,
 //!     prompt_tokens: 412,
@@ -56,8 +58,8 @@
 //!     parse_failed: false,
 //!     wall_micros: 90,
 //! });
-//! let summary = Summary::from_events(&sink.events());
-//! assert_eq!(summary.queries, 1);
+//! assert!(sink.registry().render_prometheus().contains("mqo_queries_total 1"));
+//! assert!(sink.to_string().contains("queries executed          1"));
 //! ```
 
 #![warn(missing_docs)]
@@ -73,7 +75,6 @@ mod registry;
 mod sink;
 mod slo;
 mod span;
-mod summary;
 pub mod wire;
 
 pub use chrome::ChromeTraceSink;
@@ -92,4 +93,3 @@ pub use slo::{
     SHORT_WINDOW_MICROS,
 };
 pub use span::{set_thread_track, thread_track, SpanGuard, SpanId, Tracer, DISABLED_TRACER};
-pub use summary::Summary;

@@ -10,16 +10,18 @@
 //! [Prometheus text format]:
 //! https://prometheus.io/docs/instrumenting/exposition_formats/
 //!
-//! [`MetricsSink`] adapts the event stream onto a registry: every
-//! [`Event`] increments its series the moment it is emitted, which is
-//! what makes `GET /metrics` meaningful *while* a long boosting run
-//! executes (the JSONL trace and the summary are post-hoc views). It also
-//! serves the compact JSON snapshot behind `GET /progress`.
+//! [`MetricsSink`] is the one fold of the event stream into run totals:
+//! every [`Event`] increments its series the moment it is emitted, which
+//! is what makes `GET /metrics` meaningful *while* a long boosting run
+//! executes. The same series serve the compact JSON snapshot behind
+//! `GET /progress`, the one-screen summary `mqo classify --trace` prints
+//! (the sink's [`Display`](fmt::Display)), and the serving engine's
+//! `/v1/stats` counts. Its memory is constant in the run's length.
 
 use crate::event::Event;
 use crate::metrics::{Counter, Gauge, Histogram};
 use crate::sink::EventSink;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -489,12 +491,12 @@ impl MetricsSink {
             prompt_token_hist: r.histogram(
                 "mqo_prompt_tokens",
                 "Billed prompt tokens per query",
-                || Histogram::linear(256, 64),
+                Histogram::token_buckets,
             ),
             latency_hist: r.histogram(
                 "mqo_query_latency_micros",
                 "Per-query wall time in microseconds",
-                || Histogram::exponential(32),
+                Histogram::latency_buckets,
             ),
             rounds: r.counter("mqo_rounds_total", "Boosting rounds completed"),
             current_round: r
@@ -644,6 +646,92 @@ impl MetricsSink {
             self.queries_failed.get(),
             self.queries_replayed.get(),
         )
+    }
+}
+
+/// The one-screen run summary `mqo classify --trace` prints: p50/p99
+/// prompt tokens, retries, rounds, prune rate, and the resilience and
+/// cost lines when they have anything to say.
+impl fmt::Display for MetricsSink {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let queries = self.queries.get();
+        let pruned = self.pruned.get();
+        let tokens = &self.prompt_token_hist;
+        writeln!(f, "trace summary")?;
+        writeln!(f, "  queries executed   {queries:>8}")?;
+        writeln!(
+            f,
+            "  prompt tokens      {:>8} p50   {:>8} p99   {:>10.1} mean",
+            tokens.quantile(0.5),
+            tokens.quantile(0.99),
+            tokens.mean(),
+        )?;
+        writeln!(
+            f,
+            "  query latency (µs) {:>8} p50   {:>8} p99",
+            self.latency_hist.quantile(0.5),
+            self.latency_hist.quantile(0.99),
+        )?;
+        let prune_pct = if queries == 0 { 0.0 } else { 100.0 * pruned as f64 / queries as f64 };
+        writeln!(f, "  prune rate         {prune_pct:>7.1}%   ({pruned} of {queries})")?;
+        writeln!(f, "  parse failures     {:>8}", self.parse_failures.get())?;
+        writeln!(
+            f,
+            "  retries            {:>8}   ({} exhausted)",
+            self.retries.get(),
+            self.retries_exhausted.get(),
+        )?;
+        writeln!(
+            f,
+            "  boosting rounds    {:>8}   ({} pseudo-label uses)",
+            self.rounds.get(),
+            self.pseudo_label_uses.get(),
+        )?;
+        let nonzero = |c: &Counter| Some(c.get()).filter(|&n| n > 0);
+        if let Some(n) = nonzero(&self.workers) {
+            writeln!(f, "  parallel workers   {n:>8}")?;
+        }
+        if let Some(n) = nonzero(&self.budget_pressure) {
+            writeln!(f, "  budget pressure    {n:>8} event(s)")?;
+        }
+        if let Some(n) = nonzero(&self.spans) {
+            writeln!(f, "  causal spans       {n:>8}")?;
+        }
+        let (faults, waits) = (self.faults_injected.get(), self.backoff_waits.get());
+        let transitions = self.breaker_transitions.get();
+        if faults + waits + transitions > 0 {
+            writeln!(
+                f,
+                "  resilience         {faults:>8} fault(s)   {waits} backoff wait(s) ({} µs), \
+                 {transitions} breaker transition(s)",
+                self.backoff_wait_hist.sum(),
+            )?;
+        }
+        let (failed, lost) = (self.queries_failed.get(), self.workers_lost.get());
+        if failed + lost > 0 {
+            writeln!(
+                f,
+                "  degraded           {failed:>8} failed query(ies), {lost} worker(s) lost"
+            )?;
+        }
+        if let Some(n) = nonzero(&self.queries_replayed) {
+            writeln!(f, "  journal replays    {n:>8}")?;
+        }
+        if self.cost_rendered.get() > 0 {
+            writeln!(
+                f,
+                "  token cost         {:>8} billed = {} rendered - {} pruned - {} cached - {} \
+                 starved - {} failed",
+                self.cost_billed.get(),
+                self.cost_rendered.get(),
+                self.cost_pruned_saved.get(),
+                self.cost_cache_saved.get(),
+                self.cost_starved.get(),
+                self.cost_failed.get(),
+            )?;
+            writeln!(f, "  enrichment tokens  {:>8}", self.cost_enrichment.get())?;
+        }
+        Ok(())
     }
 }
 
@@ -922,6 +1010,135 @@ mod tests {
         assert!(progress.contains("\"queries\":1"));
         assert!(progress.contains("\"billed_tokens\":100"));
         assert!(progress.contains("\"rendered_tokens\":150"));
+    }
+
+    fn q(tokens: u64, pruned: bool) -> Event {
+        Event::QueryExecuted {
+            node: 0,
+            prompt_tokens: tokens,
+            pruned,
+            parse_failed: false,
+            wall_micros: 100,
+        }
+    }
+
+    #[test]
+    fn aggregates_the_whole_vocabulary() {
+        let sink = MetricsSink::new();
+        for e in [
+            q(100, false),
+            q(300, true),
+            q(500, false),
+            q(700, true),
+            Event::RoundCompleted {
+                round: 0,
+                executed: 4,
+                gamma1: 3,
+                gamma2: 2,
+                pseudo_label_uses: 5,
+            },
+            Event::RetryAttempt { attempt: 1, max_attempts: 3, error: "x".into() },
+            Event::RetryExhausted { attempts: 3, error: "x".into() },
+            Event::WorkerThroughput { worker: 0, queries: 4, wall_micros: 400 },
+            Event::BudgetPressure { budget: 10, prompt_tokens_used: 9, denied_cost: 2 },
+            Event::CacheStats {
+                hits: 7,
+                misses: 4,
+                evictions: 1,
+                stale_drops: 2,
+                coalesced: 3,
+                tokens_saved: 900,
+            },
+            Event::SpanEnter {
+                id: 1,
+                parent: 0,
+                name: "run".into(),
+                detail: String::new(),
+                track: 0,
+                at_micros: 0,
+            },
+            Event::SpanExit { id: 1, at_micros: 10 },
+            Event::QueryCost {
+                node: 1,
+                rendered_tokens: 500,
+                billed_tokens: 350,
+                pruned_saved_tokens: 100,
+                cache_saved_tokens: 50,
+                starved_tokens: 0,
+                failed_tokens: 0,
+                enrichment_tokens: 6,
+                trace: String::new(),
+            },
+            Event::BackoffWait {
+                consecutive_failures: 1,
+                wait_micros: 800,
+                rate_limited: true,
+            },
+            Event::BreakerTransition {
+                from: "closed".into(),
+                to: "open".into(),
+                consecutive_failures: 5,
+            },
+            Event::FaultInjected { call: 0, fault: "transient".into() },
+            Event::QueryFailed { node: 3, error: "outage".into() },
+            Event::WorkerLost { worker: 1, node: 4, detail: "panicked".into() },
+            Event::QueryReplayed { node: 5 },
+        ] {
+            sink.emit(&e);
+        }
+        assert_eq!(sink.queries.get(), 4);
+        assert_eq!(sink.pruned.get(), 2);
+        assert_eq!(sink.rounds.get(), 1);
+        assert_eq!(sink.pseudo_label_uses.get(), 5);
+        assert_eq!(sink.retries.get(), 1);
+        assert_eq!(sink.retries_exhausted.get(), 1);
+        assert_eq!(sink.workers.get(), 1);
+        assert_eq!(sink.budget_pressure.get(), 1);
+        assert_eq!((sink.cache_hits.get(), sink.cache_misses.get()), (7, 4));
+        assert_eq!(sink.cache_coalesced.get(), 3);
+        assert_eq!(sink.cache_tokens_saved.get(), 900);
+        assert_eq!(sink.spans.get(), 1);
+        assert_eq!(sink.cost_rendered.get(), 500);
+        assert_eq!(sink.cost_billed.get(), 350);
+        assert_eq!(sink.cost_cache_saved.get(), 50);
+        assert_eq!(sink.cost_enrichment.get(), 6);
+        assert_eq!((sink.backoff_waits.get(), sink.backoff_wait_hist.sum()), (1, 800));
+        assert_eq!(sink.breaker_transitions.get(), 1);
+        assert_eq!(sink.faults_injected.get(), 1);
+        assert_eq!(sink.queries_failed.get(), 1);
+        assert_eq!(sink.workers_lost.get(), 1);
+        assert_eq!(sink.queries_replayed.get(), 1);
+        // p50 of {100, 300, 500, 700} resolves to 300's width-64 bucket.
+        assert_eq!(sink.prompt_token_hist.quantile(0.5), 320);
+        let text = sink.to_string();
+        for line in [
+            "prune rate            50.0%   (2 of 4)",
+            "retries                   1   (1 exhausted)",
+            "boosting rounds           1   (5 pseudo-label uses)",
+            "parallel workers          1",
+            "budget pressure           1 event(s)",
+            "causal spans              1",
+            "resilience                1 fault(s)   1 backoff wait(s) (800 µs), 1 breaker \
+             transition(s)",
+            "degraded                  1 failed query(ies), 1 worker(s) lost",
+            "journal replays           1",
+            "token cost              350 billed = 500 rendered - 100 pruned - 50 cached - 0 \
+             starved - 0 failed",
+            "enrichment tokens         6",
+        ] {
+            assert!(text.contains(line), "missing {line:?} in:\n{text}");
+        }
+    }
+
+    #[test]
+    fn display_fits_one_screen() {
+        let sink = MetricsSink::new();
+        sink.emit(&q(128, false));
+        let text = sink.to_string();
+        assert!(text.lines().count() <= 12, "summary too tall:\n{text}");
+        assert!(text.contains("p50"));
+        assert!(text.contains("prune rate"));
+        assert!(text.contains("prompt tokens           128 p50        128 p99"), "{text}");
     }
 
     #[test]

@@ -51,13 +51,14 @@ impl EventSink for NullSink {
 /// default without allocating.
 pub static NULL_SINK: NullSink = NullSink;
 
-/// An in-memory sink for tests and summaries.
+/// An in-memory sink for tests and per-request span trees.
 ///
 /// The buffer is a bounded ring: once `capacity` events are held, each new
-/// event evicts the oldest and bumps [`Recorder::dropped`], so a `--trace`d
-/// boosting run over millions of queries cannot grow memory without limit.
-/// Summaries over a saturated recorder are therefore *suffix* summaries —
-/// callers that care check `dropped() == 0`.
+/// event evicts the oldest and bumps [`Recorder::dropped`], so a runaway
+/// emitter cannot grow memory without limit. Views over a saturated
+/// recorder are therefore *suffix* views — callers that care check
+/// `dropped() == 0`. Run totals come from [`crate::MetricsSink`], which
+/// keeps no events at all.
 #[derive(Debug)]
 pub struct Recorder {
     events: Mutex<VecDeque<Event>>,

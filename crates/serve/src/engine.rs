@@ -15,6 +15,7 @@
 use crate::config::ServeConfig;
 use crate::run::{self, ClientStack, StackConfig};
 use crate::shard::{peak_rss_mb, OutboundLabel, ShardContext};
+use crate::shed::{SHED_SATURATED, SHED_SOJOURN, SHED_TENANT_SHARE};
 use crate::tenant::{TenantExhausted, TenantTable};
 use mqo_core::journal::{record_to_json, write_record, RunHeader, RunJournal};
 use mqo_core::predictor::Predictor;
@@ -42,9 +43,6 @@ pub enum Rejection {
     Draining,
     /// The tenant's admission budget is exhausted.
     TenantExhausted(TenantExhausted),
-    /// Every execution slot is busy and the wait room is full —
-    /// backpressure; retry later.
-    Saturated,
 }
 
 /// Result of processing one admitted classification batch.
@@ -140,22 +138,22 @@ pub struct Engine {
     draining: AtomicBool,
     drain_requested: AtomicBool,
     // Registry-backed counters double as /metrics series and /v1/stats
-    // fields.
+    // fields. Facts that an event already announces are counted once, by
+    // the metrics sink; the last four fields read its series.
     requests_total: Arc<Counter>,
     queries_total: Arc<Counter>,
-    replayed_total: Arc<Counter>,
-    rejected_queue: Arc<Counter>,
     rejected_tenant: Arc<Counter>,
     rejected_draining: Arc<Counter>,
-    rejected_shed: Arc<Counter>,
-    deadline_expired_total: Arc<Counter>,
     degraded_total: Arc<Counter>,
+    replayed: Arc<Counter>,
+    deadline_expired: Arc<Counter>,
+    shed_saturated: Arc<Counter>,
+    shed_by_controller: [Arc<Counter>; 2],
     http_requests: Arc<CounterVec>,
     http_micros: Arc<HistogramVec>,
     // Present on shard workers only: identity, cluster map, and the
     // cross-shard pseudo-label outbox.
     shard: Option<ShardContext>,
-    remote_labels_total: Arc<Counter>,
     labels_received_total: Arc<Counter>,
 }
 
@@ -251,11 +249,15 @@ impl Engine {
             || (0..27u32).map(|i| 1u64 << i).collect(),
         );
         let counter = |name: &str, help: &str| registry.counter(name, help);
+        // The metrics sink registered these series above; registration is
+        // get-or-create, so fetching by name shares its counters.
+        let sink_series = |name: &str| registry.counter(name, "");
+        let shed = registry.counter_vec("mqo_requests_shed_total", "", &["reason"]);
         Ok(Engine {
-            remote_labels_total: counter(
-                "mqo_shard_remote_labels_total",
-                "remote pseudo-labels accepted into the halo label store",
-            ),
+            replayed: sink_series("mqo_queries_replayed_total"),
+            deadline_expired: sink_series("mqo_deadline_expired_total"),
+            shed_saturated: shed.with(&[SHED_SATURATED]),
+            shed_by_controller: [shed.with(&[SHED_SOJOURN]), shed.with(&[SHED_TENANT_SHARE])],
             labels_received_total: counter(
                 "mqo_shard_labels_received_total",
                 "remote pseudo-labels received from the router, accepted or not",
@@ -274,14 +276,6 @@ impl Engine {
                 "mqo_serve_queries_total",
                 "node queries executed or replayed by the serving engine",
             ),
-            replayed_total: counter(
-                "mqo_serve_replayed_total",
-                "node queries served from the journal without re-billing",
-            ),
-            rejected_queue: counter(
-                "mqo_serve_rejected_queue_total",
-                "requests refused with 429 because the queue was full",
-            ),
             rejected_tenant: counter(
                 "mqo_serve_rejected_tenant_total",
                 "requests refused with 429 because the tenant budget was exhausted",
@@ -289,14 +283,6 @@ impl Engine {
             rejected_draining: counter(
                 "mqo_serve_rejected_draining_total",
                 "requests refused with 503 because the server was draining",
-            ),
-            rejected_shed: counter(
-                "mqo_serve_rejected_shed_total",
-                "requests shed with 429 by the adaptive overload controller",
-            ),
-            deadline_expired_total: counter(
-                "mqo_serve_deadline_expired_total",
-                "requests answered 504 because their propagated deadline expired",
             ),
             degraded_total: counter(
                 "mqo_serve_degraded_total",
@@ -436,7 +422,6 @@ impl Engine {
             }
         }
         if accepted > 0 {
-            self.remote_labels_total.add(accepted as u64);
             self.fanout.emit(&Event::ShardLabelsIngested {
                 shard: ctx.identity.shard_id,
                 labels: accepted as u64,
@@ -584,7 +569,6 @@ impl Engine {
             }
         }
         self.queries_total.add(records.len() as u64);
-        self.replayed_total.add(replayed);
         if degraded {
             self.degraded_total.inc();
         }
@@ -642,25 +626,11 @@ impl Engine {
         self.requests_total.inc();
     }
 
-    /// Count one queue-full refusal.
-    pub fn count_queue_rejection(&self) {
-        self.rejected_queue.inc();
-    }
-
-    /// Count one adaptive-controller shed.
-    pub fn count_shed(&self) {
-        self.rejected_shed.inc();
-    }
-
-    /// Count one deadline-expired 504.
-    pub fn count_deadline_expired(&self) {
-        self.deadline_expired_total.inc();
-    }
-
     /// The `/v1/stats` document.
     pub fn stats_json(&self, queue: Option<(usize, usize)>, workers: usize) -> String {
         let totals = self.totals();
         let cache = self.cache_stats();
+        let shed: u64 = self.shed_by_controller.iter().map(|c| c.get()).sum();
         let mut stats = json!({
             "dataset": self.bundle.tag.name(),
             "nodes": self.bundle.tag.num_nodes(),
@@ -670,16 +640,16 @@ impl Engine {
             "workers": workers,
             "requests": self.requests_total.get(),
             "queries": self.queries_total.get(),
-            "replayed": self.replayed_total.get(),
+            "replayed": self.replayed.get(),
             "rejected": {
-                "queue": self.rejected_queue.get(),
+                "queue": self.shed_saturated.get(),
                 "tenant": self.rejected_tenant.get(),
                 "draining": self.rejected_draining.get(),
-                "shed": self.rejected_shed.get(),
+                "shed": shed,
             },
             "overload": {
-                "shed": self.rejected_shed.get(),
-                "deadline_expired": self.deadline_expired_total.get(),
+                "shed": shed,
+                "deadline_expired": self.deadline_expired.get(),
                 "degraded": self.degraded_total.get(),
             },
             "tokens_billed": totals.prompt_tokens,
@@ -763,7 +733,9 @@ impl Engine {
         self.run_scope.store(scope.0, Ordering::Relaxed);
     }
 
-    /// The span factory (enabled only when a Chrome trace was requested).
+    /// The span factory. Always enabled while serving: every request's
+    /// span tree feeds the flight recorder, and the Chrome trace file is
+    /// the optional extra.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }

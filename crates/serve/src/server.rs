@@ -69,7 +69,7 @@
 
 use crate::config::ServerOptions;
 use crate::engine::{Engine, Rejection};
-use crate::shed::{Admit, BrownoutTransition, OverloadControl};
+use crate::shed::{Admit, BrownoutTransition, OverloadControl, SHED_SATURATED};
 use crate::slots::{AcquireError, SlotGate};
 use mqo_graph::NodeId;
 use mqo_obs::httpd::{metrics_routes, HttpConnection, HttpServer, Request};
@@ -380,7 +380,7 @@ fn deadline_for(req: &Request, now_micros: u64) -> Result<Option<u64>, String> {
 
 /// Refuse a classify request with `429` and a computed `Retry-After`.
 /// Used for both controller sheds and slot-gate saturation; the caller
-/// has already done the bookkeeping (counters, events, seat release).
+/// has already done the bookkeeping (the shed event, seat release).
 #[allow(clippy::too_many_arguments)]
 fn respond_shed(
     engine: &Engine,
@@ -414,8 +414,9 @@ fn respond_shed(
 
 /// Answer `504` for a request whose deadline expired at `stage`
 /// (`queue`, `admitted`, or `executing`), announcing the expiry as an
-/// event and a counter. Nothing is billed on this path: the request
-/// either never reached the engine or every query in it failed cheaply.
+/// event, which the metrics sink counts. Nothing is billed on this path:
+/// the request either never reached the engine or every query in it
+/// failed cheaply.
 #[allow(clippy::too_many_arguments)]
 fn respond_deadline_expired(
     engine: &Engine,
@@ -428,7 +429,6 @@ fn respond_deadline_expired(
     waited_micros: u64,
     spans: Vec<FlightSpan>,
 ) -> io::Result<u16> {
-    engine.count_deadline_expired();
     engine.fanout().emit(&Event::DeadlineExpired {
         trace: trace.clone(),
         stage: stage.to_string(),
@@ -537,14 +537,12 @@ fn handle_classify(
                 },
             ));
         }
-        Err(Rejection::Saturated) => unreachable!("admit never reports slot saturation"),
     }
     // Adaptive shedding: the controller may refuse before the slot gate
     // is consulted — standing-queue sojourn or a tenant past its fair
     // share of the wait room.
     if let Admit::Shed(reason) = overload.admit(&tenant, gate.waiting(), started) {
         let retry_after = overload.retry_after_secs(gate.waiting());
-        engine.count_shed();
         engine.fanout().emit(&Event::RequestShed {
             tenant: tenant.clone(),
             reason: reason.to_string(),
@@ -570,11 +568,10 @@ fn handle_classify(
         Err(AcquireError::Saturated) => {
             overload.release(&tenant);
             overload.note_shed(started);
-            engine.count_queue_rejection();
             let retry_after = overload.retry_after_secs(gate.waiting());
             engine.fanout().emit(&Event::RequestShed {
                 tenant: tenant.clone(),
-                reason: "saturated".to_string(),
+                reason: SHED_SATURATED.to_string(),
                 retry_after_secs: retry_after,
             });
             return respond_shed(
@@ -585,7 +582,7 @@ fn handle_classify(
                 started,
                 request_summary,
                 retry_after,
-                "saturated",
+                SHED_SATURATED,
             );
         }
         Err(AcquireError::DeadlineExpired) => {

@@ -65,6 +65,15 @@ impl Default for OverloadConfig {
     }
 }
 
+/// `reason` label of `mqo_requests_shed_total` for a tenant past its
+/// fair share of the wait room.
+pub(crate) const SHED_TENANT_SHARE: &str = "tenant_share";
+/// `reason` label for a shed on a standing-queue sojourn.
+pub(crate) const SHED_SOJOURN: &str = "sojourn";
+/// `reason` label for a refusal by the full slot gate (queue
+/// backpressure rather than the controller).
+pub(crate) const SHED_SATURATED: &str = "saturated";
+
 /// Admission decision for one arriving request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admit {
@@ -170,11 +179,11 @@ impl OverloadControl {
             && s.tenant_inflight.get(tenant).copied().unwrap_or(0) >= self.tenant_cap()
         {
             s.shed_in_window += 1;
-            return Admit::Shed("tenant_share");
+            return Admit::Shed(SHED_TENANT_SHARE);
         }
         if s.shedding && waiting > 0 {
             s.shed_in_window += 1;
-            return Admit::Shed("sojourn");
+            return Admit::Shed(SHED_SOJOURN);
         }
         *s.tenant_inflight.entry(tenant.to_string()).or_insert(0) += 1;
         Admit::Ok

@@ -16,7 +16,9 @@
 #      a traced free-running run (out-of-order completions folding
 #      pseudo-labels mid-flight) both go through obs_check: span nesting
 #      with an intact run → round/wave → query → llm_call causal chain,
-#      and a cost ledger whose conservation identity holds.
+#      and a cost ledger whose conservation identity holds. The wave
+#      run's --trace JSONL must hold one query_executed event per
+#      dumped record.
 #
 # Artifacts land under target/sched/ for CI to upload.
 set -euo pipefail
@@ -65,8 +67,16 @@ echo "products width-1 and width-4 dumps byte-identical ($(wc -l < "$OUT/product
 echo "==> invariants: traced deterministic wave run"
 ./target/release/mqo classify cora \
   --queries 60 --boost --deterministic --threads 4 --seed 42 --no-cache \
-  --trace-chrome "$OUT/wave_trace.json" --cost-json "$OUT/wave_cost.json" > /dev/null
+  --trace-chrome "$OUT/wave_trace.json" --cost-json "$OUT/wave_cost.json" \
+  --trace "$OUT/wave_events.jsonl" --dump-records "$OUT/wave_records.jsonl" > /dev/null
 ./target/release/obs_check "$OUT/wave_trace.json" "$OUT/wave_cost.json"
+executed=$(grep -c '^{"type":"query_executed"' "$OUT/wave_events.jsonl" || true)
+records=$(wc -l < "$OUT/wave_records.jsonl")
+if [[ "$executed" -ne "$records" ]]; then
+  echo "sched_smoke: FAIL — --trace holds $executed query_executed events for $records records" >&2
+  exit 1
+fi
+echo "JSONL trace: $executed query_executed events, one per record"
 
 echo "==> invariants: traced free-running run (out-of-order completion)"
 ./target/release/mqo classify cora \

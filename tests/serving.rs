@@ -3,8 +3,9 @@
 //! node sets), tenant admission that bills nothing on refusal, queue
 //! backpressure with computed `Retry-After`, deadline propagation
 //! (`x-mqo-deadline-ms` → `504`, zero billing, ledger conservation),
-//! brown-out degradation, slow-loris isolation, graceful drain, and
-//! journal-backed restart that re-bills zero tokens.
+//! brown-out degradation, slow-loris isolation, graceful drain,
+//! journal-backed restart that re-bills zero tokens, and `/v1/stats`
+//! counts that equal the metrics sink's series.
 
 use mqo_core::journal::record_from_json;
 use mqo_core::QueryRecord;
@@ -62,6 +63,23 @@ fn records_of(response: &serde_json::Value) -> Vec<QueryRecord> {
         .iter()
         .map(|v| record_from_json(v).expect("record parses"))
         .collect()
+}
+
+/// The value of one exported series line (`name` includes any labels).
+fn series(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("{name} not exported"))
+}
+
+/// GET `/v1/stats` and `/metrics`, in that order.
+fn stats_and_metrics(addr: std::net::SocketAddr) -> (serde_json::Value, String) {
+    let (_, text) = http_get(addr, "/v1/stats").unwrap();
+    let stats = serde_json::from_str(text.trim()).expect("stats are JSON");
+    let (_, metrics) = http_get(addr, "/metrics").unwrap();
+    (stats, metrics)
 }
 
 fn nodes_json(nodes: &[u32]) -> String {
@@ -341,6 +359,80 @@ fn saturated_queue_answers_429_retry_after() {
     server.drain();
 }
 
+/// Both kinds of `429` are counted once, by the metrics sink: a tenant
+/// past its share of the wait room is shed by the overload controller
+/// (`rejected.shed`), a fresh tenant facing the full wait room bounces
+/// off the slot gate (`rejected.queue`), and `/v1/stats` reports exactly
+/// the `mqo_requests_shed_total` series. The engine's old duplicate
+/// series are gone from `/metrics`.
+#[test]
+fn refusals_in_stats_equal_their_shed_series() {
+    let cfg = ServeConfig {
+        faults: Some("latency=1.0,latency-micros=30000".into()),
+        cache_cap: 0,
+        ..serve_cfg()
+    };
+    let engine = Engine::new(bundle(), cfg).map(Arc::new).unwrap();
+    let server = start(Arc::clone(&engine), 1, 1);
+    let addr = server.addr();
+
+    // Tenant a holds the worker, tenant b the single wait-room seat.
+    let long = std::thread::spawn(move || {
+        classify(addr, "{\"nodes\": [0, 1, 2, 3, 4], \"tenant\": \"a\"}")
+    });
+    std::thread::sleep(Duration::from_millis(20));
+    let queued = std::thread::spawn(move || classify(addr, "{\"node\": 5, \"tenant\": \"b\"}"));
+    std::thread::sleep(Duration::from_millis(20));
+
+    let (mut saw_shed, mut saw_queue) = (false, false);
+    while !(long.is_finished() || saw_shed && saw_queue) {
+        for tenant in ["a", "c"] {
+            let (status, body) =
+                classify(addr, &format!("{{\"node\": 6, \"tenant\": \"{tenant}\"}}"));
+            if status.contains("429") {
+                match body.get("reason").and_then(|r| r.as_str()) {
+                    Some("saturated") => saw_queue = true,
+                    Some(_) => saw_shed = true,
+                    None => panic!("a 429 names its reason, got {body:?}"),
+                }
+            }
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert!(saw_shed && saw_queue, "saw shed {saw_shed}, saw queue {saw_queue}");
+    long.join().expect("long client");
+    queued.join().expect("queued client");
+
+    let (stats, metrics) = stats_and_metrics(addr);
+    let by_reason = |r: &str| {
+        let name = format!("mqo_requests_shed_total{{reason=\"{r}\"}}");
+        series(&metrics, &name)
+    };
+    let shed = by_reason("sojourn") + by_reason("tenant_share");
+    assert!(shed >= 1);
+    assert_eq!(stats["rejected"]["shed"].as_u64(), Some(shed));
+    assert_eq!(stats["overload"]["shed"].as_u64(), Some(shed));
+    assert!(by_reason("saturated") >= 1);
+    assert_eq!(stats["rejected"]["queue"].as_u64(), Some(by_reason("saturated")));
+    for gone in [
+        "mqo_serve_deadline_expired_total",
+        "mqo_serve_rejected_shed_total",
+        "mqo_serve_rejected_queue_total",
+        "mqo_shard_remote_labels_total",
+        "mqo_serve_replayed_total",
+    ] {
+        assert!(!metrics.contains(gone), "{gone} duplicates a metrics-sink series");
+    }
+    for twin in [
+        "mqo_deadline_expired_total ",
+        "mqo_shard_labels_ingested_total ",
+        "mqo_queries_replayed_total ",
+    ] {
+        assert!(metrics.contains(twin), "{twin}is exported");
+    }
+    server.drain();
+}
+
 /// Graceful drain: work in flight at drain time completes and is
 /// answered; once drained, late requests are refused at the socket.
 #[test]
@@ -441,6 +533,13 @@ fn restart_resumes_sealed_journal_and_rebills_zero_tokens() {
         engine.totals().prompt_tokens,
         0,
         "a resumed server re-bills zero tokens for journaled nodes"
+    );
+    let (stats, metrics) = stats_and_metrics(server.addr());
+    assert_eq!(stats["replayed"].as_u64(), Some(nodes.len() as u64));
+    assert_eq!(
+        stats["replayed"].as_u64(),
+        Some(series(&metrics, "mqo_queries_replayed_total")),
+        "/v1/stats reads the metrics sink's series"
     );
     let report = server.drain();
     assert_eq!(report.replayed, nodes.len() as u64);
@@ -688,12 +787,8 @@ fn expired_deadline_answers_504_bills_zero_and_conserves() {
         .expect("stats report overload.deadline_expired");
     assert!(expired >= 1, "the 504 must be counted, saw {expired}");
     let (_, text) = http_get(addr, "/metrics").unwrap();
-    let metric: u64 = text
-        .lines()
-        .find_map(|l| l.strip_prefix("mqo_deadline_expired_total "))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("mqo_deadline_expired_total exported");
-    assert!(metric >= 1, "metrics must count the expiry");
+    let metric = series(&text, "mqo_deadline_expired_total");
+    assert_eq!(expired, metric, "/v1/stats reads the metrics sink's series");
     server.drain();
 }
 
