@@ -2,26 +2,17 @@
 //!
 //! ```text
 //! loadgen --addr HOST:PORT | --addr-file FILE
-//!         [--requests N] [--concurrency C] [--batch B] [--node-max N]
-//!         [--seed S] [--tenant T] [--mode closed|open] [--rate R]
-//!         [--warmup W] [--trace-id HEX] [--out FILE] [--merge-into FILE]
-//!         [--drain] [--malformed]
+//!         [--requests N] [--concurrency C] [--batch B] [--seed S]
+//!         [--tenant T] [--warmup W] [--trace-id HEX] [--out FILE]
+//!         [--drain] [--malformed] [--overload [--slo-p99-ms MS]]
+//!         [--router --shard-map FILE]
 //! ```
 //!
 //! Each worker thread holds one **keep-alive connection** for its whole
 //! run (reconnecting if the server closes it), so the harness measures
-//! request service time, not TCP setup. Two driving disciplines:
-//!
-//! * **closed** (default) — C workers each fire the next request the
-//!   moment the previous response lands. Measures service capacity;
-//!   latency excludes client-side queueing.
-//! * **open** — requests depart on a fixed schedule (`--rate` per
-//!   second, shared across workers) regardless of completion, and
-//!   latency is measured from the *scheduled* departure so server-side
-//!   queueing shows up in the tail (avoids coordinated omission).
-//!   Pacing sleeps until just before each deadline and spins only the
-//!   final sliver, so the waiting client does not burn a core that
-//!   competes with the server under test.
+//! request service time, not TCP setup. The load is closed-loop: C
+//! workers each fire the next request the moment the previous response
+//! lands.
 //!
 //! `--warmup W` sends W extra requests (request indices `0..W`) before
 //! the measured window and discards their samples; all workers cross a
@@ -30,14 +21,13 @@
 //! index)` — not from per-thread state — so a given seed produces the
 //! same request multiset regardless of how threads race to claim work.
 //! That is what lets a resumed server replay a repeated burst entirely
-//! from its journal. `--node-max 0` (default) discovers the node range
-//! from `GET /v1/stats`.
+//! from its journal. The node range comes from `GET /v1/stats` (or,
+//! with `--router`, from the shard map).
 //!
 //! Summary JSON (rps, p50/p90/p99/p99.9/max/mean ms, status counts)
-//! goes to stdout and `--out`; `--merge-into` folds the serving metrics
-//! into an existing stats JSON, which is how the bench baseline
-//! acquires `serve_*` fields for the CI gate; `--drain` requests a
-//! graceful drain once the burst completes.
+//! goes to stdout and `--out`; `--drain` requests a graceful drain once
+//! the burst completes. Performance is measured by the repository
+//! benchmark (`benchmark/`), not from these numbers.
 //!
 //! Every response's `x-mqo-trace-id` header is captured per sample, the
 //! summary lists the 5 slowest requests with their trace ids (paste one
@@ -53,12 +43,15 @@
 //! taking the server down.
 //!
 //! `--overload` calibrates sustainable throughput closed-loop, then
-//! offers a multiple of it (`--overload-factor`, default 5×) open-loop
-//! and reports admitted-vs-offered goodput, shed rate, and the
-//! degraded-response rate — self-gating on admitted p99
-//! (`--slo-p99-ms`) and on every shed response carrying a well-formed
-//! computed `Retry-After`. `--deadline-ms` stamps an `x-mqo-deadline-ms`
-//! header on every request in any mode.
+//! offers [`OVERLOAD_FACTOR`] times it open-loop: requests depart on a
+//! fixed schedule regardless of completion, and latency is measured from
+//! the *scheduled* departure so server-side queueing shows up in the
+//! tail (no coordinated omission). It reports admitted-vs-offered
+//! goodput, shed rate, and the degraded-response rate — self-gating on
+//! admitted p99 (`--slo-p99-ms`) and on every shed response carrying a
+//! well-formed computed `Retry-After`. Pacing sleeps until just before
+//! each departure and spins only the final sliver, so the waiting client
+//! does not burn a core that competes with the server under test.
 //!
 //! `--router --shard-map FILE` targets a `mqo route` front instead of a
 //! single worker. Node picks still derive from `(seed, request index)`
@@ -66,11 +59,8 @@
 //! count), so multi-node batches routinely straddle shard boundaries
 //! and exercise the router's fan-out/reassembly path. The summary then
 //! carries per-shard node-pick counts (attributed through the loaded
-//! map — the same ownership function the router uses), the number of
-//! batches that spanned more than one shard, and the cluster's peak
-//! worker RSS scraped from the router's aggregated `/v1/stats`;
-//! `--merge-into` folds `routed_serve_rps`, `routed_p99_ms`, and
-//! `peak_rss_mb` into the stats JSON for the bench gate.
+//! map — the same ownership function the router uses) and the number
+//! of batches that spanned more than one shard.
 
 use mqo_bench::cli::{Args, CliError, Spec};
 use mqo_obs::httpd::HttpClient;
@@ -89,11 +79,9 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  \
          loadgen --addr HOST:PORT | --addr-file FILE\n          \
-         [--requests N] [--concurrency C] [--batch B] [--node-max N]\n          \
-         [--seed S] [--tenant T] [--mode closed|open] [--rate R]\n          \
-         [--warmup W] [--trace-id HEX] [--deadline-ms MS] [--out FILE]\n          \
-         [--merge-into FILE] [--drain] [--malformed]\n          \
-         [--overload] [--overload-factor F] [--cal-requests N] [--slo-p99-ms MS]\n          \
+         [--requests N] [--concurrency C] [--batch B] [--seed S]\n          \
+         [--tenant T] [--warmup W] [--trace-id HEX] [--out FILE]\n          \
+         [--drain] [--malformed] [--overload [--slo-p99-ms MS]]\n          \
          [--router --shard-map FILE]"
     );
     ExitCode::from(2)
@@ -108,18 +96,11 @@ const FLAGS: Spec = Spec {
         "requests",
         "concurrency",
         "batch",
-        "node-max",
         "seed",
         "tenant",
-        "mode",
-        "rate",
         "warmup",
         "trace-id",
-        "deadline-ms",
         "out",
-        "merge-into",
-        "overload-factor",
-        "cal-requests",
         "slo-p99-ms",
         "shard-map",
     ],
@@ -184,23 +165,12 @@ struct Plan {
     node_max: usize,
     seed: u64,
     tenant: String,
+    /// Open-loop departures at `rate` per second (the `--overload`
+    /// burst); closed-loop otherwise.
     open_loop: bool,
     rate: f64,
     /// Caller-supplied trace id stamped on every request (`--trace-id`).
     trace_id: Option<String>,
-    /// Per-request deadline stamped as `x-mqo-deadline-ms`.
-    deadline_ms: Option<u64>,
-}
-
-impl Plan {
-    /// The one extra header a request carries: a caller-supplied trace
-    /// id wins; otherwise the per-request deadline, if any.
-    fn extra_header(&self) -> Option<(&str, String)> {
-        if let Some(t) = &self.trace_id {
-            return Some(("x-mqo-trace-id", t.clone()));
-        }
-        self.deadline_ms.map(|ms| ("x-mqo-deadline-ms", ms.to_string()))
-    }
 }
 
 /// The nodes request `k` names. The RNG is keyed by `(seed, k)` alone
@@ -278,8 +248,7 @@ fn drive(plan: Arc<Plan>) -> (Vec<Sample>, Duration) {
         let epoch = Arc::clone(&epoch);
         handles.push(std::thread::spawn(move || {
             let mut client = HttpClient::connect(plan.addr).ok();
-            let extra = plan.extra_header();
-            let extra = extra.as_ref().map(|(n, v)| (*n, v.as_str()));
+            let extra = plan.trace_id.as_deref().map(|t| ("x-mqo-trace-id", t));
             let mut post = |body: &str| match &mut client {
                 Some(c) => post_classify(c, body, extra),
                 None => match HttpClient::connect(plan.addr) {
@@ -350,41 +319,6 @@ fn discover_node_max(addr: SocketAddr) -> Result<usize, String> {
         .and_then(|n| n.as_u64())
         .map(|n| n as usize)
         .ok_or_else(|| "stats JSON has no \"nodes\" field".to_string())
-}
-
-/// Best-effort scrape of the router's aggregated peak worker RSS (the
-/// `max` across shard workers it computes in `/v1/stats`); 0 when the
-/// router or field is unavailable — the bench gate treats a genuine
-/// regression, not a scrape hiccup mid-drain, as the failure.
-fn discover_peak_rss(addr: SocketAddr) -> u64 {
-    let Ok((status, body)) = http_get(addr, "/v1/stats") else {
-        return 0;
-    };
-    if !status.contains("200") {
-        return 0;
-    }
-    serde_json::from_str(body.trim())
-        .ok()
-        .and_then(|v: serde_json::Value| v.get("peak_rss_mb").and_then(|n| n.as_u64()))
-        .unwrap_or(0)
-}
-
-/// Fold serving metrics into an existing stats JSON (e.g. a bench
-/// baseline), preserving every other key. The vendored `Map` is a
-/// `BTreeMap`, so output stays canonically sorted for clean diffs.
-fn merge_into(path: &str, entries: &[(&str, f64)]) -> Result<(), String> {
-    let raw = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut doc: serde_json::Value =
-        serde_json::from_str(raw.trim()).map_err(|e| format!("bad JSON in {path}: {e}"))?;
-    let serde_json::Value::Object(map) = &mut doc else {
-        return Err(format!("{path} is not a JSON object"));
-    };
-    for &(key, value) in entries {
-        map.insert(key.into(), serde_json::json!(value));
-    }
-    let mut out = serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
-    out.push('\n');
-    std::fs::write(path, out).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 /// One framing-abuse probe: raw bytes on a fresh connection, optionally
@@ -488,12 +422,19 @@ fn run_malformed(addr: SocketAddr, out: Option<&str>) -> Result<(), String> {
     Ok(())
 }
 
+/// How many times the calibrated sustainable rate `--overload` offers.
+const OVERLOAD_FACTOR: f64 = 5.0;
+
+/// Closed-loop requests `--overload` calibrates on (at least one per
+/// worker).
+const CALIBRATION_REQUESTS: usize = 32;
+
 /// The `--overload` stage: drive the server well past saturation and
 /// check it degrades *gracefully* instead of falling over.
 ///
 /// Phase 1 calibrates sustainable throughput with a short closed-loop
-/// run. Phase 2 offers a multiple of that rate (`--overload-factor`,
-/// default 5×) open-loop, so shedding is guaranteed. The report splits
+/// run of [`CALIBRATION_REQUESTS`]. Phase 2 offers [`OVERLOAD_FACTOR`]
+/// times that rate open-loop, so shedding is guaranteed. The report splits
 /// offered load into admitted goodput, shed (429), drained (503),
 /// deadline-expired (504), and transport errors, and measures the
 /// degraded-response rate among admitted requests.
@@ -505,27 +446,20 @@ fn run_malformed(addr: SocketAddr, out: Option<&str>) -> Result<(), String> {
 /// * with `--slo-p99-ms N`, admitted p99 must stay under N — admitted
 ///   work must still meet its SLO *while* the excess is refused.
 fn run_overload(args: &Args, plan: Plan) -> Result<(), CliError> {
-    let factor: f64 = args.num_or("overload-factor", 5.0)?;
-    if factor <= 1.0 {
-        return Err("--overload-factor must be > 1".into());
-    }
-    let cal_requests: usize = args.num_or("cal-requests", 32)?;
-
     // Phase 1: closed-loop calibration of sustainable throughput.
     let mut cal = plan.clone();
-    cal.requests = cal_requests.max(plan.concurrency);
+    cal.requests = CALIBRATION_REQUESTS.max(plan.concurrency);
     cal.warmup = 0;
-    cal.open_loop = false;
     let (cal_samples, cal_wall) = drive(Arc::new(cal));
     let cal_ok = cal_samples.iter().filter(|s| s.status == 200).count();
     if cal_ok == 0 {
         return Err("calibration run had no successful request".into());
     }
     let sustainable = cal_ok as f64 / cal_wall.as_secs_f64().max(1e-9);
-    let rate = (sustainable * factor).max(10.0);
+    let rate = (sustainable * OVERLOAD_FACTOR).max(10.0);
     println!(
         "calibration     : {cal_ok} ok in {:.2}s → {sustainable:.1} rps sustainable, \
-         offering {rate:.1} rps ({factor:.1}×)",
+         offering {rate:.1} rps ({OVERLOAD_FACTOR:.1}×)",
         cal_wall.as_secs_f64(),
     );
 
@@ -588,7 +522,7 @@ fn run_overload(args: &Args, plan: Plan) -> Result<(), CliError> {
         "offered": offered,
         "offered_rate_rps": rate,
         "sustainable_rps": sustainable,
-        "overload_factor": factor,
+        "overload_factor": OVERLOAD_FACTOR,
         "admitted": ok,
         "degraded": degraded_ok,
         "degraded_rate": degraded_rate,
@@ -656,17 +590,6 @@ fn run(args: &Args) -> Result<(), CliError> {
     let concurrency: usize = args.num_or("concurrency", 4)?;
     let batch: usize = args.num_or("batch", 1)?;
     let seed = args.num_or("seed", 42)?;
-    let open_loop = match args.get("mode") {
-        None | Some("closed") => false,
-        Some("open") => true,
-        Some(other) => {
-            return Err(CliError::Usage(format!("bad --mode {other:?} (want closed|open)")))
-        }
-    };
-    let rate: f64 = args.num_or("rate", 50.0)?;
-    if open_loop && rate <= 0.0 {
-        return Err("--rate must be positive in open-loop mode".into());
-    }
     // Router mode: picks must range over the whole global id space so
     // batches straddle shard boundaries. The loaded map is the source of
     // truth for both the range and per-shard attribution.
@@ -678,23 +601,12 @@ fn run(args: &Args) -> Result<(), CliError> {
     } else {
         None
     };
-    let node_max = match args.num_or("node-max", 0)? {
-        0 => match &shard_map {
-            Some(map) => map.num_nodes() as usize,
-            None => discover_node_max(addr)?,
-        },
-        n => n,
+    let node_max = match &shard_map {
+        Some(map) => map.num_nodes() as usize,
+        None => discover_node_max(addr)?,
     };
     if node_max == 0 {
         return Err("node range is empty".into());
-    }
-    if let Some(map) = &shard_map {
-        if node_max > map.num_nodes() as usize {
-            return Err(CliError::Usage(format!(
-                "--node-max {node_max} exceeds the shard map's {} nodes",
-                map.num_nodes()
-            )));
-        }
     }
 
     let plan = Plan {
@@ -706,10 +618,9 @@ fn run(args: &Args) -> Result<(), CliError> {
         node_max,
         seed,
         tenant: args.get("tenant").map(String::from).unwrap_or_else(|| "default".into()),
-        open_loop,
-        rate,
+        open_loop: false,
+        rate: 0.0,
         trace_id: args.get("trace-id").map(String::from),
-        deadline_ms: args.num("deadline-ms")?,
     };
     if args.has("overload") {
         return run_overload(args, plan);
@@ -746,7 +657,7 @@ fn run(args: &Args) -> Result<(), CliError> {
     // Router-mode attribution: recompute the measured window's node
     // picks offline (they are pure functions of `(seed, k)`) and charge
     // each to its owning shard via the same map the router consults.
-    let mut router_extra: Option<(Vec<u64>, usize, u64)> = None;
+    let mut router_extra: Option<(Vec<u64>, usize)> = None;
     if let Some(map) = &shard_map {
         let mut per_shard = vec![0u64; map.num_shards() as usize];
         let mut mixed = 0usize;
@@ -767,9 +678,7 @@ fn run(args: &Args) -> Result<(), CliError> {
             println!("shard {s:<11}: {count} node picks");
         }
         println!("mixed batches   : {mixed} of {} spanned more than one shard", plan.requests);
-        let peak_rss = discover_peak_rss(addr);
-        println!("cluster peak rss: {peak_rss} MiB (max across workers)");
-        router_extra = Some((per_shard, mixed, peak_rss));
+        router_extra = Some((per_shard, mixed));
     }
 
     // The tail, with handles: these trace ids key straight into the
@@ -786,7 +695,7 @@ fn run(args: &Args) -> Result<(), CliError> {
     }
 
     let mut summary = serde_json::json!({
-        "mode": if plan.open_loop { "open" } else { "closed" },
+        "mode": "closed",
         "requests": requests,
         "warmup": warmup,
         "concurrency": plan.concurrency,
@@ -814,35 +723,18 @@ fn run(args: &Args) -> Result<(), CliError> {
             })
             .collect::<Vec<_>>(),
     });
-    if let (Some((per_shard, mixed, peak_rss)), serde_json::Value::Object(o)) =
+    if let (Some((per_shard, mixed)), serde_json::Value::Object(o)) =
         (&router_extra, &mut summary)
     {
         o.insert("router".into(), serde_json::json!(true));
         o.insert("per_shard_nodes".into(), serde_json::json!(per_shard.clone()));
         o.insert("mixed_shard_requests".into(), serde_json::json!(*mixed));
-        o.insert("peak_rss_mb".into(), serde_json::json!(*peak_rss));
     }
     let mut text = serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?;
     text.push('\n');
     print!("{text}");
     if let Some(path) = args.get("out") {
         std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    if let Some(path) = args.get("merge-into") {
-        match &router_extra {
-            Some((_, _, peak_rss)) => merge_into(
-                path,
-                &[
-                    ("routed_serve_rps", rps),
-                    ("routed_p99_ms", p99),
-                    ("peak_rss_mb", *peak_rss as f64),
-                ],
-            )?,
-            None => merge_into(
-                path,
-                &[("serve_rps", rps), ("serve_p50_ms", p50), ("serve_p99_ms", p99)],
-            )?,
-        }
     }
     if args.has("drain") {
         // Worker connections are already closed (drive joined them), so
@@ -884,20 +776,26 @@ mod tests {
         };
         for line in [
             "--addr-file a --requests 6000 --warmup 500 --concurrency 8 --batch 4 --seed 42 \
-             --merge-into m.json --drain",
+             --drain",
             "--addr-file a --overload --requests 1200 --concurrency 48 --batch 2 --seed 42 \
-             --slo-p99-ms 10000 --out o.json --drain --overload-factor 5 --cal-requests 32",
+             --slo-p99-ms 10000 --out o.json --drain",
             "--addr-file a --requests 1 --batch 24 --trace-id 00f067aa0ba902b7 --out t.json",
             "--addr-file a --malformed --out m.json",
-            "--addr-file a --requests 20 --tenant throttled --deadline-ms 50 --mode open \
-             --rate 100 --node-max 50",
+            "--addr-file a --requests 20 --tenant throttled",
             "--addr 127.0.0.1:9090 --router --shard-map m.bin --requests 300 --warmup 40",
         ] {
             if let Err(e) = parse(line) {
                 panic!("{line:?} must parse: {e}");
             }
         }
-        for line in ["--addr a --parallel 2", "--addr", "--addr a stray", "--drain yes"] {
+        for line in [
+            "--addr a --parallel 2",
+            "--addr",
+            "--addr a stray",
+            "--drain yes",
+            "--addr a --mode open",
+            "--addr a --node-max 50",
+        ] {
             assert!(matches!(parse(line), Err(CliError::Usage(_))), "{line:?} must be refused");
         }
         let args = parse("--addr a --requests many").unwrap();
@@ -932,7 +830,6 @@ mod tests {
             open_loop: false,
             rate: 1.0,
             trace_id: None,
-            deadline_ms: None,
         }
     }
 

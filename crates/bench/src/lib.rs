@@ -13,13 +13,14 @@
 //! * [`report`] — paper-vs-measured table printing and JSON artifact
 //!   output under `results/`.
 //! * [`cli`] — the one strict flag parser behind `mqo` and `loadgen`.
-//! * [`gate`] — the direction-aware regression arithmetic behind
-//!   `bench_gate` (higher-is-better vs lower-is-better metrics).
+//!
+//! Performance is gated by the repository benchmark (`benchmark/`, run
+//! parent against change by `scripts/bench_compare.sh`), not by this
+//! crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod gate;
 pub mod harness;
 pub mod report;

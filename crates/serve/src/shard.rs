@@ -82,7 +82,7 @@ impl ShardContext {
 /// Peak resident set size of this process in MiB (`VmHWM` from
 /// `/proc/self/status`), or 0 where procfs is unavailable. The
 /// per-shard memory ceiling is the point of sharding, so workers report
-/// it in `/v1/stats` and the bench gates pin it.
+/// it in `/v1/stats` (and the router the maximum over its workers).
 pub fn peak_rss_mb() -> u64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
         return 0;

@@ -13,18 +13,13 @@
 #     push/ingest counters all move, and the relay conserves labels
 #     (Σ router forwarded = Σ workers received);
 #   * all workers drain cleanly, and worker 0's Chrome trace + cost
-#     ledger pass obs_check;
-#   * cluster peak RSS (max VmHWM across workers) and routed
-#     throughput gate against BENCH_PR10.json via bench_gate
-#     --routed-only. The RSS ceiling is the scale-out contract — a
-#     worker quietly holding the whole graph instead of its partition
-#     fails it — and the routed-rps floor catches a wedged router.
+#     ledger pass obs_check.
 #
-#   scripts/shard_smoke.sh            # run and gate against BENCH_PR10.json
-#   scripts/shard_smoke.sh --update   # run and fold the routed fields
-#                                     # into BENCH_PR10.json (after
-#                                     # bench_smoke.sh --update wrote the
-#                                     # cache/serving fields)
+# Routed throughput, latency and cluster memory are measured by the
+# repository benchmark's serve-routed workload and gated parent against
+# change by scripts/bench_compare.sh.
+#
+#   scripts/shard_smoke.sh
 #
 # SHARD_SMOKE_SCALE overrides the graph scale for quick local runs
 # (default 0.41 ~= 1.00M nodes / 25.4M edges, the products-calibrated
@@ -32,11 +27,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BASELINE=BENCH_PR10.json
 SCALE="${SHARD_SMOKE_SCALE:-0.41}"
 SHARDS=4
 DIR=target/shard_smoke
-ROUTED="$DIR/routed.json"
 # The workers need the router address at startup (they push boundary
 # labels to it), and the router needs the worker addresses — so the
 # script picks the router port up front and binds it last. Workers
@@ -53,7 +46,7 @@ cleanup() {
 trap cleanup EXIT
 
 echo "==> building release binaries"
-cargo build --release -q -p mqo-bench --bin mqo --bin loadgen --bin bench_gate --bin obs_check
+cargo build --release -q -p mqo-bench --bin mqo --bin loadgen --bin obs_check
 
 echo "==> partitioning ogbn-products (scale $SCALE, seed 42) into $SHARDS shards"
 ./target/release/mqo partition ogbn-products --scale "$SCALE" --seed 42 \
@@ -105,19 +98,10 @@ curl -sf "http://$ROUTER_ADDR/v1/healthz" | grep -q "\"num_shards\":$SHARDS" || 
 }
 
 echo "==> mixed-shard burst through the router"
-# loadgen folds routed_serve_rps / routed_p99_ms / peak_rss_mb into the
-# merge target: the scratch snapshot when gating, the committed baseline
-# itself under --update.
-echo '{}' > "$ROUTED"
-MERGE_TARGET="$ROUTED"
-if [[ "${1:-}" == "--update" ]]; then
-  [ -f "$BASELINE" ] || echo '{}' > "$BASELINE"
-  MERGE_TARGET="$BASELINE"
-fi
 ./target/release/loadgen --addr "$ROUTER_ADDR" \
   --router --shard-map "$DIR/shard-map.bin" \
   --requests 300 --warmup 40 --concurrency 4 --batch 6 --seed 42 \
-  --merge-into "$MERGE_TARGET" --out "$DIR/loadgen.json" | tee "$DIR/loadgen.txt"
+  --out "$DIR/loadgen.json" | tee "$DIR/loadgen.txt"
 
 grep -Eq "mixed batches   : [1-9]" "$DIR/loadgen.txt" || {
   echo "shard_smoke: no batch spanned a shard boundary — picks are not mixing" >&2
@@ -186,9 +170,3 @@ ROUTER_PID=""
 
 echo "==> obs_check on worker 0's trace + cost ledger"
 ./target/release/obs_check "$DIR/worker0_trace.json" "$DIR/worker0_cost.json"
-
-if [[ "${1:-}" == "--update" ]]; then
-  echo "baseline updated: routed fields of $BASELINE"
-else
-  ./target/release/bench_gate "$BASELINE" "$ROUTED" --routed-only
-fi

@@ -1,7 +1,8 @@
 //! Cross-crate integration tests for the response-cache layer: correctness
 //! under query boosting (round-based invalidation), and the end-to-end
 //! token-savings contract the `--cache-cap`/`--no-cache` CLI arms and the
-//! `BENCH_PR10.json` bench gate rely on.
+//! exact `tokens_sent`/`serve_rate` checks of `scripts/bench_smoke.sh` rely
+//! on.
 
 use mqo_core::boosting::{BoostConfig, DegradePolicy};
 use mqo_core::predictor::KhopRandom;

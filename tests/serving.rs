@@ -323,13 +323,15 @@ fn saturated_queue_answers_429_retry_after() {
     std::thread::sleep(Duration::from_millis(20));
 
     // Worker busy + queue full: probes bounce with 429 until the long
-    // batch finishes. Probe over a raw socket so the Retry-After header
-    // is visible too.
+    // batch finishes. They come from a tenant with no seat in the wait
+    // room, so the overload controller's fair-share check admits them and
+    // the slot gate is what refuses. Probe over a raw socket so the
+    // Retry-After header is visible too.
     let mut saw_saturation = false;
     while !long.is_finished() {
-        let raw = raw_post(addr, "/v1/classify", "{\"node\": 6}");
+        let raw = raw_post(addr, "/v1/classify", "{\"node\": 6, \"tenant\": \"probe\"}");
         if raw.contains("429") {
-            assert!(raw.contains("\"saturated\""), "got {raw}");
+            assert!(raw.contains("\"reason\":\"saturated\""), "got {raw}");
             // The Retry-After value is computed from observed service
             // time and queue depth — assert it parses and sits in the
             // documented [1, 30] band rather than pinning a constant.
