@@ -11,7 +11,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-/// 64-bit FNV-1a (plain, no finalizer) of `bytes`.
+/// 64-bit FNV-1a (plain, no finalizer) of `bytes`. The digests below are
+/// pinned in this hash, so it stays FNV-1a.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

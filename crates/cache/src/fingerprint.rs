@@ -11,30 +11,24 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fingerprint(pub u64);
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Fingerprint of one request: FNV-1a over the model profile name, a NUL
-/// separator (impossible inside either string's meaningful content), and
-/// the rendered prompt.
+/// Fingerprint of one request: XXH64 ([`mqo_obs::Xxh64`], seed 0) over
+/// the model profile name, a NUL separator (impossible inside either
+/// string's meaningful content), and the rendered prompt. It runs on
+/// every query, hence a hash that reads eight bytes per step.
 pub fn fingerprint(model: &str, prompt: &str) -> Fingerprint {
-    let h = fnv1a(FNV_OFFSET, model.as_bytes());
-    let h = fnv1a(h, &[0u8]);
-    Fingerprint(fnv1a(h, prompt.as_bytes()))
+    let mut h = mqo_obs::Xxh64::new();
+    h.update(model.as_bytes()).update(&[0u8]).update(prompt.as_bytes());
+    Fingerprint(h.finish())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn is_xxh64_of_model_nul_prompt() {
+        assert_eq!(fingerprint("m", "prompt").0, mqo_obs::xxh64(b"m\0prompt"));
+    }
 
     #[test]
     fn deterministic_and_distinguishes_inputs() {

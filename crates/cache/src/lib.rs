@@ -4,9 +4,11 @@
 //! tokens *across* prompts, on the client side of the black-box boundary,
 //! where a serving deployment amortizes repeated and overlapping traffic:
 //!
-//! * [`mod@fingerprint`] — canonical prompt identity: a 64-bit FNV-1a hash of
-//!   `(model profile name, rendered prompt)`. Two requests with the same
-//!   fingerprint are the same request for caching purposes.
+//! * [`mod@fingerprint`] — canonical prompt identity: a 64-bit XXH64 hash
+//!   ([`mqo_obs::Xxh64`]) of `(model profile name, rendered prompt)`. Two
+//!   requests with the same fingerprint are the same request for caching
+//!   purposes. The key is an in-memory identity only — nothing persists
+//!   it — so the hash may change between versions without a format bump.
 //! * [`ResponseCache`] — a bounded LRU response cache with explicit
 //!   **round-based invalidation**: [`ResponseCache::advance_epoch`] marks
 //!   every existing entry stale, so prompts rendered before a boosting

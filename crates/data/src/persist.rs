@@ -8,7 +8,7 @@
 //! binary format framed with `bytes` (the workspace's one binary-IO
 //! dependency; see DESIGN.md).
 //!
-//! Format (`MQOTAG2\n` magic, then little-endian fields):
+//! Format (`MQOTAG3\n` magic, then little-endian fields):
 //!
 //! ```text
 //! header   magic[8] | fingerprint u64 | name | scale f64
@@ -22,20 +22,32 @@
 //! (it is code, not data); [`load`] returns the bundle with the spec the
 //! caller supplies.
 //!
-//! The fingerprint is FNV-1a 64 over every byte after the fingerprint
-//! field. A truncated copy, a flipped bit, or a file whose tail belongs
-//! to a different dataset fails the check at load — loudly, as
-//! [`PersistError::Corrupt`] — instead of deserializing garbage that is
-//! only caught (or worse, not caught) thousands of records later. This
-//! matters most for sharded deployments, where per-shard files are
-//! copied between machines.
+//! The fingerprint is XXH64 (seed 0, [`mqo_obs::Xxh64`]) over every byte
+//! after the fingerprint field. A truncated copy, a flipped bit, or a
+//! file whose tail belongs to a different dataset fails the check at
+//! load — loudly, as [`PersistError::Corrupt`] — instead of
+//! deserializing garbage that is only caught (or worse, not caught)
+//! thousands of records later. This matters most for sharded
+//! deployments, where per-shard files are copied between machines.
 //!
-//! Decoding streams. [`load`] parses straight from a buffered file
-//! through an [`ImageReader`], which hashes each byte as it passes, so
-//! no whole-file image is ever resident; [`from_bytes`] runs the same
-//! decoder over a slice. The CSR is built as soon as the edge section
-//! ends, so the `GraphBuilder`'s edge list is freed before the first
-//! text is read. After the parse, succeeded or failed, the reader drains the
+//! The magic names the hash. Images from the earlier encoder carry
+//! `MQOTAG2\n` and an FNV-1a 64 fingerprint over the same payload
+//! layout; a reader picks the hash from the magic ([`Magic`],
+//! [`ImageReader::magic`]), so those images still load and are still
+//! verified. Writers emit only the current magic. The shard formats in
+//! `mqo-shard` follow the same rule with their own magic pairs. FNV-1a
+//! reads one byte per multiply and XXH64 eight, which is why the hash
+//! changed: byte-serial hashing was the largest single cost of a load.
+//!
+//! Decoding streams. [`load`] parses straight from the file through an
+//! [`ImageReader`], which owns a 64 KiB buffer, hands out fields from
+//! it, and hashes the consumed bytes a buffer at a time, so no
+//! whole-file image is ever resident; [`from_bytes`] runs the same
+//! decoder over a slice. Fixed-width sections decode in bulk from the
+//! buffer ([`ImageReader::records`]): the edge list a block of whole
+//! edges at a time. The CSR is built as soon as the edge section ends,
+//! so the `GraphBuilder`'s edge list is freed before the first text is
+//! read. After the parse, succeeded or failed, the reader drains the
 //! rest of the image and the fingerprint is compared: a mismatch wins
 //! over any parse error, so a damaged image reports the same verdict it
 //! would if it had been hashed before parsing. Because parsing now runs
@@ -47,35 +59,97 @@ use crate::generate::DatasetBundle;
 use crate::spec::DatasetSpec;
 use bytes::{BufMut, Bytes, BytesMut};
 use mqo_graph::{ClassId, GraphBuilder, NodeText, Tag};
+use mqo_obs::Xxh64;
 use mqo_text::Lexicon;
 use std::fs::{self, File};
-use std::io::{self, BufReader, Read};
+use std::io::{self, Read};
 use std::path::Path;
 use std::sync::Arc;
 
-const MAGIC: &[u8; 8] = b"MQOTAG2\n";
+/// The dataset image's magics.
+const MAGIC: Magic = Magic { current: b"MQOTAG3\n", legacy: b"MQOTAG2\n" };
 
 /// Smallest node record: label u16, alpha f32, adversarial u8, and two
 /// empty strings (a `u32` length each).
 const MIN_NODE_RECORD: u64 = 2 + 4 + 1 + 4 + 4;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_extend(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+/// The hash an image's fingerprint was made with, as its magic names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ImageHash {
+    /// XXH64, seed 0: every image written now.
+    Xxh64,
+    /// FNV-1a 64, byte at a time: images from the earlier encoder.
+    Fnv1a,
 }
 
-/// FNV-1a 64-bit over `bytes` — the persistence fingerprint. Not
-/// cryptographic; it exists to catch truncation, bit rot, and
-/// mismatched shard files, all of which it detects with probability
-/// ~1 − 2⁻⁶⁴ per corruption.
-pub fn fingerprint(bytes: &[u8]) -> u64 {
-    fnv_extend(FNV_OFFSET, bytes)
+impl ImageHash {
+    /// This hash of `bytes`. Not cryptographic; it exists to catch
+    /// truncation, bit rot, and mismatched shard files, all of which it
+    /// detects with probability ~1 − 2⁻⁶⁴ per corruption.
+    pub fn of(self, bytes: &[u8]) -> u64 {
+        let mut hash = Running::new(self);
+        hash.update(bytes);
+        hash.finish()
+    }
+}
+
+/// A fingerprint in progress.
+enum Running {
+    Xxh64(Xxh64),
+    Fnv1a(u64),
+}
+
+impl Running {
+    fn new(kind: ImageHash) -> Self {
+        match kind {
+            ImageHash::Xxh64 => Running::Xxh64(Xxh64::new()),
+            ImageHash::Fnv1a => Running::Fnv1a(0xcbf2_9ce4_8422_2325),
+        }
+    }
+
+    fn update(&mut self, bytes: &[u8]) {
+        match self {
+            Running::Xxh64(h) => {
+                h.update(bytes);
+            }
+            Running::Fnv1a(h) => {
+                for &b in bytes {
+                    *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        match self {
+            Running::Xxh64(h) => h.finish(),
+            Running::Fnv1a(h) => *h,
+        }
+    }
+}
+
+/// The two magics of one image kind. Writers emit `current`, with an
+/// XXH64 fingerprint; `legacy` marks an image from the earlier encoder,
+/// whose fingerprint is FNV-1a over the same payload layout.
+#[derive(Debug, Clone, Copy)]
+pub struct Magic {
+    /// What writers emit (XXH64 fingerprint).
+    pub current: &'static [u8; 8],
+    /// What the earlier encoder wrote (FNV-1a fingerprint).
+    pub legacy: &'static [u8; 8],
+}
+
+impl Magic {
+    /// Frame `payload` as every writer does: the current magic, the
+    /// XXH64 fingerprint of `payload`, then `payload`, with room for
+    /// `more` bytes after it.
+    pub fn frame(&self, payload: &[u8], more: usize) -> BytesMut {
+        let mut framed = BytesMut::with_capacity(8 + 8 + payload.len() + more);
+        framed.put_slice(self.current);
+        framed.put_u64_le(ImageHash::Xxh64.of(payload));
+        framed.put_slice(payload);
+        framed
+    }
 }
 
 /// Errors from persistence.
@@ -104,19 +178,33 @@ impl From<io::Error> for PersistError {
     }
 }
 
-/// A forward-only cursor over a binary image that feeds every byte it
-/// hands out to a running FNV-1a hash (the [`fingerprint`] hash, in the
-/// same byte order) and knows how many bytes are left, so a decoder can
-/// refuse a count before it sizes an allocation. Every read names the
+/// Bytes an [`ImageReader`] buffers from its input.
+const BUFFER: usize = 1 << 16;
+
+/// A forward-only cursor over a binary image. It reads its input into a
+/// buffer it owns, hands fields out of that buffer, and feeds the
+/// consumed bytes to a running hash a buffer at a time (the hash the
+/// image's magic names, in the same byte order as [`ImageHash::of`]). It
+/// knows how many image bytes are left, so a decoder can refuse a count
+/// before it sizes an allocation. Every read names the
 /// [`PersistError::Corrupt`] message it fails with when the image ends
 /// first.
 pub struct ImageReader<R> {
     inner: R,
+    buf: Box<[u8]>,
+    /// `buf[pos..end]` is read from the input but not yet consumed.
+    pos: usize,
+    end: usize,
+    /// `buf[mark..pos]` is consumed but not yet hashed.
+    mark: usize,
+    /// Image bytes not yet consumed, buffered ones included.
     left: u64,
-    hash: u64,
+    /// The hash [`ImageReader::magic`] selected.
+    kind: ImageHash,
+    hash: Running,
 }
 
-impl ImageReader<BufReader<File>> {
+impl ImageReader<File> {
     /// Stream the file at `path`; its length bounds every read, so it
     /// must be a regular file whose length stays fixed while it loads. A
     /// pipe or device is refused as `InvalidInput`.
@@ -126,7 +214,7 @@ impl ImageReader<BufReader<File>> {
         if !meta.is_file() {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "not a regular file"));
         }
-        Ok(ImageReader::new(BufReader::with_capacity(1 << 16, file), meta.len()))
+        Ok(ImageReader::new(file, meta.len()))
     }
 }
 
@@ -139,7 +227,16 @@ impl<'a> ImageReader<&'a [u8]> {
 
 impl<R: Read> ImageReader<R> {
     fn new(inner: R, len: u64) -> Self {
-        ImageReader { inner, left: len, hash: FNV_OFFSET }
+        ImageReader {
+            inner,
+            buf: vec![0; BUFFER].into_boxed_slice(),
+            pos: 0,
+            end: 0,
+            mark: 0,
+            left: len,
+            kind: ImageHash::Xxh64,
+            hash: Running::new(ImageHash::Xxh64),
+        }
     }
 
     /// Bytes not yet read.
@@ -147,39 +244,82 @@ impl<R: Read> ImageReader<R> {
         self.left
     }
 
-    /// Restart the running hash: it covers the bytes read from here on.
-    pub fn start_hash(&mut self) {
-        self.hash = FNV_OFFSET;
-    }
-
-    /// The FNV-1a hash of the bytes read since [`ImageReader::start_hash`].
-    pub fn hash(&self) -> u64 {
-        self.hash
-    }
-
-    /// Fill `buf`, failing with `Corrupt(what)` if the image ends first,
-    /// including a file that shrank after it was opened.
-    fn read_exact(&mut self, buf: &mut [u8], what: &'static str) -> Result<(), PersistError> {
-        if (buf.len() as u64) > self.left {
+    /// Read an image's magic: one of `magic`'s pair, or `Corrupt(what)`.
+    /// The hash it names is the one [`ImageReader::start_hash`] starts
+    /// from here on.
+    pub fn magic(&mut self, magic: &Magic, what: &'static str) -> Result<(), PersistError> {
+        let read = self.array::<8>(what)?;
+        self.kind = if &read == magic.current {
+            ImageHash::Xxh64
+        } else if &read == magic.legacy {
+            ImageHash::Fnv1a
+        } else {
             return Err(PersistError::Corrupt(what));
-        }
-        self.inner.read_exact(buf).map_err(|e| match e.kind() {
-            io::ErrorKind::UnexpectedEof => PersistError::Corrupt(what),
-            _ => e.into(),
-        })?;
-        self.left -= buf.len() as u64;
-        self.hash = fnv_extend(self.hash, buf);
+        };
         Ok(())
     }
 
+    /// Restart the running hash: it covers the bytes read from here on.
+    pub fn start_hash(&mut self) {
+        self.hash = Running::new(self.kind);
+        self.mark = self.pos;
+    }
+
+    /// The hash of the bytes read since [`ImageReader::start_hash`].
+    pub fn hash(&mut self) -> u64 {
+        self.hash_consumed();
+        self.hash.finish()
+    }
+
+    fn hash_consumed(&mut self) {
+        self.hash.update(&self.buf[self.mark..self.pos]);
+        self.mark = self.pos;
+    }
+
+    /// Make at least `need` (at most [`BUFFER`]) unconsumed bytes
+    /// available in the buffer, failing with `Corrupt(what)` if the input
+    /// ends first, including a file that shrank after it was opened.
+    fn fill(&mut self, need: usize, what: &'static str) -> Result<(), PersistError> {
+        if self.end - self.pos >= need {
+            return Ok(());
+        }
+        self.hash_consumed();
+        self.buf.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        self.mark = 0;
+        while self.end < need {
+            match self.inner.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Err(PersistError::Corrupt(what)),
+                Ok(k) => self.end += k,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(())
+    }
+
+    /// Consume `n` buffered bytes.
+    fn advance(&mut self, n: usize) {
+        self.pos += n;
+        self.left -= n as u64;
+    }
+
     /// Read `N` raw bytes.
+    #[inline]
     pub fn array<const N: usize>(
         &mut self,
         what: &'static str,
     ) -> Result<[u8; N], PersistError> {
-        let mut buf = [0u8; N];
-        self.read_exact(&mut buf, what)?;
-        Ok(buf)
+        const { assert!(N <= BUFFER) };
+        if N as u64 > self.left {
+            return Err(PersistError::Corrupt(what));
+        }
+        self.fill(N, what)?;
+        let mut out = [0u8; N];
+        out.copy_from_slice(&self.buf[self.pos..self.pos + N]);
+        self.advance(N);
+        Ok(out)
     }
 
     /// Read a `u8`.
@@ -202,43 +342,85 @@ impl<R: Read> ImageReader<R> {
         Ok(u64::from_le_bytes(self.array(what)?))
     }
 
-    /// Read a little-endian `f32`.
-    pub fn f32_le(&mut self, what: &'static str) -> Result<f32, PersistError> {
-        Ok(f32::from_le_bytes(self.array(what)?))
-    }
-
     /// Read a little-endian `f64`.
     pub fn f64_le(&mut self, what: &'static str) -> Result<f64, PersistError> {
         Ok(f64::from_le_bytes(self.array(what)?))
     }
 
+    /// Consume `count` records of `size` bytes each (`size` at most
+    /// 64 KiB), handing `block` runs of whole records straight from the
+    /// buffer. `count` is checked against the bytes left before anything
+    /// is read, so a caller may size an allocation from it afterwards.
+    pub fn records(
+        &mut self,
+        count: u64,
+        size: usize,
+        what: &'static str,
+        mut block: impl FnMut(&[u8]) -> Result<(), PersistError>,
+    ) -> Result<(), PersistError> {
+        assert!(size > 0 && size <= BUFFER, "record size {size} outside 1..=64 KiB");
+        if count.checked_mul(size as u64).is_none_or(|bytes| bytes > self.left) {
+            return Err(PersistError::Corrupt(what));
+        }
+        let mut todo = count;
+        while todo > 0 {
+            self.fill(size, what)?;
+            let k = todo.min(((self.end - self.pos) / size) as u64) as usize;
+            block(&self.buf[self.pos..self.pos + k * size])?;
+            self.advance(k * size);
+            todo -= k as u64;
+        }
+        Ok(())
+    }
+
+    /// Append `count` little-endian `u32`s to `out`, decoded in bulk
+    /// from the buffer. `count` is checked against the bytes left first.
+    pub fn u32s(
+        &mut self,
+        count: u64,
+        what: &'static str,
+        out: &mut Vec<u32>,
+    ) -> Result<(), PersistError> {
+        self.records(count, 4, what, |run| {
+            out.extend(run.chunks_exact(4).map(le_u32));
+            Ok(())
+        })
+    }
+
     /// Read a `u32`-length-prefixed UTF-8 string. The length is checked
     /// against the bytes left before the buffer is allocated.
     pub fn string(&mut self) -> Result<String, PersistError> {
+        let what = "truncated string body";
         let len = self.u32_le("truncated string length")? as u64;
         if len > self.left {
-            return Err(PersistError::Corrupt("truncated string body"));
+            return Err(PersistError::Corrupt(what));
         }
-        let mut bytes = vec![0u8; len as usize];
-        self.read_exact(&mut bytes, "truncated string body")?;
+        let mut bytes = Vec::with_capacity(len as usize);
+        self.records(len, 1, what, |run| {
+            bytes.extend_from_slice(run);
+            Ok(())
+        })?;
         String::from_utf8(bytes).map_err(|_| PersistError::Corrupt("invalid utf-8"))
     }
 
     /// Hash the rest of the input, to its end, and return the hash.
     fn drain(&mut self) -> Result<u64, PersistError> {
-        let mut chunk = [0u8; 1 << 13];
+        self.left = self.left.saturating_sub((self.end - self.pos) as u64);
+        self.pos = self.end;
+        self.hash_consumed();
         loop {
-            match self.inner.read(&mut chunk) {
+            match self.inner.read(&mut self.buf) {
                 Ok(0) => break,
                 Ok(k) => {
-                    self.hash = fnv_extend(self.hash, &chunk[..k]);
+                    self.hash.update(&self.buf[..k]);
                     self.left = self.left.saturating_sub(k as u64);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e.into()),
             }
         }
-        Ok(self.hash)
+        (self.pos, self.end, self.mark) = (0, 0, 0);
+        Ok(self.hash.finish())
     }
 
     /// Run `parse` over the rest of the input, then settle the verdict
@@ -258,6 +440,10 @@ impl<R: Read> ImageReader<R> {
         }
         parsed
     }
+}
+
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
 }
 
 fn put_str(buf: &mut BytesMut, s: &str) {
@@ -299,12 +485,7 @@ pub fn to_bytes(bundle: &DatasetBundle) -> Bytes {
         put_str(&mut buf, &t.title);
         put_str(&mut buf, &t.body);
     }
-    let payload = buf.freeze();
-    let mut framed = BytesMut::with_capacity(MAGIC.len() + 8 + payload.len());
-    framed.put_slice(MAGIC);
-    framed.put_u64_le(fingerprint(&payload));
-    framed.put_slice(&payload);
-    framed.freeze()
+    MAGIC.frame(&buf.freeze(), 0).freeze()
 }
 
 /// Deserialize a bundle; the caller supplies the spec (code, not data).
@@ -318,9 +499,7 @@ pub fn decode<R: Read>(
     r: &mut ImageReader<R>,
     spec: DatasetSpec,
 ) -> Result<DatasetBundle, PersistError> {
-    if &r.array::<8>("bad magic")? != MAGIC {
-        return Err(PersistError::Corrupt("bad magic"));
-    }
+    r.magic(&MAGIC, "bad magic")?;
     let stored = r.u64_le("truncated fingerprint")?;
     r.verified(stored, "fingerprint mismatch (truncated or corrupt file)", |r| {
         decode_payload(r, spec)
@@ -369,11 +548,14 @@ fn decode_payload<R: Read>(
     }
     let n = n as usize;
     let mut builder = GraphBuilder::with_capacity(n, m as usize);
-    for _ in 0..m {
-        let u = r.u32_le("truncated edge list")?;
-        let v = r.u32_le("truncated edge list")?;
-        builder.add_edge(u, v).map_err(|_| Corrupt("edge out of range"))?;
-    }
+    r.records(m, 8, "truncated edge list", |edges| {
+        for edge in edges.chunks_exact(8) {
+            builder
+                .add_edge(le_u32(&edge[..4]), le_u32(&edge[4..]))
+                .map_err(|_| Corrupt("edge out of range"))?;
+        }
+        Ok(())
+    })?;
     // Build the CSR now, so the edge list is gone before the texts.
     let graph = builder.build();
 
@@ -383,9 +565,10 @@ fn decode_payload<R: Read>(
     let mut texts = Vec::with_capacity(n);
     let record = "truncated node record";
     for _ in 0..n {
-        labels.push(ClassId(r.u16_le(record)?));
-        alphas.push(r.f32_le(record)?);
-        adversarial.push(r.u8(record)? != 0);
+        let [l0, l1, a0, a1, a2, a3, adv] = r.array(record)?;
+        labels.push(ClassId(u16::from_le_bytes([l0, l1])));
+        alphas.push(f32::from_le_bytes([a0, a1, a2, a3]));
+        adversarial.push(adv != 0);
         let title = r.string()?;
         let body = r.string()?;
         texts.push(NodeText::new(title, body));
@@ -461,7 +644,7 @@ mod tests {
         assert!(from_bytes(Bytes::from_static(b"NOTMAGIC"), spec.clone()).is_err());
         // Valid magic, truncated afterwards.
         let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
+        buf.put_slice(MAGIC.current);
         buf.put_u32_le(3);
         buf.put_slice(b"co"); // promised 3 bytes, gave 2
         assert!(matches!(from_bytes(buf.freeze(), spec), Err(PersistError::Corrupt(_))));
@@ -500,6 +683,91 @@ mod tests {
 
         // Fingerprint of the intact image still verifies.
         assert!(from_bytes(bytes, original.spec.clone()).is_ok());
+    }
+
+    /// A reader that hands out at most three bytes per `read`, so every
+    /// field and record straddles a refill somewhere.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let k = buf.len().min(self.0.len()).min(3);
+            buf[..k].copy_from_slice(&self.0[..k]);
+            self.0 = &self.0[k..];
+            Ok(k)
+        }
+    }
+
+    /// A bundle whose sections cross the 64 KiB buffer at odd offsets:
+    /// 20,001 edges (160 KB) and a 200 KB body between short texts.
+    fn straddling_bundle() -> DatasetBundle {
+        let n = 5_000;
+        let mut builder = GraphBuilder::new(n);
+        for i in 0..20_001u32 {
+            builder.add_edge(i % n as u32, (i * 7 + 1) % n as u32).unwrap();
+        }
+        let texts = (0..n)
+            .map(|i| match i {
+                7 => NodeText::new("long", "λ".repeat(100_000)),
+                _ => NodeText::new(format!("t{i}"), "b".repeat(i % 5)),
+            })
+            .collect();
+        let labels = (0..n).map(|i| ClassId((i % 3) as u16)).collect();
+        let names = vec!["A".to_string(), "B".into(), "C".into()];
+        let tag = Tag::new("cora", builder.build(), texts, labels, names).unwrap();
+        DatasetBundle {
+            tag,
+            lexicon: Arc::new(Lexicon::with_markers(1, 3, 3, 4, 1)),
+            alphas: (0..n).map(|i| i as f32 / 7.0).collect(),
+            adversarial: (0..n).map(|i| i % 4 == 0).collect(),
+            spec: DatasetId::Cora.spec(),
+            scale: 0.5,
+        }
+    }
+
+    #[test]
+    fn sections_that_straddle_the_buffer_decode_exactly() {
+        let image = to_bytes(&straddling_bundle());
+        let spec = DatasetId::Cora.spec();
+        let whole = from_bytes(image.clone(), spec.clone()).unwrap();
+        assert_eq!(&to_bytes(&whole)[..], &image[..]);
+        let mut r = ImageReader::new(Trickle(&image), image.len() as u64);
+        let trickled = decode(&mut r, spec.clone()).unwrap();
+        assert_eq!(&to_bytes(&trickled)[..], &image[..]);
+
+        // A flipped bit inside the long body fails the fingerprint when
+        // read in either way.
+        let mut flipped = image.to_vec();
+        let at = flipped.len() - 150_000;
+        flipped[at] ^= 0x01;
+        let mut r = ImageReader::new(Trickle(&flipped), flipped.len() as u64);
+        for verdict in [decode(&mut r, spec.clone()), from_bytes(Bytes::from(flipped), spec)] {
+            match verdict {
+                Err(PersistError::Corrupt(what)) => assert!(what.contains("fingerprint")),
+                other => panic!("a flipped body bit must fail the fingerprint, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn an_image_from_the_earlier_encoder_still_loads_and_is_verified() {
+        let original = dataset(DatasetId::Cora, Some(0.1), 65);
+        let image = to_bytes(&original);
+        assert_eq!(&image[..8], MAGIC.current);
+        let payload = &image[16..];
+        let mut legacy = MAGIC.legacy.to_vec();
+        legacy.extend_from_slice(&ImageHash::Fnv1a.of(payload).to_le_bytes());
+        legacy.extend_from_slice(payload);
+        let back = from_bytes(Bytes::from(legacy.clone()), original.spec.clone()).unwrap();
+        assert_eq!(&to_bytes(&back)[..], &image[..], "re-encoded in the current framing");
+
+        let mut flipped = legacy;
+        let mid = flipped.len() / 2;
+        flipped[mid] ^= 0x08;
+        assert!(matches!(
+            from_bytes(Bytes::from(flipped), original.spec.clone()),
+            Err(PersistError::Corrupt("fingerprint mismatch (truncated or corrupt file)"))
+        ));
     }
 
     #[test]

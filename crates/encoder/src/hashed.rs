@@ -9,7 +9,9 @@
 use crate::vocab::words;
 use crate::TextEncoder;
 
-/// FNV-1a 64-bit — tiny, fast, good enough for feature hashing.
+/// FNV-1a 64-bit — tiny, fast, good enough for feature hashing. It picks
+/// each word's feature bucket, so it stays FNV-1a (not the workspace's
+/// XXH64): a new hash would change every trained surrogate.
 #[inline]
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;

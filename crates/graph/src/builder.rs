@@ -48,43 +48,47 @@ impl GraphBuilder {
         Ok(())
     }
 
-    /// Finalize into a [`Csr`]: deduplicate, mirror, sort neighbor runs.
+    /// Finalize into a [`Csr`]: deduplicate, mirror, and lay every
+    /// neighbor run out sorted.
+    ///
+    /// After the sort (linear on input that is already sorted, as an
+    /// image's edge list is) and the dedup, the edges run in `(u, v)`
+    /// order with `u <= v`. One pass in that order writes `v` at `u`'s
+    /// cursor and the mirror `u` at `v`'s. Node `x` thus receives its
+    /// mirrors (from edges `(u, x)`, `u < x`) before its forward entries
+    /// (from edges `(x, v)`, `v >= x`), each group ascending, so every
+    /// run comes out sorted by construction and needs no per-run sort.
     pub fn build(mut self) -> Csr {
         self.edges.sort_unstable();
         self.edges.dedup();
         let n = self.num_nodes as usize;
 
-        // Two-pass counting sort into CSR.
-        let mut counts = vec![0u64; n + 1];
+        // `offsets[x + 1]` counts x's entries; the running sum then makes
+        // `offsets[x]` the start of x's run, which serves as x's write
+        // cursor until the shift at the end.
+        let mut offsets = vec![0u64; n + 1];
         for &(u, v) in &self.edges {
-            counts[u as usize + 1] += 1;
+            offsets[u as usize + 1] += 1;
             if u != v {
-                counts[v as usize + 1] += 1;
+                offsets[v as usize + 1] += 1;
             }
         }
         for i in 0..n {
-            counts[i + 1] += counts[i];
+            offsets[i + 1] += offsets[i];
         }
-        let offsets = counts.clone();
-        let total = offsets[n] as usize;
-        let mut targets = vec![0u32; total];
-        let mut cursor = offsets.clone();
+        let mut targets = vec![0u32; offsets[n] as usize];
         for &(u, v) in &self.edges {
-            targets[cursor[u as usize] as usize] = v;
-            cursor[u as usize] += 1;
+            targets[offsets[u as usize] as usize] = v;
+            offsets[u as usize] += 1;
             if u != v {
-                targets[cursor[v as usize] as usize] = u;
-                cursor[v as usize] += 1;
+                targets[offsets[v as usize] as usize] = u;
+                offsets[v as usize] += 1;
             }
         }
-        // Runs must be sorted for binary-search edge tests. Edges were sorted
-        // by (min, max), which sorts each source run by the *first* endpoint
-        // only; mirrored entries can interleave, so sort each run.
-        for i in 0..n {
-            targets[offsets[i] as usize..offsets[i + 1] as usize].sort_unstable();
-        }
-        let num_edges = self.edges.len() as u64;
-        Csr::from_parts(offsets, targets, num_edges)
+        // Each cursor now sits where the next run starts: shift them back.
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        Csr::from_parts(offsets, targets, self.edges.len() as u64)
     }
 }
 
@@ -92,6 +96,7 @@ impl GraphBuilder {
 mod tests {
     use super::*;
     use crate::NodeId;
+    use proptest::prelude::*;
 
     #[test]
     fn rejects_out_of_range() {
@@ -121,6 +126,98 @@ mod tests {
         assert_eq!(g.neighbors(NodeId(0)), &[0, 1]);
         assert_eq!(g.degree(NodeId(0)), 2);
         assert_eq!(g.degree(NodeId(1)), 1);
+    }
+
+    /// The build with an explicit sort of every run: sort, count,
+    /// scatter both directions in edge order through a separate cursor
+    /// array, then sort each run.
+    fn oracle(num_nodes: usize, edges: &[(u32, u32)]) -> Csr {
+        let mut edges: Vec<(u32, u32)> =
+            edges.iter().map(|&(u, v)| if u <= v { (u, v) } else { (v, u) }).collect();
+        edges.sort_unstable();
+        edges.dedup();
+        let n = num_nodes;
+        let mut counts = vec![0u64; n + 1];
+        for &(u, v) in &edges {
+            counts[u as usize + 1] += 1;
+            if u != v {
+                counts[v as usize + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            counts[i + 1] += counts[i];
+        }
+        let offsets = counts;
+        let mut targets = vec![0u32; offsets[n] as usize];
+        let mut cursor = offsets.clone();
+        for &(u, v) in &edges {
+            targets[cursor[u as usize] as usize] = v;
+            cursor[u as usize] += 1;
+            if u != v {
+                targets[cursor[v as usize] as usize] = u;
+                cursor[v as usize] += 1;
+            }
+        }
+        for i in 0..n {
+            targets[offsets[i] as usize..offsets[i + 1] as usize].sort_unstable();
+        }
+        Csr::from_parts(offsets, targets, edges.len() as u64)
+    }
+
+    fn built(num_nodes: usize, edges: &[(u32, u32)]) -> Csr {
+        let mut b = GraphBuilder::with_capacity(num_nodes, edges.len());
+        for &(u, v) in edges {
+            b.add_edge(u, v).unwrap();
+        }
+        b.build()
+    }
+
+    type Edges = Vec<(u32, u32)>;
+
+    /// An edge list over `n` nodes in which duplicates, reversed pairs
+    /// and self-loops are common (endpoints come from a small range) and
+    /// the top nodes are often isolated. Also returned sorted, as an
+    /// image's edge list arrives.
+    fn edge_lists() -> impl Strategy<Value = (usize, Edges, Edges)> {
+        (1..40usize)
+            .prop_flat_map(|n| {
+                let hot = (n as u32).div_ceil(2);
+                let edge = (0..hot, 0..n as u32);
+                (Just(n), prop::collection::vec(edge, 0..120), any::<bool>())
+            })
+            .prop_map(|(n, edges, flip)| {
+                let shuffled: Vec<(u32, u32)> = edges
+                    .into_iter()
+                    .map(|(u, v)| if flip { (v, u) } else { (u, v) })
+                    .collect();
+                let mut sorted: Vec<(u32, u32)> =
+                    shuffled.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
+                sorted.sort_unstable();
+                (n, shuffled, sorted)
+            })
+    }
+
+    proptest! {
+        #[test]
+        fn build_equals_the_sort_every_run_oracle((n, shuffled, sorted) in edge_lists()) {
+            let expected = oracle(n, &shuffled);
+            for edges in [&shuffled, &sorted] {
+                let g = built(n, edges);
+                prop_assert!(g.validate().is_ok());
+                prop_assert_eq!(&g, &expected);
+            }
+        }
+    }
+
+    #[test]
+    fn build_equals_the_oracle_on_a_dense_graph_with_hubs() {
+        let n = 300;
+        let edges: Vec<(u32, u32)> = (0..n as u32)
+            .flat_map(|u| [(u, (u * 7 + 3) % n as u32), (0, u), (u, u), ((u * 13) % 50, u)])
+            .collect();
+        let g = built(n, &edges);
+        g.validate().unwrap();
+        assert_eq!(g, oracle(n, &edges));
     }
 
     #[test]

@@ -232,7 +232,10 @@ impl LanguageModel for SimLlm {
     }
 }
 
-/// FNV-1a over bytes, used to derive per-prompt decision noise.
+/// FNV-1a over bytes, used to derive per-prompt decision noise. Its value
+/// is an output, not an identity: it seeds every simulated answer, so it
+/// stays FNV-1a where keys and image fingerprints moved to XXH64 — a new
+/// hash here would move records.
 pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

@@ -46,6 +46,9 @@
 //!   burn rates against a configured latency/availability objective.
 //! - [`Histogram`] / [`Counter`] / [`Gauge`] — fixed-bucket, lock-free
 //!   aggregation primitives.
+//! - [`Xxh64`] / [`xxh64`] — the workspace's one fast hash, streaming
+//!   XXH64: the response-cache key and the fingerprint of every binary
+//!   image. It lives here because every crate can reach this one.
 //!
 //! ```
 //! use mqo_obs::{Event, EventSink, MetricsSink};
@@ -69,6 +72,7 @@ mod clock;
 mod cost;
 mod event;
 mod flight;
+mod hash;
 pub mod httpd;
 mod metrics;
 mod registry;
@@ -82,6 +86,7 @@ pub use clock::{Clock, ManualClock, MonotonicClock, WaitClock, MONOTONIC_CLOCK};
 pub use cost::{CostLedger, CostReport, RoundCost};
 pub use event::Event;
 pub use flight::{spans_from_events, FlightEntry, FlightRecorder, FlightSpan};
+pub use hash::{xxh64, Xxh64};
 pub use httpd::{http_get, http_post, serve_metrics, HttpServer};
 pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::{CounterVec, GaugeVec, HistogramVec, MetricsSink, Registry};

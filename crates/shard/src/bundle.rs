@@ -23,20 +23,26 @@
 //! are read and their fingerprint is checked before the first byte of
 //! the inner image, which then decodes from the same reader exactly as
 //! `persist::load` does (streamed, with its own verdict taking
-//! precedence over its parse errors). The id-map length is checked
-//! against the bytes left before it sizes an allocation. Each run of the
+//! precedence over its parse errors). Both fingerprints are XXH64 under
+//! the current magics (`MQOSHD2`, `MQOTAG3`); each magic names its own
+//! hash, so a shard written by the earlier encoder (`MQOSHD1` around
+//! `MQOTAG2`, FNV-1a) still loads and is still verified. The id-map
+//! length is checked against the bytes left before it sizes an
+//! allocation. Each run of the
 //! map must be strictly ascending, and no id may be both owned and halo:
 //! `local_of` binary-searches the owned run, then the halo run.
 
 use crate::partition::ShardMap;
 use bytes::{BufMut, Bytes, BytesMut};
-use mqo_data::persist::{self, fingerprint, ImageReader, PersistError};
+use mqo_data::persist::{self, ImageReader, Magic, PersistError};
 use mqo_data::{DatasetBundle, DatasetSpec};
 use mqo_graph::{GraphBuilder, NodeId, Tag};
 use std::io::Read;
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"MQOSHD1\n";
+/// The shard image's magics: `MQOSHD2` (XXH64 header fingerprint) is
+/// written, `MQOSHD1` (FNV-1a) from the earlier encoder still loads.
+const MAGIC: Magic = Magic { current: b"MQOSHD2\n", legacy: b"MQOSHD1\n" };
 
 /// The id-space facts of one shard, separable from the dataset itself so
 /// a serving engine can own the [`DatasetBundle`] while the shard
@@ -292,10 +298,7 @@ impl ShardBundle {
         }
         let header = header.freeze();
         let inner = persist::to_bytes(&self.data);
-        let mut framed = BytesMut::with_capacity(MAGIC.len() + 8 + header.len() + inner.len());
-        framed.put_slice(MAGIC);
-        framed.put_u64_le(fingerprint(&header));
-        framed.put_slice(&header);
+        let mut framed = MAGIC.frame(&header, inner.len());
         framed.put_slice(&inner);
         framed.freeze()
     }
@@ -313,9 +316,7 @@ impl ShardBundle {
         spec: DatasetSpec,
     ) -> Result<ShardBundle, PersistError> {
         use PersistError::Corrupt;
-        if &r.array::<8>("bad shard magic")? != MAGIC {
-            return Err(Corrupt("bad shard magic"));
-        }
+        r.magic(&MAGIC, "bad shard magic")?;
         // The header fingerprint covers only the shard header; the inner
         // dataset image that follows verifies itself.
         let header = "truncated shard header";
@@ -329,9 +330,7 @@ impl ShardBundle {
             return Err(Corrupt("truncated local id map"));
         }
         let mut global_ids = Vec::with_capacity(num_locals as usize);
-        for _ in 0..num_locals {
-            global_ids.push(r.u32_le("truncated local id map")?);
-        }
+        r.u32s(u64::from(num_locals), "truncated local id map", &mut global_ids)?;
         if r.hash() != stored {
             return Err(Corrupt("shard header fingerprint mismatch"));
         }
@@ -365,6 +364,7 @@ impl ShardBundle {
 mod tests {
     use super::*;
     use crate::partition::{partition, PartitionStrategy};
+    use mqo_data::persist::ImageHash;
     use mqo_data::{dataset, DatasetId};
     use std::collections::HashMap;
 
@@ -446,7 +446,7 @@ mod tests {
 
         // Header corruption and inner corruption both fail loudly.
         let mut bad_header = bytes.to_vec();
-        bad_header[MAGIC.len() + 8 + 2] ^= 1;
+        bad_header[8 + 8 + 2] ^= 1;
         assert!(ShardBundle::from_bytes(Bytes::from(bad_header), full.spec.clone()).is_err());
         let mut bad_inner = bytes.to_vec();
         let tail = bad_inner.len() - 8;
@@ -461,14 +461,14 @@ mod tests {
         let mut ids = sb.identity.global_ids.clone();
         edit(&mut ids);
         let mut bytes = sb.to_bytes().to_vec();
-        let header = MAGIC.len() + 8;
+        let header = 8 + 8;
         for (i, g) in ids.iter().enumerate() {
             let at = header + 16 + 4 * i;
             bytes[at..at + 4].copy_from_slice(&g.to_le_bytes());
         }
         let end = header + 16 + 4 * ids.len();
-        let fp = fingerprint(&bytes[header..end]);
-        bytes[MAGIC.len()..header].copy_from_slice(&fp.to_le_bytes());
+        let fp = ImageHash::Xxh64.of(&bytes[header..end]);
+        bytes[8..header].copy_from_slice(&fp.to_le_bytes());
         Bytes::from(bytes)
     }
 

@@ -24,12 +24,14 @@
 
 use crate::ring::{splitmix64, HashRing};
 use bytes::{BufMut, Bytes, BytesMut};
-use mqo_data::persist::{fingerprint, ImageReader, PersistError};
+use mqo_data::persist::{ImageReader, Magic, PersistError};
 use mqo_graph::{Csr, NodeId};
 use std::io::{self, Read};
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"MQOSHM1\n";
+/// The shard map's magics: `MQOSHM2` (XXH64 fingerprint) is written,
+/// `MQOSHM1` (FNV-1a) from the earlier encoder still loads.
+const MAGIC: Magic = Magic { current: b"MQOSHM2\n", legacy: b"MQOSHM1\n" };
 
 /// How node ownership is decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -310,12 +312,7 @@ impl ShardMap {
                 buf.put_u32_le(v);
             }
         }
-        let payload = buf.freeze();
-        let mut framed = BytesMut::with_capacity(MAGIC.len() + 8 + payload.len());
-        framed.put_slice(MAGIC);
-        framed.put_u64_le(fingerprint(&payload));
-        framed.put_slice(&payload);
-        framed.freeze()
+        MAGIC.frame(&buf.freeze(), 0).freeze()
     }
 
     /// Deserialize bytes written by [`ShardMap::to_bytes`].
@@ -326,9 +323,7 @@ impl ShardMap {
     /// Decode a shard map from `r`, streamed and verified the way
     /// `mqo_data::persist` decodes a dataset image.
     fn decode<R: Read>(r: &mut ImageReader<R>) -> Result<ShardMap, ShardMapError> {
-        if &r.array::<8>("bad magic")? != MAGIC {
-            return Err(ShardMapError::Corrupt("bad magic"));
-        }
+        r.magic(&MAGIC, "bad magic")?;
         let stored = r.u64_le("truncated fingerprint")?;
         let mut map = r.verified(
             stored,
@@ -363,9 +358,7 @@ impl ShardMap {
                     return Err(Corrupt("truncated range starts"));
                 }
                 let mut starts = Vec::with_capacity(num_shards as usize + 1);
-                for _ in 0..=num_shards {
-                    starts.push(r.u32_le("truncated range starts")?);
-                }
+                r.u32s(u64::from(num_shards) + 1, "truncated range starts", &mut starts)?;
                 if starts[0] != 0
                     || *starts.last().unwrap() != num_nodes
                     || starts.windows(2).any(|w| w[0] > w[1])
@@ -393,9 +386,7 @@ impl ShardMap {
                 return Err(Corrupt("truncated boundary list"));
             }
             let mut list = Vec::with_capacity(len as usize);
-            for _ in 0..len {
-                list.push(r.u32_le("truncated boundary list")?);
-            }
+            r.u32s(u64::from(len), "truncated boundary list", &mut list)?;
             stats.push(ShardStats { owned_nodes, internal_edges, cut_edges });
             boundary.push(list);
         }

@@ -4,10 +4,11 @@
 //! but claim `u32::MAX` nodes, a 4 GiB title, `u64::MAX` edges, 65535
 //! classes, `u32::MAX` local ids or `u32::MAX` shards; each must come back
 //! as a truncation, from memory and from a file, without a large
-//! allocation.
+//! allocation, in the current framing (XXH64) and the earlier
+//! encoder's (FNV-1a).
 
 use bytes::Bytes;
-use mqo_data::persist::{self, fingerprint, PersistError};
+use mqo_data::persist::{self, ImageHash, PersistError};
 use mqo_data::DatasetId;
 use mqo_shard::{ShardBundle, ShardMap, ShardMapError};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -42,10 +43,34 @@ static ALLOC: PeakAlloc = PeakAlloc;
 /// No decode of these few-byte images may ask for more than this.
 const ALLOCATION_CEILING: usize = 1 << 20;
 
-/// `magic | FNV-1a(payload) | payload`, the framing of every image.
-fn framed(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
+/// One framing of the three image kinds: their magics, and the hash
+/// those magics name.
+struct Format {
+    dataset: &'static [u8; 8],
+    shard: &'static [u8; 8],
+    map: &'static [u8; 8],
+    hash: ImageHash,
+}
+
+const FORMATS: [Format; 2] = [
+    Format {
+        dataset: b"MQOTAG3\n",
+        shard: b"MQOSHD2\n",
+        map: b"MQOSHM2\n",
+        hash: ImageHash::Xxh64,
+    },
+    Format {
+        dataset: b"MQOTAG2\n",
+        shard: b"MQOSHD1\n",
+        map: b"MQOSHM1\n",
+        hash: ImageHash::Fnv1a,
+    },
+];
+
+/// `magic | hash(payload) | payload`, the framing of every image.
+fn framed(magic: &[u8; 8], hash: ImageHash, payload: &[u8]) -> Vec<u8> {
     let mut out = magic.to_vec();
-    out.extend_from_slice(&fingerprint(payload).to_le_bytes());
+    out.extend_from_slice(&hash.of(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -56,8 +81,8 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
 }
 
 /// A dataset payload up to its class list (`classes` names follow, all
-/// "A"), then `tail`.
-fn dataset_image(classes: u16, tail: &[u8]) -> Vec<u8> {
+/// "A"), then `tail`, framed as `f` frames it.
+fn dataset_image(f: &Format, classes: u16, tail: &[u8]) -> Vec<u8> {
     let mut p = Vec::new();
     put_str(&mut p, "cora");
     p.extend_from_slice(&0.5f64.to_le_bytes());
@@ -71,7 +96,7 @@ fn dataset_image(classes: u16, tail: &[u8]) -> Vec<u8> {
         put_str(&mut p, "A");
     }
     p.extend_from_slice(tail);
-    framed(b"MQOTAG2\n", &p)
+    framed(f.dataset, f.hash, &p)
 }
 
 /// Graph header `n | m`, then `rest`.
@@ -144,17 +169,27 @@ fn assert_map_refused(tag: &str, image: &[u8], expected: &str) {
 /// One test, so no other test's allocations race the peak.
 #[test]
 fn oversized_counts_are_truncations_not_allocations() {
+    for f in &FORMATS {
+        refuse_oversized_counts(f);
+    }
+}
+
+fn refuse_oversized_counts(f: &Format) {
     assert_dataset_refused(
         "nodes",
-        &dataset_image(1, &graph(u32::MAX, 0, &[])),
+        &dataset_image(f, 1, &graph(u32::MAX, 0, &[])),
         "truncated node record",
     );
     assert_dataset_refused(
         "edges",
-        &dataset_image(1, &graph(1, u64::MAX, &[])),
+        &dataset_image(f, 1, &graph(1, u64::MAX, &[])),
         "truncated edge list",
     );
-    assert_dataset_refused("classes", &dataset_image(u16::MAX, &[]), "truncated string length");
+    assert_dataset_refused(
+        "classes",
+        &dataset_image(f, u16::MAX, &[]),
+        "truncated string length",
+    );
     // One node whose title claims u32::MAX bytes (4 GiB); four more
     // bytes make the record as long as the shortest valid one.
     let mut record = 0u16.to_le_bytes().to_vec();
@@ -164,7 +199,7 @@ fn oversized_counts_are_truncations_not_allocations() {
     record.extend_from_slice(&[0; 4]);
     assert_dataset_refused(
         "title",
-        &dataset_image(1, &graph(1, 0, &record)),
+        &dataset_image(f, 1, &graph(1, 0, &record)),
         "truncated string body",
     );
 
@@ -173,8 +208,8 @@ fn oversized_counts_are_truncations_not_allocations() {
     for field in [0u32, 2, 1, u32::MAX] {
         header.extend_from_slice(&field.to_le_bytes());
     }
-    let mut shard = framed(b"MQOSHD1\n", &header);
-    shard.extend_from_slice(&dataset_image(1, &graph(0, 0, &[])));
+    let mut shard = framed(f.shard, f.hash, &header);
+    shard.extend_from_slice(&dataset_image(f, 1, &graph(0, 0, &[])));
     assert_shard_refused("locals", &shard, "truncated local id map");
 
     // Shard maps claiming u32::MAX shards, under either strategy.
@@ -185,6 +220,6 @@ fn oversized_counts_are_truncations_not_allocations() {
         p.extend_from_slice(&100u32.to_le_bytes());
         p.extend_from_slice(&u32::MAX.to_le_bytes());
         p.extend_from_slice(&0u64.to_le_bytes());
-        assert_map_refused(&format!("shards-{strategy}"), &framed(b"MQOSHM1\n", &p), expected);
+        assert_map_refused(&format!("shards-{strategy}"), &framed(f.map, f.hash, &p), expected);
     }
 }

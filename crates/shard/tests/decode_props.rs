@@ -2,13 +2,17 @@
 //! (`mqo_data::persist`) and shard images (`ShardBundle`): an intact
 //! image decodes and re-encodes to the same bytes, a damaged one is an
 //! `Err` (never a panic), and decoding from memory and streaming from a
-//! file always reach the same verdict.
+//! file always reach the same verdict. Images carry XXH64 fingerprints;
+//! images from the earlier encoder (FNV-1a, older magics) still load,
+//! and an image whose magic names the other hash is refused.
 
 use bytes::Bytes;
-use mqo_data::persist;
+use mqo_data::persist::{self, ImageHash};
 use mqo_data::{DatasetBundle, DatasetId, DatasetSpec};
 use mqo_graph::{ClassId, GraphBuilder, NodeText, Tag};
-use mqo_shard::{extract_shard, partition, PartitionStrategy, ShardBundle, ShardIdentity};
+use mqo_shard::{
+    extract_shard, partition, PartitionStrategy, ShardBundle, ShardIdentity, ShardMap,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -63,6 +67,16 @@ fn random_shard(seed: u64) -> ShardBundle {
     extract_shard(&full, &map, (seed >> 8) as u32 % shards)
 }
 
+/// `image` (framed `magic | fingerprint | payload`) re-framed under
+/// `magic`, its fingerprint remade with `hash`.
+fn reframe(image: &[u8], magic: &[u8; 8], hash: ImageHash) -> Vec<u8> {
+    let payload = &image[16..];
+    let mut out = magic.to_vec();
+    out.extend_from_slice(&hash.of(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
 /// Damage `image`: 0 flips bits of one byte, 1 truncates, 2 pads.
 fn damage(image: &[u8], kind: u8, at: u64, mask: u8, pad: &[u8]) -> Vec<u8> {
     let mut out = image.to_vec();
@@ -113,7 +127,15 @@ proptest! {
     #[test]
     fn intact_images_decode_and_re_encode_byte_identically(seed in any::<u64>()) {
         let data = persist::to_bytes(&random_bundle(seed)).to_vec();
+        prop_assert_eq!(&data[..8], b"MQOTAG3\n");
         let (from_bytes, loaded) = dataset_verdicts(&data, "intact-dataset");
+        prop_assert_eq!(from_bytes.as_deref(), Ok(&data[..]), "seed {}", seed);
+        prop_assert_eq!(loaded.as_deref(), Ok(&data[..]), "seed {}", seed);
+
+        // The earlier encoder's framing of the same payload loads to the
+        // same bundle, which the encoder writes in the current framing.
+        let legacy = reframe(&data, b"MQOTAG2\n", ImageHash::Fnv1a);
+        let (from_bytes, loaded) = dataset_verdicts(&legacy, "legacy-dataset");
         prop_assert_eq!(from_bytes.as_deref(), Ok(&data[..]), "seed {}", seed);
         prop_assert_eq!(loaded.as_deref(), Ok(&data[..]), "seed {}", seed);
 
@@ -144,8 +166,9 @@ proptest! {
 }
 
 /// A shard image written by the encoder as it stood before decoding
-/// streamed: a hand-built three-node dataset (owned globals 5 and 6,
-/// halo global 9) on shard 1 of 2.
+/// streamed, with FNV-1a fingerprints (`MQOSHD1`, `MQOTAG2`): a
+/// hand-built three-node dataset (owned globals 5 and 6, halo global 9)
+/// on shard 1 of 2.
 const ENCODED_SHARD: &str = "\
     4d514f534844310aadcafdc7f6e07c4a01000000020000000200000003000000\
     0500000006000000090000004d514f544147320afc3f5338970d986904000000\
@@ -157,12 +180,30 @@ const ENCODED_SHARD: &str = "\
     01000000803f000400000068616c6f11000000612072656d6f7465206e656967\
     68626f72";
 
-fn encoded_shard() -> Vec<u8> {
-    (0..ENCODED_SHARD.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&ENCODED_SHARD[i..i + 2], 16).unwrap())
-        .collect()
+/// The same shard as the current encoder writes it: XXH64 fingerprints
+/// under `MQOSHD2` and `MQOTAG3`, the payloads unchanged.
+const CURRENT_SHARD: &str = "\
+    4d514f534844320af1ce5ed378b06c3801000000020000000200000003000000\
+    0500000006000000090000004d514f544147330a53d32493281a239a04000000\
+    636f7261fca9f1d24d62503f0700000000000000020003000000040000000100\
+    00000200060000005468656f72790700000053797374656d7303000000020000\
+    00000000000000000001000000010000000200000000000000003f000d000000\
+    67726170682070726f6d707473180000006e65696768626f7220637565732063\
+    757420746f6b656e730100000080be0108000000626f6f7374696e6700000000\
+    01000000803f000400000068616c6f11000000612072656d6f7465206e656967\
+    68626f72";
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap()).collect()
 }
+
+fn encoded_shard() -> Vec<u8> {
+    unhex(ENCODED_SHARD)
+}
+
+/// Where the inner dataset image starts in either fixture: magic,
+/// fingerprint, four header words and three local ids.
+const INNER: usize = 8 + 8 + 16 + 12;
 
 #[test]
 fn an_image_from_the_earlier_encoder_loads_to_an_equal_bundle() {
@@ -200,6 +241,55 @@ fn an_image_from_the_earlier_encoder_loads_to_an_equal_bundle() {
         (lex.seed(), lex.num_classes(), lex.class_size(), lex.shared_size(), lex.marker_size()),
         (7, 2, 3, 4, 1)
     );
-    // And the encoder still writes exactly those bytes.
-    assert_eq!(loaded.to_bytes().to_vec(), image);
+    // The encoder writes the same bundle in the current framing.
+    assert_eq!(loaded.to_bytes().to_vec(), unhex(CURRENT_SHARD));
+}
+
+/// The earlier encoder's image re-encodes to this one (above), and this
+/// one re-encodes to itself, so both load to the same bundle.
+#[test]
+fn a_current_image_loads_and_re_encodes_byte_identically() {
+    let image = unhex(CURRENT_SHARD);
+    let (from_bytes, loaded) = shard_verdicts(&image, "current-encoder.bin");
+    assert_eq!(from_bytes.as_deref(), Ok(&image[..]));
+    assert_eq!(loaded.as_deref(), Ok(&image[..]));
+}
+
+/// An image whose magic names one hash while its fingerprint was made
+/// with the other fails its fingerprint check, in both directions, for
+/// dataset, shard and shard-map images.
+#[test]
+fn a_magic_naming_the_other_hash_is_a_fingerprint_mismatch() {
+    let mismatch = "corrupt dataset file: fingerprint mismatch (truncated or corrupt file)";
+    let current = unhex(CURRENT_SHARD);
+    let legacy = encoded_shard();
+
+    let swapped = |image: &[u8], magic: &[u8; 8]| {
+        let mut out = image.to_vec();
+        out[..8].copy_from_slice(magic);
+        out
+    };
+    for (image, magic) in [(&current[INNER..], b"MQOTAG2\n"), (&legacy[INNER..], b"MQOTAG3\n")]
+    {
+        let (from_bytes, loaded) = dataset_verdicts(&swapped(image, magic), "mixed-dataset");
+        assert_eq!(from_bytes.err().as_deref(), Some(mismatch), "dataset under {magic:?}");
+        assert_eq!(loaded.err().as_deref(), Some(mismatch), "dataset under {magic:?}");
+    }
+    let header_mismatch = "corrupt dataset file: shard header fingerprint mismatch";
+    for (image, magic) in [(&current, b"MQOSHD1\n"), (&legacy, b"MQOSHD2\n")] {
+        let (from_bytes, loaded) = shard_verdicts(&swapped(image, magic), "mixed-shard");
+        assert_eq!(from_bytes.err().as_deref(), Some(header_mismatch), "shard under {magic:?}");
+        assert_eq!(loaded.err().as_deref(), Some(header_mismatch), "shard under {magic:?}");
+    }
+
+    let full = random_bundle(7);
+    let map = partition(full.tag.graph(), 2, 7, PartitionStrategy::EdgeCut).to_bytes().to_vec();
+    assert_eq!(&map[..8], b"MQOSHM2\n");
+    let legacy_map = reframe(&map, b"MQOSHM1\n", ImageHash::Fnv1a);
+    let decode =
+        |image: Vec<u8>| ShardMap::from_bytes(Bytes::from(image)).map_err(|e| e.to_string());
+    assert_eq!(decode(legacy_map.clone()).map(|m| m.to_bytes().to_vec()), Ok(map.clone()));
+    let map_mismatch = "corrupt shard map: fingerprint mismatch (truncated or corrupt file)";
+    assert_eq!(decode(swapped(&map, b"MQOSHM1\n")).err().as_deref(), Some(map_mismatch));
+    assert_eq!(decode(swapped(&legacy_map, b"MQOSHM2\n")).err().as_deref(), Some(map_mismatch));
 }

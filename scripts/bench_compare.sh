@@ -6,8 +6,12 @@
 #   scripts/bench_compare.sh REV      # e.g. HEAD^, or a pull request's merge base
 #
 # REV's source is checked out in a git worktree under target/ and its
-# `mqo` built there; the working tree's `mqo` and one `mqo-benchmark`
-# harness are built from the working tree. The harness drives both
+# `mqo` built there, unless the binary left by an earlier run was built
+# from the same commit (target/bench_compare/parent-target/built-from):
+# then it is reused untouched, so the benchmark's input stamp (keyed on
+# the binary's mtime) keeps the parent side's prepared inputs. The
+# working tree's `mqo` and one `mqo-benchmark` harness are built from
+# the working tree. The harness drives both
 # binaries (`--mqo`), each side in its own work directory (`--work`),
 # because inputs are prepared per `mqo` build. Each workload runs in
 # pairs, one seed per pair, the two sides back to back; the pairs
@@ -49,6 +53,7 @@ SRC="$OUT/parent-src"
 HARNESS=target/release/mqo-benchmark
 CHANGE_MQO=target/release/mqo
 PARENT_MQO="$OUT/parent-target/release/mqo"
+PARENT_BUILT_FROM="$OUT/parent-target/built-from"
 
 # Building the benchmark rewrites its lock file when that is stale; put
 # it back if it was clean, so the gate leaves the tree as it found it.
@@ -65,12 +70,18 @@ cleanup() {
 }
 trap cleanup EXIT
 
-remove_worktree
-git worktree add --quiet --detach "$SRC" "$PARENT_REV"
-
 build() { cargo build --release --offline --quiet "$@" >&2; }
-echo "==> building the parent's mqo ($PARENT_REV)"
-build --manifest-path "$SRC/Cargo.toml" --target-dir "$OUT/parent-target" -p mqo-bench --bin mqo
+if [[ -x "$PARENT_MQO" && "$(cat "$PARENT_BUILT_FROM" 2> /dev/null)" == "$PARENT_REV" ]]; then
+  echo "==> reusing the parent's mqo ($PARENT_REV)"
+else
+  remove_worktree
+  git worktree add --quiet --detach "$SRC" "$PARENT_REV"
+  echo "==> building the parent's mqo ($PARENT_REV)"
+  rm -f "$PARENT_BUILT_FROM"
+  build --manifest-path "$SRC/Cargo.toml" --target-dir "$OUT/parent-target" -p mqo-bench --bin mqo
+  echo "$PARENT_REV" > "$PARENT_BUILT_FROM"
+  remove_worktree
+fi
 echo "==> building the change's mqo and the benchmark harness"
 build --target-dir target -p mqo-bench --bin mqo
 build --manifest-path benchmark/Cargo.toml --target-dir target --bin mqo-benchmark
