@@ -5,8 +5,7 @@
 //! [`DatasetBundle`]'s *contents* — graph, texts, labels, latents, and the
 //! lexicon's construction parameters (the lexicon itself is deterministic,
 //! so five integers reconstruct it) — in a length-prefixed little-endian
-//! binary format framed with `bytes` (the workspace's one binary-IO
-//! dependency; see DESIGN.md).
+//! binary format.
 //!
 //! Format (`MQOTAG3\n` magic, then little-endian fields):
 //!
@@ -42,10 +41,11 @@
 //! Decoding streams. [`load`] parses straight from the file through an
 //! [`ImageReader`], which owns a 64 KiB buffer, hands out fields from
 //! it, and hashes the consumed bytes a buffer at a time, so no
-//! whole-file image is ever resident; [`from_bytes`] runs the same
-//! decoder over a slice. Fixed-width sections decode in bulk from the
-//! buffer ([`ImageReader::records`]): the edge list a block of whole
-//! edges at a time. The CSR is built as soon as the edge section ends,
+//! whole-file image is ever resident; [`decode`] over
+//! [`ImageReader::from_slice`] runs the same decoder over a slice.
+//! Fixed-width sections decode in bulk from the buffer
+//! ([`ImageReader::records`]): the edge list a block of whole edges at a
+//! time. The CSR is built as soon as the edge section ends,
 //! so the `GraphBuilder`'s edge list is freed before the first text is
 //! read. After the parse, succeeded or failed, the reader drains the
 //! rest of the image and the fingerprint is compared: a mismatch wins
@@ -54,15 +54,23 @@
 //! before that verdict, every count and length is checked against the
 //! bytes left in the image before it sizes an allocation; a count the
 //! rest of the image cannot back is reported as a truncation.
+//!
+//! Encoding streams the same way. [`write_to`] hands the fields to an
+//! [`ImageWriter`], the mirror of the reader: it writes the magic and a
+//! placeholder fingerprint, fills a 64 KiB buffer, hashes and writes
+//! each full buffer once, and at [`ImageWriter::finish`] seeks back to
+//! write the fingerprint. No image-sized buffer is ever built, and a
+//! writer started mid-stream (the shard formats nest a dataset image
+//! after their own header) fingerprints only its own image. Every image
+//! kind in the workspace is written through it.
 
 use crate::generate::DatasetBundle;
 use crate::spec::DatasetSpec;
-use bytes::{BufMut, Bytes, BytesMut};
 use mqo_graph::{ClassId, GraphBuilder, NodeText, Tag};
 use mqo_obs::Xxh64;
 use mqo_text::Lexicon;
-use std::fs::{self, File};
-use std::io::{self, Read};
+use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -139,25 +147,13 @@ pub struct Magic {
     pub legacy: &'static [u8; 8],
 }
 
-impl Magic {
-    /// Frame `payload` as every writer does: the current magic, the
-    /// XXH64 fingerprint of `payload`, then `payload`, with room for
-    /// `more` bytes after it.
-    pub fn frame(&self, payload: &[u8], more: usize) -> BytesMut {
-        let mut framed = BytesMut::with_capacity(8 + 8 + payload.len() + more);
-        framed.put_slice(self.current);
-        framed.put_u64_le(ImageHash::Xxh64.of(payload));
-        framed.put_slice(payload);
-        framed
-    }
-}
-
-/// Errors from persistence.
+/// Errors from reading or writing any image: dataset, shard or shard
+/// map.
 #[derive(Debug)]
 pub enum PersistError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// The file is not a valid dataset image.
+    /// The input is not a valid image.
     Corrupt(&'static str),
 }
 
@@ -165,7 +161,7 @@ impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PersistError::Io(e) => write!(f, "io error: {e}"),
-            PersistError::Corrupt(what) => write!(f, "corrupt dataset file: {what}"),
+            PersistError::Corrupt(what) => write!(f, "corrupt image: {what}"),
         }
     }
 }
@@ -178,7 +174,8 @@ impl From<io::Error> for PersistError {
     }
 }
 
-/// Bytes an [`ImageReader`] buffers from its input.
+/// Bytes an [`ImageReader`] buffers from its input, and an
+/// [`ImageWriter`] before it hashes and writes them.
 const BUFFER: usize = 1 << 16;
 
 /// A forward-only cursor over a binary image. It reads its input into a
@@ -446,51 +443,146 @@ fn le_u32(b: &[u8]) -> u32 {
     u32::from_le_bytes([b[0], b[1], b[2], b[3]])
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+/// A forward-only writer of one binary image, the mirror of
+/// [`ImageReader`]. [`ImageWriter::start`] writes the current magic and
+/// a placeholder where the fingerprint goes; fields then collect in a
+/// 64 KiB buffer, and each full buffer is fed to XXH64 and written
+/// once. [`ImageWriter::finish`] writes the rest, seeks back to
+/// fill in the fingerprint, and returns the sink positioned after the
+/// image, ready for whatever follows it.
+pub struct ImageWriter<W: Write + Seek> {
+    inner: W,
+    buf: Vec<u8>,
+    hash: Xxh64,
+    /// Where the fingerprint field sits in `inner`.
+    fingerprint_at: u64,
 }
 
-/// Serialize a bundle to bytes.
-pub fn to_bytes(bundle: &DatasetBundle) -> Bytes {
-    let tag = &bundle.tag;
-    let mut buf = BytesMut::with_capacity(tag.num_nodes() * 256);
-    put_str(&mut buf, tag.name());
-    buf.put_f64_le(bundle.scale);
-
-    let lex = &bundle.lexicon;
-    buf.put_u64_le(lex.seed());
-    buf.put_u16_le(lex.num_classes());
-    buf.put_u32_le(lex.class_size());
-    buf.put_u32_le(lex.shared_size());
-    buf.put_u32_le(lex.marker_size());
-
-    buf.put_u16_le(tag.num_classes() as u16);
-    for name in tag.class_names() {
-        put_str(&mut buf, name);
+impl<W: Write + Seek> ImageWriter<W> {
+    /// Begin an image at `inner`'s current position.
+    pub fn start(mut inner: W, magic: &Magic) -> Result<Self, PersistError> {
+        let fingerprint_at = inner.stream_position()? + 8;
+        inner.write_all(magic.current)?;
+        inner.write_all(&[0; 8])?;
+        Ok(ImageWriter {
+            inner,
+            buf: Vec::with_capacity(BUFFER),
+            hash: Xxh64::new(),
+            fingerprint_at,
+        })
     }
 
-    buf.put_u32_le(tag.num_nodes() as u32);
-    buf.put_u64_le(tag.num_edges());
+    /// Write raw bytes.
+    #[inline]
+    pub fn put_slice(&mut self, mut bytes: &[u8]) -> Result<(), PersistError> {
+        while BUFFER - self.buf.len() < bytes.len() {
+            let (now, later) = bytes.split_at(BUFFER - self.buf.len());
+            self.buf.extend_from_slice(now);
+            self.write_buffer()?;
+            bytes = later;
+        }
+        self.buf.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    /// Hash and write the buffered bytes.
+    fn write_buffer(&mut self) -> Result<(), PersistError> {
+        self.hash.update(&self.buf);
+        self.inner.write_all(&self.buf)?;
+        self.buf.clear();
+        Ok(())
+    }
+
+    /// Write a `u8`.
+    pub fn put_u8(&mut self, v: u8) -> Result<(), PersistError> {
+        self.put_slice(&[v])
+    }
+
+    /// Write a little-endian `u16`.
+    pub fn put_u16_le(&mut self, v: u16) -> Result<(), PersistError> {
+        self.put_slice(&v.to_le_bytes())
+    }
+
+    /// Write a little-endian `u32`.
+    pub fn put_u32_le(&mut self, v: u32) -> Result<(), PersistError> {
+        self.put_slice(&v.to_le_bytes())
+    }
+
+    /// Write a little-endian `u64`.
+    pub fn put_u64_le(&mut self, v: u64) -> Result<(), PersistError> {
+        self.put_slice(&v.to_le_bytes())
+    }
+
+    /// Write a little-endian `f32`.
+    pub fn put_f32_le(&mut self, v: f32) -> Result<(), PersistError> {
+        self.put_slice(&v.to_le_bytes())
+    }
+
+    /// Write a little-endian `f64`.
+    pub fn put_f64_le(&mut self, v: f64) -> Result<(), PersistError> {
+        self.put_slice(&v.to_le_bytes())
+    }
+
+    /// Write a `u32`-length-prefixed UTF-8 string, as
+    /// [`ImageReader::string`] reads it. A string too long for its
+    /// length field is refused as `InvalidInput`.
+    pub fn string(&mut self, s: &str) -> Result<(), PersistError> {
+        let len = u32::try_from(s.len()).map_err(|_| {
+            io::Error::new(io::ErrorKind::InvalidInput, "string longer than 4 GiB")
+        })?;
+        self.put_u32_le(len)?;
+        self.put_slice(s.as_bytes())
+    }
+
+    /// Write the buffered rest, fill in the fingerprint, and return the
+    /// sink positioned at the end of the image.
+    pub fn finish(mut self) -> Result<W, PersistError> {
+        self.write_buffer()?;
+        let end = self.inner.stream_position()?;
+        self.inner.seek(SeekFrom::Start(self.fingerprint_at))?;
+        self.inner.write_all(&self.hash.finish().to_le_bytes())?;
+        self.inner.seek(SeekFrom::Start(end))?;
+        self.inner.flush()?;
+        Ok(self.inner)
+    }
+}
+
+/// Write `bundle`'s image to `w` at its current position; returns `w`
+/// positioned after it.
+pub fn write_to<W: Write + Seek>(bundle: &DatasetBundle, w: W) -> Result<W, PersistError> {
+    let tag = &bundle.tag;
+    let mut out = ImageWriter::start(w, &MAGIC)?;
+    out.string(tag.name())?;
+    out.put_f64_le(bundle.scale)?;
+
+    let lex = &bundle.lexicon;
+    out.put_u64_le(lex.seed())?;
+    out.put_u16_le(lex.num_classes())?;
+    out.put_u32_le(lex.class_size())?;
+    out.put_u32_le(lex.shared_size())?;
+    out.put_u32_le(lex.marker_size())?;
+
+    out.put_u16_le(tag.num_classes() as u16)?;
+    for name in tag.class_names() {
+        out.string(name)?;
+    }
+
+    out.put_u32_le(tag.num_nodes() as u32)?;
+    out.put_u64_le(tag.num_edges())?;
     for (u, v) in tag.graph().edges() {
-        buf.put_u32_le(u.0);
-        buf.put_u32_le(v.0);
+        out.put_u32_le(u.0)?;
+        out.put_u32_le(v.0)?;
     }
 
     for v in tag.node_ids() {
-        buf.put_u16_le(tag.label(v).0);
-        buf.put_f32_le(bundle.alphas[v.index()]);
-        buf.put_u8(u8::from(bundle.adversarial[v.index()]));
+        out.put_u16_le(tag.label(v).0)?;
+        out.put_f32_le(bundle.alphas[v.index()])?;
+        out.put_u8(u8::from(bundle.adversarial[v.index()]))?;
         let t = tag.text(v);
-        put_str(&mut buf, &t.title);
-        put_str(&mut buf, &t.body);
+        out.string(&t.title)?;
+        out.string(&t.body)?;
     }
-    MAGIC.frame(&buf.freeze(), 0).freeze()
-}
-
-/// Deserialize a bundle; the caller supplies the spec (code, not data).
-pub fn from_bytes(buf: Bytes, spec: DatasetSpec) -> Result<DatasetBundle, PersistError> {
-    decode(&mut ImageReader::from_slice(&buf), spec)
+    out.finish()
 }
 
 /// Decode one dataset image from `r`, which must end where the image
@@ -579,9 +671,10 @@ fn decode_payload<R: Read>(
     Ok(DatasetBundle { tag, lexicon, alphas, adversarial, spec, scale })
 }
 
-/// Save a bundle to a file.
+/// Save a bundle to a file, streamed: see the module docs.
 pub fn save(bundle: &DatasetBundle, path: impl AsRef<Path>) -> Result<(), PersistError> {
-    Ok(fs::write(path, to_bytes(bundle))?)
+    write_to(bundle, File::create(path)?)?;
+    Ok(())
 }
 
 /// Load a bundle from a file, attaching `spec`. Streams: see the module
@@ -597,8 +690,17 @@ mod tests {
     use crate::{dataset, generate};
     use mqo_graph::NodeId;
 
+    /// `bundle`'s image, written to memory.
+    fn image(bundle: &DatasetBundle) -> Vec<u8> {
+        write_to(bundle, io::Cursor::new(Vec::new())).unwrap().into_inner()
+    }
+
+    fn from_slice(bytes: &[u8], spec: DatasetSpec) -> Result<DatasetBundle, PersistError> {
+        decode(&mut ImageReader::from_slice(bytes), spec)
+    }
+
     fn roundtrip(bundle: &DatasetBundle) -> DatasetBundle {
-        from_bytes(to_bytes(bundle), bundle.spec.clone()).expect("roundtrip")
+        from_slice(&image(bundle), bundle.spec.clone()).expect("roundtrip")
     }
 
     #[test]
@@ -640,14 +742,13 @@ mod tests {
     #[test]
     fn corrupt_inputs_are_rejected_not_panicked() {
         let spec = DatasetId::Cora.spec();
-        assert!(from_bytes(Bytes::from_static(b""), spec.clone()).is_err());
-        assert!(from_bytes(Bytes::from_static(b"NOTMAGIC"), spec.clone()).is_err());
+        assert!(from_slice(b"", spec.clone()).is_err());
+        assert!(from_slice(b"NOTMAGIC", spec.clone()).is_err());
         // Valid magic, truncated afterwards.
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC.current);
-        buf.put_u32_le(3);
-        buf.put_slice(b"co"); // promised 3 bytes, gave 2
-        assert!(matches!(from_bytes(buf.freeze(), spec), Err(PersistError::Corrupt(_))));
+        let mut buf = MAGIC.current.to_vec();
+        buf.extend_from_slice(&3u32.to_le_bytes());
+        buf.extend_from_slice(b"co"); // promised 3 bytes, gave 2
+        assert!(matches!(from_slice(&buf, spec), Err(PersistError::Corrupt(_))));
     }
 
     /// Bugfix regression: the header used to carry no fingerprint, so a
@@ -657,12 +758,11 @@ mod tests {
     #[test]
     fn truncated_and_corrupted_images_fail_the_fingerprint() {
         let original = dataset(DatasetId::Cora, Some(0.1), 64);
-        let bytes = to_bytes(&original);
+        let bytes = image(&original);
 
         // Truncation: drop the tail (the old format often survived this
         // when the cut landed between node records).
-        let cut = Bytes::from(bytes[..bytes.len() - 16].to_vec());
-        match from_bytes(cut, original.spec.clone()) {
+        match from_slice(&bytes[..bytes.len() - 16], original.spec.clone()) {
             Err(PersistError::Corrupt(what)) => {
                 assert!(what.contains("fingerprint"), "got: {what}")
             }
@@ -671,10 +771,10 @@ mod tests {
 
         // Single flipped bit deep in the payload: previously undetected
         // (it would alter one text or label in place).
-        let mut flipped = bytes.to_vec();
+        let mut flipped = bytes.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x40;
-        match from_bytes(Bytes::from(flipped), original.spec.clone()) {
+        match from_slice(&flipped, original.spec.clone()) {
             Err(PersistError::Corrupt(what)) => {
                 assert!(what.contains("fingerprint"), "got: {what}")
             }
@@ -682,7 +782,7 @@ mod tests {
         }
 
         // Fingerprint of the intact image still verifies.
-        assert!(from_bytes(bytes, original.spec.clone()).is_ok());
+        assert!(from_slice(&bytes, original.spec.clone()).is_ok());
     }
 
     /// A reader that hands out at most three bytes per `read`, so every
@@ -727,21 +827,21 @@ mod tests {
 
     #[test]
     fn sections_that_straddle_the_buffer_decode_exactly() {
-        let image = to_bytes(&straddling_bundle());
+        let bytes = image(&straddling_bundle());
         let spec = DatasetId::Cora.spec();
-        let whole = from_bytes(image.clone(), spec.clone()).unwrap();
-        assert_eq!(&to_bytes(&whole)[..], &image[..]);
-        let mut r = ImageReader::new(Trickle(&image), image.len() as u64);
+        let whole = from_slice(&bytes, spec.clone()).unwrap();
+        assert_eq!(image(&whole), bytes);
+        let mut r = ImageReader::new(Trickle(&bytes), bytes.len() as u64);
         let trickled = decode(&mut r, spec.clone()).unwrap();
-        assert_eq!(&to_bytes(&trickled)[..], &image[..]);
+        assert_eq!(image(&trickled), bytes);
 
         // A flipped bit inside the long body fails the fingerprint when
         // read in either way.
-        let mut flipped = image.to_vec();
+        let mut flipped = bytes;
         let at = flipped.len() - 150_000;
         flipped[at] ^= 0x01;
         let mut r = ImageReader::new(Trickle(&flipped), flipped.len() as u64);
-        for verdict in [decode(&mut r, spec.clone()), from_bytes(Bytes::from(flipped), spec)] {
+        for verdict in [decode(&mut r, spec.clone()), from_slice(&flipped, spec)] {
             match verdict {
                 Err(PersistError::Corrupt(what)) => assert!(what.contains("fingerprint")),
                 other => panic!("a flipped body bit must fail the fingerprint, got {other:?}"),
@@ -752,20 +852,20 @@ mod tests {
     #[test]
     fn an_image_from_the_earlier_encoder_still_loads_and_is_verified() {
         let original = dataset(DatasetId::Cora, Some(0.1), 65);
-        let image = to_bytes(&original);
-        assert_eq!(&image[..8], MAGIC.current);
-        let payload = &image[16..];
+        let current = image(&original);
+        assert_eq!(&current[..8], MAGIC.current);
+        let payload = &current[16..];
         let mut legacy = MAGIC.legacy.to_vec();
         legacy.extend_from_slice(&ImageHash::Fnv1a.of(payload).to_le_bytes());
         legacy.extend_from_slice(payload);
-        let back = from_bytes(Bytes::from(legacy.clone()), original.spec.clone()).unwrap();
-        assert_eq!(&to_bytes(&back)[..], &image[..], "re-encoded in the current framing");
+        let back = from_slice(&legacy, original.spec.clone()).unwrap();
+        assert_eq!(image(&back), current, "re-encoded in the current framing");
 
         let mut flipped = legacy;
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x08;
         assert!(matches!(
-            from_bytes(Bytes::from(flipped), original.spec.clone()),
+            from_slice(&flipped, original.spec.clone()),
             Err(PersistError::Corrupt("fingerprint mismatch (truncated or corrupt file)"))
         ));
     }

@@ -18,6 +18,11 @@
 //! its shard file, a few percent of the full-graph image at products
 //! scale, and any truncation or cross-shard file swap fails loudly.
 //!
+//! [`ShardBundle::write_to`] writes the header through its own
+//! [`persist::ImageWriter`], whose fingerprint it fills in before the
+//! inner image starts, and then hands the same sink to
+//! [`persist::write_to`]: neither image is ever built in memory.
+//!
 //! [`ShardBundle::load`] streams the file through one
 //! [`persist::ImageReader`]: the header and id map are hashed as they
 //! are read and their fingerprint is checked before the first byte of
@@ -33,11 +38,11 @@
 //! `local_of` binary-searches the owned run, then the halo run.
 
 use crate::partition::ShardMap;
-use bytes::{BufMut, Bytes, BytesMut};
-use mqo_data::persist::{self, ImageReader, Magic, PersistError};
+use mqo_data::persist::{self, ImageReader, ImageWriter, Magic, PersistError};
 use mqo_data::{DatasetBundle, DatasetSpec};
 use mqo_graph::{GraphBuilder, NodeId, Tag};
-use std::io::Read;
+use std::fs::File;
+use std::io::{Read, Seek, Write};
 use std::path::Path;
 
 /// The shard image's magics: `MQOSHD2` (XXH64 header fingerprint) is
@@ -284,34 +289,26 @@ impl ShardBundle {
         self.identity.neighbor_shards(self.data.tag.graph(), map, local)
     }
 
-    /// Serialize: fingerprinted shard header, then the inner dataset
-    /// image (which carries its own fingerprint).
-    pub fn to_bytes(&self) -> Bytes {
+    /// Write the image to `w` at its current position: the
+    /// fingerprinted shard header, then the inner dataset image (which
+    /// carries its own fingerprint). Returns `w` positioned after it.
+    pub fn write_to<W: Write + Seek>(&self, w: W) -> Result<W, PersistError> {
         let id = &self.identity;
-        let mut header = BytesMut::with_capacity(16 + 4 * id.global_ids.len());
-        header.put_u32_le(id.shard_id);
-        header.put_u32_le(id.num_shards);
-        header.put_u32_le(id.num_owned);
-        header.put_u32_le(id.global_ids.len() as u32);
+        let mut header = ImageWriter::start(w, &MAGIC)?;
+        header.put_u32_le(id.shard_id)?;
+        header.put_u32_le(id.num_shards)?;
+        header.put_u32_le(id.num_owned)?;
+        header.put_u32_le(id.global_ids.len() as u32)?;
         for &g in &id.global_ids {
-            header.put_u32_le(g);
+            header.put_u32_le(g)?;
         }
-        let header = header.freeze();
-        let inner = persist::to_bytes(&self.data);
-        let mut framed = MAGIC.frame(&header, inner.len());
-        framed.put_slice(&inner);
-        framed.freeze()
-    }
-
-    /// Deserialize bytes written by [`ShardBundle::to_bytes`]; the caller
-    /// supplies the spec, exactly as `mqo_data::persist::load` does.
-    pub fn from_bytes(buf: Bytes, spec: DatasetSpec) -> Result<ShardBundle, PersistError> {
-        ShardBundle::decode(&mut ImageReader::from_slice(&buf), spec)
+        persist::write_to(&self.data, header.finish()?)
     }
 
     /// Decode a shard image from `r`, which must end where the image
-    /// does.
-    fn decode<R: Read>(
+    /// does; the caller supplies the spec, exactly as
+    /// `mqo_data::persist::decode` does.
+    pub fn decode<R: Read>(
         r: &mut ImageReader<R>,
         spec: DatasetSpec,
     ) -> Result<ShardBundle, PersistError> {
@@ -346,9 +343,10 @@ impl ShardBundle {
         Ok(ShardBundle { identity, data })
     }
 
-    /// Save to a file.
+    /// Save to a file, streamed: see the module docs.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        Ok(std::fs::write(path, self.to_bytes())?)
+        self.write_to(File::create(path)?)?;
+        Ok(())
     }
 
     /// Load from a file, attaching `spec`. Streams: see the module docs.
@@ -367,6 +365,15 @@ mod tests {
     use mqo_data::persist::ImageHash;
     use mqo_data::{dataset, DatasetId};
     use std::collections::HashMap;
+    use std::io::Cursor;
+
+    fn image(sb: &ShardBundle) -> Vec<u8> {
+        sb.write_to(Cursor::new(Vec::new())).unwrap().into_inner()
+    }
+
+    fn from_slice(bytes: &[u8], spec: DatasetSpec) -> Result<ShardBundle, PersistError> {
+        ShardBundle::decode(&mut ImageReader::from_slice(bytes), spec)
+    }
 
     fn fixture() -> (DatasetBundle, ShardMap) {
         let full = dataset(DatasetId::Cora, Some(0.2), 17);
@@ -435,32 +442,32 @@ mod tests {
     fn file_roundtrip_and_corruption() {
         let (full, map) = fixture();
         let sb = extract_shard(&full, &map, 0);
-        let bytes = sb.to_bytes();
-        let back = ShardBundle::from_bytes(bytes.clone(), full.spec.clone()).unwrap();
+        let bytes = image(&sb);
+        let back = from_slice(&bytes, full.spec.clone()).unwrap();
         assert_eq!(back.identity.shard_id, 0);
         assert_eq!(back.identity.num_shards, 3);
         assert_eq!(back.num_owned(), sb.num_owned());
         assert_eq!(back.identity.global_ids, sb.identity.global_ids);
         assert_eq!(back.data.tag.num_edges(), sb.data.tag.num_edges());
-        assert_eq!(&back.to_bytes()[..], &bytes[..], "shard serialization must be byte-stable");
+        assert_eq!(image(&back), bytes, "shard serialization must be byte-stable");
 
         // Header corruption and inner corruption both fail loudly.
-        let mut bad_header = bytes.to_vec();
+        let mut bad_header = bytes.clone();
         bad_header[8 + 8 + 2] ^= 1;
-        assert!(ShardBundle::from_bytes(Bytes::from(bad_header), full.spec.clone()).is_err());
-        let mut bad_inner = bytes.to_vec();
+        assert!(from_slice(&bad_header, full.spec.clone()).is_err());
+        let mut bad_inner = bytes;
         let tail = bad_inner.len() - 8;
         bad_inner[tail] ^= 1;
-        assert!(ShardBundle::from_bytes(Bytes::from(bad_inner), full.spec.clone()).is_err());
+        assert!(from_slice(&bad_inner, full.spec.clone()).is_err());
     }
 
     /// Re-frame `sb`'s image with its id map rewritten by `edit` and the
     /// header fingerprint recomputed, so only the id-map checks can
     /// object.
-    fn with_edited_ids(sb: &ShardBundle, edit: impl FnOnce(&mut [u32])) -> Bytes {
+    fn with_edited_ids(sb: &ShardBundle, edit: impl FnOnce(&mut [u32])) -> Vec<u8> {
         let mut ids = sb.identity.global_ids.clone();
         edit(&mut ids);
-        let mut bytes = sb.to_bytes().to_vec();
+        let mut bytes = image(sb);
         let header = 8 + 8;
         for (i, g) in ids.iter().enumerate() {
             let at = header + 16 + 4 * i;
@@ -469,11 +476,11 @@ mod tests {
         let end = header + 16 + 4 * ids.len();
         let fp = ImageHash::Xxh64.of(&bytes[header..end]);
         bytes[8..header].copy_from_slice(&fp.to_le_bytes());
-        Bytes::from(bytes)
+        bytes
     }
 
-    fn corrupt_reason(bytes: Bytes, spec: DatasetSpec) -> &'static str {
-        match ShardBundle::from_bytes(bytes, spec) {
+    fn corrupt_reason(bytes: Vec<u8>, spec: DatasetSpec) -> &'static str {
+        match from_slice(&bytes, spec) {
             Err(PersistError::Corrupt(what)) => what,
             other => panic!("expected a corrupt-image error, got {other:?}"),
         }
@@ -499,9 +506,7 @@ mod tests {
             "duplicate global id in local id map"
         );
         // The untouched map still decodes.
-        assert!(
-            ShardBundle::from_bytes(with_edited_ids(&sb, |_| {}), full.spec.clone()).is_ok()
-        );
+        assert!(from_slice(&with_edited_ids(&sb, |_| {}), full.spec.clone()).is_ok());
     }
 
     #[test]

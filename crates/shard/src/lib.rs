@@ -35,6 +35,6 @@ pub mod ring;
 pub mod router;
 
 pub use bundle::{extract_shard, ShardBundle, ShardIdentity};
-pub use partition::{partition, PartitionStrategy, ShardMap, ShardMapError, ShardStats};
+pub use partition::{partition, PartitionStrategy, ShardMap, ShardStats};
 pub use ring::HashRing;
 pub use router::{Router, RouterConfig};

@@ -8,7 +8,10 @@
 //! lists, and cut statistics, not per-node tables — and its binary
 //! serialization is byte-stable: the same graph and seed produce the
 //! same bytes, which is what lets a cluster verify that router and
-//! workers agree on the partition by comparing fingerprints.
+//! workers agree on the partition by comparing fingerprints. It is
+//! written through `mqo_data::persist::ImageWriter` and read through
+//! its `ImageReader`, like every other image, and fails with the same
+//! `PersistError`.
 //!
 //! Two ownership rules:
 //!
@@ -23,10 +26,10 @@
 //!   [`crate::ring`]. Membership-stable, cut-oblivious.
 
 use crate::ring::{splitmix64, HashRing};
-use bytes::{BufMut, Bytes, BytesMut};
-use mqo_data::persist::{ImageReader, Magic, PersistError};
+use mqo_data::persist::{ImageReader, ImageWriter, Magic, PersistError};
 use mqo_graph::{Csr, NodeId};
-use std::io::{self, Read};
+use std::fs::File;
+use std::io::{Read, Seek, Write};
 use std::path::Path;
 
 /// The shard map's magics: `MQOSHM2` (XXH64 fingerprint) is written,
@@ -52,41 +55,6 @@ pub struct ShardStats {
     /// Edges with exactly one endpoint in this shard (each such edge
     /// appears in the count of both shards it touches).
     pub cut_edges: u64,
-}
-
-/// Errors from shard-map persistence.
-#[derive(Debug)]
-pub enum ShardMapError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// The file is not a valid shard map.
-    Corrupt(&'static str),
-}
-
-impl std::fmt::Display for ShardMapError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardMapError::Io(e) => write!(f, "io error: {e}"),
-            ShardMapError::Corrupt(what) => write!(f, "corrupt shard map: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for ShardMapError {}
-
-impl From<io::Error> for ShardMapError {
-    fn from(e: io::Error) -> Self {
-        ShardMapError::Io(e)
-    }
-}
-
-impl From<PersistError> for ShardMapError {
-    fn from(e: PersistError) -> Self {
-        match e {
-            PersistError::Io(e) => ShardMapError::Io(e),
-            PersistError::Corrupt(what) => ShardMapError::Corrupt(what),
-        }
-    }
 }
 
 /// A deterministic partition of `[0, num_nodes)` into shards, plus the
@@ -288,41 +256,37 @@ impl ShardMap {
         }
     }
 
-    /// Serialize. Byte-stable: equal maps produce equal bytes.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf =
-            BytesMut::with_capacity(64 + 4 * self.boundary.iter().map(Vec::len).sum::<usize>());
-        buf.put_u8(match self.strategy {
+    /// Write the image to `w` at its current position; returns `w`
+    /// positioned after it. Byte-stable: equal maps write equal bytes.
+    pub fn write_to<W: Write + Seek>(&self, w: W) -> Result<W, PersistError> {
+        let mut out = ImageWriter::start(w, &MAGIC)?;
+        out.put_u8(match self.strategy {
             PartitionStrategy::EdgeCut => 0,
             PartitionStrategy::Ring => 1,
-        });
-        buf.put_u64_le(self.seed);
-        buf.put_u32_le(self.num_nodes);
-        buf.put_u32_le(self.num_shards());
+        })?;
+        out.put_u64_le(self.seed)?;
+        out.put_u32_le(self.num_nodes)?;
+        out.put_u32_le(self.num_shards())?;
         for &s in &self.starts {
-            buf.put_u32_le(s);
+            out.put_u32_le(s)?;
         }
-        buf.put_u64_le(self.total_cut);
+        out.put_u64_le(self.total_cut)?;
         for (stats, boundary) in self.stats.iter().zip(&self.boundary) {
-            buf.put_u32_le(stats.owned_nodes);
-            buf.put_u64_le(stats.internal_edges);
-            buf.put_u64_le(stats.cut_edges);
-            buf.put_u32_le(boundary.len() as u32);
+            out.put_u32_le(stats.owned_nodes)?;
+            out.put_u64_le(stats.internal_edges)?;
+            out.put_u64_le(stats.cut_edges)?;
+            out.put_u32_le(boundary.len() as u32)?;
             for &v in boundary {
-                buf.put_u32_le(v);
+                out.put_u32_le(v)?;
             }
         }
-        MAGIC.frame(&buf.freeze(), 0).freeze()
+        out.finish()
     }
 
-    /// Deserialize bytes written by [`ShardMap::to_bytes`].
-    pub fn from_bytes(buf: Bytes) -> Result<ShardMap, ShardMapError> {
-        ShardMap::decode(&mut ImageReader::from_slice(&buf))
-    }
-
-    /// Decode a shard map from `r`, streamed and verified the way
-    /// `mqo_data::persist` decodes a dataset image.
-    fn decode<R: Read>(r: &mut ImageReader<R>) -> Result<ShardMap, ShardMapError> {
+    /// Decode a shard map from `r`, which must end where the image does,
+    /// streamed and verified the way `mqo_data::persist` decodes a
+    /// dataset image.
+    pub fn decode<R: Read>(r: &mut ImageReader<R>) -> Result<ShardMap, PersistError> {
         r.magic(&MAGIC, "bad magic")?;
         let stored = r.u64_le("truncated fingerprint")?;
         let mut map = r.verified(
@@ -402,13 +366,14 @@ impl ShardMap {
         })
     }
 
-    /// Save to a file.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ShardMapError> {
-        Ok(std::fs::write(path, self.to_bytes())?)
+    /// Save to a file, streamed.
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
+        self.write_to(File::create(path)?)?;
+        Ok(())
     }
 
     /// Load from a file, streamed.
-    pub fn load(path: impl AsRef<Path>) -> Result<ShardMap, ShardMapError> {
+    pub fn load(path: impl AsRef<Path>) -> Result<ShardMap, PersistError> {
         ShardMap::decode(&mut ImageReader::open(path)?)
     }
 
@@ -445,6 +410,15 @@ impl ShardMap {
 mod tests {
     use super::*;
     use mqo_graph::GraphBuilder;
+    use std::io::Cursor;
+
+    fn image(map: &ShardMap) -> Vec<u8> {
+        map.write_to(Cursor::new(Vec::new())).unwrap().into_inner()
+    }
+
+    fn from_slice(bytes: &[u8]) -> Result<ShardMap, PersistError> {
+        ShardMap::decode(&mut ImageReader::from_slice(bytes))
+    }
 
     /// Two dense clusters joined by one bridge edge: the cut refinement
     /// must place its single cut point on the bridge.
@@ -494,14 +468,10 @@ mod tests {
         let csr = two_clusters(40);
         for strategy in [PartitionStrategy::EdgeCut, PartitionStrategy::Ring] {
             let map = partition(&csr, 3, 99, strategy);
-            let bytes = map.to_bytes();
-            let back = ShardMap::from_bytes(bytes.clone()).unwrap();
+            let bytes = image(&map);
+            let back = from_slice(&bytes).unwrap();
             assert_eq!(back, map);
-            assert_eq!(
-                &back.to_bytes()[..],
-                &bytes[..],
-                "re-serialization must be byte-stable"
-            );
+            assert_eq!(image(&back), bytes, "re-serialization must be byte-stable");
         }
     }
 
@@ -509,16 +479,13 @@ mod tests {
     fn corrupt_maps_are_rejected() {
         let csr = two_clusters(10);
         let map = partition(&csr, 2, 1, PartitionStrategy::EdgeCut);
-        let bytes = map.to_bytes();
-        assert!(ShardMap::from_bytes(Bytes::from_static(b"nope")).is_err());
-        let cut = Bytes::from(bytes[..bytes.len() - 3].to_vec());
-        assert!(matches!(ShardMap::from_bytes(cut), Err(ShardMapError::Corrupt(_))));
-        let mut flipped = bytes.to_vec();
+        let bytes = image(&map);
+        assert!(from_slice(b"nope").is_err());
+        let cut = &bytes[..bytes.len() - 3];
+        assert!(matches!(from_slice(cut), Err(PersistError::Corrupt(_))));
+        let mut flipped = bytes.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 1;
-        assert!(matches!(
-            ShardMap::from_bytes(Bytes::from(flipped)),
-            Err(ShardMapError::Corrupt(_))
-        ));
+        assert!(matches!(from_slice(&flipped), Err(PersistError::Corrupt(_))));
     }
 }

@@ -6,13 +6,19 @@
 //! as a truncation, from memory and from a file, without a large
 //! allocation, in the current framing (XXH64) and the earlier
 //! encoder's (FNV-1a).
+//!
+//! The writers are held to the same ceiling from the other side: saving
+//! an image of many megabytes streams it, so no allocation comes near
+//! the image's size.
 
-use bytes::Bytes;
-use mqo_data::persist::{self, ImageHash, PersistError};
-use mqo_data::DatasetId;
-use mqo_shard::{ShardBundle, ShardMap, ShardMapError};
+use mqo_data::persist::{self, ImageHash, ImageReader, PersistError};
+use mqo_data::{DatasetBundle, DatasetId};
+use mqo_graph::{ClassId, GraphBuilder, NodeText, Tag};
+use mqo_shard::{partition, PartitionStrategy, ShardBundle, ShardIdentity, ShardMap};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Records the largest single allocation request since the last reset.
 struct PeakAlloc;
@@ -40,8 +46,13 @@ unsafe impl GlobalAlloc for PeakAlloc {
 #[global_allocator]
 static ALLOC: PeakAlloc = PeakAlloc;
 
-/// No decode of these few-byte images may ask for more than this.
+/// No decode of these few-byte images, and no save of the large ones,
+/// may ask for more than this.
 const ALLOCATION_CEILING: usize = 1 << 20;
+
+/// Held by each test while it measures, so no other test's allocations
+/// race the peak.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// One framing of the three image kinds: their magics, and the hash
 /// those magics name.
@@ -124,10 +135,11 @@ fn temp_file(tag: &str, bytes: &[u8]) -> std::path::PathBuf {
 fn assert_dataset_refused(tag: &str, image: &[u8], expected: &str) {
     let spec = DatasetId::Cora.spec();
     let path = temp_file(tag, image);
-    let from_bytes = probe(|| persist::from_bytes(Bytes::from(image.to_vec()), spec.clone()));
+    let in_memory =
+        probe(|| persist::decode(&mut ImageReader::from_slice(image), spec.clone()));
     let loaded = probe(|| persist::load(&path, spec.clone()));
     std::fs::remove_file(&path).ok();
-    for (how, (err, largest)) in [("from_bytes", from_bytes), ("load", loaded)] {
+    for (how, (err, largest)) in [("in memory", in_memory), ("load", loaded)] {
         assert!(
             matches!(err, PersistError::Corrupt(what) if what == expected),
             "{tag} via {how}: {err}"
@@ -139,11 +151,11 @@ fn assert_dataset_refused(tag: &str, image: &[u8], expected: &str) {
 fn assert_shard_refused(tag: &str, image: &[u8], expected: &str) {
     let spec = DatasetId::Cora.spec();
     let path = temp_file(tag, image);
-    let from_bytes =
-        probe(|| ShardBundle::from_bytes(Bytes::from(image.to_vec()), spec.clone()));
+    let in_memory =
+        probe(|| ShardBundle::decode(&mut ImageReader::from_slice(image), spec.clone()));
     let loaded = probe(|| ShardBundle::load(&path, spec.clone()));
     std::fs::remove_file(&path).ok();
-    for (how, (err, largest)) in [("from_bytes", from_bytes), ("load", loaded)] {
+    for (how, (err, largest)) in [("in memory", in_memory), ("load", loaded)] {
         assert!(
             matches!(err, PersistError::Corrupt(what) if what == expected),
             "{tag} via {how}: {err}"
@@ -154,21 +166,21 @@ fn assert_shard_refused(tag: &str, image: &[u8], expected: &str) {
 
 fn assert_map_refused(tag: &str, image: &[u8], expected: &str) {
     let path = temp_file(tag, image);
-    let from_bytes = probe(|| ShardMap::from_bytes(Bytes::from(image.to_vec())));
+    let in_memory = probe(|| ShardMap::decode(&mut ImageReader::from_slice(image)));
     let loaded = probe(|| ShardMap::load(&path));
     std::fs::remove_file(&path).ok();
-    for (how, (err, largest)) in [("from_bytes", from_bytes), ("load", loaded)] {
+    for (how, (err, largest)) in [("in memory", in_memory), ("load", loaded)] {
         assert!(
-            matches!(err, ShardMapError::Corrupt(what) if what == expected),
+            matches!(err, PersistError::Corrupt(what) if what == expected),
             "{tag} via {how}: {err}"
         );
         assert!(largest < ALLOCATION_CEILING, "{tag} via {how} allocated {largest} bytes");
     }
 }
 
-/// One test, so no other test's allocations race the peak.
 #[test]
 fn oversized_counts_are_truncations_not_allocations() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     for f in &FORMATS {
         refuse_oversized_counts(f);
     }
@@ -222,4 +234,70 @@ fn refuse_oversized_counts(f: &Format) {
         p.extend_from_slice(&0u64.to_le_bytes());
         assert_map_refused(&format!("shards-{strategy}"), &framed(f.map, f.hash, &p), expected);
     }
+}
+
+/// The smallest image the writer test saves: eight times the ceiling.
+const LARGE_IMAGE: u64 = 8 << 20;
+
+/// A dataset whose image passes [`LARGE_IMAGE`]: 20,000 nodes on a
+/// path, each with a 450-byte body.
+fn large_dataset() -> DatasetBundle {
+    let n = 20_000;
+    let mut builder = GraphBuilder::new(n);
+    for i in 1..n as u32 {
+        builder.add_edge(i - 1, i).unwrap();
+    }
+    let texts = (0..n).map(|i| NodeText::new(format!("t{i}"), "b".repeat(450))).collect();
+    let labels = (0..n).map(|i| ClassId((i % 2) as u16)).collect();
+    let names = vec!["A".to_string(), "B".into()];
+    let tag = Tag::new("cora", builder.build(), texts, labels, names).unwrap();
+    DatasetBundle {
+        tag,
+        lexicon: Arc::new(mqo_text::Lexicon::with_markers(1, 2, 3, 4, 1)),
+        alphas: vec![0.5; n],
+        adversarial: vec![false; n],
+        spec: DatasetId::Cora.spec(),
+        scale: 1.0,
+    }
+}
+
+/// A two-shard map whose boundary lists pass [`LARGE_IMAGE`]: every node
+/// of the first half is joined to its twin in the second, so nearly
+/// every node has a neighbor on the other shard.
+fn large_map() -> ShardMap {
+    let n = 2_400_000u32;
+    let mut builder = GraphBuilder::with_capacity(n as usize, n as usize / 2);
+    for i in 0..n / 2 {
+        builder.add_edge(i, i + n / 2).unwrap();
+    }
+    partition(&builder.build(), 2, 1, PartitionStrategy::EdgeCut)
+}
+
+/// Run `save` into a fresh file and assert the image it wrote is large
+/// while its largest allocation stayed under the ceiling.
+fn assert_streamed(tag: &str, save: impl FnOnce(&Path) -> Result<(), PersistError>) {
+    let path =
+        std::env::temp_dir().join(format!("mqo-decode-bounds-{}-{tag}", std::process::id()));
+    LARGEST.store(0, Ordering::Relaxed);
+    save(&path).unwrap();
+    let largest = LARGEST.load(Ordering::Relaxed);
+    let len = std::fs::metadata(&path).unwrap().len();
+    std::fs::remove_file(&path).ok();
+    assert!(len >= LARGE_IMAGE, "{tag}: the image is only {len} bytes");
+    assert!(largest < ALLOCATION_CEILING, "{tag}: save allocated {largest} bytes at once");
+}
+
+#[test]
+fn writers_never_hold_an_image() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let data = large_dataset();
+    let n = data.tag.num_nodes() as u32;
+    let shard = ShardBundle {
+        identity: ShardIdentity::new(0, 1, n, (0..n).collect()),
+        data: large_dataset(),
+    };
+    let map = large_map();
+    assert_streamed("dataset", |path| persist::save(&data, path));
+    assert_streamed("shard", |path| shard.save(path));
+    assert_streamed("map", |path| map.save(path));
 }

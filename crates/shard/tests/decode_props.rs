@@ -6,8 +6,7 @@
 //! images from the earlier encoder (FNV-1a, older magics) still load,
 //! and an image whose magic names the other hash is refused.
 
-use bytes::Bytes;
-use mqo_data::persist::{self, ImageHash};
+use mqo_data::persist::{self, ImageHash, ImageReader};
 use mqo_data::{DatasetBundle, DatasetId, DatasetSpec};
 use mqo_graph::{ClassId, GraphBuilder, NodeText, Tag};
 use mqo_shard::{
@@ -16,6 +15,7 @@ use mqo_shard::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::io::Cursor;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -89,6 +89,18 @@ fn damage(image: &[u8], kind: u8, at: u64, mask: u8, pad: &[u8]) -> Vec<u8> {
     out
 }
 
+fn dataset_image(bundle: &DatasetBundle) -> Vec<u8> {
+    persist::write_to(bundle, Cursor::new(Vec::new())).unwrap().into_inner()
+}
+
+fn shard_image(shard: &ShardBundle) -> Vec<u8> {
+    shard.write_to(Cursor::new(Vec::new())).unwrap().into_inner()
+}
+
+fn map_image(map: &ShardMap) -> Vec<u8> {
+    map.write_to(Cursor::new(Vec::new())).unwrap().into_inner()
+}
+
 /// A file path unique to this test process and `tag`.
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("mqo-decode-props-{}-{tag}", std::process::id()))
@@ -101,24 +113,24 @@ fn dataset_verdicts(image: &[u8], tag: &str) -> (Verdict, Verdict) {
     let path = temp_path(tag);
     std::fs::write(&path, image).unwrap();
     let verdict = |r: Result<DatasetBundle, persist::PersistError>| {
-        r.map(|b| persist::to_bytes(&b).to_vec()).map_err(|e| e.to_string())
+        r.map(|b| dataset_image(&b)).map_err(|e| e.to_string())
     };
-    let from_bytes = verdict(persist::from_bytes(Bytes::from(image.to_vec()), spec()));
+    let in_memory = verdict(persist::decode(&mut ImageReader::from_slice(image), spec()));
     let loaded = verdict(persist::load(&path, spec()));
     std::fs::remove_file(&path).ok();
-    (from_bytes, loaded)
+    (in_memory, loaded)
 }
 
 fn shard_verdicts(image: &[u8], tag: &str) -> (Verdict, Verdict) {
     let path = temp_path(tag);
     std::fs::write(&path, image).unwrap();
     let verdict = |r: Result<ShardBundle, persist::PersistError>| {
-        r.map(|b| b.to_bytes().to_vec()).map_err(|e| e.to_string())
+        r.map(|b| shard_image(&b)).map_err(|e| e.to_string())
     };
-    let from_bytes = verdict(ShardBundle::from_bytes(Bytes::from(image.to_vec()), spec()));
+    let in_memory = verdict(ShardBundle::decode(&mut ImageReader::from_slice(image), spec()));
     let loaded = verdict(ShardBundle::load(&path, spec()));
     std::fs::remove_file(&path).ok();
-    (from_bytes, loaded)
+    (in_memory, loaded)
 }
 
 proptest! {
@@ -126,22 +138,22 @@ proptest! {
 
     #[test]
     fn intact_images_decode_and_re_encode_byte_identically(seed in any::<u64>()) {
-        let data = persist::to_bytes(&random_bundle(seed)).to_vec();
+        let data = dataset_image(&random_bundle(seed));
         prop_assert_eq!(&data[..8], b"MQOTAG3\n");
-        let (from_bytes, loaded) = dataset_verdicts(&data, "intact-dataset");
-        prop_assert_eq!(from_bytes.as_deref(), Ok(&data[..]), "seed {}", seed);
+        let (in_memory, loaded) = dataset_verdicts(&data, "intact-dataset");
+        prop_assert_eq!(in_memory.as_deref(), Ok(&data[..]), "seed {}", seed);
         prop_assert_eq!(loaded.as_deref(), Ok(&data[..]), "seed {}", seed);
 
         // The earlier encoder's framing of the same payload loads to the
         // same bundle, which the encoder writes in the current framing.
         let legacy = reframe(&data, b"MQOTAG2\n", ImageHash::Fnv1a);
-        let (from_bytes, loaded) = dataset_verdicts(&legacy, "legacy-dataset");
-        prop_assert_eq!(from_bytes.as_deref(), Ok(&data[..]), "seed {}", seed);
+        let (in_memory, loaded) = dataset_verdicts(&legacy, "legacy-dataset");
+        prop_assert_eq!(in_memory.as_deref(), Ok(&data[..]), "seed {}", seed);
         prop_assert_eq!(loaded.as_deref(), Ok(&data[..]), "seed {}", seed);
 
-        let shard = random_shard(seed).to_bytes().to_vec();
-        let (from_bytes, loaded) = shard_verdicts(&shard, "intact-shard");
-        prop_assert_eq!(from_bytes.as_deref(), Ok(&shard[..]), "seed {}", seed);
+        let shard = shard_image(&random_shard(seed));
+        let (in_memory, loaded) = shard_verdicts(&shard, "intact-shard");
+        prop_assert_eq!(in_memory.as_deref(), Ok(&shard[..]), "seed {}", seed);
         prop_assert_eq!(loaded.as_deref(), Ok(&shard[..]), "seed {}", seed);
     }
 
@@ -153,15 +165,15 @@ proptest! {
         mask in 1u8..=255,
         pad in prop::collection::vec(any::<u8>(), 1..16),
     ) {
-        let data = damage(&persist::to_bytes(&random_bundle(seed)), kind, at, mask, &pad);
-        let (from_bytes, loaded) = dataset_verdicts(&data, "damaged-dataset");
-        prop_assert!(from_bytes.is_err(), "seed {} kind {}: damaged dataset decoded", seed, kind);
-        prop_assert_eq!(from_bytes, loaded, "seed {} kind {}", seed, kind);
+        let data = damage(&dataset_image(&random_bundle(seed)), kind, at, mask, &pad);
+        let (in_memory, loaded) = dataset_verdicts(&data, "damaged-dataset");
+        prop_assert!(in_memory.is_err(), "seed {} kind {}: damaged dataset decoded", seed, kind);
+        prop_assert_eq!(in_memory, loaded, "seed {} kind {}", seed, kind);
 
-        let shard = damage(&random_shard(seed).to_bytes(), kind, at, mask, &pad);
-        let (from_bytes, loaded) = shard_verdicts(&shard, "damaged-shard");
-        prop_assert!(from_bytes.is_err(), "seed {} kind {}: damaged shard decoded", seed, kind);
-        prop_assert_eq!(from_bytes, loaded, "seed {} kind {}", seed, kind);
+        let shard = damage(&shard_image(&random_shard(seed)), kind, at, mask, &pad);
+        let (in_memory, loaded) = shard_verdicts(&shard, "damaged-shard");
+        prop_assert!(in_memory.is_err(), "seed {} kind {}: damaged shard decoded", seed, kind);
+        prop_assert_eq!(in_memory, loaded, "seed {} kind {}", seed, kind);
     }
 }
 
@@ -192,6 +204,46 @@ const CURRENT_SHARD: &str = "\
     757420746f6b656e730100000080be0108000000626f6f7374696e6700000000\
     01000000803f000400000068616c6f11000000612072656d6f7465206e656967\
     68626f72";
+
+/// The fingerprint fields of full-size images as the encoder wrote them
+/// before it streamed: `mqo generate cora --seed 42` (scale 1.0), and
+/// the map and both shards of `mqo partition cora --shards 2 --seed 42`.
+/// Each entry is the image's length and its fingerprint field in file
+/// order; a shard carries two fields, its header's and its inner
+/// dataset image's. The tiny fixture above covers one small shard; these
+/// catch a writer that drifts only on a real-sized image.
+const CORA_42: (usize, &str) = (1_770_297, "4a73b9f0889ad6c4");
+const CORA_42_MAP: (usize, &str) = (8_829, "5265f17507bafd6b");
+const CORA_42_SHARDS: [(usize, &str, &str); 2] = [
+    (1_612_241, "a402b5050b332ae0", "dd1f4684151b52e9"),
+    (1_598_461, "f0a3c1b1d303ead4", "fbe4ed230aaed849"),
+];
+
+#[test]
+fn full_size_images_keep_their_fingerprints() {
+    // The fingerprint field of the image that starts at `at`.
+    let field = |image: &[u8], at: usize| -> String {
+        image[at + 8..at + 16].iter().map(|b| format!("{b:02x}")).collect()
+    };
+    let full = mqo_data::dataset(DatasetId::Cora, None, 42);
+    let data = dataset_image(&full);
+    assert_eq!((data.len(), field(&data, 0).as_str()), CORA_42, "dataset image");
+
+    let map = partition(full.tag.graph(), 2, 42, PartitionStrategy::EdgeCut);
+    let image = map_image(&map);
+    assert_eq!((image.len(), field(&image, 0).as_str()), CORA_42_MAP, "shard map");
+
+    for (s, &(len, header, inner)) in CORA_42_SHARDS.iter().enumerate() {
+        let shard = extract_shard(&full, &map, s as u32);
+        let image = shard_image(&shard);
+        let inner_at = 8 + 8 + 16 + 4 * shard.num_locals() as usize;
+        assert_eq!(
+            (image.len(), field(&image, 0).as_str(), field(&image, inner_at).as_str()),
+            (len, header, inner),
+            "shard {s}"
+        );
+    }
+}
 
 fn unhex(hex: &str) -> Vec<u8> {
     (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap()).collect()
@@ -242,7 +294,7 @@ fn an_image_from_the_earlier_encoder_loads_to_an_equal_bundle() {
         (7, 2, 3, 4, 1)
     );
     // The encoder writes the same bundle in the current framing.
-    assert_eq!(loaded.to_bytes().to_vec(), unhex(CURRENT_SHARD));
+    assert_eq!(shard_image(&loaded), unhex(CURRENT_SHARD));
 }
 
 /// The earlier encoder's image re-encodes to this one (above), and this
@@ -250,8 +302,8 @@ fn an_image_from_the_earlier_encoder_loads_to_an_equal_bundle() {
 #[test]
 fn a_current_image_loads_and_re_encodes_byte_identically() {
     let image = unhex(CURRENT_SHARD);
-    let (from_bytes, loaded) = shard_verdicts(&image, "current-encoder.bin");
-    assert_eq!(from_bytes.as_deref(), Ok(&image[..]));
+    let (in_memory, loaded) = shard_verdicts(&image, "current-encoder.bin");
+    assert_eq!(in_memory.as_deref(), Ok(&image[..]));
     assert_eq!(loaded.as_deref(), Ok(&image[..]));
 }
 
@@ -260,7 +312,7 @@ fn a_current_image_loads_and_re_encodes_byte_identically() {
 /// dataset, shard and shard-map images.
 #[test]
 fn a_magic_naming_the_other_hash_is_a_fingerprint_mismatch() {
-    let mismatch = "corrupt dataset file: fingerprint mismatch (truncated or corrupt file)";
+    let mismatch = "corrupt image: fingerprint mismatch (truncated or corrupt file)";
     let current = unhex(CURRENT_SHARD);
     let legacy = encoded_shard();
 
@@ -271,25 +323,26 @@ fn a_magic_naming_the_other_hash_is_a_fingerprint_mismatch() {
     };
     for (image, magic) in [(&current[INNER..], b"MQOTAG2\n"), (&legacy[INNER..], b"MQOTAG3\n")]
     {
-        let (from_bytes, loaded) = dataset_verdicts(&swapped(image, magic), "mixed-dataset");
-        assert_eq!(from_bytes.err().as_deref(), Some(mismatch), "dataset under {magic:?}");
+        let (in_memory, loaded) = dataset_verdicts(&swapped(image, magic), "mixed-dataset");
+        assert_eq!(in_memory.err().as_deref(), Some(mismatch), "dataset under {magic:?}");
         assert_eq!(loaded.err().as_deref(), Some(mismatch), "dataset under {magic:?}");
     }
-    let header_mismatch = "corrupt dataset file: shard header fingerprint mismatch";
+    let header_mismatch = "corrupt image: shard header fingerprint mismatch";
     for (image, magic) in [(&current, b"MQOSHD1\n"), (&legacy, b"MQOSHD2\n")] {
-        let (from_bytes, loaded) = shard_verdicts(&swapped(image, magic), "mixed-shard");
-        assert_eq!(from_bytes.err().as_deref(), Some(header_mismatch), "shard under {magic:?}");
+        let (in_memory, loaded) = shard_verdicts(&swapped(image, magic), "mixed-shard");
+        assert_eq!(in_memory.err().as_deref(), Some(header_mismatch), "shard under {magic:?}");
         assert_eq!(loaded.err().as_deref(), Some(header_mismatch), "shard under {magic:?}");
     }
 
     let full = random_bundle(7);
-    let map = partition(full.tag.graph(), 2, 7, PartitionStrategy::EdgeCut).to_bytes().to_vec();
+    let map = map_image(&partition(full.tag.graph(), 2, 7, PartitionStrategy::EdgeCut));
     assert_eq!(&map[..8], b"MQOSHM2\n");
     let legacy_map = reframe(&map, b"MQOSHM1\n", ImageHash::Fnv1a);
-    let decode =
-        |image: Vec<u8>| ShardMap::from_bytes(Bytes::from(image)).map_err(|e| e.to_string());
-    assert_eq!(decode(legacy_map.clone()).map(|m| m.to_bytes().to_vec()), Ok(map.clone()));
-    let map_mismatch = "corrupt shard map: fingerprint mismatch (truncated or corrupt file)";
+    let decode = |image: Vec<u8>| {
+        ShardMap::decode(&mut ImageReader::from_slice(&image)).map_err(|e| e.to_string())
+    };
+    assert_eq!(decode(legacy_map.clone()).map(|m| map_image(&m)), Ok(map.clone()));
+    let map_mismatch = "corrupt image: fingerprint mismatch (truncated or corrupt file)";
     assert_eq!(decode(swapped(&map, b"MQOSHM1\n")).err().as_deref(), Some(map_mismatch));
     assert_eq!(decode(swapped(&legacy_map, b"MQOSHM2\n")).err().as_deref(), Some(map_mismatch));
 }

@@ -8,6 +8,7 @@
 
 use mqo_core::journal::record_from_json;
 use mqo_core::QueryRecord;
+use mqo_data::persist::ImageReader;
 use mqo_data::{dataset, DatasetBundle, DatasetId};
 use mqo_graph::NodeId;
 use mqo_obs::{http_get, http_post};
@@ -81,12 +82,12 @@ fn partition_is_deterministic_per_seed_and_roundtrips() {
         let a = partition(csr, 4, 11, strategy);
         let b = partition(csr, 4, 11, strategy);
         assert_eq!(a, b, "{strategy:?} partition must be deterministic");
-        assert_eq!(
-            &a.to_bytes()[..],
-            &b.to_bytes()[..],
-            "{strategy:?} serialization must be byte-identical"
-        );
-        let back = ShardMap::from_bytes(a.to_bytes()).expect("shard map round-trips");
+        let image = |map: &ShardMap| {
+            map.write_to(std::io::Cursor::new(Vec::new())).unwrap().into_inner()
+        };
+        assert_eq!(image(&a), image(&b), "{strategy:?} serialization must be byte-identical");
+        let back = ShardMap::decode(&mut ImageReader::from_slice(&image(&a)))
+            .expect("shard map round-trips");
         assert_eq!(a, back);
         for v in (0..csr.num_nodes() as u32).step_by(97) {
             assert_eq!(a.owner(v), back.owner(v), "ownership survives the round-trip");
