@@ -7,19 +7,22 @@
 //! so five integers reconstruct it) — in a length-prefixed little-endian
 //! binary format.
 //!
-//! Format (`MQOTAG3\n` magic, then little-endian fields):
+//! Format (`MQOTAG4\n` magic, then little-endian fields):
 //!
 //! ```text
 //! header   magic[8] | fingerprint u64 | name | scale f64
 //! lexicon  seed u64 | classes u16 | per_class u32 | shared u32 | markers u32
 //! classes  count u16 | name*
-//! graph    nodes u32 | edges u64 | (u32, u32)*        (each edge once)
+//! graph    nodes u32 | entries u64 | offsets u64×(nodes+1) | targets u32×entries
 //! nodes    per node: label u16 | alpha f32 | adversarial u8 | title | body
 //! ```
 //!
-//! Strings are `u32` length + UTF-8 bytes. The spec is *not* persisted
-//! (it is code, not data); [`load`] returns the bundle with the spec the
-//! caller supplies.
+//! The graph section is the CSR exactly as [`Csr`] holds it in memory:
+//! node `v`'s neighbors are `targets[offsets[v]..offsets[v + 1]]`, each
+//! undirected edge stored from both ends and a self-loop once. Strings
+//! are `u32` length + UTF-8 bytes. The spec is *not* persisted (it is
+//! code, not data); [`load`] returns the bundle with the spec the caller
+//! supplies.
 //!
 //! The fingerprint is XXH64 (seed 0, [`mqo_obs::Xxh64`]) over every byte
 //! after the fingerprint field. A truncated copy, a flipped bit, or a
@@ -29,14 +32,18 @@
 //! thousands of records later. This matters most for sharded
 //! deployments, where per-shard files are copied between machines.
 //!
-//! The magic names the hash. Images from the earlier encoder carry
-//! `MQOTAG2\n` and an FNV-1a 64 fingerprint over the same payload
-//! layout; a reader picks the hash from the magic ([`Magic`],
+//! The magic names the framing: the hash and the graph layout. Images
+//! from earlier encoders store the graph as an edge list, `edges u64 |
+//! (u32, u32)*` with each edge once, under `MQOTAG3\n` (XXH64) or
+//! `MQOTAG2\n` (FNV-1a 64); every other field is laid out as above. A
+//! reader learns the framing from the magic ([`Magic`],
 //! [`ImageReader::magic`]), so those images still load and are still
-//! verified. Writers emit only the current magic. The shard formats in
-//! `mqo-shard` follow the same rule with their own magic pairs. FNV-1a
-//! reads one byte per multiply and XXH64 eight, which is why the hash
-//! changed: byte-serial hashing was the largest single cost of a load.
+//! verified; their edge list is rebuilt into a CSR by a
+//! [`GraphBuilder`]. Writers emit only the current magic. The shard
+//! formats in `mqo-shard` follow the same rule with their own magics.
+//! FNV-1a reads one byte per multiply and XXH64 eight, which is why the
+//! hash changed; rebuilding the CSR from the edge list was then most of
+//! a load, which is why the layout changed.
 //!
 //! Decoding streams. [`load`] parses straight from the file through an
 //! [`ImageReader`], which owns a 64 KiB buffer, hands out fields from
@@ -44,16 +51,21 @@
 //! whole-file image is ever resident; [`decode`] over
 //! [`ImageReader::from_slice`] runs the same decoder over a slice.
 //! Fixed-width sections decode in bulk from the buffer
-//! ([`ImageReader::records`]): the edge list a block of whole edges at a
-//! time. The CSR is built as soon as the edge section ends,
-//! so the `GraphBuilder`'s edge list is freed before the first text is
-//! read. After the parse, succeeded or failed, the reader drains the
-//! rest of the image and the fingerprint is compared: a mismatch wins
-//! over any parse error, so a damaged image reports the same verdict it
-//! would if it had been hashed before parsing. Because parsing now runs
-//! before that verdict, every count and length is checked against the
-//! bytes left in the image before it sizes an allocation; a count the
-//! rest of the image cannot back is reported as a truncation.
+//! ([`ImageReader::records`]): the offsets and targets straight into
+//! the two arrays the [`Csr`] keeps. Before a `Csr` exists,
+//! [`Csr::try_from_parts`] checks them in one linear pass: offsets that
+//! start at 0, never fall and end at the number of targets; strictly
+//! ascending runs of in-range ids; and symmetry, compared as a sum of a
+//! keyed 64-bit mix over the entries (see `mqo_graph`), whose key is
+//! drawn per load so no crafted image can cancel it. The edge count is
+//! derived, not stored. After the parse, succeeded or failed, the
+//! reader drains the rest of the image and the fingerprint is compared:
+//! a mismatch wins over any parse error, so a damaged image reports the
+//! same verdict it would if it had been hashed before parsing. Because
+//! parsing now runs before that verdict, every count and length is
+//! checked against the bytes left in the image before it sizes an
+//! allocation; a count the rest of the image cannot back is reported as
+//! a truncation.
 //!
 //! Encoding streams the same way. [`write_to`] hands the fields to an
 //! [`ImageWriter`], the mirror of the reader: it writes the magic and a
@@ -63,19 +75,35 @@
 //! writer started mid-stream (the shard formats nest a dataset image
 //! after their own header) fingerprints only its own image. Every image
 //! kind in the workspace is written through it.
+//!
+//! Saving never tears the destination. [`write_atomically`], which
+//! every image kind's `save` goes through, writes a sibling temporary
+//! file, syncs it to disk and renames it over the destination, so a save
+//! that fails midway leaves the previous image whole. A failed save
+//! removes its temporary file; a killed one leaves it (a dot-file named
+//! after the destination) beside the untouched image.
 
 use crate::generate::DatasetBundle;
 use crate::spec::DatasetSpec;
-use mqo_graph::{ClassId, GraphBuilder, NodeText, Tag};
+use mqo_graph::{ClassId, Csr, Error as GraphError, GraphBuilder, NodeText, Tag};
 use mqo_obs::Xxh64;
 use mqo_text::Lexicon;
+use std::ffi::OsString;
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The dataset image's magics.
-const MAGIC: Magic = Magic { current: b"MQOTAG3\n", legacy: b"MQOTAG2\n" };
+/// The dataset image's magics: `MQOTAG4` stores the CSR, the two older
+/// framings an edge list (`MQOTAG3` with XXH64, `MQOTAG2` with FNV-1a).
+const MAGIC: Magic = Magic {
+    current: b"MQOTAG4\n",
+    older: &[
+        Framing { magic: b"MQOTAG3\n", hash: ImageHash::Xxh64 },
+        Framing { magic: b"MQOTAG2\n", hash: ImageHash::Fnv1a },
+    ],
+};
 
 /// Smallest node record: label u16, alpha f32, adversarial u8, and two
 /// empty strings (a `u32` length each).
@@ -136,15 +164,33 @@ impl Running {
     }
 }
 
-/// The two magics of one image kind. Writers emit `current`, with an
-/// XXH64 fingerprint; `legacy` marks an image from the earlier encoder,
-/// whose fingerprint is FNV-1a over the same payload layout.
+/// One framing of an image kind: the magic that opens it and the hash
+/// its fingerprint is made with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Framing {
+    /// The image's first eight bytes.
+    pub magic: &'static [u8; 8],
+    /// The hash its fingerprint is made with.
+    pub hash: ImageHash,
+}
+
+/// Every framing of one image kind. Writers emit `current`, with an
+/// XXH64 fingerprint; a reader also accepts each of `older`, and
+/// [`ImageReader::magic`] reports which framing matched, so a decoder
+/// can pick both the hash and the payload layout from it.
 #[derive(Debug, Clone, Copy)]
 pub struct Magic {
     /// What writers emit (XXH64 fingerprint).
     pub current: &'static [u8; 8],
-    /// What the earlier encoder wrote (FNV-1a fingerprint).
-    pub legacy: &'static [u8; 8],
+    /// Framings of earlier encoders that still load, newest first.
+    pub older: &'static [Framing],
+}
+
+impl Magic {
+    /// The framing writers emit.
+    pub const fn current(&self) -> Framing {
+        Framing { magic: self.current, hash: ImageHash::Xxh64 }
+    }
 }
 
 /// Errors from reading or writing any image: dataset, shard or shard
@@ -241,19 +287,21 @@ impl<R: Read> ImageReader<R> {
         self.left
     }
 
-    /// Read an image's magic: one of `magic`'s pair, or `Corrupt(what)`.
-    /// The hash it names is the one [`ImageReader::start_hash`] starts
-    /// from here on.
-    pub fn magic(&mut self, magic: &Magic, what: &'static str) -> Result<(), PersistError> {
+    /// Read an image's magic: one of `magic`'s framings, or
+    /// `Corrupt(what)`. Returns the framing that matched; the hash it
+    /// names is the one [`ImageReader::start_hash`] starts from here on.
+    pub fn magic(
+        &mut self,
+        magic: &Magic,
+        what: &'static str,
+    ) -> Result<Framing, PersistError> {
         let read = self.array::<8>(what)?;
-        self.kind = if &read == magic.current {
-            ImageHash::Xxh64
-        } else if &read == magic.legacy {
-            ImageHash::Fnv1a
-        } else {
-            return Err(PersistError::Corrupt(what));
-        };
-        Ok(())
+        let framing = std::iter::once(magic.current())
+            .chain(magic.older.iter().copied())
+            .find(|f| f.magic == &read)
+            .ok_or(PersistError::Corrupt(what))?;
+        self.kind = framing.hash;
+        Ok(framing)
     }
 
     /// Restart the running hash: it covers the bytes read from here on.
@@ -384,6 +432,20 @@ impl<R: Read> ImageReader<R> {
         })
     }
 
+    /// Append `count` little-endian `u64`s to `out`, as [`ImageReader::u32s`]
+    /// does `u32`s.
+    pub fn u64s(
+        &mut self,
+        count: u64,
+        what: &'static str,
+        out: &mut Vec<u64>,
+    ) -> Result<(), PersistError> {
+        self.records(count, 8, what, |run| {
+            out.extend(run.chunks_exact(8).map(le_u64));
+            Ok(())
+        })
+    }
+
     /// Read a `u32`-length-prefixed UTF-8 string. The length is checked
     /// against the bytes left before the buffer is allocated.
     pub fn string(&mut self) -> Result<String, PersistError> {
@@ -441,6 +503,10 @@ impl<R: Read> ImageReader<R> {
 
 fn le_u32(b: &[u8]) -> u32 {
     u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+}
+
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
 /// A forward-only writer of one binary image, the mirror of
@@ -513,6 +579,45 @@ impl<W: Write + Seek> ImageWriter<W> {
         self.put_slice(&v.to_le_bytes())
     }
 
+    /// Write `values` as little-endian `u32`s, a buffer at a time.
+    pub fn put_u32s(&mut self, values: &[u32]) -> Result<(), PersistError> {
+        self.put_all(values, u32::to_le_bytes)
+    }
+
+    /// Write `values` as little-endian `u64`s, a buffer at a time.
+    pub fn put_u64s(&mut self, values: &[u64]) -> Result<(), PersistError> {
+        self.put_all(values, u64::to_le_bytes)
+    }
+
+    /// Encode `values` straight into the buffer, writing it each time it
+    /// fills; a value that would straddle the buffer's end goes through
+    /// [`ImageWriter::put_slice`].
+    fn put_all<T: Copy, const N: usize>(
+        &mut self,
+        mut values: &[T],
+        le: impl Fn(T) -> [u8; N],
+    ) -> Result<(), PersistError> {
+        while let Some(&first) = values.first() {
+            let room = (BUFFER - self.buf.len()) / N;
+            if room == 0 {
+                self.put_slice(&le(first))?;
+                values = &values[1..];
+                continue;
+            }
+            let (now, later) = values.split_at(room.min(values.len()));
+            let start = self.buf.len();
+            self.buf.resize(start + N * now.len(), 0);
+            for (out, &v) in self.buf[start..].chunks_exact_mut(N).zip(now) {
+                out.copy_from_slice(&le(v));
+            }
+            if self.buf.len() == BUFFER {
+                self.write_buffer()?;
+            }
+            values = later;
+        }
+        Ok(())
+    }
+
     /// Write a little-endian `f32`.
     pub fn put_f32_le(&mut self, v: f32) -> Result<(), PersistError> {
         self.put_slice(&v.to_le_bytes())
@@ -567,12 +672,11 @@ pub fn write_to<W: Write + Seek>(bundle: &DatasetBundle, w: W) -> Result<W, Pers
         out.string(name)?;
     }
 
+    let graph = tag.graph();
     out.put_u32_le(tag.num_nodes() as u32)?;
-    out.put_u64_le(tag.num_edges())?;
-    for (u, v) in tag.graph().edges() {
-        out.put_u32_le(u.0)?;
-        out.put_u32_le(v.0)?;
-    }
+    out.put_u64_le(graph.adjacency_len() as u64)?;
+    out.put_u64s(graph.offsets())?;
+    out.put_u32s(graph.targets())?;
 
     for v in tag.node_ids() {
         out.put_u16_le(tag.label(v).0)?;
@@ -591,16 +695,19 @@ pub fn decode<R: Read>(
     r: &mut ImageReader<R>,
     spec: DatasetSpec,
 ) -> Result<DatasetBundle, PersistError> {
-    r.magic(&MAGIC, "bad magic")?;
+    let csr = r.magic(&MAGIC, "bad magic")?.magic == MAGIC.current;
     let stored = r.u64_le("truncated fingerprint")?;
     r.verified(stored, "fingerprint mismatch (truncated or corrupt file)", |r| {
-        decode_payload(r, spec)
+        decode_payload(r, spec, csr)
     })
 }
 
+/// The payload after the fingerprint; `csr` says whether the graph
+/// section is the CSR or an older framing's edge list.
 fn decode_payload<R: Read>(
     r: &mut ImageReader<R>,
     spec: DatasetSpec,
+    csr: bool,
 ) -> Result<DatasetBundle, PersistError> {
     use PersistError::Corrupt;
     let name = r.string()?;
@@ -629,27 +736,8 @@ fn decode_payload<R: Read>(
     }
 
     let n = r.u32_le("truncated graph header")? as u64;
-    let m = r.u64_le("truncated graph header")?;
-    // Size nothing the rest of the image cannot back: 8 bytes per edge,
-    // then at least `MIN_NODE_RECORD` per node.
-    if m > r.remaining() / 8 {
-        return Err(Corrupt("truncated edge list"));
-    }
-    if n > (r.remaining() - 8 * m) / MIN_NODE_RECORD {
-        return Err(Corrupt("truncated node record"));
-    }
+    let graph = if csr { csr_section(r, n)? } else { edge_section(r, n)? };
     let n = n as usize;
-    let mut builder = GraphBuilder::with_capacity(n, m as usize);
-    r.records(m, 8, "truncated edge list", |edges| {
-        for edge in edges.chunks_exact(8) {
-            builder
-                .add_edge(le_u32(&edge[..4]), le_u32(&edge[4..]))
-                .map_err(|_| Corrupt("edge out of range"))?;
-        }
-        Ok(())
-    })?;
-    // Build the CSR now, so the edge list is gone before the texts.
-    let graph = builder.build();
 
     let mut labels = Vec::with_capacity(n);
     let mut alphas = Vec::with_capacity(n);
@@ -671,10 +759,102 @@ fn decode_payload<R: Read>(
     Ok(DatasetBundle { tag, lexicon, alphas, adversarial, spec, scale })
 }
 
-/// Save a bundle to a file, streamed: see the module docs.
+/// The `MQOTAG4` graph section: `entries u64 | offsets u64×(n+1) |
+/// targets u32×entries`, the CSR as it is held in memory. Both arrays
+/// are read in bulk and handed to [`Csr::try_from_parts`], which refuses
+/// anything a CSR must not hold before one exists.
+fn csr_section<R: Read>(r: &mut ImageReader<R>, n: u64) -> Result<Csr, PersistError> {
+    use PersistError::Corrupt;
+    let entries = r.u64_le("truncated graph header")?;
+    // Size nothing the rest of the image cannot back: both arrays, then
+    // at least `MIN_NODE_RECORD` per node.
+    if n + 1 > r.remaining() / 8 {
+        return Err(Corrupt("truncated offsets"));
+    }
+    let left = r.remaining() - 8 * (n + 1);
+    if entries > left / 4 {
+        return Err(Corrupt("truncated targets"));
+    }
+    if n > (left - 4 * entries) / MIN_NODE_RECORD {
+        return Err(Corrupt("truncated node record"));
+    }
+    let mut offsets = Vec::with_capacity(n as usize + 1);
+    r.u64s(n + 1, "truncated offsets", &mut offsets)?;
+    let mut targets = Vec::with_capacity(entries as usize);
+    r.u32s(entries, "truncated targets", &mut targets)?;
+    Csr::try_from_parts(offsets, targets).map_err(|e| {
+        Corrupt(match e {
+            GraphError::BadOffsets { detail } => detail,
+            GraphError::UnsortedRun { .. } => "unsorted neighbor run",
+            GraphError::DuplicateNeighbor { .. } => "duplicate neighbor",
+            GraphError::NodeOutOfRange { .. } => "neighbor out of range",
+            GraphError::AsymmetricAdjacency => "asymmetric adjacency",
+            _ => "invalid adjacency",
+        })
+    })
+}
+
+/// The graph section of the older framings: `edges u64 | (u32, u32)*`,
+/// each undirected edge once, rebuilt into a CSR by a [`GraphBuilder`].
+fn edge_section<R: Read>(r: &mut ImageReader<R>, n: u64) -> Result<Csr, PersistError> {
+    use PersistError::Corrupt;
+    let m = r.u64_le("truncated graph header")?;
+    // 8 bytes per edge, then at least `MIN_NODE_RECORD` per node.
+    if m > r.remaining() / 8 {
+        return Err(Corrupt("truncated edge list"));
+    }
+    if n > (r.remaining() - 8 * m) / MIN_NODE_RECORD {
+        return Err(Corrupt("truncated node record"));
+    }
+    let mut builder = GraphBuilder::with_capacity(n as usize, m as usize);
+    r.records(m, 8, "truncated edge list", |edges| {
+        for edge in edges.chunks_exact(8) {
+            builder
+                .add_edge(le_u32(&edge[..4]), le_u32(&edge[4..]))
+                .map_err(|_| Corrupt("edge out of range"))?;
+        }
+        Ok(())
+    })?;
+    // Built here, so the edge list is gone before the texts.
+    Ok(builder.build())
+}
+
+/// Replace the file at `path` with what `write` writes, never leaving it
+/// torn: `write` fills a sibling temporary file, which is synced to disk
+/// and then renamed over `path`, and the directory is synced after it. If any step fails, the temporary file
+/// is removed and `path` keeps what it held. Every image kind saves
+/// through this.
+pub fn write_atomically(
+    path: &Path,
+    write: impl FnOnce(File) -> Result<File, PersistError>,
+) -> Result<(), PersistError> {
+    static SAVES: AtomicU64 = AtomicU64::new(0);
+    let name = path
+        .file_name()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path names no file"))?;
+    let mut temp = OsString::from(".");
+    temp.push(name);
+    temp.push(format!(".{}-{}.tmp", std::process::id(), SAVES.fetch_add(1, Ordering::Relaxed)));
+    let temp = path.with_file_name(temp);
+    let file = File::create_new(&temp)?;
+    let saved = write(file).and_then(|file| {
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&temp, path)?;
+        // The rename is durable once the directory that records it is.
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        Ok(File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?)
+    });
+    if saved.is_err() {
+        std::fs::remove_file(&temp).ok();
+    }
+    saved
+}
+
+/// Save a bundle to a file, streamed and atomically: see the module
+/// docs and [`write_atomically`].
 pub fn save(bundle: &DatasetBundle, path: impl AsRef<Path>) -> Result<(), PersistError> {
-    write_to(bundle, File::create(path)?)?;
-    Ok(())
+    write_atomically(path.as_ref(), |file| write_to(bundle, file))
 }
 
 /// Load a bundle from a file, attaching `spec`. Streams: see the module
@@ -849,25 +1029,137 @@ mod tests {
         }
     }
 
+    /// Where `bundle`'s image holds its CSR: the start of the `entries`
+    /// field and the end of the targets.
+    fn csr_at(bundle: &DatasetBundle) -> (usize, usize) {
+        let tag = &bundle.tag;
+        let names: usize = tag.class_names().iter().map(|c| 4 + c.len()).sum();
+        let at = 16 + 4 + tag.name().len() + 8 + 22 + 2 + names + 4;
+        let graph = tag.graph();
+        (at, at + 8 + 8 * (tag.num_nodes() + 1) + 4 * graph.adjacency_len())
+    }
+
+    /// `bundle`'s image in an older framing, whose graph section is an
+    /// edge list.
+    fn edge_list_image(bundle: &DatasetBundle, framing: Framing) -> Vec<u8> {
+        let current = image(bundle);
+        let (at, end) = csr_at(bundle);
+        let mut payload = current[16..at].to_vec();
+        payload.extend_from_slice(&bundle.tag.num_edges().to_le_bytes());
+        for (u, v) in bundle.tag.graph().edges() {
+            payload.extend_from_slice(&u.0.to_le_bytes());
+            payload.extend_from_slice(&v.0.to_le_bytes());
+        }
+        payload.extend_from_slice(&current[end..]);
+        let mut out = framing.magic.to_vec();
+        out.extend_from_slice(&framing.hash.of(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+        out
+    }
+
     #[test]
     fn an_image_from_the_earlier_encoder_still_loads_and_is_verified() {
         let original = dataset(DatasetId::Cora, Some(0.1), 65);
         let current = image(&original);
         assert_eq!(&current[..8], MAGIC.current);
-        let payload = &current[16..];
-        let mut legacy = MAGIC.legacy.to_vec();
-        legacy.extend_from_slice(&ImageHash::Fnv1a.of(payload).to_le_bytes());
-        legacy.extend_from_slice(payload);
-        let back = from_slice(&legacy, original.spec.clone()).unwrap();
-        assert_eq!(image(&back), current, "re-encoded in the current framing");
+        for &framing in MAGIC.older {
+            let older = edge_list_image(&original, framing);
+            let back = from_slice(&older, original.spec.clone()).unwrap();
+            assert_eq!(back.tag.graph(), original.tag.graph());
+            assert_eq!(image(&back), current, "re-encoded in the current framing");
 
-        let mut flipped = legacy;
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x08;
-        assert!(matches!(
-            from_slice(&flipped, original.spec.clone()),
-            Err(PersistError::Corrupt("fingerprint mismatch (truncated or corrupt file)"))
-        ));
+            let mut flipped = older;
+            let mid = flipped.len() / 2;
+            flipped[mid] ^= 0x08;
+            assert!(matches!(
+                from_slice(&flipped, original.spec.clone()),
+                Err(PersistError::Corrupt("fingerprint mismatch (truncated or corrupt file)"))
+            ));
+        }
+    }
+
+    /// The 4-cycle 0-1-2-3-0 with one-word texts.
+    fn cycle4() -> DatasetBundle {
+        let mut builder = GraphBuilder::new(4);
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
+            builder.add_edge(u, v).unwrap();
+        }
+        let texts = (0..4).map(|i| NodeText::new(format!("t{i}"), "b")).collect();
+        let labels = vec![ClassId(0); 4];
+        let tag = Tag::new("cora", builder.build(), texts, labels, vec!["A".into()]).unwrap();
+        DatasetBundle {
+            tag,
+            lexicon: Arc::new(Lexicon::with_markers(1, 1, 3, 4, 1)),
+            alphas: vec![0.5; 4],
+            adversarial: vec![false; 4],
+            spec: DatasetId::Cora.spec(),
+            scale: 1.0,
+        }
+    }
+
+    /// Every rule a CSR must keep, broken one at a time in an image
+    /// whose fingerprint is then remade, so only the CSR checks can
+    /// object; each names its own reason.
+    #[test]
+    fn a_csr_section_that_breaks_a_rule_is_refused_by_name() {
+        let bundle = cycle4();
+        let (at, _) = csr_at(&bundle);
+        let offsets_at = at + 8;
+        let targets_at = offsets_at + 8 * 5;
+        assert_eq!(bundle.tag.graph().targets(), [1, 3, 0, 2, 1, 3, 0, 2]);
+        let refusal = |offsets: [u64; 5], targets: [u32; 8]| {
+            let mut bytes = image(&bundle);
+            for (i, o) in offsets.iter().enumerate() {
+                bytes[offsets_at + 8 * i..][..8].copy_from_slice(&o.to_le_bytes());
+            }
+            for (i, t) in targets.iter().enumerate() {
+                bytes[targets_at + 4 * i..][..4].copy_from_slice(&t.to_le_bytes());
+            }
+            let fingerprint = ImageHash::Xxh64.of(&bytes[16..]);
+            bytes[8..16].copy_from_slice(&fingerprint.to_le_bytes());
+            match from_slice(&bytes, bundle.spec.clone()) {
+                Ok(_) => "accepted",
+                Err(PersistError::Corrupt(what)) => what,
+                Err(e) => panic!("expected a corrupt image, got {e}"),
+            }
+        };
+        let offsets = [0, 2, 4, 6, 8];
+        let targets = [1, 3, 0, 2, 1, 3, 0, 2];
+        assert_eq!(refusal(offsets, targets), "accepted");
+        assert_eq!(refusal([1, 2, 4, 6, 8], targets), "first offset is not 0");
+        assert_eq!(refusal([0, 4, 2, 6, 8], targets), "offsets are not monotone");
+        assert_eq!(
+            refusal([0, 2, 4, 6, 7], targets),
+            "last offset is not the number of targets"
+        );
+        assert_eq!(refusal(offsets, [3, 1, 0, 2, 1, 3, 0, 2]), "unsorted neighbor run");
+        assert_eq!(refusal(offsets, [1, 1, 0, 2, 1, 3, 0, 2]), "duplicate neighbor");
+        assert_eq!(refusal(offsets, [1, 3, 0, 2, 1, 3, 0, 9]), "neighbor out of range");
+        // Every node keeps in- and out-degree 2, but 0→1 has no 1→0.
+        assert_eq!(refusal(offsets, [1, 2, 2, 3, 0, 3, 0, 1]), "asymmetric adjacency");
+    }
+
+    #[test]
+    fn a_save_replaces_the_file_and_leaves_no_temporary_behind() {
+        let dir = std::env::temp_dir().join(format!("mqo-persist-save-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cycle.mqotag");
+        let bundle = cycle4();
+        std::fs::write(&path, b"an older file").unwrap();
+        save(&bundle, &path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), image(&bundle));
+
+        // A write that fails midway keeps the saved image whole.
+        let failed = write_atomically(&path, |mut file| {
+            file.write_all(MAGIC.current)?;
+            Err(io::Error::new(io::ErrorKind::StorageFull, "disk full").into())
+        });
+        assert!(matches!(failed, Err(PersistError::Io(_))));
+        assert!(load(&path, bundle.spec.clone()).is_ok());
+        let names: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, ["cycle.mqotag"]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl GraphBuilder {
     /// neighbor run out sorted.
     ///
     /// After the sort (linear on input that is already sorted, as an
-    /// image's edge list is) and the dedup, the edges run in `(u, v)`
+    /// older image's edge list is) and the dedup, the edges run in `(u, v)`
     /// order with `u <= v`. One pass in that order writes `v` at `u`'s
     /// cursor and the mirror `u` at `v`'s. Node `x` thus receives its
     /// mirrors (from edges `(u, x)`, `u < x`) before its forward entries
@@ -177,7 +177,7 @@ mod tests {
     /// An edge list over `n` nodes in which duplicates, reversed pairs
     /// and self-loops are common (endpoints come from a small range) and
     /// the top nodes are often isolated. Also returned sorted, as an
-    /// image's edge list arrives.
+    /// older image's edge list arrives.
     fn edge_lists() -> impl Strategy<Value = (usize, Edges, Edges)> {
         (1..40usize)
             .prop_flat_map(|n| {

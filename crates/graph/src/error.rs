@@ -28,6 +28,27 @@ pub enum Error {
         /// Actual length supplied.
         actual: usize,
     },
+    /// CSR offsets that do not frame the targets: the first is not 0,
+    /// one falls below its predecessor, or the last is not the number of
+    /// targets.
+    BadOffsets {
+        /// Which of the three rules the offsets break.
+        detail: &'static str,
+    },
+    /// A neighbor run that is not ascending.
+    UnsortedRun {
+        /// The node whose run it is.
+        node: u32,
+    },
+    /// A neighbor run that lists the same neighbor twice.
+    DuplicateNeighbor {
+        /// The node whose run it is.
+        node: u32,
+        /// The neighbor listed twice.
+        neighbor: u32,
+    },
+    /// An adjacency in which some `v ∈ N(u)` has no matching `u ∈ N(v)`.
+    AsymmetricAdjacency,
     /// A split was requested that cannot be satisfied, e.g. more labeled
     /// nodes per class than the class contains.
     InfeasibleSplit {
@@ -48,6 +69,12 @@ impl fmt::Display for Error {
             Error::LengthMismatch { what, expected, actual } => {
                 write!(f, "{what}: expected {expected} entries, got {actual}")
             }
+            Error::BadOffsets { detail } => write!(f, "bad CSR offsets: {detail}"),
+            Error::UnsortedRun { node } => write!(f, "neighbor run of v{node} is not sorted"),
+            Error::DuplicateNeighbor { node, neighbor } => {
+                write!(f, "neighbor run of v{node} lists v{neighbor} twice")
+            }
+            Error::AsymmetricAdjacency => write!(f, "adjacency is not symmetric"),
             Error::InfeasibleSplit { detail } => write!(f, "infeasible split: {detail}"),
         }
     }

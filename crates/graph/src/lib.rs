@@ -18,9 +18,10 @@
 //! * [`stats`] — homophily, degree, and class-balance statistics used for
 //!   dataset calibration and reporting (Table II).
 //!
-//! All randomized operations take an explicit `&mut impl Rng`; nothing in
-//! this crate reads ambient entropy, so every experiment is reproducible
-//! from its seed.
+//! All randomized operations take an explicit `&mut impl Rng`, so every
+//! experiment is reproducible from its seed. The one read of ambient
+//! entropy is the key of [`Csr::validate`]'s symmetry check, which
+//! decides only whether a malformed adjacency is refused, never a result.
 //!
 //! ```
 //! use mqo_graph::{GraphBuilder, NodeId, traversal};

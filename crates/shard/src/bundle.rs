@@ -27,27 +27,35 @@
 //! [`persist::ImageReader`]: the header and id map are hashed as they
 //! are read and their fingerprint is checked before the first byte of
 //! the inner image, which then decodes from the same reader exactly as
-//! `persist::load` does (streamed, with its own verdict taking
-//! precedence over its parse errors). Both fingerprints are XXH64 under
-//! the current magics (`MQOSHD2`, `MQOTAG3`); each magic names its own
-//! hash, so a shard written by the earlier encoder (`MQOSHD1` around
-//! `MQOTAG2`, FNV-1a) still loads and is still verified. The id-map
-//! length is checked against the bytes left before it sizes an
-//! allocation. Each run of the
-//! map must be strictly ascending, and no id may be both owned and halo:
-//! `local_of` binary-searches the owned run, then the halo run.
+//! `persist::load` does (streamed, its CSR read as stored and checked
+//! before it is used, with its own verdict taking precedence over its
+//! parse errors). Both fingerprints are XXH64 under the current magics
+//! (`MQOSHD2` around `MQOTAG4`); each magic names its own framing, so a
+//! shard written by an earlier encoder (`MQOSHD2` around `MQOTAG3`, or
+//! `MQOSHD1` around `MQOTAG2` with FNV-1a) still loads and is still
+//! verified, its edge list rebuilt into a CSR. The header layout never
+//! changed. [`ShardBundle::save`] replaces its file atomically, through
+//! `persist::write_atomically`. The id-map length is checked against the
+//! bytes left before it sizes an allocation. Each run of the map must be
+//! strictly ascending, and no id may be both owned and halo: `local_of`
+//! binary-searches the owned run, then the halo run.
 
 use crate::partition::ShardMap;
-use mqo_data::persist::{self, ImageReader, ImageWriter, Magic, PersistError};
+use mqo_data::persist::{
+    self, Framing, ImageHash, ImageReader, ImageWriter, Magic, PersistError,
+};
 use mqo_data::{DatasetBundle, DatasetSpec};
 use mqo_graph::{GraphBuilder, NodeId, Tag};
-use std::fs::File;
 use std::io::{Read, Seek, Write};
 use std::path::Path;
 
 /// The shard image's magics: `MQOSHD2` (XXH64 header fingerprint) is
-/// written, `MQOSHD1` (FNV-1a) from the earlier encoder still loads.
-const MAGIC: Magic = Magic { current: b"MQOSHD2\n", legacy: b"MQOSHD1\n" };
+/// written, `MQOSHD1` (FNV-1a) from the earlier encoder still loads. The
+/// inner dataset image carries its own magic.
+const MAGIC: Magic = Magic {
+    current: b"MQOSHD2\n",
+    older: &[Framing { magic: b"MQOSHD1\n", hash: ImageHash::Fnv1a }],
+};
 
 /// The id-space facts of one shard, separable from the dataset itself so
 /// a serving engine can own the [`DatasetBundle`] while the shard
@@ -299,9 +307,7 @@ impl ShardBundle {
         header.put_u32_le(id.num_shards)?;
         header.put_u32_le(id.num_owned)?;
         header.put_u32_le(id.global_ids.len() as u32)?;
-        for &g in &id.global_ids {
-            header.put_u32_le(g)?;
-        }
+        header.put_u32s(&id.global_ids)?;
         persist::write_to(&self.data, header.finish()?)
     }
 
@@ -343,10 +349,9 @@ impl ShardBundle {
         Ok(ShardBundle { identity, data })
     }
 
-    /// Save to a file, streamed: see the module docs.
+    /// Save to a file, streamed and atomically: see the module docs.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        self.write_to(File::create(path)?)?;
-        Ok(())
+        persist::write_atomically(path.as_ref(), |file| self.write_to(file))
     }
 
     /// Load from a file, attaching `spec`. Streams: see the module docs.
@@ -362,7 +367,6 @@ impl ShardBundle {
 mod tests {
     use super::*;
     use crate::partition::{partition, PartitionStrategy};
-    use mqo_data::persist::ImageHash;
     use mqo_data::{dataset, DatasetId};
     use std::collections::HashMap;
     use std::io::Cursor;

@@ -26,15 +26,19 @@
 //!   [`crate::ring`]. Membership-stable, cut-oblivious.
 
 use crate::ring::{splitmix64, HashRing};
-use mqo_data::persist::{ImageReader, ImageWriter, Magic, PersistError};
+use mqo_data::persist::{
+    self, Framing, ImageHash, ImageReader, ImageWriter, Magic, PersistError,
+};
 use mqo_graph::{Csr, NodeId};
-use std::fs::File;
 use std::io::{Read, Seek, Write};
 use std::path::Path;
 
 /// The shard map's magics: `MQOSHM2` (XXH64 fingerprint) is written,
 /// `MQOSHM1` (FNV-1a) from the earlier encoder still loads.
-const MAGIC: Magic = Magic { current: b"MQOSHM2\n", legacy: b"MQOSHM1\n" };
+const MAGIC: Magic = Magic {
+    current: b"MQOSHM2\n",
+    older: &[Framing { magic: b"MQOSHM1\n", hash: ImageHash::Fnv1a }],
+};
 
 /// How node ownership is decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -267,18 +271,14 @@ impl ShardMap {
         out.put_u64_le(self.seed)?;
         out.put_u32_le(self.num_nodes)?;
         out.put_u32_le(self.num_shards())?;
-        for &s in &self.starts {
-            out.put_u32_le(s)?;
-        }
+        out.put_u32s(&self.starts)?;
         out.put_u64_le(self.total_cut)?;
         for (stats, boundary) in self.stats.iter().zip(&self.boundary) {
             out.put_u32_le(stats.owned_nodes)?;
             out.put_u64_le(stats.internal_edges)?;
             out.put_u64_le(stats.cut_edges)?;
             out.put_u32_le(boundary.len() as u32)?;
-            for &v in boundary {
-                out.put_u32_le(v)?;
-            }
+            out.put_u32s(boundary)?;
         }
         out.finish()
     }
@@ -366,10 +366,10 @@ impl ShardMap {
         })
     }
 
-    /// Save to a file, streamed.
+    /// Save to a file, streamed and atomically (see
+    /// `mqo_data::persist::write_atomically`).
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        self.write_to(File::create(path)?)?;
-        Ok(())
+        persist::write_atomically(path.as_ref(), |file| self.write_to(file))
     }
 
     /// Load from a file, streamed.

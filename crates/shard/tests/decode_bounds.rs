@@ -1,11 +1,12 @@
 //! Decoders parse before they reach the fingerprint verdict, so every
 //! count and length in an image is checked against the bytes left
 //! before it sizes an allocation. These images carry valid fingerprints
-//! but claim `u32::MAX` nodes, a 4 GiB title, `u64::MAX` edges, 65535
-//! classes, `u32::MAX` local ids or `u32::MAX` shards; each must come back
-//! as a truncation, from memory and from a file, without a large
-//! allocation, in the current framing (XXH64) and the earlier
-//! encoder's (FNV-1a).
+//! but claim `u32::MAX` nodes, a 4 GiB title, `u64::MAX` edges or CSR
+//! entries, 65535 classes, `u32::MAX` local ids or `u32::MAX` shards;
+//! each must come back as a truncation, from memory and from a file,
+//! without a large allocation, in the current framing (`MQOTAG4`, whose
+//! graph section is the CSR) and the earlier encoders' edge-list
+//! framings (XXH64 and FNV-1a).
 //!
 //! The writers are held to the same ceiling from the other side: saving
 //! an image of many megabytes streams it, so no allocation comes near
@@ -54,27 +55,37 @@ const ALLOCATION_CEILING: usize = 1 << 20;
 /// race the peak.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// One framing of the three image kinds: their magics, and the hash
-/// those magics name.
+/// One framing of the three image kinds: their magics, the hash those
+/// magics name, and whether the dataset's graph section is the CSR.
 struct Format {
     dataset: &'static [u8; 8],
     shard: &'static [u8; 8],
     map: &'static [u8; 8],
     hash: ImageHash,
+    csr: bool,
 }
 
-const FORMATS: [Format; 2] = [
+const FORMATS: [Format; 3] = [
+    Format {
+        dataset: b"MQOTAG4\n",
+        shard: b"MQOSHD2\n",
+        map: b"MQOSHM2\n",
+        hash: ImageHash::Xxh64,
+        csr: true,
+    },
     Format {
         dataset: b"MQOTAG3\n",
         shard: b"MQOSHD2\n",
         map: b"MQOSHM2\n",
         hash: ImageHash::Xxh64,
+        csr: false,
     },
     Format {
         dataset: b"MQOTAG2\n",
         shard: b"MQOSHD1\n",
         map: b"MQOSHM1\n",
         hash: ImageHash::Fnv1a,
+        csr: false,
     },
 ];
 
@@ -110,12 +121,21 @@ fn dataset_image(f: &Format, classes: u16, tail: &[u8]) -> Vec<u8> {
     framed(f.dataset, f.hash, &p)
 }
 
-/// Graph header `n | m`, then `rest`.
+/// Graph header `n | m` (`m` counts edges, or CSR entries), then `rest`.
 fn graph(n: u32, m: u64, rest: &[u8]) -> Vec<u8> {
     let mut t = n.to_le_bytes().to_vec();
     t.extend_from_slice(&m.to_le_bytes());
     t.extend_from_slice(rest);
     t
+}
+
+/// A graph section of `n` nodes and no edges in `f`'s layout (the CSR's
+/// offsets are all 0), then `rest`.
+fn edgeless(f: &Format, n: u32, rest: &[u8]) -> Vec<u8> {
+    let offsets = if f.csr { 8 * (n as usize + 1) } else { 0 };
+    let mut section = vec![0; offsets];
+    section.extend_from_slice(rest);
+    graph(n, 0, &section)
 }
 
 /// Run `decode` and report its error and the largest allocation it made.
@@ -187,16 +207,38 @@ fn oversized_counts_are_truncations_not_allocations() {
 }
 
 fn refuse_oversized_counts(f: &Format) {
-    assert_dataset_refused(
-        "nodes",
-        &dataset_image(f, 1, &graph(u32::MAX, 0, &[])),
-        "truncated node record",
-    );
-    assert_dataset_refused(
-        "edges",
-        &dataset_image(f, 1, &graph(1, u64::MAX, &[])),
-        "truncated edge list",
-    );
+    if f.csr {
+        assert_dataset_refused(
+            "offsets",
+            &dataset_image(f, 1, &graph(u32::MAX, 0, &[])),
+            "truncated offsets",
+        );
+        // A million entries (4 MB), and u64::MAX, behind valid offsets.
+        for entries in [1_000_000, u64::MAX] {
+            assert_dataset_refused(
+                "entries",
+                &dataset_image(f, 1, &graph(1, entries, &[0; 16])),
+                "truncated targets",
+            );
+        }
+        // Offsets for 1,000 nodes, but no node records after them.
+        assert_dataset_refused(
+            "nodes",
+            &dataset_image(f, 1, &edgeless(f, 1_000, &[])),
+            "truncated node record",
+        );
+    } else {
+        assert_dataset_refused(
+            "nodes",
+            &dataset_image(f, 1, &graph(u32::MAX, 0, &[])),
+            "truncated node record",
+        );
+        assert_dataset_refused(
+            "edges",
+            &dataset_image(f, 1, &graph(1, u64::MAX, &[])),
+            "truncated edge list",
+        );
+    }
     assert_dataset_refused(
         "classes",
         &dataset_image(f, u16::MAX, &[]),
@@ -211,7 +253,7 @@ fn refuse_oversized_counts(f: &Format) {
     record.extend_from_slice(&[0; 4]);
     assert_dataset_refused(
         "title",
-        &dataset_image(f, 1, &graph(1, 0, &record)),
+        &dataset_image(f, 1, &edgeless(f, 1, &record)),
         "truncated string body",
     );
 
@@ -221,7 +263,7 @@ fn refuse_oversized_counts(f: &Format) {
         header.extend_from_slice(&field.to_le_bytes());
     }
     let mut shard = framed(f.shard, f.hash, &header);
-    shard.extend_from_slice(&dataset_image(f, 1, &graph(0, 0, &[])));
+    shard.extend_from_slice(&dataset_image(f, 1, &edgeless(f, 0, &[])));
     assert_shard_refused("locals", &shard, "truncated local id map");
 
     // Shard maps claiming u32::MAX shards, under either strategy.

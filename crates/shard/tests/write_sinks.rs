@@ -4,7 +4,9 @@
 //! that fails after N bytes must surface as `PersistError::Io`, never a
 //! panic, and the torn prefix it keeps must be refused by `load`, with N
 //! swept through each image's magic, fingerprint placeholder, 64 KiB
-//! buffer boundaries, fingerprint write and final seek.
+//! buffer boundaries, fingerprint write and final seek. A save whose
+//! file fails midway must leave the image it was replacing loadable and
+//! no temporary file behind.
 
 use mqo_data::persist::{self, PersistError};
 use mqo_data::{DatasetBundle, DatasetId, DatasetSpec};
@@ -21,8 +23,9 @@ fn spec() -> DatasetSpec {
     DatasetId::Cora.spec()
 }
 
-/// 20,000 nodes and 40,000 edges (320 KB of edge records), short texts
-/// around one 100 KB body, so sections cross the buffer at odd offsets.
+/// 20,000 nodes and 40,000 edges (a 480 KB CSR section: 160 KB of
+/// offsets, 320 KB of targets), short texts around one 100 KB body, so
+/// sections cross the buffer at odd offsets.
 fn dataset() -> DatasetBundle {
     let n = 20_000u32;
     let mut builder = GraphBuilder::new(n as usize);
@@ -124,12 +127,12 @@ impl Seek for Trickle {
 
 /// A sink that accepts `left` more bytes, then fails every write and
 /// every seek.
-struct Failing {
-    inner: Cursor<Vec<u8>>,
+struct Failing<W> {
+    inner: W,
     left: usize,
 }
 
-impl Failing {
+impl<W> Failing<W> {
     fn check(&self) -> io::Result<()> {
         match self.left {
             0 => Err(io::Error::new(io::ErrorKind::StorageFull, "sink full")),
@@ -138,7 +141,7 @@ impl Failing {
     }
 }
 
-impl Write for Failing {
+impl<W: Write> Write for Failing<W> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.check()?;
         let k = buf.len().min(self.left);
@@ -150,7 +153,7 @@ impl Write for Failing {
     }
 }
 
-impl Seek for Failing {
+impl<W: Seek> Seek for Failing<W> {
     fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
         self.check()?;
         self.inner.seek(pos)
@@ -159,7 +162,7 @@ impl Seek for Failing {
 
 fn with_images(check: impl Fn(&Image)) {
     let data = dataset();
-    assert!(8 * data.tag.num_edges() > 160_000, "the edge section must pass 160 KB");
+    assert!(4 * data.tag.graph().adjacency_len() > 160_000, "the targets must pass 160 KB");
     let map = partition(data.tag.graph(), 2, 5, PartitionStrategy::Ring);
     let shard = extract_shard(&data, &map, 0);
     for image in [Image::Dataset(&data), Image::Shard(&shard), Image::Map(&map)] {
@@ -227,5 +230,28 @@ fn a_sink_that_fails_leaves_a_prefix_load_refuses() {
             }
         }
         std::fs::remove_file(&path).ok();
+    });
+}
+
+#[test]
+fn a_save_that_fails_midway_keeps_the_previous_image() {
+    with_images(|image| {
+        let dir = temp_path(&format!("atomic-{}", image.name()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("image.bin");
+        image.save(&path).unwrap();
+        let saved = std::fs::read(&path).unwrap();
+        for n in [0, 17, BUFFER + 3, saved.len() / 2] {
+            let failed = persist::write_atomically(&path, |file| {
+                image.write_to(Failing { inner: file, left: n }).map(|sink| sink.inner)
+            });
+            assert!(matches!(failed, Err(PersistError::Io(_))), "{} at {n}", image.name());
+            assert!(std::fs::read(&path).unwrap() == saved, "{}: image changed", image.name());
+            image.load(&path).unwrap();
+            let names: Vec<_> =
+                std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+            assert_eq!(names, ["image.bin"], "{} at {n}", image.name());
+        }
+        std::fs::remove_dir_all(&dir).ok();
     });
 }

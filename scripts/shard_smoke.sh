@@ -15,6 +15,9 @@
 #   * all workers drain cleanly, and worker 0's Chrome trace + cost
 #     ledger pass obs_check.
 #
+# On success the shard bundles (target/shard_smoke/*.bin) are deleted;
+# the reports and logs stay. On failure everything stays for debugging.
+#
 # Routed throughput, latency and cluster memory are measured by the
 # repository benchmark's serve-routed workload and gated parent against
 # change by scripts/bench_compare.sh.
@@ -170,3 +173,8 @@ ROUTER_PID=""
 
 echo "==> obs_check on worker 0's trace + cost ledger"
 ./target/release/obs_check "$DIR/worker0_trace.json" "$DIR/worker0_cost.json"
+
+# The shard bundles are about 2.5 GB at the default scale; once the
+# smoke passes, only the .json/.txt/.log files CI uploads are kept.
+rm -f "$DIR"/*.bin
+echo "shard_smoke: passed (shard bundles removed, reports kept in $DIR)"
