@@ -42,13 +42,30 @@ fn dump(name: &str, args: &[&str]) -> Vec<u8> {
 #[test]
 fn record_dumps_match_their_recorded_digests() {
     const CORA: [&str; 5] = ["cora", "--queries", "120", "--seed", "42"];
-    let arms: [(&str, Vec<&str>, usize, u64); 5] = [
+    const BOOST: [&str; 4] = ["--boost", "--deterministic", "--threads", "2"];
+    let arms: [(&str, Vec<&str>, usize, u64); 9] = [
         ("cora", CORA.to_vec(), 120, 0xc271_8df4_1ea3_f28c),
+        ("cora-boost", [&CORA[..], &BOOST].concat(), 120, 0xb895_47eb_eef7_80f0),
+        // The multi-hop selections: a 2-hop BFS, SNS's ring-by-ring
+        // exploration and the relevance ranking, each read twice per
+        // query by a boosted run (readiness pass and render).
         (
-            "cora-boost",
-            [&CORA[..], &["--boost", "--deterministic", "--threads", "2"]].concat(),
+            "cora-2hop-boost",
+            [&CORA[..], &["--method", "2hop"], &BOOST].concat(),
             120,
-            0xb895_47eb_eef7_80f0,
+            0x6d06_88ee_e76f_c949,
+        ),
+        (
+            "cora-sns-boost",
+            [&CORA[..], &["--method", "sns"], &BOOST].concat(),
+            120,
+            0x8140_f1e3_8fd4_9a06,
+        ),
+        (
+            "cora-llmrank-boost",
+            [&CORA[..], &["--method", "llmrank"], &BOOST].concat(),
+            120,
+            0xb647_d794_73f4_9b75,
         ),
         (
             "cora-prune",
@@ -63,13 +80,26 @@ fn record_dumps_match_their_recorded_digests() {
             60,
             0xc7a6_c437_f4d4_6c5e,
         ),
+        // SNS on a realistic-degree graph with few labels: the progressive
+        // exploration walks several rings before it finds M labeled nodes.
+        (
+            "products-sns",
+            [
+                &["ogbn-products", "--scale", "0.01", "--queries", "60", "--seed", "42"][..],
+                &["--method", "sns"],
+            ]
+            .concat(),
+            60,
+            0x07d0_b266_8fce_0713,
+        ),
         // 13 boosting rounds with relaxation on a realistic-degree graph:
         // each fold's pseudo-labels re-open many pending queries' support.
         (
             "products-boost",
             [
                 &["ogbn-products", "--scale", "0.01", "--queries", "400", "--seed", "42"][..],
-                &["--boost", "--deterministic", "--threads", "2", "--no-cache"],
+                &BOOST,
+                &["--no-cache"],
             ]
             .concat(),
             400,

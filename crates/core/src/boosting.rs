@@ -71,29 +71,6 @@ impl Default for DegradePolicy {
     }
 }
 
-/// Count `|N_i^L|` and `LC_i` over a query's *selected* neighbor set.
-/// `kinds` is scratch for the distinct classes: at most `M` labels, so a
-/// linear scan beats hashing.
-pub(crate) fn label_support(
-    predictor: &dyn Predictor,
-    ctx: &SelectCtx<'_>,
-    v: NodeId,
-    rng: &mut StdRng,
-    kinds: &mut Vec<ClassId>,
-) -> (usize, usize) {
-    kinds.clear();
-    let mut count = 0usize;
-    for n in predictor.select_neighbors(ctx, v, rng) {
-        if let Some(c) = ctx.labels.get(n) {
-            count += 1;
-            if !kinds.contains(&c) {
-                kinds.push(c);
-            }
-        }
-    }
-    (count, kinds.len())
-}
-
 /// A pending query's `(|N_i^L|, LC_i)` as of the last readiness pass,
 /// or [`Support::UNKNOWN`]. Four bytes, so it rides in the padding of a
 /// `(usize, NodeId)` pending entry. Counts saturate at 65,534, far above
@@ -125,7 +102,7 @@ impl Support {
 /// A query is recounted only after a label changes within the
 /// predictor's [`Predictor::label_radius`] of it.
 ///
-/// Caching is exact: [`label_support`] of `v` reads the query's own rng
+/// Caching is exact: [`Predictor::label_support`] of `v` reads the query's own rng
 /// (a pure function of the run seed and `v`) and the labels inside v's
 /// selection ball. The graph is undirected, so a label change on `u` can
 /// move v's support only if `v` lies within the radius of `u`. With no
@@ -168,7 +145,7 @@ impl Readiness {
         self.changed.insert(u.index());
     }
 
-    /// [`label_support`] calls made so far.
+    /// [`Predictor::label_support`] calls made so far.
     pub(crate) fn evals(&self) -> u64 {
         self.evals
     }
@@ -195,7 +172,7 @@ impl Readiness {
                 continue;
             }
             if *support == Support::UNKNOWN || (grown && self.stale.contains(v.index())) {
-                let (n, lc) = label_support(predictor, ctx, *v, &mut rng(*v), &mut self.kinds);
+                let (n, lc) = predictor.label_support(ctx, *v, &mut rng(*v), &mut self.kinds);
                 *support = Support::new(n, lc);
                 self.evals += 1;
             }
@@ -204,10 +181,16 @@ impl Readiness {
             self.stale.clear();
         }
         // The test build checks every entry a pass can read against a
-        // fresh count.
+        // fresh count by the hook's definition.
         #[cfg(test)]
         for &(i, v, support) in pending.iter().filter(|&&(_, v, _)| !skip(v)) {
-            let (n, lc) = label_support(predictor, ctx, v, &mut rng(v), &mut Vec::new());
+            let (n, lc) = crate::predictor::select_then_count(
+                predictor,
+                ctx,
+                v,
+                &mut rng(v),
+                &mut Vec::new(),
+            );
             assert_eq!(support, Support::new(n, lc), "stale support for {v:?} at {i}");
         }
     }

@@ -4,34 +4,31 @@
 //! preference for labeled neighbors followed by a random selection from
 //! unlabeled neighbors, up to a fixed number limit M."
 
-use super::{Predictor, SelectCtx};
-use mqo_graph::traversal::{khop_nodes, sample_prefer_labeled, KhopBuffer};
-use mqo_graph::NodeId;
-use parking_lot::Mutex;
+use super::{count_classes, Predictor, SelectCtx};
+use mqo_graph::traversal::{
+    khop_nodes, one_hop, sample_one_hop, sample_prefer_labeled, with_scratch,
+};
+use mqo_graph::{ClassId, NodeId};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 
 /// The k-hop random method; `k = 1` and `k = 2` are the paper's variants.
+///
+/// It holds no search state: 1-hop reads the query node's CSR run, and a
+/// deeper search borrows the calling thread's BFS scratch
+/// ([`with_scratch`]), so concurrent selections share nothing.
 pub struct KhopRandom {
     k: u8,
     name: String,
-    /// Reusable BFS scratch, shared behind a lock so the predictor can be
-    /// `&self` in the trait. The lock is contended: every pool worker
-    /// takes it to render a prompt, a free-running cue-gated run's
-    /// readiness pass takes it while queries are in flight, and a serving
-    /// process shares one predictor across its request threads. It is
-    /// held for one BFS and one sample.
-    buf: Mutex<(KhopBuffer, Vec<mqo_graph::traversal::HopNode>)>,
 }
 
 impl KhopRandom {
-    /// Method for a graph with `num_nodes` nodes and hop range `k ≥ 1`.
-    pub fn new(k: u8, num_nodes: usize) -> Self {
+    /// Method for hop range `k ≥ 1`. The node count is not needed: the
+    /// parameter stays so that callers written against a graph keep
+    /// building it the same way.
+    pub fn new(k: u8, _num_nodes: usize) -> Self {
         assert!(k >= 1, "k-hop random needs k >= 1");
-        KhopRandom {
-            k,
-            name: format!("{k}-hop random"),
-            buf: Mutex::new((KhopBuffer::new(num_nodes), Vec::new())),
-        }
+        KhopRandom { k, name: format!("{k}-hop random") }
     }
 
     /// The hop range.
@@ -51,13 +48,49 @@ impl Predictor for KhopRandom {
         v: NodeId,
         rng: &mut StdRng,
     ) -> Vec<NodeId> {
-        let mut guard = self.buf.lock();
-        let (buf, scratch) = &mut *guard;
-        khop_nodes(ctx.tag.graph(), v, self.k, buf, scratch);
-        sample_prefer_labeled(scratch, ctx.max_neighbors, |n| ctx.labels.is_labeled(n), rng)
-            .into_iter()
-            .map(|h| h.node)
-            .collect()
+        let (g, m) = (ctx.tag.graph(), ctx.max_neighbors);
+        let is_labeled = |n| ctx.labels.is_labeled(n);
+        if self.k == 1 {
+            return sample_one_hop(g, v, m, is_labeled, rng);
+        }
+        with_scratch(g.num_nodes(), |buf, scratch| {
+            khop_nodes(g, v, self.k, buf, scratch);
+            sample_prefer_labeled(scratch, m, is_labeled, rng)
+                .into_iter()
+                .map(|h| h.node)
+                .collect()
+        })
+    }
+
+    /// Counts without building the selection. The sample takes every
+    /// labeled candidate when at most M are labeled, and otherwise the
+    /// first M of the labeled pool after its shuffle. A shuffle's draws
+    /// depend only on the pool's length, so shuffling the pool's classes
+    /// puts the same classes first.
+    fn label_support(
+        &self,
+        ctx: &SelectCtx<'_>,
+        v: NodeId,
+        rng: &mut StdRng,
+        kinds: &mut Vec<ClassId>,
+    ) -> (usize, usize) {
+        let (g, m) = (ctx.tag.graph(), ctx.max_neighbors);
+        if m == 0 {
+            return (0, 0);
+        }
+        let mut classes: Vec<ClassId> = if self.k == 1 {
+            one_hop(g, v).filter_map(|n| ctx.labels.get(n)).collect()
+        } else {
+            with_scratch(g.num_nodes(), |buf, scratch| {
+                khop_nodes(g, v, self.k, buf, scratch);
+                scratch.iter().filter_map(|h| ctx.labels.get(h.node)).collect()
+            })
+        };
+        if classes.len() > m {
+            classes.shuffle(rng);
+            classes.truncate(m);
+        }
+        count_classes(classes.into_iter(), kinds)
     }
 
     /// The sample is drawn from `N^k(v)` and reads labels only there.

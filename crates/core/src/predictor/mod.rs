@@ -17,7 +17,7 @@ pub use sns::Sns;
 pub use zero_shot::ZeroShot;
 
 use crate::labels::LabelStore;
-use mqo_graph::{NodeId, Tag};
+use mqo_graph::{ClassId, NodeId, Tag};
 use rand::rngs::StdRng;
 
 /// Read-only context handed to neighbor selection.
@@ -46,6 +46,25 @@ pub trait Predictor: Send + Sync {
     fn select_neighbors(&self, ctx: &SelectCtx<'_>, v: NodeId, rng: &mut StdRng)
         -> Vec<NodeId>;
 
+    /// The label support of `v`'s selection, `(|N_i^L|, LC_i)`: how many
+    /// of `select_neighbors(ctx, v, rng)` carry a label, and how many
+    /// distinct classes those labels span. The readiness pass of query
+    /// boosting counts it for every pending query it re-checks. `kinds`
+    /// is scratch for the distinct classes.
+    ///
+    /// The default selects, then counts. An override must return the
+    /// same pair for the same `rng` seed, and may leave `rng` in any
+    /// state: the readiness pass draws a fresh rng for every count.
+    fn label_support(
+        &self,
+        ctx: &SelectCtx<'_>,
+        v: NodeId,
+        rng: &mut StdRng,
+        kinds: &mut Vec<ClassId>,
+    ) -> (usize, usize) {
+        select_then_count(self, ctx, v, rng, kinds)
+    }
+
     /// How far label knowledge reaches this method's selection: a label
     /// added or changed on a node more than `r` hops from `v` changes
     /// neither `select_neighbors(v)` (for the same rng) nor the label
@@ -71,6 +90,36 @@ pub trait Predictor: Send + Sync {
             label: ctx.labels.get(n).map(|c| ctx.tag.class_name(c).to_string()),
         }
     }
+}
+
+/// [`Predictor::label_support`] by its definition: select `v`'s
+/// neighbors, then count the labeled ones and their classes.
+pub(crate) fn select_then_count<P: Predictor + ?Sized>(
+    predictor: &P,
+    ctx: &SelectCtx<'_>,
+    v: NodeId,
+    rng: &mut StdRng,
+    kinds: &mut Vec<ClassId>,
+) -> (usize, usize) {
+    let selected = predictor.select_neighbors(ctx, v, rng);
+    count_classes(selected.into_iter().filter_map(|n| ctx.labels.get(n)), kinds)
+}
+
+/// `(labels, distinct classes)` over the classes of a selection's labeled
+/// nodes. At most `M` labels, so a linear scan of `kinds` beats hashing.
+fn count_classes(
+    classes: impl Iterator<Item = ClassId>,
+    kinds: &mut Vec<ClassId>,
+) -> (usize, usize) {
+    kinds.clear();
+    let mut count = 0usize;
+    for c in classes {
+        count += 1;
+        if !kinds.contains(&c) {
+            kinds.push(c);
+        }
+    }
+    (count, kinds.len())
 }
 
 #[cfg(test)]
@@ -129,9 +178,7 @@ pub(crate) mod test_fixtures {
 mod radius_contract {
     use super::test_fixtures::random_tag;
     use super::*;
-    use crate::boosting::label_support;
     use crate::tuned::{instructglm_backbones, TunedPredictor};
-    use mqo_graph::ClassId;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use std::collections::VecDeque;
@@ -188,7 +235,7 @@ mod radius_contract {
             let ctx = SelectCtx { tag: &tag, labels, max_neighbors: m };
             let rng = || StdRng::seed_from_u64(seed.rotate_left(7) ^ v.0 as u64);
             let selected = predictor.select_neighbors(&ctx, v, &mut rng());
-            let support = label_support(&*predictor, &ctx, v, &mut rng(), &mut Vec::new());
+            let support = predictor.label_support(&ctx, v, &mut rng(), &mut Vec::new());
             (selected, support)
         };
         let before = observe(&labels);
@@ -239,6 +286,66 @@ mod radius_contract {
             let backbones = instructglm_backbones();
             let b = backbones[pick % backbones.len()];
             check(|t| Box::new(TunedPredictor::new(b, t.num_nodes())), case);
+        }
+    }
+}
+
+/// The [`Predictor::label_support`] contract: every predictor's hook
+/// returns what selecting and then counting returns for the same rng
+/// seed, whatever the neighbor cap and label density.
+#[cfg(test)]
+mod support_contract {
+    use super::test_fixtures::random_tag;
+    use super::*;
+    use crate::tuned::{instructglm_backbones, TunedPredictor};
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+
+    fn every_predictor(tag: &Tag) -> Vec<Box<dyn Predictor>> {
+        let n = tag.num_nodes();
+        let mut all: Vec<Box<dyn Predictor>> = vec![
+            Box::new(ZeroShot),
+            Box::new(KhopRandom::new(1, n)),
+            Box::new(KhopRandom::new(2, n)),
+            Box::new(KhopRandom::new(3, n)),
+            Box::new(LlmRanked::fit(tag, 1)),
+            Box::new(LlmRanked::fit(tag, 2)),
+            Box::new(Sns::fit(tag)),
+        ];
+        for b in instructglm_backbones() {
+            all.push(Box::new(TunedPredictor::new(b, n)));
+        }
+        all
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn hook_equals_select_then_count(
+            seed in 0u64..10_000,
+            n in 2usize..40,
+            edges in 0usize..80,
+            m in 0usize..12,
+            density in 0.0f64..1.0,
+        ) {
+            let tag = random_tag(seed, n, 3, edges);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5e1ec7);
+            let mut labels = LabelStore::empty(n);
+            for u in 0..n {
+                if rng.gen_bool(density) {
+                    labels.add_pseudo(NodeId(u as u32), ClassId(rng.gen_range(0..3)));
+                }
+            }
+            let ctx = SelectCtx { tag: &tag, labels: &labels, max_neighbors: m };
+            for p in every_predictor(&tag) {
+                for v in tag.node_ids() {
+                    let rng = || StdRng::seed_from_u64(seed.rotate_left(11) ^ v.0 as u64);
+                    let hook = p.label_support(&ctx, v, &mut rng(), &mut Vec::new());
+                    let want = select_then_count(&*p, &ctx, v, &mut rng(), &mut Vec::new());
+                    prop_assert_eq!(hook, want, "{} at {:?}", p.name(), v);
+                }
+            }
         }
     }
 }

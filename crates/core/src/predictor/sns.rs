@@ -13,9 +13,8 @@
 
 use super::{Predictor, SelectCtx};
 use mqo_encoder::{HashedEncoder, TextEncoder};
-use mqo_graph::traversal::{collect_labeled_progressive, KhopBuffer};
+use mqo_graph::traversal::{collect_labeled_progressive, with_scratch};
 use mqo_graph::{NodeId, Tag};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 
 /// SNS over precomputed node embeddings.
@@ -24,7 +23,6 @@ pub struct Sns {
     embeddings: Vec<Vec<f32>>,
     /// Hop limit of the progressive exploration (paper: 5).
     max_hop: u8,
-    buf: Mutex<KhopBuffer>,
 }
 
 impl Sns {
@@ -40,7 +38,7 @@ impl Sns {
     pub fn fit_with_dim(tag: &Tag, dim: usize) -> Self {
         let encoder = HashedEncoder::new(dim);
         let embeddings = tag.node_ids().map(|v| encoder.encode(&tag.text(v).full())).collect();
-        Sns { embeddings, max_hop: 5, buf: Mutex::new(KhopBuffer::new(tag.num_nodes())) }
+        Sns { embeddings, max_hop: 5 }
     }
 
     /// Cosine similarity between two stored embeddings.
@@ -64,16 +62,17 @@ impl Predictor for Sns {
         v: NodeId,
         _rng: &mut StdRng,
     ) -> Vec<NodeId> {
-        let mut buf = self.buf.lock();
-        let candidates = collect_labeled_progressive(
-            ctx.tag.graph(),
-            v,
-            ctx.max_neighbors,
-            self.max_hop,
-            |n| ctx.labels.is_labeled(n),
-            &mut buf,
-        );
-        drop(buf);
+        let g = ctx.tag.graph();
+        let candidates = with_scratch(g.num_nodes(), |buf, _| {
+            collect_labeled_progressive(
+                g,
+                v,
+                ctx.max_neighbors,
+                self.max_hop,
+                |n| ctx.labels.is_labeled(n),
+                buf,
+            )
+        });
         let mut scored: Vec<(NodeId, f32)> =
             candidates.iter().map(|h| (h.node, self.sim(v, h.node))).collect();
         scored.sort_by(|a, b| {

@@ -14,7 +14,7 @@
 //! the neighbor budget slightly, as path descriptions add context.
 
 use crate::predictor::{KhopRandom, Predictor, SelectCtx};
-use mqo_graph::NodeId;
+use mqo_graph::{ClassId, NodeId};
 use mqo_llm::{ModelProfile, NeighborEntry};
 use rand::rngs::StdRng;
 
@@ -72,6 +72,16 @@ impl TunedPredictor {
     pub fn backbone(&self) -> &Backbone {
         &self.backbone
     }
+
+    /// `ctx` with the backbone's neighbor cap: path descriptions let the
+    /// backbone reference one extra neighbor of context per prompt.
+    fn widened<'a>(&self, ctx: &SelectCtx<'a>) -> SelectCtx<'a> {
+        SelectCtx {
+            tag: ctx.tag,
+            labels: ctx.labels,
+            max_neighbors: ctx.max_neighbors + usize::from(self.backbone.path),
+        }
+    }
 }
 
 /// Words kept from a neighbor title by the graph-token digest.
@@ -88,15 +98,17 @@ impl Predictor for TunedPredictor {
         v: NodeId,
         rng: &mut StdRng,
     ) -> Vec<NodeId> {
-        // Path descriptions let the backbone reference one extra neighbor
-        // of context per prompt.
-        let bump = usize::from(self.backbone.path);
-        let ctx = SelectCtx {
-            tag: ctx.tag,
-            labels: ctx.labels,
-            max_neighbors: ctx.max_neighbors + bump,
-        };
-        self.khop.select_neighbors(&ctx, v, rng)
+        self.khop.select_neighbors(&self.widened(ctx), v, rng)
+    }
+
+    fn label_support(
+        &self,
+        ctx: &SelectCtx<'_>,
+        v: NodeId,
+        rng: &mut StdRng,
+        kinds: &mut Vec<ClassId>,
+    ) -> (usize, usize) {
+        self.khop.label_support(&self.widened(ctx), v, rng, kinds)
     }
 
     fn label_radius(&self) -> Option<u8> {

@@ -46,8 +46,8 @@ pub fn extract_bracketed(text: &str) -> Option<&str> {
 /// category's index.
 pub fn parse_category(text: &str, categories: &[String]) -> Option<usize> {
     if let Some(inner) = extract_bracketed(text) {
-        let needle = inner.trim().to_ascii_lowercase();
-        if let Some(i) = categories.iter().position(|c| c.to_ascii_lowercase() == needle) {
+        let needle = inner.trim();
+        if let Some(i) = categories.iter().position(|c| c.eq_ignore_ascii_case(needle)) {
             return Some(i);
         }
     }
@@ -133,6 +133,10 @@ mod tests {
     #[test]
     fn case_insensitive() {
         assert_eq!(parse_category("category: ['database']", &cats()), Some(0));
+        let mixed: Vec<String> = vec!["DataBase".into(), "AI Agents".into(), "theory".into()];
+        assert_eq!(parse_category("Category: ['dATAbASE']", &mixed), Some(0));
+        assert_eq!(parse_category("Category: ['ai AGENTS']", &mixed), Some(1));
+        assert_eq!(parse_category("Category: ['Theory']", &mixed), Some(2));
     }
 
     #[test]

@@ -43,8 +43,8 @@ impl<L: LanguageModel> LanguageModel for ValidatingLlm<L> {
     fn complete(&self, prompt: &str) -> Result<Completion> {
         let completion = self.inner.complete(prompt)?;
         let ok = extract_bracketed(&completion.text).is_some_and(|inner| {
-            let needle = inner.trim().to_ascii_lowercase();
-            self.categories.iter().any(|c| c.to_ascii_lowercase() == needle)
+            let needle = inner.trim();
+            self.categories.iter().any(|c| c.eq_ignore_ascii_case(needle))
         });
         if ok {
             Ok(completion)

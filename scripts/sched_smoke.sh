@@ -9,9 +9,10 @@
 #      completion order leak into results fails this diff. The same
 #      seed at width 1 (a pool of one) must dump the same bytes as
 #      width 4: the pool width is unobservable in wave mode. The width
-#      check repeats on an ogbn-products slice, whose many relaxing
-#      waves re-check readiness after labels land among neighbors of
-#      realistic degree.
+#      check repeats for the multi-hop selections (2-hop random and
+#      SNS, which search from per-thread scratch buffers) and on an
+#      ogbn-products slice, whose many relaxing waves re-check readiness
+#      after labels land among neighbors of realistic degree.
 #   2. Invariants under reordering — a traced deterministic wave run AND
 #      a traced free-running run (out-of-order completions folding
 #      pseudo-labels mid-flight) both go through obs_check: span nesting
@@ -51,6 +52,20 @@ if ! cmp "$OUT/records_w1.jsonl" "$OUT/records_a.jsonl"; then
   exit 1
 fi
 echo "width-1 and width-4 dumps byte-identical"
+
+echo "==> width invariance of the multi-hop selections: 2-hop and SNS at width 1 and width 4"
+for method in 2hop sns; do
+  for width in 1 4; do
+    ./target/release/mqo classify cora --method "$method" \
+      --queries 120 --boost --deterministic --threads "$width" --seed 42 --no-cache \
+      --dump-records "$OUT/${method}_w$width.jsonl" > "$OUT/${method}_w$width.log"
+  done
+  if ! cmp "$OUT/${method}_w1.jsonl" "$OUT/${method}_w4.jsonl"; then
+    echo "sched_smoke: FAIL — $method width-1 and width-4 record dumps differ byte-wise" >&2
+    exit 1
+  fi
+  echo "$method width-1 and width-4 dumps byte-identical"
+done
 
 echo "==> width invariance at products scale: many relaxing waves on a realistic-degree graph"
 for width in 1 4; do
