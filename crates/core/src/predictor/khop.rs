@@ -75,9 +75,6 @@ impl Predictor for KhopRandom {
         kinds: &mut Vec<ClassId>,
     ) -> (usize, usize) {
         let (g, m) = (ctx.tag.graph(), ctx.max_neighbors);
-        if m == 0 {
-            return (0, 0);
-        }
         let mut classes: Vec<ClassId> = if self.k == 1 {
             one_hop(g, v).filter_map(|n| ctx.labels.get(n)).collect()
         } else {
