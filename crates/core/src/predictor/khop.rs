@@ -6,29 +6,29 @@
 
 use super::{count_classes, Predictor, SelectCtx};
 use mqo_graph::traversal::{
-    khop_nodes, one_hop, sample_one_hop, sample_prefer_labeled, with_scratch,
+    khop_nodes, one_hop, sample_one_hop, sample_prefer_labeled, HopNode, KhopBuffer,
 };
 use mqo_graph::{ClassId, NodeId};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
 /// The k-hop random method; `k = 1` and `k = 2` are the paper's variants.
-///
-/// It holds no search state: 1-hop reads the query node's CSR run, and a
-/// deeper search borrows the calling thread's BFS scratch
-/// ([`with_scratch`]), so concurrent selections share nothing.
 pub struct KhopRandom {
     k: u8,
     name: String,
+    /// Reusable BFS scratch for `k ≥ 2`, behind a lock so the predictor
+    /// can be `&self` in the trait. `None` at `k = 1`, which reads the
+    /// query node's CSR run and needs no search.
+    buf: Option<Mutex<(KhopBuffer, Vec<HopNode>)>>,
 }
 
 impl KhopRandom {
-    /// Method for hop range `k ≥ 1`. The node count is not needed: the
-    /// parameter stays so that callers written against a graph keep
-    /// building it the same way.
-    pub fn new(k: u8, _num_nodes: usize) -> Self {
+    /// Method for a graph with `num_nodes` nodes and hop range `k ≥ 1`.
+    pub fn new(k: u8, num_nodes: usize) -> Self {
         assert!(k >= 1, "k-hop random needs k >= 1");
-        KhopRandom { k, name: format!("{k}-hop random") }
+        let buf = (k > 1).then(|| Mutex::new((KhopBuffer::new(num_nodes), Vec::new())));
+        KhopRandom { k, name: format!("{k}-hop random"), buf }
     }
 
     /// The hop range.
@@ -50,16 +50,13 @@ impl Predictor for KhopRandom {
     ) -> Vec<NodeId> {
         let (g, m) = (ctx.tag.graph(), ctx.max_neighbors);
         let is_labeled = |n| ctx.labels.is_labeled(n);
-        if self.k == 1 {
+        let Some(buf) = &self.buf else {
             return sample_one_hop(g, v, m, is_labeled, rng);
-        }
-        with_scratch(g.num_nodes(), |buf, scratch| {
-            khop_nodes(g, v, self.k, buf, scratch);
-            sample_prefer_labeled(scratch, m, is_labeled, rng)
-                .into_iter()
-                .map(|h| h.node)
-                .collect()
-        })
+        };
+        let mut guard = buf.lock();
+        let (buf, scratch) = &mut *guard;
+        khop_nodes(g, v, self.k, buf, scratch);
+        sample_prefer_labeled(scratch, m, is_labeled, rng).into_iter().map(|h| h.node).collect()
     }
 
     /// Counts without building the selection. The sample takes every
@@ -75,13 +72,14 @@ impl Predictor for KhopRandom {
         kinds: &mut Vec<ClassId>,
     ) -> (usize, usize) {
         let (g, m) = (ctx.tag.graph(), ctx.max_neighbors);
-        let mut classes: Vec<ClassId> = if self.k == 1 {
-            one_hop(g, v).filter_map(|n| ctx.labels.get(n)).collect()
-        } else {
-            with_scratch(g.num_nodes(), |buf, scratch| {
+        let mut classes: Vec<ClassId> = match &self.buf {
+            None => one_hop(g, v).filter_map(|n| ctx.labels.get(n)).collect(),
+            Some(buf) => {
+                let mut guard = buf.lock();
+                let (buf, scratch) = &mut *guard;
                 khop_nodes(g, v, self.k, buf, scratch);
                 scratch.iter().filter_map(|h| ctx.labels.get(h.node)).collect()
-            })
+            }
         };
         if classes.len() > m {
             classes.shuffle(rng);

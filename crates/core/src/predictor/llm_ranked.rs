@@ -8,8 +8,9 @@
 
 use super::{Predictor, SelectCtx};
 use mqo_encoder::{cosine, HashedEncoder, TextEncoder};
-use mqo_graph::traversal::{khop_nodes, with_scratch};
+use mqo_graph::traversal::{khop_nodes, KhopBuffer};
 use mqo_graph::{NodeId, Tag};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 
 /// Selects the most query-relevant neighbors within a k-hop range,
@@ -18,6 +19,7 @@ pub struct LlmRanked {
     k: u8,
     name: String,
     embeddings: Vec<Vec<f32>>,
+    buf: Mutex<(KhopBuffer, Vec<mqo_graph::traversal::HopNode>)>,
 }
 
 impl LlmRanked {
@@ -26,7 +28,12 @@ impl LlmRanked {
         assert!(k >= 1, "relevance ranking needs k >= 1");
         let enc = HashedEncoder::new(256);
         let embeddings = tag.node_ids().map(|v| enc.encode(&tag.text(v).full())).collect();
-        LlmRanked { k, name: format!("{k}-hop LLM-ranked"), embeddings }
+        LlmRanked {
+            k,
+            name: format!("{k}-hop LLM-ranked"),
+            embeddings,
+            buf: Mutex::new((KhopBuffer::new(tag.num_nodes()), Vec::new())),
+        }
     }
 }
 
@@ -45,19 +52,16 @@ impl Predictor for LlmRanked {
         v: NodeId,
         _rng: &mut StdRng,
     ) -> Vec<NodeId> {
-        let g = ctx.tag.graph();
-        let mut scored: Vec<(NodeId, f32)> = with_scratch(g.num_nodes(), |buf, scratch| {
-            khop_nodes(g, v, self.k, buf, scratch);
-            scratch
-                .iter()
-                .map(|h| {
-                    (
-                        h.node,
-                        cosine(&self.embeddings[v.index()], &self.embeddings[h.node.index()]),
-                    )
-                })
-                .collect()
-        });
+        let mut guard = self.buf.lock();
+        let (buf, scratch) = &mut *guard;
+        khop_nodes(ctx.tag.graph(), v, self.k, buf, scratch);
+        let mut scored: Vec<(NodeId, f32)> = scratch
+            .iter()
+            .map(|h| {
+                (h.node, cosine(&self.embeddings[v.index()], &self.embeddings[h.node.index()]))
+            })
+            .collect();
+        drop(guard);
         scored.sort_by(|a, b| {
             b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
         });

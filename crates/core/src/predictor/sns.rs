@@ -13,8 +13,9 @@
 
 use super::{Predictor, SelectCtx};
 use mqo_encoder::{HashedEncoder, TextEncoder};
-use mqo_graph::traversal::{collect_labeled_progressive, with_scratch};
+use mqo_graph::traversal::{collect_labeled_progressive, KhopBuffer};
 use mqo_graph::{NodeId, Tag};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 
 /// SNS over precomputed node embeddings.
@@ -23,6 +24,7 @@ pub struct Sns {
     embeddings: Vec<Vec<f32>>,
     /// Hop limit of the progressive exploration (paper: 5).
     max_hop: u8,
+    buf: Mutex<KhopBuffer>,
 }
 
 impl Sns {
@@ -38,7 +40,7 @@ impl Sns {
     pub fn fit_with_dim(tag: &Tag, dim: usize) -> Self {
         let encoder = HashedEncoder::new(dim);
         let embeddings = tag.node_ids().map(|v| encoder.encode(&tag.text(v).full())).collect();
-        Sns { embeddings, max_hop: 5 }
+        Sns { embeddings, max_hop: 5, buf: Mutex::new(KhopBuffer::new(tag.num_nodes())) }
     }
 
     /// Cosine similarity between two stored embeddings.
@@ -62,17 +64,16 @@ impl Predictor for Sns {
         v: NodeId,
         _rng: &mut StdRng,
     ) -> Vec<NodeId> {
-        let g = ctx.tag.graph();
-        let candidates = with_scratch(g.num_nodes(), |buf, _| {
-            collect_labeled_progressive(
-                g,
-                v,
-                ctx.max_neighbors,
-                self.max_hop,
-                |n| ctx.labels.is_labeled(n),
-                buf,
-            )
-        });
+        let mut buf = self.buf.lock();
+        let candidates = collect_labeled_progressive(
+            ctx.tag.graph(),
+            v,
+            ctx.max_neighbors,
+            self.max_hop,
+            |n| ctx.labels.is_labeled(n),
+            &mut buf,
+        );
+        drop(buf);
         let mut scored: Vec<(NodeId, f32)> =
             candidates.iter().map(|h| (h.node, self.sim(v, h.node))).collect();
         scored.sort_by(|a, b| {

@@ -7,21 +7,13 @@
 //!
 //! `N^1(v)` is the node's CSR run with `v` itself removed, in the order a
 //! BFS would find it, so [`one_hop`] and [`sample_one_hop`] read it without
-//! a visited map. Deeper searches need one: a [`KhopBuffer`] stamps each
-//! visited node, so it holds one `u32` per graph node. [`with_scratch`]
-//! lends each thread its own buffer, kept for the thread's lifetime and
-//! grown to the largest graph it has searched. Concurrent selections
-//! therefore share no lock. The cost is n × 4 bytes of stamps per thread
-//! that runs a multi-hop selection (about 1 MB on ogbn-products at scale
-//! 0.1), plus a queue and an output list as long as the largest ball it
-//! has returned. A thread that only ever selects 1-hop neighbors
-//! allocates none of it.
+//! a visited map. Deeper searches need one: a reusable [`KhopBuffer`] lets
+//! callers amortize the visited map across thousands of queries.
 
 use crate::csr::Csr;
 use crate::ids::NodeId;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::cell::RefCell;
 use std::collections::VecDeque;
 
 /// Reusable scratch space for repeated k-hop BFS over the same graph.
@@ -39,14 +31,6 @@ impl KhopBuffer {
     /// Scratch space for a graph with `num_nodes` nodes.
     pub fn new(num_nodes: usize) -> Self {
         KhopBuffer { stamp: vec![0; num_nodes], epoch: 0, queue: VecDeque::new() }
-    }
-
-    /// Make room for a graph with `num_nodes` nodes. The new stamps are
-    /// 0, which no search's epoch equals.
-    fn grow(&mut self, num_nodes: usize) {
-        if self.stamp.len() < num_nodes {
-            self.stamp.resize(num_nodes, 0);
-        }
     }
 
     fn begin(&mut self) {
@@ -109,30 +93,6 @@ pub fn khop_nodes_alloc(g: &Csr, src: NodeId, k: u8) -> Vec<HopNode> {
     let mut out = Vec::new();
     khop_nodes(g, src, k, &mut buf, &mut out);
     out
-}
-
-thread_local! {
-    static SCRATCH: RefCell<(KhopBuffer, Vec<HopNode>)> =
-        RefCell::new((KhopBuffer::new(0), Vec::new()));
-}
-
-/// Run `f` with this thread's BFS scratch, sized for a graph of
-/// `num_nodes` nodes: a [`KhopBuffer`] and an output list for
-/// [`khop_nodes`]. Each call's search starts clean, so a panic unwound
-/// out of `f` leaves nothing stale. A call made from inside `f` gets a
-/// fresh buffer of its own.
-pub fn with_scratch<T>(
-    num_nodes: usize,
-    f: impl FnOnce(&mut KhopBuffer, &mut Vec<HopNode>) -> T,
-) -> T {
-    SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => {
-            let (buf, out) = &mut *scratch;
-            buf.grow(num_nodes);
-            f(buf, out)
-        }
-        Err(_) => f(&mut KhopBuffer::new(num_nodes), &mut Vec::new()),
-    })
 }
 
 /// `N^1(src)` in the order [`khop_nodes`] with `k = 1` returns it: the CSR
@@ -343,46 +303,6 @@ mod tests {
                 collect_labeled_full_bfs(&g, src, want, max_hop, is_labeled)
             );
         }
-    }
-
-    #[test]
-    fn scratch_grows_across_graphs_and_reenters() {
-        let small = fixture();
-        let big = graph(40, &[(30, 31), (31, 39)], &[]);
-        let mut out = Vec::new();
-        with_scratch(big.num_nodes(), |buf, scratch| {
-            khop_nodes(&big, NodeId(30), 2, buf, scratch);
-            out.extend(scratch.iter().map(|h| h.node.0));
-            // A nested call gets its own buffer instead of a borrow panic.
-            let inner = with_scratch(small.num_nodes(), |buf, scratch| {
-                khop_nodes(&small, NodeId(0), 2, buf, scratch);
-                scratch.len()
-            });
-            assert_eq!(inner, 3);
-        });
-        assert_eq!(out, vec![31, 39]);
-        let again = with_scratch(small.num_nodes(), |buf, scratch| {
-            khop_nodes(&small, NodeId(4), 1, buf, scratch);
-            scratch.clone()
-        });
-        assert_eq!(again, vec![HopNode { node: NodeId(3), hop: 1 }]);
-    }
-
-    #[test]
-    fn scratch_is_clean_after_a_panicking_search() {
-        let g = fixture();
-        let caught = std::panic::catch_unwind(|| {
-            with_scratch(g.num_nodes(), |buf, scratch| {
-                khop_nodes(&g, NodeId(0), 3, buf, scratch);
-                panic!("mid-selection");
-            })
-        });
-        assert!(caught.is_err());
-        let got = with_scratch(g.num_nodes(), |buf, scratch| {
-            khop_nodes(&g, NodeId(0), 2, buf, scratch);
-            scratch.iter().map(|h| (h.node.0, h.hop)).collect::<Vec<_>>()
-        });
-        assert_eq!(got, vec![(1, 1), (2, 2), (5, 2)]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 #      seed at width 1 (a pool of one) must dump the same bytes as
 #      width 4: the pool width is unobservable in wave mode. The width
 #      check repeats for the multi-hop selections (2-hop random and
-#      SNS, which search from per-thread scratch buffers) and on an
+#      SNS, which run a BFS where 1-hop reads the CSR run) and on an
 #      ogbn-products slice, whose many relaxing waves re-check readiness
 #      after labels land among neighbors of realistic degree.
 #   2. Invariants under reordering — a traced deterministic wave run AND
