@@ -883,8 +883,7 @@ fn cmd_plan(args: &Args) -> Result<(), CliError> {
         30,
         &GPT_35_TURBO_0125,
         dollars,
-    )
-    .map_err(|e| format!("plan: {e}"))?;
+    );
     println!("campaign plan for {} × {} queries ({method}):", bundle.tag.name(), plan.queries);
     println!(
         "  mean tokens/query    : {:.0} ({:.0} neighbor text)",

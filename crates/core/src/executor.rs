@@ -64,6 +64,13 @@ impl QueryRecord {
     pub fn failed(&self) -> bool {
         self.failure.is_some()
     }
+
+    /// Whether this record's prediction may become a pseudo-label. A
+    /// failed, parse-failed or budget-starved query records the fallback
+    /// class, which is not an answer, so it never labels its node.
+    pub fn yields_pseudo_label(&self) -> bool {
+        self.failure.is_none() && !self.parse_failed && !self.budget_starved
+    }
 }
 
 /// Aggregated outcome of a multi-query run.

@@ -6,7 +6,6 @@
 //! prompts (no LLM calls, no cost) and produces the full plan a deployment
 //! would review before spending money.
 
-use crate::error::Result;
 use crate::executor::Executor;
 use crate::labels::LabelStore;
 use crate::predictor::Predictor;
@@ -59,7 +58,7 @@ pub fn plan_campaign(
     probe_size: usize,
     pricing: &ModelPricing,
     budget_dollars: f64,
-) -> Result<CampaignPlan> {
+) -> CampaignPlan {
     assert!(!queries.is_empty(), "cannot plan an empty campaign");
     let probe: Vec<NodeId> = queries.iter().take(probe_size.max(1)).copied().collect();
     let mut full_total = 0usize;
@@ -78,7 +77,7 @@ pub fn plan_campaign(
 
     let est_tokens_unpruned = q as f64 * tokens_full;
     let est_tokens_planned = est_tokens_unpruned - tau * q as f64 * tokens_neighbor;
-    Ok(CampaignPlan {
+    CampaignPlan {
         queries: queries.len(),
         tokens_full,
         tokens_neighbor,
@@ -87,7 +86,7 @@ pub fn plan_campaign(
         est_tokens_planned,
         est_cost_unpruned: pricing.input_cost(est_tokens_unpruned as u64),
         est_cost_planned: pricing.input_cost(est_tokens_planned as u64),
-    })
+    }
 }
 
 #[cfg(test)]
@@ -146,7 +145,6 @@ mod tests {
                 &GPT_35_TURBO_0125,
                 dollars,
             )
-            .unwrap()
         };
         let generous = plan(10.0);
         assert_eq!(generous.tau, 0.0);
@@ -175,8 +173,7 @@ mod tests {
             30,
             &GPT_35_TURBO_0125,
             0.04,
-        )
-        .unwrap();
+        );
         // planned = unpruned − τ·q·tokens_neighbor, by construction.
         let expected =
             plan.est_tokens_unpruned - plan.tau * plan.queries as f64 * plan.tokens_neighbor;

@@ -540,7 +540,7 @@ impl<'s, 'e> Scheduler<'s, 'e> {
             }
             let round = report.rounds.len();
             report.rounds.push(RoundTrace { executed: finals.len(), gamma1, gamma2 });
-            for r in finals.iter().filter(|r| !r.failed()) {
+            for r in finals.iter().filter(|r| r.yields_pseudo_label()) {
                 let before = labels.get(r.node);
                 labels.add_pseudo(r.node, r.predicted);
                 if labels.get(r.node) != before {
@@ -577,8 +577,8 @@ impl<'s, 'e> Scheduler<'s, 'e> {
     /// Crash-safe resume for cue-gated runs: queries the journal already
     /// holds replay with zero LLM requests, and their pseudo-labels fold
     /// in up front so the remaining waves see the same label knowledge
-    /// they would have accumulated live (failed queries never
-    /// pseudo-label).
+    /// they would have accumulated live (under the same
+    /// [`QueryRecord::yields_pseudo_label`] rule).
     fn predrain_replays(
         &self,
         labels: &mut LabelStore,
@@ -587,7 +587,7 @@ impl<'s, 'e> Scheduler<'s, 'e> {
     ) {
         pending.retain(|&(_, v, _)| {
             let Some(r) = self.exec.replay_journaled(v) else { return true };
-            if !r.failed() {
+            if r.yields_pseudo_label() {
                 labels.add_pseudo(r.node, r.predicted);
             }
             report.replayed += 1;
@@ -824,15 +824,15 @@ mod tests {
             // Crash-safe resume: queries the journal already holds replay
             // with zero LLM requests. Their pseudo-labels are folded in up
             // front so the remaining rounds see the same label knowledge
-            // they would have accumulated live (failed queries never
-            // pseudo-label).
+            // they would have accumulated live (under the same
+            // `yields_pseudo_label` rule).
             let replayed: Vec<_> =
                 pending.iter().filter_map(|&(_, v)| exec.replay_journaled(v)).collect();
             if !replayed.is_empty() {
                 let done: HashSet<NodeId> = replayed.iter().map(|r| r.node).collect();
                 pending.retain(|(_, v)| !done.contains(v));
                 for r in &replayed {
-                    if !r.failed() {
+                    if r.yields_pseudo_label() {
                         labels.add_pseudo(r.node, r.predicted);
                     }
                 }
@@ -938,7 +938,7 @@ mod tests {
                 drop(round_span);
                 traces.push(RoundTrace { executed: round_records.len(), gamma1, gamma2 });
                 for r in &round_records {
-                    if !r.failed() {
+                    if r.yields_pseudo_label() {
                         labels.add_pseudo(r.node, r.predicted);
                     }
                 }
@@ -1232,8 +1232,8 @@ mod tests {
             prop_assert_eq!(nodes, expected, "a query was lost or duplicated");
             let cost = ledger.report();
             prop_assert!(cost.total.conserves(), "conservation violated: {}", cost);
-            // Every executed (non-failed) query pseudo-labeled itself.
-            for r in report.outcome.records.iter().filter(|r| !r.failed()) {
+            // Every query that answered pseudo-labeled itself.
+            for r in report.outcome.records.iter().filter(|r| r.yields_pseudo_label()) {
                 prop_assert!(l.is_labeled(r.node));
             }
             prop_assert_eq!(
@@ -1501,6 +1501,42 @@ mod tests {
         .unwrap();
         assert_eq!(report.outcome.records.len(), queries.len());
         assert!(llm.meter().totals().prompt_tokens <= 200, "budget overshot");
+    }
+
+    /// Bugfix regression: a budget-starved query records the fallback
+    /// class without asking the model, and cue-gated runs used to fold
+    /// that class in as a pseudo-label. No starved node may carry one,
+    /// while every answered query still labels its node.
+    #[test]
+    fn a_starved_query_leaves_no_pseudo_label() {
+        let tag = random_tag(11, 10, 2);
+        let (queries, labels) = split(&tag);
+        let llm = HashLlm::new(tag.class_names().to_vec());
+        let exec = Executor::new(&tag, &llm, 3, 11).with_budget(120);
+        let mut l = labels.clone();
+        let policy = SchedulePolicy::CueGated {
+            config: BoostConfig::default(),
+            policy: DegradePolicy::default(),
+            threads: 1,
+            deterministic: true,
+        };
+        let report = Scheduler::new(&exec, policy)
+            .run(
+                &KhopRandom::new(1, tag.num_nodes()),
+                Labels::Boosting(&mut l),
+                &queries,
+                |_| false,
+            )
+            .unwrap();
+        let (starved, answered): (Vec<_>, Vec<_>) =
+            report.outcome.records.iter().partition(|r| r.budget_starved);
+        assert!(!starved.is_empty() && !answered.is_empty(), "{starved:?} {answered:?}");
+        for r in starved {
+            assert_eq!(l.get(r.node), None, "starved node {:?} was pseudo-labeled", r.node);
+        }
+        for r in answered {
+            assert_eq!(l.get(r.node), Some(r.predicted));
+        }
     }
 
     /// One pool per run: a deterministic run that needs several waves

@@ -32,18 +32,12 @@
 //! thousands of records later. This matters most for sharded
 //! deployments, where per-shard files are copied between machines.
 //!
-//! The magic names the framing: the hash and the graph layout. Images
-//! from earlier encoders store the graph as an edge list, `edges u64 |
-//! (u32, u32)*` with each edge once, under `MQOTAG3\n` (XXH64) or
-//! `MQOTAG2\n` (FNV-1a 64); every other field is laid out as above. A
-//! reader learns the framing from the magic ([`Magic`],
-//! [`ImageReader::magic`]), so those images still load and are still
-//! verified; their edge list is rebuilt into a CSR by a
-//! [`GraphBuilder`]. Writers emit only the current magic. The shard
-//! formats in `mqo-shard` follow the same rule with their own magics.
-//! FNV-1a reads one byte per multiply and XXH64 eight, which is why the
-//! hash changed; rebuilding the CSR from the edge list was then most of
-//! a load, which is why the layout changed.
+//! Each image kind has one magic: this one, and in `mqo-shard` the shard
+//! image's and the shard map's. An image under any other magic was not
+//! written by this build and is refused as [`PersistError::Corrupt`],
+//! with a hint to regenerate it (`mqo generate` for dataset images, `mqo
+//! partition` for the shard kinds). Every image is regenerated from its
+//! seed, so no reader keeps a decoder for an earlier framing.
 //!
 //! Decoding streams. [`load`] parses straight from the file through an
 //! [`ImageReader`], which owns a 64 KiB buffer, hands out fields from
@@ -85,7 +79,7 @@
 
 use crate::generate::DatasetBundle;
 use crate::spec::DatasetSpec;
-use mqo_graph::{ClassId, Csr, Error as GraphError, GraphBuilder, NodeText, Tag};
+use mqo_graph::{ClassId, Csr, Error as GraphError, NodeText, Tag};
 use mqo_obs::Xxh64;
 use mqo_text::Lexicon;
 use std::ffi::OsString;
@@ -95,103 +89,16 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The dataset image's magics: `MQOTAG4` stores the CSR, the two older
-/// framings an edge list (`MQOTAG3` with XXH64, `MQOTAG2` with FNV-1a).
-const MAGIC: Magic = Magic {
-    current: b"MQOTAG4\n",
-    older: &[
-        Framing { magic: b"MQOTAG3\n", hash: ImageHash::Xxh64 },
-        Framing { magic: b"MQOTAG2\n", hash: ImageHash::Fnv1a },
-    ],
-};
+/// The dataset image's magic.
+const MAGIC: &[u8; 8] = b"MQOTAG4\n";
+
+/// Why a dataset image under any other magic is refused.
+const FOREIGN: &str =
+    "not a dataset image this build writes; regenerate it with `mqo generate`";
 
 /// Smallest node record: label u16, alpha f32, adversarial u8, and two
 /// empty strings (a `u32` length each).
 const MIN_NODE_RECORD: u64 = 2 + 4 + 1 + 4 + 4;
-
-/// The hash an image's fingerprint was made with, as its magic names it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ImageHash {
-    /// XXH64, seed 0: every image written now.
-    Xxh64,
-    /// FNV-1a 64, byte at a time: images from the earlier encoder.
-    Fnv1a,
-}
-
-impl ImageHash {
-    /// This hash of `bytes`. Not cryptographic; it exists to catch
-    /// truncation, bit rot, and mismatched shard files, all of which it
-    /// detects with probability ~1 − 2⁻⁶⁴ per corruption.
-    pub fn of(self, bytes: &[u8]) -> u64 {
-        let mut hash = Running::new(self);
-        hash.update(bytes);
-        hash.finish()
-    }
-}
-
-/// A fingerprint in progress.
-enum Running {
-    Xxh64(Xxh64),
-    Fnv1a(u64),
-}
-
-impl Running {
-    fn new(kind: ImageHash) -> Self {
-        match kind {
-            ImageHash::Xxh64 => Running::Xxh64(Xxh64::new()),
-            ImageHash::Fnv1a => Running::Fnv1a(0xcbf2_9ce4_8422_2325),
-        }
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        match self {
-            Running::Xxh64(h) => {
-                h.update(bytes);
-            }
-            Running::Fnv1a(h) => {
-                for &b in bytes {
-                    *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-                }
-            }
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        match self {
-            Running::Xxh64(h) => h.finish(),
-            Running::Fnv1a(h) => *h,
-        }
-    }
-}
-
-/// One framing of an image kind: the magic that opens it and the hash
-/// its fingerprint is made with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Framing {
-    /// The image's first eight bytes.
-    pub magic: &'static [u8; 8],
-    /// The hash its fingerprint is made with.
-    pub hash: ImageHash,
-}
-
-/// Every framing of one image kind. Writers emit `current`, with an
-/// XXH64 fingerprint; a reader also accepts each of `older`, and
-/// [`ImageReader::magic`] reports which framing matched, so a decoder
-/// can pick both the hash and the payload layout from it.
-#[derive(Debug, Clone, Copy)]
-pub struct Magic {
-    /// What writers emit (XXH64 fingerprint).
-    pub current: &'static [u8; 8],
-    /// Framings of earlier encoders that still load, newest first.
-    pub older: &'static [Framing],
-}
-
-impl Magic {
-    /// The framing writers emit.
-    pub const fn current(&self) -> Framing {
-        Framing { magic: self.current, hash: ImageHash::Xxh64 }
-    }
-}
 
 /// Errors from reading or writing any image: dataset, shard or shard
 /// map.
@@ -226,12 +133,11 @@ const BUFFER: usize = 1 << 16;
 
 /// A forward-only cursor over a binary image. It reads its input into a
 /// buffer it owns, hands fields out of that buffer, and feeds the
-/// consumed bytes to a running hash a buffer at a time (the hash the
-/// image's magic names, in the same byte order as [`ImageHash::of`]). It
-/// knows how many image bytes are left, so a decoder can refuse a count
-/// before it sizes an allocation. Every read names the
-/// [`PersistError::Corrupt`] message it fails with when the image ends
-/// first.
+/// consumed bytes to XXH64 (seed 0, [`mqo_obs::Xxh64`]) a buffer at a
+/// time, as [`ImageWriter`] fingerprints them. It knows how many image
+/// bytes are left, so a decoder can refuse a count before it sizes an
+/// allocation. Every read names the [`PersistError::Corrupt`] message it
+/// fails with when the image ends first.
 pub struct ImageReader<R> {
     inner: R,
     buf: Box<[u8]>,
@@ -242,9 +148,7 @@ pub struct ImageReader<R> {
     mark: usize,
     /// Image bytes not yet consumed, buffered ones included.
     left: u64,
-    /// The hash [`ImageReader::magic`] selected.
-    kind: ImageHash,
-    hash: Running,
+    hash: Xxh64,
 }
 
 impl ImageReader<File> {
@@ -277,8 +181,7 @@ impl<R: Read> ImageReader<R> {
             end: 0,
             mark: 0,
             left: len,
-            kind: ImageHash::Xxh64,
-            hash: Running::new(ImageHash::Xxh64),
+            hash: Xxh64::new(),
         }
     }
 
@@ -287,26 +190,18 @@ impl<R: Read> ImageReader<R> {
         self.left
     }
 
-    /// Read an image's magic: one of `magic`'s framings, or
-    /// `Corrupt(what)`. Returns the framing that matched; the hash it
-    /// names is the one [`ImageReader::start_hash`] starts from here on.
-    pub fn magic(
-        &mut self,
-        magic: &Magic,
-        what: &'static str,
-    ) -> Result<Framing, PersistError> {
-        let read = self.array::<8>(what)?;
-        let framing = std::iter::once(magic.current())
-            .chain(magic.older.iter().copied())
-            .find(|f| f.magic == &read)
-            .ok_or(PersistError::Corrupt(what))?;
-        self.kind = framing.hash;
-        Ok(framing)
+    /// Read an image's magic and refuse any but `magic` as
+    /// `Corrupt(what)`: each image kind has exactly one.
+    pub fn magic(&mut self, magic: &[u8; 8], what: &'static str) -> Result<(), PersistError> {
+        if &self.array::<8>(what)? != magic {
+            return Err(PersistError::Corrupt(what));
+        }
+        Ok(())
     }
 
     /// Restart the running hash: it covers the bytes read from here on.
     pub fn start_hash(&mut self) {
-        self.hash = Running::new(self.kind);
+        self.hash = Xxh64::new();
         self.mark = self.pos;
     }
 
@@ -510,7 +405,7 @@ fn le_u64(b: &[u8]) -> u64 {
 }
 
 /// A forward-only writer of one binary image, the mirror of
-/// [`ImageReader`]. [`ImageWriter::start`] writes the current magic and
+/// [`ImageReader`]. [`ImageWriter::start`] writes the image's magic and
 /// a placeholder where the fingerprint goes; fields then collect in a
 /// 64 KiB buffer, and each full buffer is fed to XXH64 and written
 /// once. [`ImageWriter::finish`] writes the rest, seeks back to
@@ -526,9 +421,9 @@ pub struct ImageWriter<W: Write + Seek> {
 
 impl<W: Write + Seek> ImageWriter<W> {
     /// Begin an image at `inner`'s current position.
-    pub fn start(mut inner: W, magic: &Magic) -> Result<Self, PersistError> {
+    pub fn start(mut inner: W, magic: &[u8; 8]) -> Result<Self, PersistError> {
         let fingerprint_at = inner.stream_position()? + 8;
-        inner.write_all(magic.current)?;
+        inner.write_all(magic)?;
         inner.write_all(&[0; 8])?;
         Ok(ImageWriter {
             inner,
@@ -656,7 +551,7 @@ impl<W: Write + Seek> ImageWriter<W> {
 /// positioned after it.
 pub fn write_to<W: Write + Seek>(bundle: &DatasetBundle, w: W) -> Result<W, PersistError> {
     let tag = &bundle.tag;
-    let mut out = ImageWriter::start(w, &MAGIC)?;
+    let mut out = ImageWriter::start(w, MAGIC)?;
     out.string(tag.name())?;
     out.put_f64_le(bundle.scale)?;
 
@@ -695,19 +590,17 @@ pub fn decode<R: Read>(
     r: &mut ImageReader<R>,
     spec: DatasetSpec,
 ) -> Result<DatasetBundle, PersistError> {
-    let csr = r.magic(&MAGIC, "bad magic")?.magic == MAGIC.current;
+    r.magic(MAGIC, FOREIGN)?;
     let stored = r.u64_le("truncated fingerprint")?;
     r.verified(stored, "fingerprint mismatch (truncated or corrupt file)", |r| {
-        decode_payload(r, spec, csr)
+        decode_payload(r, spec)
     })
 }
 
-/// The payload after the fingerprint; `csr` says whether the graph
-/// section is the CSR or an older framing's edge list.
+/// The payload after the fingerprint.
 fn decode_payload<R: Read>(
     r: &mut ImageReader<R>,
     spec: DatasetSpec,
-    csr: bool,
 ) -> Result<DatasetBundle, PersistError> {
     use PersistError::Corrupt;
     let name = r.string()?;
@@ -736,7 +629,7 @@ fn decode_payload<R: Read>(
     }
 
     let n = r.u32_le("truncated graph header")? as u64;
-    let graph = if csr { csr_section(r, n)? } else { edge_section(r, n)? };
+    let graph = csr_section(r, n)?;
     let n = n as usize;
 
     let mut labels = Vec::with_capacity(n);
@@ -759,7 +652,7 @@ fn decode_payload<R: Read>(
     Ok(DatasetBundle { tag, lexicon, alphas, adversarial, spec, scale })
 }
 
-/// The `MQOTAG4` graph section: `entries u64 | offsets u64×(n+1) |
+/// The graph section: `entries u64 | offsets u64×(n+1) |
 /// targets u32×entries`, the CSR as it is held in memory. Both arrays
 /// are read in bulk and handed to [`Csr::try_from_parts`], which refuses
 /// anything a CSR must not hold before one exists.
@@ -794,36 +687,11 @@ fn csr_section<R: Read>(r: &mut ImageReader<R>, n: u64) -> Result<Csr, PersistEr
     })
 }
 
-/// The graph section of the older framings: `edges u64 | (u32, u32)*`,
-/// each undirected edge once, rebuilt into a CSR by a [`GraphBuilder`].
-fn edge_section<R: Read>(r: &mut ImageReader<R>, n: u64) -> Result<Csr, PersistError> {
-    use PersistError::Corrupt;
-    let m = r.u64_le("truncated graph header")?;
-    // 8 bytes per edge, then at least `MIN_NODE_RECORD` per node.
-    if m > r.remaining() / 8 {
-        return Err(Corrupt("truncated edge list"));
-    }
-    if n > (r.remaining() - 8 * m) / MIN_NODE_RECORD {
-        return Err(Corrupt("truncated node record"));
-    }
-    let mut builder = GraphBuilder::with_capacity(n as usize, m as usize);
-    r.records(m, 8, "truncated edge list", |edges| {
-        for edge in edges.chunks_exact(8) {
-            builder
-                .add_edge(le_u32(&edge[..4]), le_u32(&edge[4..]))
-                .map_err(|_| Corrupt("edge out of range"))?;
-        }
-        Ok(())
-    })?;
-    // Built here, so the edge list is gone before the texts.
-    Ok(builder.build())
-}
-
 /// Replace the file at `path` with what `write` writes, never leaving it
 /// torn: `write` fills a sibling temporary file, which is synced to disk
-/// and then renamed over `path`, and the directory is synced after it. If any step fails, the temporary file
-/// is removed and `path` keeps what it held. Every image kind saves
-/// through this.
+/// and then renamed over `path`, and the directory is synced after it.
+/// If any step fails, the temporary file is removed and `path` keeps
+/// what it held. Every image kind saves through this.
 pub fn write_atomically(
     path: &Path,
     write: impl FnOnce(File) -> Result<File, PersistError>,
@@ -868,7 +736,7 @@ mod tests {
     use super::*;
     use crate::registry::DatasetId;
     use crate::{dataset, generate};
-    use mqo_graph::NodeId;
+    use mqo_graph::{GraphBuilder, NodeId};
 
     /// `bundle`'s image, written to memory.
     fn image(bundle: &DatasetBundle) -> Vec<u8> {
@@ -925,7 +793,7 @@ mod tests {
         assert!(from_slice(b"", spec.clone()).is_err());
         assert!(from_slice(b"NOTMAGIC", spec.clone()).is_err());
         // Valid magic, truncated afterwards.
-        let mut buf = MAGIC.current.to_vec();
+        let mut buf = MAGIC.to_vec();
         buf.extend_from_slice(&3u32.to_le_bytes());
         buf.extend_from_slice(b"co"); // promised 3 bytes, gave 2
         assert!(matches!(from_slice(&buf, spec), Err(PersistError::Corrupt(_))));
@@ -1030,52 +898,11 @@ mod tests {
     }
 
     /// Where `bundle`'s image holds its CSR: the start of the `entries`
-    /// field and the end of the targets.
-    fn csr_at(bundle: &DatasetBundle) -> (usize, usize) {
+    /// field.
+    fn csr_at(bundle: &DatasetBundle) -> usize {
         let tag = &bundle.tag;
         let names: usize = tag.class_names().iter().map(|c| 4 + c.len()).sum();
-        let at = 16 + 4 + tag.name().len() + 8 + 22 + 2 + names + 4;
-        let graph = tag.graph();
-        (at, at + 8 + 8 * (tag.num_nodes() + 1) + 4 * graph.adjacency_len())
-    }
-
-    /// `bundle`'s image in an older framing, whose graph section is an
-    /// edge list.
-    fn edge_list_image(bundle: &DatasetBundle, framing: Framing) -> Vec<u8> {
-        let current = image(bundle);
-        let (at, end) = csr_at(bundle);
-        let mut payload = current[16..at].to_vec();
-        payload.extend_from_slice(&bundle.tag.num_edges().to_le_bytes());
-        for (u, v) in bundle.tag.graph().edges() {
-            payload.extend_from_slice(&u.0.to_le_bytes());
-            payload.extend_from_slice(&v.0.to_le_bytes());
-        }
-        payload.extend_from_slice(&current[end..]);
-        let mut out = framing.magic.to_vec();
-        out.extend_from_slice(&framing.hash.of(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
-    }
-
-    #[test]
-    fn an_image_from_the_earlier_encoder_still_loads_and_is_verified() {
-        let original = dataset(DatasetId::Cora, Some(0.1), 65);
-        let current = image(&original);
-        assert_eq!(&current[..8], MAGIC.current);
-        for &framing in MAGIC.older {
-            let older = edge_list_image(&original, framing);
-            let back = from_slice(&older, original.spec.clone()).unwrap();
-            assert_eq!(back.tag.graph(), original.tag.graph());
-            assert_eq!(image(&back), current, "re-encoded in the current framing");
-
-            let mut flipped = older;
-            let mid = flipped.len() / 2;
-            flipped[mid] ^= 0x08;
-            assert!(matches!(
-                from_slice(&flipped, original.spec.clone()),
-                Err(PersistError::Corrupt("fingerprint mismatch (truncated or corrupt file)"))
-            ));
-        }
+        16 + 4 + tag.name().len() + 8 + 22 + 2 + names + 4
     }
 
     /// The 4-cycle 0-1-2-3-0 with one-word texts.
@@ -1103,8 +930,7 @@ mod tests {
     #[test]
     fn a_csr_section_that_breaks_a_rule_is_refused_by_name() {
         let bundle = cycle4();
-        let (at, _) = csr_at(&bundle);
-        let offsets_at = at + 8;
+        let offsets_at = csr_at(&bundle) + 8;
         let targets_at = offsets_at + 8 * 5;
         assert_eq!(bundle.tag.graph().targets(), [1, 3, 0, 2, 1, 3, 0, 2]);
         let refusal = |offsets: [u64; 5], targets: [u32; 8]| {
@@ -1115,7 +941,7 @@ mod tests {
             for (i, t) in targets.iter().enumerate() {
                 bytes[targets_at + 4 * i..][..4].copy_from_slice(&t.to_le_bytes());
             }
-            let fingerprint = ImageHash::Xxh64.of(&bytes[16..]);
+            let fingerprint = mqo_obs::xxh64(&bytes[16..]);
             bytes[8..16].copy_from_slice(&fingerprint.to_le_bytes());
             match from_slice(&bytes, bundle.spec.clone()) {
                 Ok(_) => "accepted",
@@ -1151,7 +977,7 @@ mod tests {
 
         // A write that fails midway keeps the saved image whole.
         let failed = write_atomically(&path, |mut file| {
-            file.write_all(MAGIC.current)?;
+            file.write_all(MAGIC)?;
             Err(io::Error::new(io::ErrorKind::StorageFull, "disk full").into())
         });
         assert!(matches!(failed, Err(PersistError::Io(_))));

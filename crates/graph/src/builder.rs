@@ -51,9 +51,8 @@ impl GraphBuilder {
     /// Finalize into a [`Csr`]: deduplicate, mirror, and lay every
     /// neighbor run out sorted.
     ///
-    /// After the sort (linear on input that is already sorted, as an
-    /// older image's edge list is) and the dedup, the edges run in `(u, v)`
-    /// order with `u <= v`. One pass in that order writes `v` at `u`'s
+    /// After the sort (linear on input that is already sorted) and the
+    /// dedup, the edges run in `(u, v)` order with `u <= v`. One pass in that order writes `v` at `u`'s
     /// cursor and the mirror `u` at `v`'s. Node `x` thus receives its
     /// mirrors (from edges `(u, x)`, `u < x`) before its forward entries
     /// (from edges `(x, v)`, `v >= x`), each group ascending, so every
@@ -176,8 +175,8 @@ mod tests {
 
     /// An edge list over `n` nodes in which duplicates, reversed pairs
     /// and self-loops are common (endpoints come from a small range) and
-    /// the top nodes are often isolated. Also returned sorted, as an
-    /// older image's edge list arrives.
+    /// the top nodes are often isolated. Also returned sorted, the input
+    /// on which the sort is linear.
     fn edge_lists() -> impl Strategy<Value = (usize, Edges, Edges)> {
         (1..40usize)
             .prop_flat_map(|n| {

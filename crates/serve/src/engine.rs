@@ -543,7 +543,7 @@ impl Engine {
             {
                 let mut labels = self.labels.write();
                 for rec in &records {
-                    if rec.failure.is_none() && !rec.parse_failed && !rec.budget_starved {
+                    if rec.yields_pseudo_label() {
                         labels.add_pseudo(rec.node, rec.predicted);
                     }
                 }
@@ -555,7 +555,7 @@ impl Engine {
             if let Some(ctx) = &self.shard {
                 let graph = self.bundle.tag.graph();
                 for rec in &records {
-                    if rec.failure.is_none() && !rec.parse_failed && !rec.budget_starved {
+                    if rec.yields_pseudo_label() {
                         let targets = ctx.identity.neighbor_shards(graph, &ctx.map, rec.node.0);
                         if !targets.is_empty() {
                             ctx.queue(OutboundLabel {

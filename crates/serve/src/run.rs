@@ -216,7 +216,9 @@ pub fn open_journal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mqo_shard::{extract_shard, partition, PartitionStrategy};
+    use mqo_data::persist::ImageReader;
+    use mqo_shard::{extract_shard, partition, PartitionStrategy, ShardMap};
+    use std::io::Cursor;
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -246,6 +248,67 @@ mod tests {
         for p in [path, shard_path] {
             let _ = std::fs::remove_file(p);
         }
+    }
+
+    /// Each image kind has one magic. A current image rewritten under a
+    /// magic an earlier build wrote is refused alike from memory and from
+    /// its file, with the hint to regenerate it, and a dataset image's
+    /// refusal reaches `resolve_bundle` as a load failure.
+    #[test]
+    fn an_image_under_a_retired_magic_is_refused_with_a_regenerate_hint() {
+        let full = dataset(DatasetId::Cora, Some(0.1), 3);
+        let map = partition(full.tag.graph(), 2, 3, PartitionStrategy::EdgeCut);
+        let shard = extract_shard(&full, &map, 0);
+        let inner_at = 8 + 8 + 16 + 4 * shard.num_locals() as usize;
+        let data = persist::write_to(&full, Cursor::new(Vec::new())).unwrap().into_inner();
+        let shard = shard.write_to(Cursor::new(Vec::new())).unwrap().into_inner();
+        let map = map.write_to(Cursor::new(Vec::new())).unwrap().into_inner();
+        let retired = |image: &[u8], at: usize, magic: &[u8; 8]| {
+            let mut out = image.to_vec();
+            out[at..at + 8].copy_from_slice(magic);
+            out
+        };
+        let hint = |kind: &str, verb: &str| {
+            format!("corrupt image: not a {kind} this build writes; regenerate it with `mqo {verb}`")
+        };
+        let (dataset_hint, shard_hint) =
+            (hint("dataset image", "generate"), hint("shard image", "partition"));
+        let cases = [
+            ("dataset", retired(&data, 0, b"MQOTAG3\n"), &dataset_hint),
+            ("dataset", retired(&data, 0, b"MQOTAG2\n"), &dataset_hint),
+            ("shard", retired(&shard, 0, b"MQOSHD1\n"), &shard_hint),
+            ("shard", retired(&shard, inner_at, b"MQOTAG3\n"), &dataset_hint),
+            ("map", retired(&map, 0, b"MQOSHM1\n"), &hint("shard map", "partition")),
+        ];
+        let path = tmp("retired.bin");
+        let arg = path.to_str().unwrap();
+        let spec = || DatasetId::Cora.spec();
+        for (kind, image, hint) in cases {
+            std::fs::write(&path, &image).unwrap();
+            let r = &mut ImageReader::from_slice(&image);
+            let (decoded, loaded) = match kind {
+                "dataset" => {
+                    (persist::decode(r, spec()).err(), persist::load(&path, spec()).err())
+                }
+                "shard" => {
+                    (ShardBundle::decode(r, spec()).err(), load_shard_bundle(&path).err())
+                }
+                _ => (ShardMap::decode(r).err(), ShardMap::load(&path).err()),
+            };
+            let what = |e: Option<PersistError>| e.map(|e| e.to_string());
+            assert_eq!(
+                what(decoded).as_ref(),
+                Some(hint),
+                "{kind} from memory: {:?}",
+                &image[..8]
+            );
+            assert_eq!(what(loaded).as_ref(), Some(hint), "{kind} from its file");
+            if kind == "dataset" {
+                let refused = resolve_bundle(arg, None, 0).err();
+                assert_eq!(refused, Some(format!("cannot load {arg}: {hint}")));
+            }
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

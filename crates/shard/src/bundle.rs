@@ -29,33 +29,27 @@
 //! the inner image, which then decodes from the same reader exactly as
 //! `persist::load` does (streamed, its CSR read as stored and checked
 //! before it is used, with its own verdict taking precedence over its
-//! parse errors). Both fingerprints are XXH64 under the current magics
-//! (`MQOSHD2` around `MQOTAG4`); each magic names its own framing, so a
-//! shard written by an earlier encoder (`MQOSHD2` around `MQOTAG3`, or
-//! `MQOSHD1` around `MQOTAG2` with FNV-1a) still loads and is still
-//! verified, its edge list rebuilt into a CSR. The header layout never
-//! changed. [`ShardBundle::save`] replaces its file atomically, through
-//! `persist::write_atomically`. The id-map length is checked against the
-//! bytes left before it sizes an allocation. Each run of the map must be
-//! strictly ascending, and no id may be both owned and halo: `local_of`
-//! binary-searches the owned run, then the halo run.
+//! parse errors). Both fingerprints are XXH64, under `MQOSHD2` around
+//! `MQOTAG4`; a shard under any other magic is refused with a hint to
+//! regenerate it with `mqo partition`. [`ShardBundle::save`] replaces
+//! its file atomically, through `persist::write_atomically`. The id-map
+//! length is checked against the bytes left before it sizes an
+//! allocation. Each run of the map must be strictly ascending, and no id
+//! may be both owned and halo: `local_of` binary-searches the owned run,
+//! then the halo run.
 
 use crate::partition::ShardMap;
-use mqo_data::persist::{
-    self, Framing, ImageHash, ImageReader, ImageWriter, Magic, PersistError,
-};
+use mqo_data::persist::{self, ImageReader, ImageWriter, PersistError};
 use mqo_data::{DatasetBundle, DatasetSpec};
 use mqo_graph::{GraphBuilder, NodeId, Tag};
 use std::io::{Read, Seek, Write};
 use std::path::Path;
 
-/// The shard image's magics: `MQOSHD2` (XXH64 header fingerprint) is
-/// written, `MQOSHD1` (FNV-1a) from the earlier encoder still loads. The
-/// inner dataset image carries its own magic.
-const MAGIC: Magic = Magic {
-    current: b"MQOSHD2\n",
-    older: &[Framing { magic: b"MQOSHD1\n", hash: ImageHash::Fnv1a }],
-};
+/// The shard image's magic. The inner dataset image carries its own.
+const MAGIC: &[u8; 8] = b"MQOSHD2\n";
+
+/// Why a shard image under any other magic is refused.
+const FOREIGN: &str = "not a shard image this build writes; regenerate it with `mqo partition`";
 
 /// The id-space facts of one shard, separable from the dataset itself so
 /// a serving engine can own the [`DatasetBundle`] while the shard
@@ -302,7 +296,7 @@ impl ShardBundle {
     /// carries its own fingerprint). Returns `w` positioned after it.
     pub fn write_to<W: Write + Seek>(&self, w: W) -> Result<W, PersistError> {
         let id = &self.identity;
-        let mut header = ImageWriter::start(w, &MAGIC)?;
+        let mut header = ImageWriter::start(w, MAGIC)?;
         header.put_u32_le(id.shard_id)?;
         header.put_u32_le(id.num_shards)?;
         header.put_u32_le(id.num_owned)?;
@@ -319,7 +313,7 @@ impl ShardBundle {
         spec: DatasetSpec,
     ) -> Result<ShardBundle, PersistError> {
         use PersistError::Corrupt;
-        r.magic(&MAGIC, "bad shard magic")?;
+        r.magic(MAGIC, FOREIGN)?;
         // The header fingerprint covers only the shard header; the inner
         // dataset image that follows verifies itself.
         let header = "truncated shard header";
@@ -478,7 +472,7 @@ mod tests {
             bytes[at..at + 4].copy_from_slice(&g.to_le_bytes());
         }
         let end = header + 16 + 4 * ids.len();
-        let fp = ImageHash::Xxh64.of(&bytes[header..end]);
+        let fp = mqo_obs::xxh64(&bytes[header..end]);
         bytes[8..header].copy_from_slice(&fp.to_le_bytes());
         bytes
     }

@@ -26,19 +26,16 @@
 //!   [`crate::ring`]. Membership-stable, cut-oblivious.
 
 use crate::ring::{splitmix64, HashRing};
-use mqo_data::persist::{
-    self, Framing, ImageHash, ImageReader, ImageWriter, Magic, PersistError,
-};
+use mqo_data::persist::{self, ImageReader, ImageWriter, PersistError};
 use mqo_graph::{Csr, NodeId};
 use std::io::{Read, Seek, Write};
 use std::path::Path;
 
-/// The shard map's magics: `MQOSHM2` (XXH64 fingerprint) is written,
-/// `MQOSHM1` (FNV-1a) from the earlier encoder still loads.
-const MAGIC: Magic = Magic {
-    current: b"MQOSHM2\n",
-    older: &[Framing { magic: b"MQOSHM1\n", hash: ImageHash::Fnv1a }],
-};
+/// The shard map's magic.
+const MAGIC: &[u8; 8] = b"MQOSHM2\n";
+
+/// Why a shard map under any other magic is refused.
+const FOREIGN: &str = "not a shard map this build writes; regenerate it with `mqo partition`";
 
 /// How node ownership is decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -263,7 +260,7 @@ impl ShardMap {
     /// Write the image to `w` at its current position; returns `w`
     /// positioned after it. Byte-stable: equal maps write equal bytes.
     pub fn write_to<W: Write + Seek>(&self, w: W) -> Result<W, PersistError> {
-        let mut out = ImageWriter::start(w, &MAGIC)?;
+        let mut out = ImageWriter::start(w, MAGIC)?;
         out.put_u8(match self.strategy {
             PartitionStrategy::EdgeCut => 0,
             PartitionStrategy::Ring => 1,
@@ -287,7 +284,7 @@ impl ShardMap {
     /// streamed and verified the way `mqo_data::persist` decodes a
     /// dataset image.
     pub fn decode<R: Read>(r: &mut ImageReader<R>) -> Result<ShardMap, PersistError> {
-        r.magic(&MAGIC, "bad magic")?;
+        r.magic(MAGIC, FOREIGN)?;
         let stored = r.u64_le("truncated fingerprint")?;
         let mut map = r.verified(
             stored,

@@ -1,18 +1,16 @@
 //! Decoders parse before they reach the fingerprint verdict, so every
 //! count and length in an image is checked against the bytes left
 //! before it sizes an allocation. These images carry valid fingerprints
-//! but claim `u32::MAX` nodes, a 4 GiB title, `u64::MAX` edges or CSR
-//! entries, 65535 classes, `u32::MAX` local ids or `u32::MAX` shards;
+//! but claim `u32::MAX` nodes, a 4 GiB title, a million or `u64::MAX`
+//! CSR entries, 65535 classes, `u32::MAX` local ids or `u32::MAX` shards;
 //! each must come back as a truncation, from memory and from a file,
-//! without a large allocation, in the current framing (`MQOTAG4`, whose
-//! graph section is the CSR) and the earlier encoders' edge-list
-//! framings (XXH64 and FNV-1a).
+//! without a large allocation.
 //!
 //! The writers are held to the same ceiling from the other side: saving
 //! an image of many megabytes streams it, so no allocation comes near
 //! the image's size.
 
-use mqo_data::persist::{self, ImageHash, ImageReader, PersistError};
+use mqo_data::persist::{self, ImageReader, PersistError};
 use mqo_data::{DatasetBundle, DatasetId};
 use mqo_graph::{ClassId, GraphBuilder, NodeText, Tag};
 use mqo_shard::{partition, PartitionStrategy, ShardBundle, ShardIdentity, ShardMap};
@@ -55,44 +53,10 @@ const ALLOCATION_CEILING: usize = 1 << 20;
 /// race the peak.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// One framing of the three image kinds: their magics, the hash those
-/// magics name, and whether the dataset's graph section is the CSR.
-struct Format {
-    dataset: &'static [u8; 8],
-    shard: &'static [u8; 8],
-    map: &'static [u8; 8],
-    hash: ImageHash,
-    csr: bool,
-}
-
-const FORMATS: [Format; 3] = [
-    Format {
-        dataset: b"MQOTAG4\n",
-        shard: b"MQOSHD2\n",
-        map: b"MQOSHM2\n",
-        hash: ImageHash::Xxh64,
-        csr: true,
-    },
-    Format {
-        dataset: b"MQOTAG3\n",
-        shard: b"MQOSHD2\n",
-        map: b"MQOSHM2\n",
-        hash: ImageHash::Xxh64,
-        csr: false,
-    },
-    Format {
-        dataset: b"MQOTAG2\n",
-        shard: b"MQOSHD1\n",
-        map: b"MQOSHM1\n",
-        hash: ImageHash::Fnv1a,
-        csr: false,
-    },
-];
-
-/// `magic | hash(payload) | payload`, the framing of every image.
-fn framed(magic: &[u8; 8], hash: ImageHash, payload: &[u8]) -> Vec<u8> {
+/// `magic | xxh64(payload) | payload`, the framing of every image.
+fn framed(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
     let mut out = magic.to_vec();
-    out.extend_from_slice(&hash.of(payload).to_le_bytes());
+    out.extend_from_slice(&mqo_obs::xxh64(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -103,8 +67,8 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
 }
 
 /// A dataset payload up to its class list (`classes` names follow, all
-/// "A"), then `tail`, framed as `f` frames it.
-fn dataset_image(f: &Format, classes: u16, tail: &[u8]) -> Vec<u8> {
+/// "A"), then `tail`, framed as a dataset image.
+fn dataset_image(classes: u16, tail: &[u8]) -> Vec<u8> {
     let mut p = Vec::new();
     put_str(&mut p, "cora");
     p.extend_from_slice(&0.5f64.to_le_bytes());
@@ -118,10 +82,10 @@ fn dataset_image(f: &Format, classes: u16, tail: &[u8]) -> Vec<u8> {
         put_str(&mut p, "A");
     }
     p.extend_from_slice(tail);
-    framed(f.dataset, f.hash, &p)
+    framed(b"MQOTAG4\n", &p)
 }
 
-/// Graph header `n | m` (`m` counts edges, or CSR entries), then `rest`.
+/// Graph header `n | entries`, then `rest`.
 fn graph(n: u32, m: u64, rest: &[u8]) -> Vec<u8> {
     let mut t = n.to_le_bytes().to_vec();
     t.extend_from_slice(&m.to_le_bytes());
@@ -129,11 +93,10 @@ fn graph(n: u32, m: u64, rest: &[u8]) -> Vec<u8> {
     t
 }
 
-/// A graph section of `n` nodes and no edges in `f`'s layout (the CSR's
-/// offsets are all 0), then `rest`.
-fn edgeless(f: &Format, n: u32, rest: &[u8]) -> Vec<u8> {
-    let offsets = if f.csr { 8 * (n as usize + 1) } else { 0 };
-    let mut section = vec![0; offsets];
+/// A graph section of `n` nodes and no edges (its offsets all 0), then
+/// `rest`.
+fn edgeless(n: u32, rest: &[u8]) -> Vec<u8> {
+    let mut section = vec![0; 8 * (n as usize + 1)];
     section.extend_from_slice(rest);
     graph(n, 0, &section)
 }
@@ -201,49 +164,26 @@ fn assert_map_refused(tag: &str, image: &[u8], expected: &str) {
 #[test]
 fn oversized_counts_are_truncations_not_allocations() {
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-    for f in &FORMATS {
-        refuse_oversized_counts(f);
-    }
-}
-
-fn refuse_oversized_counts(f: &Format) {
-    if f.csr {
-        assert_dataset_refused(
-            "offsets",
-            &dataset_image(f, 1, &graph(u32::MAX, 0, &[])),
-            "truncated offsets",
-        );
-        // A million entries (4 MB), and u64::MAX, behind valid offsets.
-        for entries in [1_000_000, u64::MAX] {
-            assert_dataset_refused(
-                "entries",
-                &dataset_image(f, 1, &graph(1, entries, &[0; 16])),
-                "truncated targets",
-            );
-        }
-        // Offsets for 1,000 nodes, but no node records after them.
-        assert_dataset_refused(
-            "nodes",
-            &dataset_image(f, 1, &edgeless(f, 1_000, &[])),
-            "truncated node record",
-        );
-    } else {
-        assert_dataset_refused(
-            "nodes",
-            &dataset_image(f, 1, &graph(u32::MAX, 0, &[])),
-            "truncated node record",
-        );
-        assert_dataset_refused(
-            "edges",
-            &dataset_image(f, 1, &graph(1, u64::MAX, &[])),
-            "truncated edge list",
-        );
-    }
     assert_dataset_refused(
-        "classes",
-        &dataset_image(f, u16::MAX, &[]),
-        "truncated string length",
+        "offsets",
+        &dataset_image(1, &graph(u32::MAX, 0, &[])),
+        "truncated offsets",
     );
+    // A million entries (4 MB), and u64::MAX, behind valid offsets.
+    for entries in [1_000_000, u64::MAX] {
+        assert_dataset_refused(
+            "entries",
+            &dataset_image(1, &graph(1, entries, &[0; 16])),
+            "truncated targets",
+        );
+    }
+    // Offsets for 1,000 nodes, but no node records after them.
+    assert_dataset_refused(
+        "nodes",
+        &dataset_image(1, &edgeless(1_000, &[])),
+        "truncated node record",
+    );
+    assert_dataset_refused("classes", &dataset_image(u16::MAX, &[]), "truncated string length");
     // One node whose title claims u32::MAX bytes (4 GiB); four more
     // bytes make the record as long as the shortest valid one.
     let mut record = 0u16.to_le_bytes().to_vec();
@@ -253,7 +193,7 @@ fn refuse_oversized_counts(f: &Format) {
     record.extend_from_slice(&[0; 4]);
     assert_dataset_refused(
         "title",
-        &dataset_image(f, 1, &edgeless(f, 1, &record)),
+        &dataset_image(1, &edgeless(1, &record)),
         "truncated string body",
     );
 
@@ -262,8 +202,8 @@ fn refuse_oversized_counts(f: &Format) {
     for field in [0u32, 2, 1, u32::MAX] {
         header.extend_from_slice(&field.to_le_bytes());
     }
-    let mut shard = framed(f.shard, f.hash, &header);
-    shard.extend_from_slice(&dataset_image(f, 1, &edgeless(f, 0, &[])));
+    let mut shard = framed(b"MQOSHD2\n", &header);
+    shard.extend_from_slice(&dataset_image(1, &edgeless(0, &[])));
     assert_shard_refused("locals", &shard, "truncated local id map");
 
     // Shard maps claiming u32::MAX shards, under either strategy.
@@ -274,7 +214,7 @@ fn refuse_oversized_counts(f: &Format) {
         p.extend_from_slice(&100u32.to_le_bytes());
         p.extend_from_slice(&u32::MAX.to_le_bytes());
         p.extend_from_slice(&0u64.to_le_bytes());
-        assert_map_refused(&format!("shards-{strategy}"), &framed(f.map, f.hash, &p), expected);
+        assert_map_refused(&format!("shards-{strategy}"), &framed(b"MQOSHM2\n", &p), expected);
     }
 }
 

@@ -2,13 +2,10 @@
 //! (`mqo_data::persist`) and shard images (`ShardBundle`): an intact
 //! image decodes and re-encodes to the same bytes, a damaged one is an
 //! `Err` (never a panic), and decoding from memory and streaming from a
-//! file always reach the same verdict. Dataset images store the CSR
-//! (`MQOTAG4`) and load to exactly the graph a `GraphBuilder` builds;
-//! the older edge-list framings (`MQOTAG3` with XXH64, `MQOTAG2` with
-//! FNV-1a) still load to the same bundle, and an image whose magic names
-//! the other hash is refused.
+//! file always reach the same verdict. Dataset images store the CSR and
+//! load to exactly the graph a `GraphBuilder` builds.
 
-use mqo_data::persist::{self, ImageHash, ImageReader};
+use mqo_data::persist::{self, ImageReader};
 use mqo_data::{DatasetBundle, DatasetId, DatasetSpec};
 use mqo_graph::{ClassId, GraphBuilder, NodeText, Tag};
 use mqo_shard::{
@@ -68,45 +65,6 @@ fn random_shard(seed: u64) -> ShardBundle {
     let map = partition(full.tag.graph(), shards, seed, strategy);
     extract_shard(&full, &map, (seed >> 8) as u32 % shards)
 }
-
-/// `payload` framed under `magic`, its fingerprint made with `hash`.
-fn framed(magic: &[u8; 8], hash: ImageHash, payload: &[u8]) -> Vec<u8> {
-    let mut out = magic.to_vec();
-    out.extend_from_slice(&hash.of(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-/// `image` (framed `magic | fingerprint | payload`) re-framed under
-/// `magic`, its fingerprint remade with `hash`.
-fn reframe(image: &[u8], magic: &[u8; 8], hash: ImageHash) -> Vec<u8> {
-    framed(magic, hash, &image[16..])
-}
-
-/// `bundle` as an older encoder wrote it: the current image with its
-/// CSR section (`entries | offsets | targets`, after the node count)
-/// replaced by an edge list (`edges | (u, v)*`, each edge once), framed
-/// under `magic` and fingerprinted with `hash`.
-fn edge_list_image(bundle: &DatasetBundle, magic: &[u8; 8], hash: ImageHash) -> Vec<u8> {
-    let tag = &bundle.tag;
-    let current = dataset_image(bundle);
-    let names: usize = tag.class_names().iter().map(|c| 4 + c.len()).sum();
-    // Header: name, scale, the five lexicon fields, the class list, n.
-    let at = 16 + 4 + tag.name().len() + 8 + 22 + 2 + names + 4;
-    let end = at + 8 + 8 * (tag.num_nodes() + 1) + 4 * tag.graph().adjacency_len();
-    let mut payload = current[16..at].to_vec();
-    payload.extend_from_slice(&tag.num_edges().to_le_bytes());
-    for (u, v) in tag.graph().edges() {
-        payload.extend_from_slice(&u.0.to_le_bytes());
-        payload.extend_from_slice(&v.0.to_le_bytes());
-    }
-    payload.extend_from_slice(&current[end..]);
-    framed(magic, hash, &payload)
-}
-
-/// The older framings of a dataset image, newest first.
-const EDGE_LIST_FRAMINGS: [(&[u8; 8], ImageHash); 2] =
-    [(b"MQOTAG3\n", ImageHash::Xxh64), (b"MQOTAG2\n", ImageHash::Fnv1a)];
 
 /// A graph over `n` nodes: `edges` (duplicates, reversed pairs and
 /// self-loops among them) plus a hub, node `hub`, joined to every
@@ -203,21 +161,11 @@ proptest! {
 
     #[test]
     fn intact_images_decode_and_re_encode_byte_identically(seed in any::<u64>()) {
-        let bundle = random_bundle(seed);
-        let data = dataset_image(&bundle);
+        let data = dataset_image(&random_bundle(seed));
         prop_assert_eq!(&data[..8], b"MQOTAG4\n");
         let (in_memory, loaded) = dataset_verdicts(&data, "intact-dataset");
         prop_assert_eq!(in_memory.as_deref(), Ok(&data[..]), "seed {}", seed);
         prop_assert_eq!(loaded.as_deref(), Ok(&data[..]), "seed {}", seed);
-
-        // The earlier encoders' framings of the same bundle load to it,
-        // and the encoder writes it back in the current framing.
-        for (magic, hash) in EDGE_LIST_FRAMINGS {
-            let older = edge_list_image(&bundle, magic, hash);
-            let (in_memory, loaded) = dataset_verdicts(&older, "older-dataset");
-            prop_assert_eq!(in_memory.as_deref(), Ok(&data[..]), "seed {}", seed);
-            prop_assert_eq!(loaded.as_deref(), Ok(&data[..]), "seed {}", seed);
-        }
 
         let shard = shard_image(&random_shard(seed));
         let (in_memory, loaded) = shard_verdicts(&shard, "intact-shard");
@@ -225,26 +173,19 @@ proptest! {
         prop_assert_eq!(loaded.as_deref(), Ok(&shard[..]), "seed {}", seed);
     }
 
-    /// An `MQOTAG4` load is the very graph the builder built, and both
-    /// edge-list framings of the same bundle load to an equal graph.
+    /// A loaded image holds the very graph the builder built, and writes
+    /// back the same bytes.
     #[test]
-    fn every_framing_loads_the_graph_the_builder_builds(
+    fn a_loaded_image_holds_the_graph_the_builder_builds(
         (n, edges, hub, spoke) in graphs(),
     ) {
         let bundle = graph_bundle(n, &edges, hub, spoke);
         let built = bundle.tag.graph();
         let image = dataset_image(&bundle);
-        let mut older: Vec<Vec<u8>> = EDGE_LIST_FRAMINGS
-            .iter()
-            .map(|&(magic, hash)| edge_list_image(&bundle, magic, hash))
-            .collect();
-        older.insert(0, image.clone());
-        for bytes in &older {
-            let loaded = persist::decode(&mut ImageReader::from_slice(bytes), spec()).unwrap();
-            prop_assert_eq!(loaded.tag.graph(), built, "{:?}", &bytes[..8]);
-            prop_assert_eq!(loaded.tag.num_edges(), built.num_edges());
-            prop_assert_eq!(dataset_image(&loaded), image.clone());
-        }
+        let loaded = persist::decode(&mut ImageReader::from_slice(&image), spec()).unwrap();
+        prop_assert_eq!(loaded.tag.graph(), built);
+        prop_assert_eq!(loaded.tag.num_edges(), built.num_edges());
+        prop_assert_eq!(dataset_image(&loaded), image);
     }
 
     #[test]
@@ -267,37 +208,10 @@ proptest! {
     }
 }
 
-/// A shard image written by the encoder as it stood before decoding
-/// streamed, with FNV-1a fingerprints (`MQOSHD1`, `MQOTAG2`): a
-/// hand-built three-node dataset (owned globals 5 and 6, halo global 9)
-/// on shard 1 of 2. Load-only: the encoder no longer writes it.
-const TAG2_SHARD: &str = "\
-    4d514f534844310aadcafdc7f6e07c4a01000000020000000200000003000000\
-    0500000006000000090000004d514f544147320afc3f5338970d986904000000\
-    636f7261fca9f1d24d62503f0700000000000000020003000000040000000100\
-    00000200060000005468656f72790700000053797374656d7303000000020000\
-    00000000000000000001000000010000000200000000000000003f000d000000\
-    67726170682070726f6d707473180000006e65696768626f7220637565732063\
-    757420746f6b656e730100000080be0108000000626f6f7374696e6700000000\
-    01000000803f000400000068616c6f11000000612072656d6f7465206e656967\
-    68626f72";
-
-/// The same shard with XXH64 fingerprints under `MQOSHD2` and
-/// `MQOTAG3`, whose graph section is still an edge list. Load-only.
-const TAG3_SHARD: &str = "\
-    4d514f534844320af1ce5ed378b06c3801000000020000000200000003000000\
-    0500000006000000090000004d514f544147330a53d32493281a239a04000000\
-    636f7261fca9f1d24d62503f0700000000000000020003000000040000000100\
-    00000200060000005468656f72790700000053797374656d7303000000020000\
-    00000000000000000001000000010000000200000000000000003f000d000000\
-    67726170682070726f6d707473180000006e65696768626f7220637565732063\
-    757420746f6b656e730100000080be0108000000626f6f7374696e6700000000\
-    01000000803f000400000068616c6f11000000612072656d6f7465206e656967\
-    68626f72";
-
-/// The same shard as the current encoder writes it: the header as in
-/// [`TAG3_SHARD`], the inner image under `MQOTAG4`, whose graph section
-/// is the CSR (3 nodes, 4 entries, offsets 0 1 3 4, targets 1 0 2 1).
+/// A shard image as the encoder writes it: a hand-built three-node
+/// dataset (owned globals 5 and 6, halo global 9) on shard 1 of 2, whose
+/// inner image's graph section is the CSR (3 nodes, 4 entries, offsets
+/// 0 1 3 4, targets 1 0 2 1).
 const TAG4_SHARD: &str = "\
     4d514f534844320af1ce5ed378b06c3801000000020000000200000003000000\
     0500000006000000090000004d514f544147340afea4494a0bdf0e7504000000\
@@ -354,25 +268,7 @@ fn unhex(hex: &str) -> Vec<u8> {
     (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap()).collect()
 }
 
-/// Where the inner dataset image starts in every fixture: magic,
-/// fingerprint, four header words and three local ids.
-const INNER: usize = 8 + 8 + 16 + 12;
-
-/// Both older framings of the fixture load to the same bundle, which the
-/// encoder writes as [`TAG4_SHARD`].
-#[test]
-fn an_image_from_the_earlier_encoder_loads_to_an_equal_bundle() {
-    for (fixture, tag) in [(TAG2_SHARD, "tag2-shard.bin"), (TAG3_SHARD, "tag3-shard.bin")] {
-        let path = temp_path(tag);
-        std::fs::write(&path, unhex(fixture)).unwrap();
-        let loaded = ShardBundle::load(&path, spec()).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_is_the_fixture(&loaded);
-        assert_eq!(shard_image(&loaded), unhex(TAG4_SHARD), "{tag}");
-    }
-}
-
-/// The bundle every fixture holds.
+/// The bundle [`TAG4_SHARD`] holds.
 fn assert_is_the_fixture(loaded: &ShardBundle) {
     let expected_identity = ShardIdentity::new(1, 2, 2, vec![5, 6, 9]);
     let id = &loaded.identity;
@@ -404,8 +300,7 @@ fn assert_is_the_fixture(loaded: &ShardBundle) {
     );
 }
 
-/// The older fixtures re-encode to this one (above), and this one loads
-/// to the same bundle and re-encodes to itself.
+/// The fixture loads to its bundle and re-encodes to itself.
 #[test]
 fn a_current_image_loads_and_re_encodes_byte_identically() {
     let image = unhex(TAG4_SHARD);
@@ -414,47 +309,4 @@ fn a_current_image_loads_and_re_encodes_byte_identically() {
     assert_eq!(loaded.as_deref(), Ok(&image[..]));
     let decoded = ShardBundle::decode(&mut ImageReader::from_slice(&image), spec()).unwrap();
     assert_is_the_fixture(&decoded);
-}
-
-/// An image whose magic names one hash while its fingerprint was made
-/// with the other fails its fingerprint check, in both directions, for
-/// dataset, shard and shard-map images.
-#[test]
-fn a_magic_naming_the_other_hash_is_a_fingerprint_mismatch() {
-    let mismatch = "corrupt image: fingerprint mismatch (truncated or corrupt file)";
-    let (tag4, tag3, tag2) = (unhex(TAG4_SHARD), unhex(TAG3_SHARD), unhex(TAG2_SHARD));
-
-    let swapped = |image: &[u8], magic: &[u8; 8]| {
-        let mut out = image.to_vec();
-        out[..8].copy_from_slice(magic);
-        out
-    };
-    for (image, magic) in [
-        (&tag4[INNER..], b"MQOTAG2\n"),
-        (&tag3[INNER..], b"MQOTAG2\n"),
-        (&tag2[INNER..], b"MQOTAG3\n"),
-        (&tag2[INNER..], b"MQOTAG4\n"),
-    ] {
-        let (in_memory, loaded) = dataset_verdicts(&swapped(image, magic), "mixed-dataset");
-        assert_eq!(in_memory.err().as_deref(), Some(mismatch), "dataset under {magic:?}");
-        assert_eq!(loaded.err().as_deref(), Some(mismatch), "dataset under {magic:?}");
-    }
-    let header_mismatch = "corrupt image: shard header fingerprint mismatch";
-    for (image, magic) in [(&tag4, b"MQOSHD1\n"), (&tag2, b"MQOSHD2\n")] {
-        let (in_memory, loaded) = shard_verdicts(&swapped(image, magic), "mixed-shard");
-        assert_eq!(in_memory.err().as_deref(), Some(header_mismatch), "shard under {magic:?}");
-        assert_eq!(loaded.err().as_deref(), Some(header_mismatch), "shard under {magic:?}");
-    }
-
-    let full = random_bundle(7);
-    let map = map_image(&partition(full.tag.graph(), 2, 7, PartitionStrategy::EdgeCut));
-    assert_eq!(&map[..8], b"MQOSHM2\n");
-    let legacy_map = reframe(&map, b"MQOSHM1\n", ImageHash::Fnv1a);
-    let decode = |image: Vec<u8>| {
-        ShardMap::decode(&mut ImageReader::from_slice(&image)).map_err(|e| e.to_string())
-    };
-    assert_eq!(decode(legacy_map.clone()).map(|m| map_image(&m)), Ok(map.clone()));
-    let map_mismatch = "corrupt image: fingerprint mismatch (truncated or corrupt file)";
-    assert_eq!(decode(swapped(&map, b"MQOSHM1\n")).err().as_deref(), Some(map_mismatch));
-    assert_eq!(decode(swapped(&legacy_map, b"MQOSHM2\n")).err().as_deref(), Some(map_mismatch));
 }

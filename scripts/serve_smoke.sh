@@ -4,7 +4,7 @@
 #
 #   scripts/serve_smoke.sh
 #
-# Six gated legs, all seeded:
+# Eight gated legs, all seeded:
 #
 #   1. A server over a generated Cora file answers a seeded loadgen
 #      burst with non-zero throughput (loadgen exits non-zero if no
@@ -29,6 +29,9 @@
 #      Chrome trace export, and the journal record. /v1/slo must report
 #      burn rate <= 1 for the clean run, and the drained flight dump
 #      must pass obs_check's causal span-tree validation.
+#   8. A copy of the generated file under a magic an earlier build wrote
+#      (`MQOTAG3`) is refused: `mqo inspect` exits 1 and tells the user
+#      to regenerate it with `mqo generate`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,6 +44,18 @@ cargo build --release -q -p mqo-bench --bin mqo --bin loadgen --bin obs_check
 
 echo "==> generating dataset"
 ./target/release/mqo generate cora --scale 0.5 --seed 42 --out "$OUT/cora.bin" > /dev/null
+
+echo "==> leg 8: an image under a retired magic is refused with a regenerate hint"
+cp "$OUT/cora.bin" "$OUT/retired.bin"
+printf 'MQOTAG3\n' | dd of="$OUT/retired.bin" bs=8 count=1 conv=notrunc status=none
+status=0
+./target/release/mqo inspect "$OUT/retired.bin" > /dev/null 2> "$OUT/retired.err" || status=$?
+if [ "$status" -ne 1 ] || ! grep -qF 'regenerate it with `mqo generate`' "$OUT/retired.err"; then
+  echo "serve_smoke: inspect of a retired-magic image exited $status:" >&2
+  cat "$OUT/retired.err" >&2
+  exit 1
+fi
+rm -f "$OUT/retired.bin"
 
 wait_for_file() { # path what
   for _ in $(seq 1 200); do [ -s "$1" ] && return 0; sleep 0.1; done
