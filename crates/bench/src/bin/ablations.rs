@@ -42,12 +42,11 @@ fn main() {
             let mut labels = LabelStore::from_split(tag, &ctx.split);
             let report = Scheduler::new(
                 &exec,
-                SchedulePolicy::CueGated {
-                    config: BoostConfig { gamma1, gamma2 },
-                    policy: DegradePolicy::default(),
-                    threads: 1,
-                    deterministic: true,
-                },
+                SchedulePolicy::cue_gated(
+                    BoostConfig { gamma1, gamma2 },
+                    DegradePolicy::default(),
+                    1,
+                ),
             )
             .run(&predictor, Labels::Boosting(&mut labels), queries, |_| false)
             .unwrap();
@@ -165,12 +164,7 @@ fn main() {
     let mut bl = LabelStore::from_split(tag, &ctx.split);
     let boost2 = Scheduler::new(
         &exec,
-        SchedulePolicy::CueGated {
-            config: BoostConfig::default(),
-            policy: DegradePolicy::default(),
-            threads: 1,
-            deterministic: true,
-        },
+        SchedulePolicy::cue_gated(BoostConfig::default(), DegradePolicy::default(), 1),
     )
     .run(&khop2, Labels::Boosting(&mut bl), queries, |_| false)
     .unwrap()

@@ -28,6 +28,10 @@
 //! Datasets: cora, citeseer, pubmed, ogbn-arxiv, ogbn-products.
 //! Methods: zero-shot, 1hop, 2hop, sns, llmrank.
 //!
+//! `classify --boost` always runs Algorithm 2 in waves, so its records are
+//! byte-identical at any `--threads`; `--deterministic` is accepted with
+//! `--boost` and changes nothing.
+//!
 //! Scale-out: `mqo partition` cuts a dataset into per-shard bundles plus
 //! a shard map; `mqo serve --shard-id I --shard-map F [--router A]`
 //! serves one shard (pushing boundary pseudo-labels to the router when
@@ -89,7 +93,9 @@ fn usage() -> ExitCode {
          mqo route    MAPFILE --workers ADDR,ADDR,... [--addr A] [--addr-file FILE]\n               \
          [--eject-after N] [--probe-interval-ms MS]\n  \
          mqo plan     <dataset> --dollars X [--queries N] [--method M]\n  \
-         mqo tables"
+         mqo tables\n\n\
+         classify --boost always runs in waves (deterministic at any --threads);\n\
+         --deterministic is accepted with --boost and changes nothing."
     );
     ExitCode::from(2)
 }
@@ -215,14 +221,13 @@ fn classify_policy(args: &Args) -> Result<SchedulePolicy, CliError> {
         return refuse("--threads must be at least 1");
     }
     if args.has("boost") {
-        // Width 1 runs waves either way; wider runs free-run unless
-        // --deterministic asks for wave barriers.
-        return Ok(SchedulePolicy::CueGated {
-            config: BoostConfig::default(),
-            policy: DegradePolicy::default(),
+        // Boosted runs always go in waves, byte-identical at any width:
+        // --deterministic is accepted and changes nothing.
+        return Ok(SchedulePolicy::cue_gated(
+            BoostConfig::default(),
+            DegradePolicy::default(),
             threads,
-            deterministic: args.has("deterministic"),
-        });
+        ));
     }
     if args.has("deterministic") {
         return refuse("--deterministic only applies to --boost");
@@ -1011,6 +1016,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every boosted run goes in waves: `--deterministic` is accepted
+    /// with `--boost` and selects the same policy as its absence.
+    #[test]
+    fn deterministic_selects_the_same_boosted_policy() {
+        let policy = |line: &str| classify_policy(&parse(line).unwrap()).unwrap();
+        assert_eq!(
+            policy("classify cora --boost --threads 4"),
+            policy("classify cora --boost --deterministic --threads 4")
+        );
     }
 
     /// Classify flags the chosen policy would clamp or ignore are refused

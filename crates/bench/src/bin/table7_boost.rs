@@ -44,12 +44,7 @@ fn main() {
                 let mut boost_labels = LabelStore::from_split(tag, &ctx.split);
                 let boosted = Scheduler::new(
                     &exec,
-                    SchedulePolicy::CueGated {
-                        config: boost,
-                        policy: DegradePolicy::default(),
-                        threads: 1,
-                        deterministic: true,
-                    },
+                    SchedulePolicy::cue_gated(boost, DegradePolicy::default(), 1),
                 )
                 .run(
                     method.as_ref(),

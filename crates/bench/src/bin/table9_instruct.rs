@@ -36,12 +36,7 @@ fn main() {
         let mut bl = LabelStore::from_split(tag, &ctx.split);
         let boosted = Scheduler::new(
             &exec,
-            SchedulePolicy::CueGated {
-                config: boost,
-                policy: DegradePolicy::default(),
-                threads: 1,
-                deterministic: true,
-            },
+            SchedulePolicy::cue_gated(boost, DegradePolicy::default(), 1),
         )
         .run(&predictor, Labels::Boosting(&mut bl), queries, |_| false)
         .unwrap()

@@ -368,11 +368,12 @@ mod tests {
         plan: &PrunePlan,
         policy: DegradePolicy,
     ) -> Result<(ExecOutcome, Vec<RoundTrace>)> {
-        let report = Scheduler::new(
-            exec,
-            SchedulePolicy::CueGated { config, policy, threads: 1, deterministic: true },
-        )
-        .run(predictor, Labels::Boosting(labels), queries, |v| plan.is_pruned(v))?;
+        let report = Scheduler::new(exec, SchedulePolicy::cue_gated(config, policy, 1)).run(
+            predictor,
+            Labels::Boosting(labels),
+            queries,
+            |v| plan.is_pruned(v),
+        )?;
         Ok((report.outcome, report.rounds))
     }
 

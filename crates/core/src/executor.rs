@@ -588,10 +588,8 @@ impl<'a> Executor<'a> {
     /// (Table IV's Δ%, Fig. 7's curves) measure the strategy, not
     /// resampling noise.
     pub fn query_rng(&self, v: NodeId) -> StdRng {
-        let mut x = self.seed ^ ((v.0 as u64).wrapping_add(0x9e37_79b9_7f4a_7c15));
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        StdRng::seed_from_u64(x ^ (x >> 31))
+        let x = self.seed ^ u64::from(v.0).wrapping_add(mqo_obs::SPLITMIX64_GAMMA);
+        StdRng::seed_from_u64(mqo_obs::mix64(x))
     }
 
     /// Execute `queries` in order with a fixed label store (no boosting).

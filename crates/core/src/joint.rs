@@ -22,12 +22,7 @@ pub fn run_joint(
     boost: BoostConfig,
 ) -> Result<(ExecOutcome, Vec<RoundTrace>)> {
     let plan = PrunePlan::by_inadequacy(scorer, exec.tag, queries, tau);
-    let policy = SchedulePolicy::CueGated {
-        config: boost,
-        policy: DegradePolicy::default(),
-        threads: 1,
-        deterministic: true,
-    };
+    let policy = SchedulePolicy::cue_gated(boost, DegradePolicy::default(), 1);
     let report = Scheduler::new(exec, policy).run(
         predictor,
         Labels::Boosting(labels),

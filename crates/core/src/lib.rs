@@ -31,7 +31,7 @@
 //!   with a completion channel, and pluggable [`sched::SchedulePolicy`]
 //!   implementations for FIFO, width-N, and cue-gated execution. Online
 //!   arrivals (the introduction's dynamic-node scenario) run as
-//!   free-running cue-gated windows over one evolving label store; see
+//!   cue-gated windows, in waves, over one evolving label store; see
 //!   `examples/online_stream.rs`.
 //! * [`planner`] — dollars → tokens → τ campaign planning before any LLM
 //!   call (§V-C arithmetic over rendered-prompt estimates).

@@ -14,19 +14,14 @@
 //!   re-assembled in input order.
 //! * [`SchedulePolicy::CueGated`] — Algorithm 2: a query becomes ready
 //!   when its neighbor pseudo-label support satisfies the γ₁/γ₂ rule.
-//!   In **deterministic** mode readiness is evaluated in waves (the
-//!   paper's rounds): candidates are selected against a frozen label
-//!   store, executed by the pool, and their pseudo-labels folded in
-//!   candidate order at a barrier — byte-identical record streams across
-//!   runs and pool widths. In **free-running** mode the barrier is gone:
-//!   each completion folds its pseudo-label immediately and newly
-//!   qualified queries dispatch while their siblings are still in
-//!   flight, overlapping LLM latency with readiness evaluation. Both
-//!   modes are one loop; see [`Scheduler::run`]. Readiness is
-//!   incremental: a query's neighbor support is cached and recounted
-//!   only after a label changes within the predictor's
-//!   [`Predictor::label_radius`] (every pending query, for a predictor
-//!   that claims no radius); relaxation re-filters the cache.
+//!   Readiness is evaluated in waves (the paper's rounds): candidates are
+//!   selected against a frozen label store, executed by the pool, and
+//!   their pseudo-labels folded in candidate order at a barrier —
+//!   byte-identical record streams across runs and pool widths; see
+//!   [`Scheduler::run`]. Readiness is incremental: a query's neighbor
+//!   support is cached and recounted only after a label changes within
+//!   the predictor's [`Predictor::label_radius`] (every pending query, for
+//!   a predictor that claims no radius); relaxation re-filters the cache.
 //!
 //! Every policy but `Fifo` runs on one worker pool per run: one dispatch
 //! queue, one completion channel, `worker_loop` on each thread. Width 1
@@ -34,11 +29,11 @@
 //!
 //! ## Determinism contract
 //!
-//! Under `CueGated { deterministic: true }` the ready queue is drained in
-//! a stable order (input arrival order, which the CLI derives from the
-//! seeded split), candidate waves see a frozen label store, and records
-//! are folded in candidate order — so two runs with the same seed produce
-//! byte-identical record dumps whenever the model itself is
+//! Under `CueGated` the ready queue is drained in a stable order (input
+//! arrival order, which the CLI derives from the seeded split), candidate
+//! waves see a frozen label store, and records are folded in candidate
+//! order — so two runs with the same seed produce byte-identical record
+//! dumps at any pool width whenever the model itself is
 //! call-order-insensitive (the simulated backends are; a response cache
 //! or call-indexed fault schedule is not, which is why the scheduler
 //! smoke runs with `--no-cache` and no faults).
@@ -46,16 +41,16 @@
 //! ## Invariants preserved (checked by `obs_check` and the equivalence
 //! proptests below)
 //!
-//! * Span causality: query spans parent to the round span in wave mode
-//!   and to the run scope in free-running mode; `llm_call` under `query`.
+//! * Span causality: query spans parent to their wave's round span;
+//!   `llm_call` under `query`.
 //! * Ledger conservation: per-query cost accounting is untouched — any
 //!   grouping of [`Executor::run_one_reusing`] calls conserves.
 //! * Journal replay/resume: journaled queries replay before dispatch and
-//!   fresh records are journaled on completion; cue-gated runs seal
-//!   rounds (wave mode) or fold batches (free-running) with an fsync.
+//!   fresh records are journaled on completion; cue-gated runs seal each
+//!   round with an fsync.
 //! * Eq. 2 hard budget: order-dependent, so pooled policies reject it
-//!   (`Error::Config`) and cue-gated runs clamp to one worker running
-//!   waves, where the spend order is the candidate order.
+//!   (`Error::Config`) and cue-gated runs clamp to one worker, where the
+//!   spend order is the candidate order.
 
 use crate::boosting::{BoostConfig, DegradePolicy, Readiness, RoundTrace, Support};
 use crate::error::{Error, Result};
@@ -89,13 +84,19 @@ pub enum SchedulePolicy {
         policy: DegradePolicy,
         /// Worker-pool width (clamped to 1 under a hard budget).
         threads: usize,
-        /// `true` → wave (round) execution with a barrier per wave:
-        /// byte-identical records across runs. `false` → free-running:
-        /// completions fold immediately and newly ready queries dispatch
-        /// without waiting for the wave to drain. Width 1 always runs
-        /// waves.
+        /// Ignored: every cue-gated run executes in waves. The field is
+        /// left only so that struct literals outside the workspace (the
+        /// benchmark's per-layer binary) keep compiling; build the policy
+        /// with [`SchedulePolicy::cue_gated`].
         deterministic: bool,
     },
+}
+
+impl SchedulePolicy {
+    /// Algorithm 2 query boosting on a pool of `threads` workers.
+    pub fn cue_gated(config: BoostConfig, policy: DegradePolicy, threads: usize) -> Self {
+        SchedulePolicy::CueGated { config, policy, threads, deterministic: true }
+    }
 }
 
 /// The label knowledge a run reads (and, for cue-gated runs, writes).
@@ -119,20 +120,19 @@ impl Labels<'_> {
 /// What a scheduled run produced.
 #[derive(Debug, Default)]
 pub struct RunReport {
-    /// Per-query records. Input order for `Fifo`/`Parallel`,
-    /// candidate order per wave for deterministic cue-gated runs,
-    /// completion order for free-running cue-gated runs.
+    /// Per-query records. Input order for `Fifo`/`Parallel`, candidate
+    /// order per wave for cue-gated runs.
     pub outcome: ExecOutcome,
-    /// One trace per executed wave (cue-gated wave mode) or fold batch
-    /// (free-running). Empty for the fixed policies.
+    /// One trace per executed cue-gated wave. Empty for the fixed
+    /// policies.
     pub rounds: Vec<RoundTrace>,
     /// Queries replayed from the journal without touching the model.
     pub replayed: u64,
     /// Prompt tokens billed to freshly executed (non-replayed) records.
     pub fresh_billed_tokens: u64,
     /// Label-support evaluations the cue-gated readiness passes made
-    /// (zero for the fixed policies). A function of the inputs alone in
-    /// wave mode, so it repeats exactly under `deterministic`.
+    /// (zero for the fixed policies). A function of the inputs alone, so
+    /// it repeats exactly.
     pub readiness_evals: u64,
 }
 
@@ -210,7 +210,7 @@ impl<'s, 'e> Scheduler<'s, 'e> {
             SchedulePolicy::Parallel { threads } => {
                 self.run_pooled(predictor, labels.store(), queries, &prune_set, threads)
             }
-            SchedulePolicy::CueGated { config, policy, threads, deterministic } => {
+            SchedulePolicy::CueGated { config, policy, threads, .. } => {
                 let Labels::Boosting(labels) = labels else {
                     return Err(Error::Config {
                         detail: "cue-gated scheduling needs a boosting label store".into(),
@@ -218,17 +218,10 @@ impl<'s, 'e> Scheduler<'s, 'e> {
                 };
                 assert!(policy.give_up_after >= 1, "give_up_after must be positive");
                 // The hard budget is meter-order-dependent: clamp to one
-                // worker running waves, so spend order is candidate order.
+                // worker, so spend order is candidate order.
                 let width = if self.exec.budget.is_some() { 1 } else { threads.max(1) };
                 self.run_cue_gated(
-                    predictor,
-                    labels,
-                    queries,
-                    &prune_set,
-                    config,
-                    policy,
-                    width,
-                    deterministic || width == 1,
+                    predictor, labels, queries, &prune_set, config, policy, width,
                 )
             }
         }
@@ -357,26 +350,22 @@ impl<'s, 'e> Scheduler<'s, 'e> {
         Ok(report)
     }
 
-    /// Algorithm 2 on the worker pool — one loop for both cue-gated
-    /// modes. Each turn:
+    /// Algorithm 2 on the worker pool, one wave per turn:
     ///
     /// 1. a readiness pass over the pending queries in input order,
     ///    relaxing γ₁ toward 0, then γ₂ toward K, only when nothing is
-    ///    ready *and* nothing is in flight (an in-flight completion may
-    ///    yet unlock a pending query at the current thresholds). The pass
-    ///    is incremental: each pending entry carries its last support
-    ///    count, [`Readiness`] recounts it only when it is unknown or a
-    ///    label changed within the predictor's
+    ///    ready. The pass is incremental: each pending entry carries its
+    ///    last support count, [`Readiness`] recounts it only when it is
+    ///    unknown or a label changed within the predictor's
     ///    [`Predictor::label_radius`], and relaxation steps re-filter the
     ///    counted entries without recounting any;
-    /// 2. dispatch of the ready queries against a label snapshot;
-    /// 3. failure escalation on the completions taken back;
-    /// 4. one fold of the final records as a round: pseudo-labels,
+    /// 2. dispatch of the ready queries against a frozen label snapshot,
+    ///    under a `round` span;
+    /// 3. the barrier: every dispatched query completes, and the
+    ///    completions are put back in candidate order;
+    /// 4. failure escalation on the completions;
+    /// 5. one fold of the final records as a round: pseudo-labels,
     ///    [`RoundTrace`], `RoundCompleted`, journal, seal.
-    ///
-    /// `waves` decides only whether a turn waits for everything it
-    /// dispatched (the barrier), whether the fold runs in candidate
-    /// order, and whether a `round` span scopes the wave.
     #[allow(clippy::too_many_arguments)]
     fn run_cue_gated(
         &self,
@@ -387,7 +376,6 @@ impl<'s, 'e> Scheduler<'s, 'e> {
         config: BoostConfig,
         policy: DegradePolicy,
         width: usize,
-        waves: bool,
     ) -> Result<RunReport> {
         let exec = self.exec;
         let mut report = RunReport::default();
@@ -407,16 +395,14 @@ impl<'s, 'e> Scheduler<'s, 'e> {
             prune_set(v) || failures.get(&v).is_some_and(|&n| n >= policy.fallback_after)
         };
         let mut first_err: Option<Error> = None;
-        let mut in_flight = 0usize;
         // The store as last dispatched; `None` once a fold changed it.
         let mut snapshot: Option<Arc<LabelStore>> = None;
         let mut readiness = Readiness::new(exec.tag.num_nodes(), predictor.label_radius());
 
         // A position is pending, in flight, or final — never two at once —
         // so the queue never holds more than the query count.
-        self.with_pool(predictor, None, width, queries.len(), |dispatch, done_rx| loop {
-            let mut round_scope = None;
-            if first_err.is_none() && !pending.is_empty() {
+        self.with_pool(predictor, None, width, queries.len(), |dispatch, done_rx| {
+            while first_err.is_none() && !pending.is_empty() {
                 let ctx =
                     SelectCtx { tag: exec.tag, labels, max_neighbors: exec.max_neighbors };
                 // Pruned (or failure-downgraded) queries can't be enriched:
@@ -439,7 +425,7 @@ impl<'s, 'e> Scheduler<'s, 'e> {
                         .collect()
                 };
                 let mut ready = ready_at(gamma1, gamma2);
-                while ready.is_empty() && in_flight == 0 {
+                while ready.is_empty() {
                     // At (0, K) every query qualifies, so this terminates.
                     if gamma1 > 0 {
                         gamma1 -= 1;
@@ -451,120 +437,97 @@ impl<'s, 'e> Scheduler<'s, 'e> {
                     }
                     ready = ready_at(gamma1, gamma2);
                 }
-                if !ready.is_empty() {
-                    if waves {
-                        // Scope the wave's query spans under its round
-                        // span (restored at the barrier so a trailing
-                        // caller-side scope survives).
-                        let index = report.rounds.len();
-                        let span = exec.tracer.span(
-                            exec.sink,
-                            "round",
-                            || format!("round {index}"),
-                            exec.tracer.current_or(exec.span_scope()),
-                        );
-                        let outer = exec.span_scope();
-                        exec.set_span_scope(span.id());
-                        round_scope = Some((outer, span));
-                    }
-                    let labels_now =
-                        snapshot.get_or_insert_with(|| Arc::new(labels.clone())).clone();
-                    pending.retain(|&(i, v, _)| ready.binary_search(&(i, v)).is_err());
-                    for (slot, node) in ready {
-                        let work = Work {
-                            slot,
-                            node,
-                            force_prune: force_prune(&failures, node),
-                            labels: Some(labels_now.clone()),
-                        };
-                        dispatch
-                            .try_push(work)
-                            .ok()
-                            .expect("dispatch queue sized for every query");
-                        in_flight += 1;
-                    }
-                }
-            }
-            if in_flight == 0 {
-                break; // drained (or error-aborted with nothing left in flight)
-            }
 
-            // Waves wait for the whole wave; free-running blocks for one
-            // completion and takes whatever else has already landed.
-            let mut completed = vec![done_rx.recv().expect("worker pool hung up early")];
-            while completed.len() < in_flight {
-                let more = if waves { done_rx.recv().ok() } else { done_rx.try_recv().ok() };
-                let Some(done) = more else { break };
-                completed.push(done);
-            }
-            in_flight -= completed.len();
-            if let Some((outer, span)) = round_scope {
+                // Scope the wave's query spans under its round span
+                // (restored at the barrier so a trailing caller-side scope
+                // survives).
+                let round = report.rounds.len();
+                let span = exec.tracer.span(
+                    exec.sink,
+                    "round",
+                    || format!("round {round}"),
+                    exec.tracer.current_or(exec.span_scope()),
+                );
+                let outer = exec.span_scope();
+                exec.set_span_scope(span.id());
+                let labels_now =
+                    snapshot.get_or_insert_with(|| Arc::new(labels.clone())).clone();
+                pending.retain(|&(i, v, _)| ready.binary_search(&(i, v)).is_err());
+                let wave = ready.len();
+                for (slot, node) in ready {
+                    let work = Work {
+                        slot,
+                        node,
+                        force_prune: force_prune(&failures, node),
+                        labels: Some(labels_now.clone()),
+                    };
+                    dispatch.try_push(work).ok().expect("dispatch queue sized for every query");
+                }
+                let mut completed: Vec<Done> = (0..wave)
+                    .map(|_| done_rx.recv().expect("worker pool hung up early"))
+                    .collect();
                 completed.sort_unstable_by_key(|d| d.slot); // candidate order
                 exec.set_span_scope(outer);
                 drop(span);
-            }
 
-            // A failed query stays pending (no record yet) unless it has
-            // exhausted its retries.
-            let mut finals = Vec::with_capacity(completed.len());
-            for done in completed {
-                match done.record {
-                    Ok(r) if r.failed() => {
-                        let n = failures.entry(done.node).or_insert(0);
-                        *n += 1;
-                        if *n >= policy.give_up_after {
-                            finals.push(r); // permanent failed outcome
-                        } else {
-                            // Its count left `pending` with it, and a
-                            // free-running fold may since have passed it by:
-                            // count it afresh.
-                            let at = pending.partition_point(|&(i, _, _)| i < done.slot);
-                            pending.insert(at, (done.slot, done.node, Support::UNKNOWN));
+                // A failed query stays pending (no record yet) unless it has
+                // exhausted its retries.
+                let mut finals = Vec::with_capacity(completed.len());
+                for done in completed {
+                    match done.record {
+                        Ok(r) if r.failed() => {
+                            let n = failures.entry(done.node).or_insert(0);
+                            *n += 1;
+                            if *n >= policy.give_up_after {
+                                finals.push(r); // permanent failed outcome
+                            } else {
+                                // Its count left `pending` with it and does
+                                // not travel through the pool: the next
+                                // pass counts it afresh.
+                                let at = pending.partition_point(|&(i, _, _)| i < done.slot);
+                                pending.insert(at, (done.slot, done.node, Support::UNKNOWN));
+                            }
+                        }
+                        Ok(r) => {
+                            failures.remove(&done.node);
+                            finals.push(r);
+                        }
+                        Err(e) => {
+                            first_err.get_or_insert(e);
                         }
                     }
-                    Ok(r) => {
-                        failures.remove(&done.node);
-                        finals.push(r);
-                    }
-                    Err(e) => {
-                        first_err.get_or_insert(e);
-                    }
                 }
-            }
 
-            // Every wave is a round; a free-running fold batch is one only
-            // when it finalized something. Rounds are what the cache-epoch
-            // invalidator and the per-round ledger key on.
-            if finals.is_empty() && !waves {
-                continue;
-            }
-            let round = report.rounds.len();
-            report.rounds.push(RoundTrace { executed: finals.len(), gamma1, gamma2 });
-            for r in finals.iter().filter(|r| r.yields_pseudo_label()) {
-                let before = labels.get(r.node);
-                labels.add_pseudo(r.node, r.predicted);
-                if labels.get(r.node) != before {
-                    readiness.label_changed(r.node);
+                // Every wave is a round, even one that finalized nothing:
+                // rounds are what the cache-epoch invalidator and the
+                // per-round ledger key on.
+                report.rounds.push(RoundTrace { executed: finals.len(), gamma1, gamma2 });
+                for r in finals.iter().filter(|r| r.yields_pseudo_label()) {
+                    let before = labels.get(r.node);
+                    labels.add_pseudo(r.node, r.predicted);
+                    if labels.get(r.node) != before {
+                        readiness.label_changed(r.node);
+                    }
+                    snapshot = None;
                 }
-                snapshot = None;
+                exec.sink.emit(&mqo_obs::Event::RoundCompleted {
+                    round: round as u32,
+                    executed: finals.len() as u64,
+                    gamma1: gamma1 as u64,
+                    gamma2: gamma2 as u64,
+                    pseudo_label_uses: finals.iter().map(|r| r.pseudo_neighbors as u64).sum(),
+                });
+                // Journal the round's *final* outcomes (retried failures are
+                // not final), then seal: the seal fsyncs, making it durable.
+                for r in &finals {
+                    exec.journal_record(r);
+                    report.fresh_billed_tokens += r.prompt_tokens;
+                }
+                if let Some(j) = exec.journal {
+                    j.seal_round(round as u32);
+                }
+                report.outcome.records.extend(finals);
             }
-            exec.sink.emit(&mqo_obs::Event::RoundCompleted {
-                round: round as u32,
-                executed: finals.len() as u64,
-                gamma1: gamma1 as u64,
-                gamma2: gamma2 as u64,
-                pseudo_label_uses: finals.iter().map(|r| r.pseudo_neighbors as u64).sum(),
-            });
-            // Journal the round's *final* outcomes (retried failures are
-            // not final), then seal: the seal fsyncs, making it durable.
-            for r in &finals {
-                exec.journal_record(r);
-                report.fresh_billed_tokens += r.prompt_tokens;
-            }
-            if let Some(j) = exec.journal {
-                j.seal_round(round as u32);
-            }
-            report.outcome.records.extend(finals);
         });
 
         report.readiness_evals = readiness.evals();
@@ -1180,12 +1143,7 @@ mod tests {
                 let mut l = labels.clone();
                 let report = Scheduler::new(
                     &exec,
-                    SchedulePolicy::CueGated {
-                        config,
-                        policy: DegradePolicy::default(),
-                        threads: width,
-                        deterministic: true,
-                    },
+                    SchedulePolicy::cue_gated(config, DegradePolicy::default(), width),
                 )
                 .run(&predictor, Labels::Boosting(&mut l), &queries, |_| false)
                 .unwrap();
@@ -1195,11 +1153,12 @@ mod tests {
             prop_assert_eq!(&runs[1], &runs[2], "two identical runs diverged");
         }
 
-        /// Free-running cue-gated execution keeps the hard guarantees even
-        /// though record order is timing-dependent: every query gets
-        /// exactly one record and the cost ledger conserves.
+        /// Waves over a worker pool of width 2–4 under a degraded,
+        /// ledger-wired executor: every query gets exactly one record, the
+        /// cost ledger conserves, every answer pseudo-labels its node, and
+        /// the records equal the width-1 run's.
         #[test]
-        fn free_running_covers_every_query_and_conserves(
+        fn waves_cover_every_query_and_conserve_at_any_width(
             seed in 0u64..10_000,
             n in 4usize..12,
             threads in 2usize..5,
@@ -1207,21 +1166,19 @@ mod tests {
             let tag = random_tag(seed, n, 3);
             let (queries, labels) = split(&tag);
             let predictor = KhopRandom::new(1, tag.num_nodes());
-            let llm = HashLlm::new(tag.class_names().to_vec());
-            let ledger = CostLedger::new();
-            let exec = Executor::new(&tag, &llm, 3, seed).with_sink(&ledger).with_degrade();
-            let mut l = labels.clone();
-            let report = Scheduler::new(
-                &exec,
-                SchedulePolicy::CueGated {
-                    config: BoostConfig::default(),
-                    policy: DegradePolicy::default(),
-                    threads,
-                    deterministic: false,
-                },
-            )
-            .run(&predictor, Labels::Boosting(&mut l), &queries, |_| false)
-            .unwrap();
+            let run = |width: usize| {
+                let llm = HashLlm::new(tag.class_names().to_vec());
+                let ledger = CostLedger::new();
+                let exec = Executor::new(&tag, &llm, 3, seed).with_sink(&ledger).with_degrade();
+                let mut l = labels.clone();
+                let policy =
+                    SchedulePolicy::cue_gated(BoostConfig::default(), DegradePolicy::default(), width);
+                let report = Scheduler::new(&exec, policy)
+                    .run(&predictor, Labels::Boosting(&mut l), &queries, |_| false)
+                    .unwrap();
+                (report, l, ledger.report())
+            };
+            let (report, l, cost) = run(threads);
 
             prop_assert_eq!(report.outcome.records.len(), queries.len());
             let mut nodes: Vec<u32> =
@@ -1230,7 +1187,6 @@ mod tests {
             let mut expected: Vec<u32> = queries.iter().map(|v| v.0).collect();
             expected.sort_unstable();
             prop_assert_eq!(nodes, expected, "a query was lost or duplicated");
-            let cost = ledger.report();
             prop_assert!(cost.total.conserves(), "conservation violated: {}", cost);
             // Every query that answered pseudo-labeled itself.
             for r in report.outcome.records.iter().filter(|r| r.yields_pseudo_label()) {
@@ -1240,6 +1196,7 @@ mod tests {
                 report.rounds.iter().map(|t| t.executed).sum::<usize>(),
                 queries.len()
             );
+            prop_assert_eq!(&report.outcome.records, &run(1).0.outcome.records);
         }
     }
 
@@ -1295,7 +1252,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Deterministic cue-gated scheduling at width 1 *is* the legacy
+        /// Cue-gated scheduling at width 1 *is* the legacy
         /// boosting loop — same records in the same order, same round
         /// traces, same relaxation path, same metered spend — for every
         /// predictor, with a random prune set, with node ids listed more
@@ -1336,12 +1293,7 @@ mod tests {
             let mut labels_b = labels.clone();
             let report = Scheduler::new(
                 &exec_b,
-                SchedulePolicy::CueGated {
-                    config,
-                    policy: DegradePolicy::default(),
-                    threads: 1,
-                    deterministic: true,
-                },
+                SchedulePolicy::cue_gated(config, DegradePolicy::default(), 1),
             )
             .run(&*predictor, Labels::Boosting(&mut labels_b), &queries, |v| plan.is_pruned(v))
             .unwrap();
@@ -1352,13 +1304,13 @@ mod tests {
             prop_assert_eq!(report.outcome.records.len(), queries.len());
         }
 
-        /// Free-running runs under faults: failures return to `pending`
-        /// after other completions folded labels around them. The test
-        /// build re-counts every support entry a readiness pass reads and
-        /// panics on a stale one; every position still gets exactly one
-        /// record.
+        /// Waves on a pool of width 2–3 under faults, with node ids listed
+        /// more than once: failures return to `pending` after their wave's
+        /// fold changed labels around them. The test build re-counts every
+        /// support entry a readiness pass reads and panics on a stale one;
+        /// every position still gets exactly one record.
         #[test]
-        fn free_running_under_faults_reads_only_current_support(
+        fn waves_under_faults_and_duplicates_read_only_current_support(
             seed in 0u64..10_000,
             n in 4usize..40,
             threads in 2usize..4,
@@ -1376,12 +1328,7 @@ mod tests {
             let mut l = labels.clone();
             let report = Scheduler::new(
                 &exec,
-                SchedulePolicy::CueGated {
-                    config: BoostConfig::default(),
-                    policy: DegradePolicy::default(),
-                    threads,
-                    deterministic: false,
-                },
+                SchedulePolicy::cue_gated(BoostConfig::default(), DegradePolicy::default(), threads),
             )
             .run(&*predictor, Labels::Boosting(&mut l), &queries, |_| false)
             .unwrap();
@@ -1391,13 +1338,17 @@ mod tests {
             let mut want: Vec<u32> = queries.iter().map(|v| v.0).collect();
             want.sort_unstable();
             prop_assert_eq!(got, want, "a position was lost or answered twice");
+            prop_assert_eq!(
+                report.rounds.iter().map(|t| t.executed).sum::<usize>(),
+                queries.len()
+            );
         }
     }
 
     /// The readiness pass recounts support only where a label changed:
     /// a predictor claiming no radius recounts every pending query after
     /// every fold, the same run with 1-hop radius far fewer, and both
-    /// reach identical records. Evaluations repeat exactly in wave mode.
+    /// reach identical records. Evaluations repeat exactly.
     #[test]
     fn readiness_recounts_only_within_the_label_radius() {
         /// 1-hop random with its radius claim withdrawn.
@@ -1424,12 +1375,7 @@ mod tests {
             let mut labels = LabelStore::from_split(tag, &split);
             Scheduler::new(
                 &exec,
-                SchedulePolicy::CueGated {
-                    config: BoostConfig::default(),
-                    policy: DegradePolicy::default(),
-                    threads: 2,
-                    deterministic: true,
-                },
+                SchedulePolicy::cue_gated(BoostConfig::default(), DegradePolicy::default(), 2),
             )
             .run(predictor, Labels::Boosting(&mut labels), split.queries(), |_| false)
             .unwrap()
@@ -1439,7 +1385,7 @@ mod tests {
         let everywhere = run(&NoRadius(KhopRandom::new(1, tag.num_nodes())));
         assert_eq!(a.outcome.records, everywhere.outcome.records);
         assert_eq!(trace_fields(&a.rounds), trace_fields(&everywhere.rounds));
-        assert_eq!(a.readiness_evals, b.readiness_evals, "wave-mode count must repeat");
+        assert_eq!(a.readiness_evals, b.readiness_evals, "the count must repeat");
         assert!(a.rounds.len() >= 3, "rounds: {:?}", trace_fields(&a.rounds));
         // Every query is counted at least once before its first wave.
         assert!(a.readiness_evals >= split.queries().len() as u64);
@@ -1461,12 +1407,7 @@ mod tests {
         let exec = Executor::new(&tag, &llm, 3, 7);
         let err = Scheduler::new(
             &exec,
-            SchedulePolicy::CueGated {
-                config: BoostConfig::default(),
-                policy: DegradePolicy::default(),
-                threads: 2,
-                deterministic: false,
-            },
+            SchedulePolicy::cue_gated(BoostConfig::default(), DegradePolicy::default(), 2),
         )
         .run(
             &KhopRandom::new(1, tag.num_nodes()),
@@ -1488,12 +1429,7 @@ mod tests {
         let mut l = labels.clone();
         let report = Scheduler::new(
             &exec,
-            SchedulePolicy::CueGated {
-                config: BoostConfig::default(),
-                policy: DegradePolicy::default(),
-                threads: 4,
-                deterministic: false,
-            },
+            SchedulePolicy::cue_gated(BoostConfig::default(), DegradePolicy::default(), 4),
         )
         .run(&KhopRandom::new(1, tag.num_nodes()), Labels::Boosting(&mut l), &queries, |_| {
             false
@@ -1514,12 +1450,8 @@ mod tests {
         let llm = HashLlm::new(tag.class_names().to_vec());
         let exec = Executor::new(&tag, &llm, 3, 11).with_budget(120);
         let mut l = labels.clone();
-        let policy = SchedulePolicy::CueGated {
-            config: BoostConfig::default(),
-            policy: DegradePolicy::default(),
-            threads: 1,
-            deterministic: true,
-        };
+        let policy =
+            SchedulePolicy::cue_gated(BoostConfig::default(), DegradePolicy::default(), 1);
         let report = Scheduler::new(&exec, policy)
             .run(
                 &KhopRandom::new(1, tag.num_nodes()),
@@ -1539,7 +1471,7 @@ mod tests {
         }
     }
 
-    /// One pool per run: a deterministic run that needs several waves
+    /// One pool per run: a run that needs several waves
     /// reports one throughput event per worker, not one per worker per
     /// wave.
     #[test]
@@ -1558,12 +1490,11 @@ mod tests {
         let qs: Vec<NodeId> = [0u32, 4, 5, 7, 8, 9, 10, 11].map(NodeId).to_vec();
         let report = Scheduler::new(
             &exec,
-            SchedulePolicy::CueGated {
-                config: BoostConfig { gamma1: 3, gamma2: 1 },
-                policy: DegradePolicy::default(),
-                threads: 3,
-                deterministic: true,
-            },
+            SchedulePolicy::cue_gated(
+                BoostConfig { gamma1: 3, gamma2: 1 },
+                DegradePolicy::default(),
+                3,
+            ),
         )
         .run(&KhopRandom::new(1, tag.num_nodes()), Labels::Boosting(&mut labels), &qs, |_| {
             false
@@ -1584,7 +1515,7 @@ mod tests {
     }
 
     /// Online arrivals: queries arrive in windows of `window`, and each
-    /// window runs free-running on one label store that evolves across
+    /// window runs in waves on one label store that evolves across
     /// windows. Returns every answered record, the final label store and
     /// the arrivals in order.
     fn run_arrival_windows(window: usize) -> (Vec<QueryRecord>, LabelStore, Vec<NodeId>) {
@@ -1594,12 +1525,7 @@ mod tests {
         let mut labels = LabelStore::from_split(&bundle.tag, &split);
         let scheduler = Scheduler::new(
             &exec,
-            SchedulePolicy::CueGated {
-                config: BoostConfig::default(),
-                policy: DegradePolicy::default(),
-                threads: 2,
-                deterministic: false,
-            },
+            SchedulePolicy::cue_gated(BoostConfig::default(), DegradePolicy::default(), 2),
         );
         let mut answered = Vec::new();
         for chunk in split.queries().chunks(window) {

@@ -3,6 +3,7 @@
 
 use crate::spec::DatasetSpec;
 use mqo_graph::{ClassId, GraphBuilder, NodeText, Tag};
+use mqo_obs::splitmix64;
 use mqo_text::{Lexicon, TextSampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -196,7 +197,7 @@ pub fn generate(spec: &DatasetSpec, scale: f64, seed: u64) -> DatasetBundle {
         } else if u < spec.saturated_frac + spec.adversarial_frac && k > 1 {
             // Deterministic confusable class per node.
             let wrong =
-                (labels[i].index() + 1 + (splitmix(i as u64 ^ seed) as usize % (k - 1))) % k;
+                (labels[i].index() + 1 + (splitmix64(i as u64 ^ seed) as usize % (k - 1))) % k;
             (rng.gen_range(spec.alpha_high.0..spec.alpha_high.1), ClassId::from(wrong), true)
         } else {
             (rng.gen_range(spec.alpha_low.0..spec.alpha_low.1), labels[i], false)
@@ -232,7 +233,7 @@ pub fn generate(spec: &DatasetSpec, scale: f64, seed: u64) -> DatasetBundle {
                 // Deterministic per (edge, j) so regeneration is stable.
                 let h = (u.0 as u64) << 40 | (v.0 as u64) << 8 | j as u64;
                 let id = lexicon
-                    .marker_id((splitmix(h ^ seed) % spec.lexicon_markers as u64) as u32);
+                    .marker_id((splitmix64(h ^ seed) % spec.lexicon_markers as u64) as u32);
                 let w = lexicon.word(id);
                 for node in [u, v] {
                     let body = &mut texts[node.index()].body;
@@ -246,15 +247,6 @@ pub fn generate(spec: &DatasetSpec, scale: f64, seed: u64) -> DatasetBundle {
     let tag = Tag::new(spec.name, graph, texts, labels, spec.class_names.clone())
         .expect("generator produces consistent arrays");
     DatasetBundle { tag, lexicon, alphas, adversarial, spec: spec.clone(), scale }
-}
-
-/// SplitMix64 mixer for deterministic per-edge marker choice.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -183,13 +183,10 @@ pub struct FaultSchedule {
     cfg: FaultConfig,
 }
 
-/// splitmix64: the same stationary hash `mqo-core` uses for per-query
-/// RNGs, giving a uniform u64 per (seed, call) pair.
+/// The SplitMix64 finalizer `mqo-core` also uses for per-query RNGs,
+/// giving a uniform u64 per (seed, call) pair.
 pub(crate) fn mix(seed: u64, call: u64) -> u64 {
-    let mut z = seed ^ call.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mqo_obs::mix64(seed ^ call.wrapping_mul(mqo_obs::SPLITMIX64_GAMMA))
 }
 
 impl FaultSchedule {

@@ -12,6 +12,8 @@
 //! that concrete: knowledge masks and biases are seeded per model, so the
 //! two models disagree on which borderline nodes they get right.
 
+use mqo_obs::splitmix64;
+
 /// Behavioural parameters of one simulated model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelProfile {
@@ -112,17 +114,6 @@ impl ModelProfile {
             seed,
         }
     }
-}
-
-/// SplitMix64: tiny, high-quality 64-bit mixer for deterministic
-/// per-(seed, item) hashing.
-#[inline]
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Uniform `[0, 1)` from a seed/key pair.

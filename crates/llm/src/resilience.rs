@@ -31,7 +31,7 @@
 
 use crate::error::{Error, Result};
 use crate::model::{Completion, LanguageModel};
-use mqo_obs::{Event, EventSink, NullSink, Tracer, WaitClock};
+use mqo_obs::{splitmix64, Event, EventSink, NullSink, Tracer, WaitClock, SPLITMIX64_GAMMA};
 use mqo_token::UsageMeter;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -111,12 +111,11 @@ pub struct ResilientLlm<L> {
     state: Mutex<ResState>,
 }
 
+/// The next draw of the SplitMix64 generator whose state is `state`.
 fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    let draw = splitmix64(*state);
+    *state = state.wrapping_add(SPLITMIX64_GAMMA);
+    draw
 }
 
 impl<L: LanguageModel> ResilientLlm<L> {

@@ -25,8 +25,9 @@
 
 use crate::error::Result;
 use crate::model::{Completion, LanguageModel};
-use crate::profile::{hash01, splitmix64, ModelProfile};
+use crate::profile::{hash01, ModelProfile};
 use crate::prompt::{CATEGORY_PREFIX, NEIGHBOR_HEADER, TASK_HEADER, TITLE_PREFIX};
+use mqo_obs::splitmix64;
 use mqo_text::{Lexicon, WordKind};
 use mqo_token::{Tokenizer, Usage, UsageMeter};
 use std::sync::Arc;

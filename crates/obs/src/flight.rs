@@ -269,14 +269,10 @@ mod tests {
     #[test]
     fn retains_the_n_slowest_under_a_shuffled_latency_sequence() {
         let rec = FlightRecorder::new(4, 4);
-        // Deterministic shuffle of latencies 1..=64 (splitmix-style hash
-        // as the sort key — no RNG dependency, same order every run).
+        // Deterministic shuffle of latencies 1..=64 (SplitMix64 as the
+        // sort key — no RNG dependency, same order every run).
         let mut latencies: Vec<u64> = (1..=64).collect();
-        latencies.sort_by_key(|&v| {
-            let mut z = v.wrapping_mul(0x9e3779b97f4a7c15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z ^ (z >> 27)
-        });
+        latencies.sort_by_key(|&v| crate::splitmix64(v));
         for &l in &latencies {
             rec.offer(entry(&format!("{l:016x}"), 200, l));
         }

@@ -10,6 +10,11 @@
 //!
 //! [`Xxh64`] streams: any split of an input into [`Xxh64::update`] calls
 //! yields the digest [`xxh64`] gives for the whole.
+//!
+//! Beside it sits SplitMix64 ([`splitmix64`], its finalizer [`mix64`] and
+//! its increment [`SPLITMIX64_GAMMA`]): the workspace's one mixer for
+//! deterministic per-(seed, item) draws — per-query rngs, fault
+//! schedules, trace ids, ring positions, simulated-model noise.
 
 const P1: u64 = 0x9E37_79B1_85EB_CA87;
 const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
@@ -18,6 +23,25 @@ const P4: u64 = 0x85EB_CA77_C2B2_AE63;
 const P5: u64 = 0x27D4_EB2F_1656_67C5;
 
 const STRIPE: usize = 32;
+
+/// SplitMix64's state increment: the odd 64-bit golden-ratio constant.
+pub const SPLITMIX64_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// SplitMix64's finalizer: a bijective avalanche of one `u64`.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// SplitMix64 of `x`: one [`SPLITMIX64_GAMMA`] step, then [`mix64`]. A
+/// generator whose state advances by the gamma draws `splitmix64(state)`
+/// before each step.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    mix64(x.wrapping_add(SPLITMIX64_GAMMA))
+}
 
 #[inline(always)]
 fn round(acc: u64, lane: u64) -> u64 {

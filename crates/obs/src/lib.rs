@@ -48,7 +48,8 @@
 //!   aggregation primitives.
 //! - [`Xxh64`] / [`xxh64`] — the workspace's one fast hash, streaming
 //!   XXH64: the response-cache key and the fingerprint of every binary
-//!   image. It lives here because every crate can reach this one.
+//!   image. It lives here because every crate can reach this one, and so
+//!   does [`splitmix64`] (with [`mix64`]), the one seeded mixer.
 //!
 //! ```
 //! use mqo_obs::{Event, EventSink, MetricsSink};
@@ -86,7 +87,7 @@ pub use clock::{Clock, ManualClock, MonotonicClock, WaitClock, MONOTONIC_CLOCK};
 pub use cost::{CostLedger, CostReport, RoundCost};
 pub use event::Event;
 pub use flight::{spans_from_events, FlightEntry, FlightRecorder, FlightSpan};
-pub use hash::{xxh64, Xxh64};
+pub use hash::{mix64, splitmix64, xxh64, Xxh64, SPLITMIX64_GAMMA};
 pub use httpd::{http_get, http_post, serve_metrics, HttpServer};
 pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::{CounterVec, GaugeVec, HistogramVec, MetricsSink, Registry};

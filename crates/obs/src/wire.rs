@@ -119,6 +119,13 @@ impl<'a> Span<'a> {
     pub fn is_null(&self) -> bool {
         self.0 == "null"
     }
+
+    /// The value as a string, escapes decoded, if it is one
+    /// (`serde_json::Value::as_str`).
+    pub fn as_str(&self) -> Option<Cow<'a, str>> {
+        let inner = self.0.strip_prefix('"')?.strip_suffix('"')?;
+        Some(unescape(inner))
+    }
 }
 
 /// An object member's key, as written between its quotes.
@@ -142,40 +149,44 @@ impl<'a> Key<'a> {
 
     /// The key with its escapes decoded.
     pub fn decoded(&self) -> Cow<'a, str> {
-        if !self.0.contains('\\') {
-            return Cow::Borrowed(self.0);
-        }
-        let mut out = String::with_capacity(self.0.len());
-        let mut chars = self.0.char_indices();
-        while let Some((i, c)) = chars.next() {
-            if c != '\\' {
-                out.push(c);
-                continue;
-            }
-            match chars.next().map(|(_, e)| e) {
-                Some('n') => out.push('\n'),
-                Some('t') => out.push('\t'),
-                Some('r') => out.push('\r'),
-                Some('b') => out.push('\u{8}'),
-                Some('f') => out.push('\u{c}'),
-                Some('u') => {
-                    // The document was checked: four radix-16 bytes follow.
-                    let code = self
-                        .0
-                        .get(i + 2..i + 6)
-                        .and_then(|h| u32::from_str_radix(h, 16).ok())
-                        .unwrap_or(0xfffd);
-                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    for _ in 0..4 {
-                        chars.next();
-                    }
-                }
-                Some(e) => out.push(e),
-                None => {}
-            }
-        }
-        Cow::Owned(out)
+        unescape(self.0)
     }
+}
+
+/// The text between a checked string's quotes with its escapes decoded.
+fn unescape(text: &str) -> Cow<'_, str> {
+    if !text.contains('\\') {
+        return Cow::Borrowed(text);
+    }
+    let mut out = String::with_capacity(text.len());
+    let mut chars = text.char_indices();
+    while let Some((i, c)) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next().map(|(_, e)| e) {
+            Some('n') => out.push('\n'),
+            Some('t') => out.push('\t'),
+            Some('r') => out.push('\r'),
+            Some('b') => out.push('\u{8}'),
+            Some('f') => out.push('\u{c}'),
+            Some('u') => {
+                // The document was checked: four radix-16 bytes follow.
+                let code = text
+                    .get(i + 2..i + 6)
+                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                    .unwrap_or(0xfffd);
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                for _ in 0..4 {
+                    chars.next();
+                }
+            }
+            Some(e) => out.push(e),
+            None => {}
+        }
+    }
+    Cow::Owned(out)
 }
 
 /// Iterator over an object's `(key, value)` members.
@@ -445,6 +456,11 @@ mod tests {
         assert_eq!(parse("true").unwrap().as_bool(), Some(true));
         assert_eq!(parse("1").unwrap().as_bool(), None);
         assert!(parse("null").unwrap().is_null());
+        for text in [r#""plain""#, r#""a\"b\\c\/d\n\u00e9\ud800""#, "5", "null", "[\"a\"]"] {
+            let want: serde_json::Value = serde_json::from_str(text).unwrap();
+            let got = parse(text).unwrap().as_str();
+            assert_eq!(got.as_deref(), want.as_str(), "disagrees on {text:?}");
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@ use mqo_core::{Executor, LabelStore, Labels, QueryRecord, SchedulePolicy, Schedu
 use mqo_data::DatasetBundle;
 use mqo_graph::{ClassId, NodeId};
 use mqo_llm::{CachedLlmStats, LanguageModel, ModelProfile};
+use mqo_obs::splitmix64;
 use mqo_obs::wire::escape_json;
 use mqo_obs::{
     ChromeTraceSink, CostLedger, Counter, CounterVec, Event, EventSink, Fanout, FlightRecorder,
@@ -155,15 +156,6 @@ pub struct Engine {
     // cross-shard pseudo-label outbox.
     shard: Option<ShardContext>,
     labels_received_total: Arc<Counter>,
-}
-
-/// The 64-bit finalizer from `splitmix64` — a cheap, well-mixed hash
-/// used to derive trace ids from `(seed, counter)`.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 impl Engine {

@@ -78,6 +78,7 @@ use mqo_obs::{
     spans_from_events, Clock, Event, EventSink, FlightEntry, FlightSpan, Recorder, SpanId, Tee,
     MONOTONIC_CLOCK,
 };
+use mqo_shard::ClassifyBody;
 use serde_json::{json, Value};
 use std::io;
 use std::net::SocketAddr;
@@ -333,34 +334,16 @@ fn finish_classify(
     status
 }
 
-/// Parse the classify request body: `{"node": N}` or `{"nodes": [..]}`,
-/// optional `"tenant"`. Node ids are validated (and, on shard workers,
-/// translated from global to local id space) by
+/// Parse the classify request body ([`ClassifyBody`]: `{"node": N}` or
+/// `{"nodes": [..]}`, optional string `"tenant"`). Node ids are validated
+/// (and, on shard workers, translated from global to local id space) by
 /// [`Engine::resolve_node`]. Errors are client errors (400).
 fn parse_classify(req: &Request, engine: &Engine) -> Result<(Vec<NodeId>, String), String> {
-    let body: Value =
-        serde_json::from_str(req.body_utf8()).map_err(|e| format!("invalid JSON body: {e}"))?;
-    let mut raw: Vec<u64> = Vec::new();
-    match (body.get("node"), body.get("nodes")) {
-        (Some(n), None) => raw.push(n.as_u64().ok_or("'node' must be a non-negative integer")?),
-        (None, Some(list)) => {
-            let list = list.as_array().ok_or("'nodes' must be an array")?;
-            if list.is_empty() {
-                return Err("'nodes' must not be empty".into());
-            }
-            for n in list {
-                raw.push(n.as_u64().ok_or("'nodes' entries must be non-negative integers")?);
-            }
-        }
-        _ => return Err("body must have exactly one of 'node' or 'nodes'".into()),
-    }
-    let mut nodes = Vec::with_capacity(raw.len());
-    for n in raw {
-        nodes.push(engine.resolve_node(n)?);
-    }
+    let body = ClassifyBody::parse(req.body_utf8())?;
+    let nodes = body.nodes.iter().map(|&n| engine.resolve_node(n)).collect::<Result<_, _>>()?;
     let tenant = match body.get("tenant") {
         None => "default".to_string(),
-        Some(t) => t.as_str().ok_or("'tenant' must be a string")?.to_string(),
+        Some(t) => t.as_str().ok_or("'tenant' must be a string")?.into_owned(),
     };
     Ok((nodes, tenant))
 }

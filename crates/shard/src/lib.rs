@@ -25,16 +25,20 @@
 //!   `POST /v1/labels`, the router forwards each to the shards owning
 //!   the node's neighbors, and the receiving worker ingests them so the
 //!   γ₁/γ₂ readiness rule sees remote cues.
+//! * [`ClassifyBody`] — the classify request body grammar
+//!   ([`mod@classify`]), read the same way by the router and the worker.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bundle;
+pub mod classify;
 pub mod partition;
 pub mod ring;
 pub mod router;
 
 pub use bundle::{extract_shard, ShardBundle, ShardIdentity};
+pub use classify::ClassifyBody;
 pub use partition::{partition, PartitionStrategy, ShardMap, ShardStats};
 pub use ring::HashRing;
 pub use router::{Router, RouterConfig};

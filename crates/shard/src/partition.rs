@@ -25,9 +25,10 @@
 //! * [`PartitionStrategy::Ring`] — the consistent-hash ring from
 //!   [`crate::ring`]. Membership-stable, cut-oblivious.
 
-use crate::ring::{splitmix64, HashRing};
+use crate::ring::HashRing;
 use mqo_data::persist::{self, ImageReader, ImageWriter, PersistError};
 use mqo_graph::{Csr, NodeId};
+use mqo_obs::splitmix64;
 use std::io::{Read, Seek, Write};
 use std::path::Path;
 

@@ -10,14 +10,7 @@
 //! so nearly every edge is cut. The partitioner offers both and the
 //! [`crate::ShardMap`] records which rule is in force.
 
-/// SplitMix64 — the workspace's standard cheap bijective mixer.
-#[inline]
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+use mqo_obs::splitmix64;
 
 /// A seeded consistent-hash ring mapping `u64` keys to shard ids.
 #[derive(Debug, Clone, PartialEq, Eq)]

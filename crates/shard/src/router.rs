@@ -38,6 +38,7 @@
 //! `GET /metrics`, and `GET /v1/healthz` reports per-shard health so the
 //! smoke scripts (and operators) can see a degraded cluster at a glance.
 
+use crate::classify::ClassifyBody;
 use crate::partition::ShardMap;
 use mqo_obs::httpd::{http_get, HttpClient, HttpConnection, HttpServer, Request};
 use mqo_obs::wire::{self, Span};
@@ -423,44 +424,16 @@ impl Inner {
     /// Route a classify batch: group global node ids by owner, send every
     /// shard its sub-batch, then splice the records back in request order.
     fn classify(&self, req: &Request) -> (&'static str, String) {
-        let body = match wire::parse(req.body_utf8()) {
+        let body = match ClassifyBody::parse(req.body_utf8()) {
             Ok(b) => b,
-            Err(e) => return bad_request(format!("invalid JSON body: {e}")),
+            Err(why) => return bad_request(why),
         };
         // Every member but the node list rides along verbatim to each shard.
-        let (mut node, mut list, mut rest) = (None, None, String::new());
-        for (key, value) in body.members().into_iter().flatten() {
-            if key.is("node") {
-                node = Some(value);
-            } else if key.is("nodes") {
-                list = Some(value);
-            } else {
-                let _ = write!(rest, "\"{}\":{},", key.text(), value.text());
-            }
+        let mut rest = String::new();
+        for (key, value) in &body.rest {
+            let _ = write!(rest, "\"{}\":{},", key.text(), value.text());
         }
-        let nodes: Vec<u64> = match (node, list) {
-            (Some(n), None) => match n.as_u64() {
-                Some(n) => vec![n],
-                None => return bad_request("'node' must be a non-negative integer".into()),
-            },
-            (None, Some(list)) => {
-                let Some(items) = list.items() else {
-                    return bad_request("'nodes' must be an array".into());
-                };
-                match items.map(|n| n.as_u64()).collect::<Option<Vec<u64>>>() {
-                    Some(v) if v.is_empty() => {
-                        return bad_request("'nodes' must not be empty".into())
-                    }
-                    Some(v) => v,
-                    None => {
-                        return bad_request(
-                            "'nodes' entries must be non-negative integers".into(),
-                        )
-                    }
-                }
-            }
-            _ => return bad_request("body must have exactly one of 'node' or 'nodes'".into()),
-        };
+        let nodes = body.nodes;
         if let Some(&bad) = nodes.iter().find(|&&n| n >= u64::from(self.map.num_nodes())) {
             return bad_request(format!(
                 "node {bad} out of range (partition covers {} nodes)",

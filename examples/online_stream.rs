@@ -1,6 +1,6 @@
 //! Streaming classification: queries arrive over time (the dynamic-node
 //! scenario from the paper's introduction), and each window of 64
-//! arrivals runs through free-running cue-gated scheduling on one label
+//! arrivals runs through cue-gated scheduling, in waves, on one label
 //! store that evolves across windows — weakly-supported arrivals wait
 //! inside their window until pseudo-labels accumulate around them, and
 //! every window starts from what earlier windows learned.
@@ -42,12 +42,11 @@ fn main() {
     // --- Arm 2: online boosting, one window of arrivals at a time. -------
     let scheduler = Scheduler::new(
         &exec,
-        SchedulePolicy::CueGated {
-            config: BoostConfig { gamma1: 3, gamma2: 2 },
-            policy: DegradePolicy::default(),
-            threads: 2,
-            deterministic: false,
-        },
+        SchedulePolicy::cue_gated(
+            BoostConfig { gamma1: 3, gamma2: 2 },
+            DegradePolicy::default(),
+            2,
+        ),
     );
     let mut labels = LabelStore::from_split(tag, &split);
     let mut records = Vec::new();

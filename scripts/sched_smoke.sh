@@ -13,13 +13,16 @@
 #      SNS, which run a BFS where 1-hop reads the CSR run) and on an
 #      ogbn-products slice, whose many relaxing waves re-check readiness
 #      after labels land among neighbors of realistic degree.
-#   2. Invariants under reordering — a traced deterministic wave run AND
-#      a traced free-running run (out-of-order completions folding
-#      pseudo-labels mid-flight) both go through obs_check: span nesting
-#      with an intact run → round/wave → query → llm_call causal chain,
-#      and a cost ledger whose conservation identity holds. The wave
-#      run's --trace JSONL must hold one query_executed event per
-#      dumped record.
+#   2. Invariants — a traced wave run goes through obs_check: span
+#      nesting with an intact run → round → query → llm_call causal
+#      chain, and a cost ledger whose conservation identity holds. Its
+#      --trace JSONL must hold one query_executed event per dumped
+#      record.
+#   3. One schedule — every boosted run goes in waves, so a traced
+#      width-4 run *without* --deterministic must pass obs_check, dump
+#      the same bytes and report the same rounds and readiness evals as
+#      the same run with --deterministic and at width 1, and hold one
+#      round span per round in its trace.
 #
 # Artifacts land under target/sched/ for CI to upload.
 set -euo pipefail
@@ -79,7 +82,7 @@ if ! cmp "$OUT/products_w1.jsonl" "$OUT/products_w4.jsonl"; then
 fi
 echo "products width-1 and width-4 dumps byte-identical ($(wc -l < "$OUT/products_w1.jsonl") records)"
 
-echo "==> invariants: traced deterministic wave run"
+echo "==> invariants: traced wave run"
 ./target/release/mqo classify cora \
   --queries 60 --boost --deterministic --threads 4 --seed 42 --no-cache \
   --trace-chrome "$OUT/wave_trace.json" --cost-json "$OUT/wave_cost.json" \
@@ -93,10 +96,34 @@ if [[ "$executed" -ne "$records" ]]; then
 fi
 echo "JSONL trace: $executed query_executed events, one per record"
 
-echo "==> invariants: traced free-running run (out-of-order completion)"
+echo "==> one schedule: traced width-4 run without --deterministic"
+for name in default deterministic; do
+  flags=(--boost --threads 4)
+  if [[ "$name" == deterministic ]]; then flags+=(--deterministic); fi
+  ./target/release/mqo classify cora \
+    --queries 60 "${flags[@]}" --seed 43 --no-cache \
+    --trace-chrome "$OUT/${name}_trace.json" --cost-json "$OUT/${name}_cost.json" \
+    --dump-records "$OUT/${name}_records.jsonl" > "$OUT/${name}_run.log"
+done
 ./target/release/mqo classify cora \
-  --queries 60 --boost --threads 4 --seed 43 --no-cache \
-  --trace-chrome "$OUT/free_trace.json" --cost-json "$OUT/free_cost.json" > /dev/null
-./target/release/obs_check "$OUT/free_trace.json" "$OUT/free_cost.json"
+  --queries 60 --boost --threads 1 --seed 43 --no-cache \
+  --dump-records "$OUT/default_w1_records.jsonl" > "$OUT/default_w1_run.log"
+./target/release/obs_check "$OUT/default_trace.json" "$OUT/default_cost.json"
+summary() { grep -E '^(boosting rounds|readiness evals)' "$OUT/$1_run.log"; }
+for other in deterministic default_w1; do
+  if ! cmp "$OUT/default_records.jsonl" "$OUT/${other}_records.jsonl" ||
+    [[ "$(summary default)" != "$(summary "$other")" ]]; then
+    echo "sched_smoke: FAIL — the default width-4 boosted run and $other differ" >&2
+    exit 1
+  fi
+done
+# Every wave opens a round span: a barrier-less run would show none.
+rounds=$(summary default | sed -n 's/^boosting rounds: //p')
+spans=$({ grep -o '"name":"round"' "$OUT/default_trace.json" || true; } | wc -l)
+if [[ "$rounds" -lt 1 || "$spans" -ne "$rounds" ]]; then
+  echo "sched_smoke: FAIL — $spans round spans for $rounds boosting rounds" >&2
+  exit 1
+fi
+echo "default, --deterministic and width-1 runs byte-identical ($rounds waves, one round span each)"
 
 echo "sched smoke: PASS"

@@ -59,12 +59,7 @@ fn boosting_round_invalidates_dependent_cached_queries() {
     let mut mut_labels = LabelStore::empty(tag.num_nodes());
     let report = Scheduler::new(
         &exec,
-        SchedulePolicy::CueGated {
-            config: BoostConfig::default(),
-            policy: DegradePolicy::default(),
-            threads: 1,
-            deterministic: true,
-        },
+        SchedulePolicy::cue_gated(BoostConfig::default(), DegradePolicy::default(), 1),
     )
     .run(&predictor, Labels::Boosting(&mut mut_labels), &[NodeId(0)], |_| false)
     .unwrap();

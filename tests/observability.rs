@@ -91,12 +91,7 @@ fn boosted_run_produces_a_causal_span_tree_and_a_loadable_chrome_trace() {
     let mut labels = LabelStore::from_split(tag, &split);
     let report = Scheduler::new(
         &exec,
-        SchedulePolicy::CueGated {
-            config: BoostConfig::default(),
-            policy: DegradePolicy::default(),
-            threads: 1,
-            deterministic: true,
-        },
+        SchedulePolicy::cue_gated(BoostConfig::default(), DegradePolicy::default(), 1),
     )
     .run(&predictor, Labels::Boosting(&mut labels), split.queries(), |_| false)
     .unwrap();
@@ -271,12 +266,7 @@ fn live_endpoint_serves_metrics_and_progress_mid_run() {
     let mut labels = LabelStore::empty(tag.num_nodes());
     Scheduler::new(
         &exec,
-        SchedulePolicy::CueGated {
-            config: BoostConfig::default(),
-            policy: DegradePolicy::default(),
-            threads: 1,
-            deterministic: true,
-        },
+        SchedulePolicy::cue_gated(BoostConfig::default(), DegradePolicy::default(), 1),
     )
     .run(&predictor, Labels::Boosting(&mut labels), &[NodeId(4)], |_| false)
     .unwrap();
@@ -312,12 +302,7 @@ fn cost_ledger_reconciles_exactly_with_the_meter_under_boosting() {
     let mut labels = LabelStore::from_split(tag, &split);
     let report = Scheduler::new(
         &exec,
-        SchedulePolicy::CueGated {
-            config: BoostConfig::default(),
-            policy: DegradePolicy::default(),
-            threads: 1,
-            deterministic: true,
-        },
+        SchedulePolicy::cue_gated(BoostConfig::default(), DegradePolicy::default(), 1),
     )
     .run(&predictor, Labels::Boosting(&mut labels), split.queries(), |_| false)
     .unwrap();

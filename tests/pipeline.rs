@@ -129,12 +129,7 @@ fn query_boosting_executes_all_and_uses_pseudo_labels() {
     let predictor = KhopRandom::new(2, tag.num_nodes());
     let report = Scheduler::new(
         &exec,
-        SchedulePolicy::CueGated {
-            config: BoostConfig::default(),
-            policy: DegradePolicy::default(),
-            threads: 1,
-            deterministic: true,
-        },
+        SchedulePolicy::cue_gated(BoostConfig::default(), DegradePolicy::default(), 1),
     )
     .run(&predictor, Labels::Boosting(&mut labels), w.split.queries(), |_| false)
     .unwrap();

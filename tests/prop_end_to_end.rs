@@ -113,12 +113,7 @@ proptest! {
         let predictor = KhopRandom::new(1, tag.num_nodes());
         let report = Scheduler::new(
             &exec,
-            SchedulePolicy::CueGated {
-                config: BoostConfig { gamma1, gamma2 },
-                policy: DegradePolicy::default(),
-                threads: 1,
-                deterministic: true,
-            },
+            SchedulePolicy::cue_gated(BoostConfig { gamma1, gamma2 }, DegradePolicy::default(), 1),
         )
         .run(&predictor, Labels::Boosting(&mut labels), split.queries(), |_| false)
         .unwrap();

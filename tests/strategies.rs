@@ -64,12 +64,11 @@ fn boosting_improves_two_hop_on_cora() {
     let mut bl = LabelStore::from_split(tag, &split);
     let boosted = Scheduler::new(
         &exec,
-        SchedulePolicy::CueGated {
-            config: BoostConfig { gamma1: 3, gamma2: 2 },
-            policy: DegradePolicy::default(),
-            threads: 1,
-            deterministic: true,
-        },
+        SchedulePolicy::cue_gated(
+            BoostConfig { gamma1: 3, gamma2: 2 },
+            DegradePolicy::default(),
+            1,
+        ),
     )
     .run(&predictor, Labels::Boosting(&mut bl), split.queries(), |_| false)
     .unwrap()
